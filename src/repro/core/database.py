@@ -219,10 +219,10 @@ class Database:
         self.engine.log.reinit_locks()
         self.engine.locks.reinit_locks()
         from repro.core import plancache
-        from repro.executor import codegen
+        from repro.executor import exprgen
 
         plancache.reinit_locks()
-        codegen.reinit_locks()
+        exprgen.reinit_locks()
 
     # ==== metrics ===============================================================
 
@@ -341,14 +341,15 @@ class Database:
     def cache_stats(self) -> dict:
         """Plan-cache counters plus per-entry hit/invalidation detail.
 
-        Includes the codegen backend's cross-statement pipeline cache
-        under ``codegen``: generated pipeline functions are keyed by
-        their source text (a structural fingerprint), so ``hits`` counts
-        pipelines that reused a code object compiled for a structurally
-        identical pipeline — possibly from a different statement.
+        Includes the cross-statement generated-code cache under
+        ``codegen``: generated functions (fused pipelines and batch
+        expression functions) are keyed by their source text (a
+        structural fingerprint), so ``hits`` counts functions that
+        reused a code object compiled for structurally identical code —
+        possibly from a different statement.
         """
         stats = self.plan_cache.stats(self.catalog)
-        from repro.executor.codegen import codegen_cache_stats
+        from repro.executor.exprgen import codegen_cache_stats
 
         stats["codegen"] = codegen_cache_stats()
         return stats

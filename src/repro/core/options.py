@@ -149,7 +149,7 @@ class CompileOptions:
         optimizer = settings.optimizer
         return cls(
             rewrite_enabled=settings.rewrite_enabled,
-            rewrite_strategy=getattr(settings, "rewrite_strategy", "default"),
+            rewrite_strategy=settings.rewrite_strategy,
             validate_qgm=settings.validate_qgm,
             compile_expressions=settings.compile_expressions,
             allow_bushy=optimizer.allow_bushy,
@@ -157,15 +157,14 @@ class CompileOptions:
             rank_cutoff=optimizer.rank_cutoff,
             sort_by_rank=optimizer.sort_by_rank,
             naive_recursion=optimizer.naive_recursion,
-            forced_join_method=getattr(optimizer, "forced_join_method", None),
-            join_enumeration=getattr(optimizer, "join_enumeration", "dp"),
-            execution_mode=getattr(settings, "execution_mode", "tuple"),
-            batch_size=getattr(settings, "batch_size", 1024),
-            parallelism=getattr(settings, "parallelism", "off"),
-            dop=getattr(settings, "dop", 4),
-            plan_cache=getattr(settings, "plan_cache_enabled", True),
-            constant_parameterization=getattr(
-                settings, "constant_parameterization", False),
+            forced_join_method=optimizer.forced_join_method,
+            join_enumeration=optimizer.join_enumeration,
+            execution_mode=settings.execution_mode,
+            batch_size=settings.batch_size,
+            parallelism=settings.parallelism,
+            dop=settings.dop,
+            plan_cache=settings.plan_cache_enabled,
+            constant_parameterization=settings.constant_parameterization,
         )
 
     def optimizer_settings(self) -> OptimizerSettings:

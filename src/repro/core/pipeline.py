@@ -38,9 +38,9 @@ class PhaseTimings:
         self.rewrite = 0.0
         self.optimize = 0.0
         self.refine = 0.0
-        #: Pipeline-fusion code generation (execution_mode "compiled" /
-        #: "auto"): emitting and ``compile()``ing the fused per-pipeline
-        #: functions.  Paid once per cached plan.
+        #: Code generation (every execution_mode but "tuple"): emitting
+        #: and ``compile()``ing the fused per-pipeline functions and the
+        #: batch expression functions.  Paid once per cached plan.
         self.codegen = 0.0
         self.execute = 0.0
         #: How the plan reached the executor: "compiled" for a fresh run
@@ -180,14 +180,10 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
         refiner = refine_plan(plan, db.functions)
     if options.execution_mode != "tuple":
         # Backend selection is a refinement too: the ExecBackend STAR
-        # marks each subtree for the vectorized engine where supported;
-        # the codegen selector additionally offers the fused backend for
-        # whole pipelines (and attaches the batch closures it can always
-        # fall back to).
-        if options.execution_mode in ("compiled", "auto"):
-            from repro.executor.codegen import select_backends
-        else:
-            from repro.executor.vectorized import select_backends
+        # marks each subtree tuple, batch or compiled (fused) from
+        # structural checks alone; code is generated below, once the
+        # parallel glue has settled the plan's shape.
+        from repro.executor.selection import select_backends
 
         select_backends(plan, optimizer.generator, db.functions,
                         db.join_kinds, options)
@@ -201,9 +197,9 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
     if trace is not None:
         trace.event("phase", name="refine", seconds=timings.refine)
 
-    if options.execution_mode in ("compiled", "auto") and plan is not None:
-        # Program generation runs after the parallel glue: exchange
-        # splices reshape the tree, and regions they break demote to the
+    if options.execution_mode != "tuple" and plan is not None:
+        # Code generation runs after the parallel glue: exchange splices
+        # reshape the tree, and fused regions they break demote to the
         # batch engine here rather than fusing a stale shape.
         from repro.executor.codegen import generate_programs
 

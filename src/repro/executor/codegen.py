@@ -2,10 +2,10 @@
 
 Section 7 of the paper notes the algebraic QEP interface "can also serve
 as the input specification to a component that compiles QEPs into
-iterative programs [FREY86]".  :mod:`repro.executor.compiled` compiles
-*expressions* and :mod:`repro.executor.vectorized` amortizes operator
-dispatch per batch — but the batch engine still walks an operator tree
-and re-resolves columns for every batch.  This module goes the rest of
+iterative programs [FREY86]".  :mod:`repro.executor.vectorized`
+amortizes operator dispatch per batch — but the batch engine still walks
+an operator tree and re-resolves columns for every batch.  This module
+goes the rest of
 the way, the way raco emits one specialized template per pipeline: it
 splits the plan at pipeline breakers (hash build, group-by, sort,
 exchanges, Temp), and for each pipeline emits **one specialized Python
@@ -36,388 +36,42 @@ becomes its own *build* pipeline (emitting a key → payload-rows hash
 table); the final pipeline runs the probe chain and the sink.  Nested
 joins nest naturally: a build chain may itself contain probes.
 
-**Fallback contract.**  Selection reuses the ExecBackend STAR: a node is
-offered ``compiled`` only when it is batch-capable *and* fusable, so a
-``compiled`` mark can always be demoted to ``batch`` (the batch closures
-are already attached).  Regions that fail validation — including regions
-broken up *after* selection by the parallel glue's exchange splices —
-demote wholesale to the batch engine, recorded per node in
-``plan.codegen_fallbacks`` and counted at runtime in
+**Fallback contract.**  The selection pass
+(:mod:`repro.executor.selection`) offers ``compiled`` only to nodes that
+are batch-capable *and* fusable (:func:`fuse_reason`), so a ``compiled``
+mark can always be demoted to ``batch``.  Regions that fail validation —
+including regions broken up *after* selection by the parallel glue's
+exchange splices — demote wholesale to the batch engine, recorded per
+node in ``plan.codegen_fallbacks`` and counted at runtime in
 ``stats.fallbacks`` exactly like the batch→tuple boundaries.
+:func:`generate_programs` runs last and generates code only for what
+was selected: a :class:`Program` per fused region, the batch functions
+of every batch-marked node, nothing for tuple nodes.
 
-**Semantics.**  Inlined expressions reproduce the scalar closures of
-:class:`~repro.executor.compiled.ExprCompiler` operator for operator
-(NULL short-circuits, lazy right operands, eager ``||``, typed division
-errors, lazily-raising parameter references), so a fused pipeline is
-row-for-row and error-for-error identical to the interpreters.
+**Semantics.**  Predicates, join keys and head expressions are emitted
+by :class:`~repro.executor.exprgen.ExprGen` — the same generator the
+batch engine uses — so a fused pipeline is row-for-row and
+error-for-error identical to the other backends; the driver-level
+post-operators and the group-by tail are the shared ones in
+:mod:`repro.executor.rowops`.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import DivisionByZeroError, ExecutionError
+from repro.executor import rowops, vectorized
 from repro.executor.compiled import ExprCompiler
 from repro.executor.context import ExecutionContext
-from repro.executor.evaluator import _like_regex
-from repro.executor.kinds import default_join_kinds
-from repro.executor import vectorized
-from repro.executor.run import _null_last_key
+from repro.executor.exprgen import (
+    ExprGen,
+    Unsupported,
+    codegen_cache_stats,  # noqa: F401  (re-exported: the cache moved)
+    materialize,
+    reject_reason,
+)
 from repro.optimizer import plans as pl
 from repro.qgm import expressions as qe
-
-
-class _NotFused(Exception):
-    """Internal: this region cannot be fused; demote it to batch."""
-
-
-# ---------------------------------------------------------------------------
-# Helpers referenced from generated code
-# ---------------------------------------------------------------------------
-
-#: Sentinel for "parameter slot not bound" (the generated code raises
-#: lazily, per evaluation, like the scalar closure does).
-_MISS = object()
-
-
-def _dz():
-    raise DivisionByZeroError("division by zero")
-
-
-def _np(index):
-    raise ExecutionError("no value bound for parameter %d" % (index + 1))
-
-
-def _exec_globals() -> Dict[str, Any]:
-    return {"Source": vectorized._RecordSource, "_dz": _dz, "_np": _np,
-            "_MISS": _MISS, "_E": ()}
-
-
-# ---------------------------------------------------------------------------
-# Code-object cache (cross-statement sharing)
-# ---------------------------------------------------------------------------
-
-#: pipeline source text -> compiled code object.  The source *is* the
-#: structural fingerprint: column positions, table names, parameter
-#: indices and operator structure are baked in, while everything
-#: identity-bearing (scan nodes, regexes, aggregate functions, build
-#: tables) is passed through the per-pipeline runtime arguments — so two
-#: statements with structurally identical pipelines share one code
-#: object.
-_CODE_CACHE: Dict[str, Any] = {}
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-#: Concurrent serving sessions compile pipelines in parallel; the cache
-#: probe + counter bump is a read-modify-write and needs the lock (a
-#: duplicate ``compile()`` would be harmless, a lost counter is not).
-_CACHE_LOCK = threading.Lock()
-
-
-def reinit_locks() -> None:
-    """Fresh module lock after ``fork()`` (a parent thread may have held
-    the old one at fork time)."""
-    global _CACHE_LOCK
-    _CACHE_LOCK = threading.Lock()
-
-
-def codegen_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters for the shared pipeline code-object cache."""
-    with _CACHE_LOCK:
-        return {"entries": len(_CODE_CACHE), "hits": _CACHE_HITS,
-                "misses": _CACHE_MISSES}
-
-
-def _materialize(source: str) -> Tuple[Any, bool]:
-    """Compile (or fetch) the pipeline's code object and bind it into a
-    fresh globals dict.  Returns ``(function, shared)``."""
-    global _CACHE_HITS, _CACHE_MISSES
-    with _CACHE_LOCK:
-        code = _CODE_CACHE.get(source)
-    shared = code is not None
-    if code is None:
-        code = compile(source, "<codegen>", "exec")
-        with _CACHE_LOCK:
-            _CODE_CACHE[source] = code
-            _CACHE_MISSES += 1
-    else:
-        with _CACHE_LOCK:
-            _CACHE_HITS += 1
-    namespace = _exec_globals()
-    exec(code, namespace)
-    return namespace["_p"], shared
-
-
-# ---------------------------------------------------------------------------
-# Inline-ability (selection-time structural check)
-# ---------------------------------------------------------------------------
-
-_INLINE_BINOPS = frozenset(
-    ["and", "or", "=", "<>", "<", "<=", ">", ">=", "||",
-     "+", "-", "*", "/", "%"])
-
-
-def _inline_reason(expr: qe.QExpr) -> Optional[str]:
-    """None when ``expr`` can be emitted as inline Python source,
-    otherwise the reason it cannot (FuncCall/Cast need registry dispatch;
-    dynamic LIKE recompiles per row; exotic constants do not repr)."""
-    for node in qe.walk(expr):
-        if isinstance(node, qe.Const):
-            if node.value is not None and not isinstance(
-                    node.value, (bool, int, float, str)):
-                return "non-literal constant"
-        elif isinstance(node, qe.BinOp):
-            if node.op not in _INLINE_BINOPS:
-                return "operator %s" % node.op
-        elif isinstance(node, qe.LikeOp):
-            if not (isinstance(node.pattern, qe.Const)
-                    and node.pattern.value is not None):
-                return "dynamic LIKE pattern"
-        elif isinstance(node, (qe.ColRef, qe.ParamRef, qe.Not, qe.Neg,
-                               qe.IsNullTest, qe.CaseOp)):
-            pass
-        else:
-            return "expression %s" % type(node).__name__
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Expression emission
-# ---------------------------------------------------------------------------
-
-_CMP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-
-
-class _ExprGen:
-    """Emits inline Python source for one pipeline's expressions.
-
-    ``value(expr)`` produces an expression-source whose runtime value
-    matches the scalar closure exactly; ``cond(expr)`` produces a source
-    that is *truthy iff the scalar value is True* (the form predicates
-    use: ``if not <cond>: continue``), allowing cheaper short-circuits
-    where the difference is unobservable (no error-capable operand is
-    skipped that the scalar closure would evaluate).
-    """
-
-    def __init__(self, colmap: Dict[Tuple[Any, int], str],
-                 rx_index: Dict[str, int]):
-        self.colmap = colmap
-        #: LIKE pattern -> slot in this pipeline's ``rt.rx`` tuple.
-        self.rx_index = rx_index
-        self.used_params: set = set()
-        self._tmp = 0
-
-    def tmp(self) -> str:
-        name = "_t%d" % self._tmp
-        self._tmp += 1
-        return name
-
-    def _rx(self, pattern: str) -> int:
-        slot = self.rx_index.get(pattern)
-        if slot is None:
-            slot = len(self.rx_index)
-            self.rx_index[pattern] = slot
-        return slot
-
-    @staticmethod
-    def lit(expr: qe.QExpr) -> Optional[str]:
-        """The operand's literal source when it is a non-NULL constant —
-        such operands need no None-guard (and a constant divisor needs
-        no per-row zero test), which keeps the hot loop tight."""
-        if isinstance(expr, qe.Const) and expr.value is not None \
-                and isinstance(expr.value, (bool, int, float, str)):
-            return repr(expr.value)
-        return None
-
-    # -- value forms ----------------------------------------------------------
-
-    def value(self, expr: qe.QExpr) -> str:
-        method = getattr(self, "_v_%s" % type(expr).__name__.lower(), None)
-        if method is None:
-            raise _NotFused("expression %s" % type(expr).__name__)
-        return method(expr)
-
-    def _v_const(self, expr: qe.Const) -> str:
-        value = expr.value
-        if value is not None and not isinstance(value,
-                                                (bool, int, float, str)):
-            raise _NotFused("non-literal constant")
-        return repr(value)
-
-    def _v_paramref(self, expr: qe.ParamRef) -> str:
-        self.used_params.add(expr.index)
-        return ("(_pp%d if _pp%d is not _MISS else _np(%d))"
-                % (expr.index, expr.index, expr.index))
-
-    def _v_colref(self, expr: qe.ColRef) -> str:
-        position = expr.quantifier.input.head.index_of(expr.column)
-        source = self.colmap.get((expr.quantifier, position))
-        if source is None:
-            raise _NotFused("column %s.%s not produced in this pipeline"
-                            % (expr.quantifier.name, expr.column))
-        return source
-
-    def _v_binop(self, expr: qe.BinOp) -> str:
-        op = expr.op
-        if op == "and":
-            a, b = self.tmp(), self.tmp()
-            return ("(False if (%s := %s) is False else "
-                    "(False if (%s := %s) is False else "
-                    "(None if %s is None or %s is None else True)))"
-                    % (a, self.value(expr.left), b, self.value(expr.right),
-                       a, b))
-        if op == "or":
-            a, b = self.tmp(), self.tmp()
-            return ("(True if (%s := %s) is True else "
-                    "(True if (%s := %s) is True else "
-                    "(None if %s is None or %s is None else False)))"
-                    % (a, self.value(expr.left), b, self.value(expr.right),
-                       a, b))
-        if op in _CMP:
-            return self._v_guarded(expr, _CMP[op])
-        if op == "||":
-            # Both sides evaluate eagerly (the 2-tuple is always truthy).
-            a, b = self.tmp(), self.tmp()
-            return ("(((%s := %s), (%s := %s)) and "
-                    "(None if %s is None or %s is None else "
-                    "str(%s) + str(%s)))"
-                    % (a, self.value(expr.left), b, self.value(expr.right),
-                       a, b, a, b))
-        if op in ("+", "-", "*"):
-            return self._v_guarded(expr, op)
-        if op in ("/", "%"):
-            right_lit = self.lit(expr.right)
-            if right_lit is not None:
-                divisor = expr.right.value
-                body = "_dz()" if divisor == 0 else None
-                return self._v_guarded(expr, op, body=body)
-            left_lit = self.lit(expr.left)
-            b = self.tmp()
-            if left_lit is not None:
-                return ("(None if (%s := %s) is None else "
-                        "(_dz() if %s == 0 else (%s %s %s)))"
-                        % (b, self.value(expr.right), b, left_lit, op, b))
-            a = self.tmp()
-            return ("(None if (%s := %s) is None else "
-                    "(None if (%s := %s) is None else "
-                    "(_dz() if %s == 0 else (%s %s %s))))"
-                    % (a, self.value(expr.left), b, self.value(expr.right),
-                       b, a, op, b))
-        raise _NotFused("operator %s" % op)
-
-    def _v_guarded(self, expr: qe.BinOp, op: str,
-                   body: Optional[str] = None) -> str:
-        """``left op right`` with a None-guard only on the non-constant
-        sides; ``body`` overrides the result source (constant-zero
-        divisor)."""
-        left_lit = self.lit(expr.left)
-        right_lit = self.lit(expr.right)
-        if left_lit is not None and right_lit is not None:
-            return body or "(%s %s %s)" % (left_lit, op, right_lit)
-        if right_lit is not None:
-            a = self.tmp()
-            return ("(None if (%s := %s) is None else %s)"
-                    % (a, self.value(expr.left),
-                       body or "(%s %s %s)" % (a, op, right_lit)))
-        if left_lit is not None:
-            b = self.tmp()
-            return ("(None if (%s := %s) is None else %s)"
-                    % (b, self.value(expr.right),
-                       body or "(%s %s %s)" % (left_lit, op, b)))
-        a, b = self.tmp(), self.tmp()
-        return ("(None if (%s := %s) is None else "
-                "(None if (%s := %s) is None else %s))"
-                % (a, self.value(expr.left), b, self.value(expr.right),
-                   body or "(%s %s %s)" % (a, op, b)))
-
-    def _v_not(self, expr: qe.Not) -> str:
-        t = self.tmp()
-        return ("(None if (%s := %s) is None else (not %s))"
-                % (t, self.value(expr.operand), t))
-
-    def _v_neg(self, expr: qe.Neg) -> str:
-        t = self.tmp()
-        return ("(None if (%s := %s) is None else (-%s))"
-                % (t, self.value(expr.operand), t))
-
-    def _v_isnulltest(self, expr: qe.IsNullTest) -> str:
-        test = "is not None" if expr.negated else "is None"
-        return "((%s) %s)" % (self.value(expr.operand), test)
-
-    def _v_likeop(self, expr: qe.LikeOp) -> str:
-        if not (isinstance(expr.pattern, qe.Const)
-                and expr.pattern.value is not None):
-            raise _NotFused("dynamic LIKE pattern")
-        slot = self._rx(expr.pattern.value)
-        t = self.tmp()
-        test = "is None" if expr.negated else "is not None"
-        return ("(None if (%s := %s) is None else (_rx%d(%s) %s))"
-                % (t, self.value(expr.operand), slot, t, test))
-
-    def _v_caseop(self, expr: qe.CaseOp) -> str:
-        out = (self.value(expr.else_value)
-               if expr.else_value is not None else "None")
-        # Python's ternary evaluates its condition first, then exactly one
-        # branch — the scalar closure's first-True-wins order.
-        for condition, value in reversed(expr.whens):
-            out = "(%s if %s else %s)" % (self.value(value),
-                                          self.cond(condition), out)
-        return out
-
-    # -- condition forms ------------------------------------------------------
-
-    def cond(self, expr: qe.QExpr) -> str:
-        if isinstance(expr, qe.BinOp):
-            op = expr.op
-            if op in _CMP:
-                left_lit = self.lit(expr.left)
-                right_lit = self.lit(expr.right)
-                if left_lit is not None and right_lit is not None:
-                    return "(%s %s %s)" % (left_lit, _CMP[op], right_lit)
-                if right_lit is not None:
-                    a = self.tmp()
-                    return ("((%s := %s) is not None and %s %s %s)"
-                            % (a, self.value(expr.left), a, _CMP[op],
-                               right_lit))
-                if left_lit is not None:
-                    b = self.tmp()
-                    return ("((%s := %s) is not None and %s %s %s)"
-                            % (b, self.value(expr.right), left_lit,
-                               _CMP[op], b))
-                a, b = self.tmp(), self.tmp()
-                return ("((%s := %s) is not None and "
-                        "(%s := %s) is not None and %s %s %s)"
-                        % (a, self.value(expr.left),
-                           b, self.value(expr.right), a, _CMP[op], b))
-            if op == "and":
-                if ExprCompiler._can_raise(expr.right):
-                    # The scalar closure evaluates the right side even
-                    # when the left is NULL (only False short-circuits);
-                    # an error-capable right side must keep that order.
-                    a, b = self.tmp(), self.tmp()
-                    return ("((%s := %s) is not False and "
-                            "(%s := %s) is not False and "
-                            "%s is not None and %s is not None)"
-                            % (a, self.value(expr.left),
-                               b, self.value(expr.right), a, b))
-                return "(%s and %s)" % (self.cond(expr.left),
-                                        self.cond(expr.right))
-            if op == "or":
-                return "(%s or %s)" % (self.cond(expr.left),
-                                       self.cond(expr.right))
-        if isinstance(expr, qe.Not):
-            return "((%s) is False)" % self.value(expr.operand)
-        if isinstance(expr, qe.IsNullTest):
-            return self._v_isnulltest(expr)
-        if isinstance(expr, qe.LikeOp) and isinstance(expr.pattern, qe.Const) \
-                and expr.pattern.value is not None:
-            slot = self._rx(expr.pattern.value)
-            t = self.tmp()
-            test = "is None" if expr.negated else "is not None"
-            return ("((%s := %s) is not None and _rx%d(%s) %s)"
-                    % (t, self.value(expr.operand), slot, t, test))
-        return "((%s) is True)" % self.value(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +84,7 @@ _POSTOP_TYPES = (pl.Distinct, pl.LimitOp, pl.TopSort)
 def _parse_region(root: pl.PlanOp):
     """Split a compiled-marked region into driver-level post-operators,
     an optional grouped wrap ``(project, access)`` over the core, and the
-    pipeline core; raises :class:`_NotFused` on any shape the generator
+    pipeline core; raises :class:`Unsupported` on any shape the generator
     does not fuse."""
     postops: List[pl.PlanOp] = []
     node = root
@@ -438,11 +92,12 @@ def _parse_region(root: pl.PlanOp):
         postops.append(node)
         node = node.children[0]
         if node.exec_backend != "compiled":
-            raise _NotFused("%s over non-fused input" % postops[-1].op_name)
+            raise Unsupported("%s over non-fused input"
+                              % postops[-1].op_name)
     wrap = None
     if isinstance(node, pl.Project):
         if node.subplans:
-            raise _NotFused("subquery expressions")
+            raise Unsupported("subquery expressions")
         child = node.children[0]
         if isinstance(child, pl.DerivedScan) \
                 and isinstance(child.children[0], pl.GroupBy):
@@ -450,19 +105,19 @@ def _parse_region(root: pl.PlanOp):
             # on the ACCESS) evaluates per *group*, driver-side.
             if child.exec_backend != "compiled" \
                     or child.children[0].exec_backend != "compiled":
-                raise _NotFused("grouped core not fused")
+                raise Unsupported("grouped core not fused")
             wrap = (node, child)
             node = child.children[0]
     elif not isinstance(node, pl.GroupBy):
-        raise _NotFused("region root %s is not a pipeline sink"
-                        % node.op_name)
+        raise Unsupported("region root %s is not a pipeline sink"
+                          % node.op_name)
     _check_chain(node.children[0])
     return postops, wrap, node
 
 
 def _check_chain(node: pl.PlanOp) -> None:
     if node.exec_backend != "compiled":
-        raise _NotFused("pipeline input %s not fused" % node.op_name)
+        raise Unsupported("pipeline input %s not fused" % node.op_name)
     if isinstance(node, pl.TableScan):
         return
     if isinstance(node, pl.Filter):
@@ -475,19 +130,19 @@ def _check_chain(node: pl.PlanOp) -> None:
     if isinstance(node, pl.DerivedScan):
         inner = node.children[0]
         if not isinstance(inner, pl.Project) or inner.subplans:
-            raise _NotFused("ACCESS over %s" % inner.op_name)
+            raise Unsupported("ACCESS over %s" % inner.op_name)
         if inner.exec_backend != "compiled":
-            raise _NotFused("pipeline input %s not fused" % inner.op_name)
+            raise Unsupported("pipeline input %s not fused" % inner.op_name)
         _check_chain(inner.children[0])
         return
-    raise _NotFused("unsupported operator %s in pipeline" % node.op_name)
+    raise Unsupported("unsupported operator %s in pipeline" % node.op_name)
 
 
 def _demote_region(node: pl.PlanOp) -> None:
     """Downgrade a contiguous compiled region to the batch engine.
 
     Always safe: the selection pass only offers ``compiled`` to nodes the
-    batch engine is capable of (their batch closures are attached)."""
+    batch engine is capable of."""
     if node.exec_backend != "compiled":
         return
     node.exec_backend = "batch"
@@ -516,14 +171,14 @@ def _linearize(chain_top: pl.PlanOp):
         elif isinstance(node, pl.DerivedScan):
             inner = node.children[0]
             if not isinstance(inner, pl.Project) or inner.subplans:
-                raise _NotFused("ACCESS over %s" % inner.op_name)
+                raise Unsupported("ACCESS over %s" % inner.op_name)
             mapping[node.quantifier] = inner.exprs
             if node.preds:
                 steps.append(("filter", node))
             node = inner.children[0]
         else:
-            raise _NotFused("unsupported operator %s in pipeline"
-                            % node.op_name)
+            raise Unsupported("unsupported operator %s in pipeline"
+                              % node.op_name)
 
 
 def _subst(expr: qe.QExpr, mapping: Dict[Any, list]) -> qe.QExpr:
@@ -543,156 +198,42 @@ def _subst(expr: qe.QExpr, mapping: Dict[Any, list]) -> qe.QExpr:
 
 
 # ---------------------------------------------------------------------------
-# Backend selection (refinement phase)
+# Fusability (selection-time structural check)
 # ---------------------------------------------------------------------------
 
-#: Auto mode escalates to codegen only for scans at least this large;
-#: between AUTO_MIN_ROWS and this the batch engine already wins and
-#: codegen's per-statement generation cost is not worth paying.
-AUTO_COMPILED_MIN_ROWS = 4096.0
 
-
-def _compiled_rows_ok(node: pl.PlanOp) -> bool:
-    if not node.children:
-        rows = getattr(node, "input_rows", None)
-        if rows is None:
-            rows = node.props.card
-        return rows >= AUTO_COMPILED_MIN_ROWS
-    return True
-
-
-def _fuse_reason(node: pl.PlanOp, kinds, functions) -> Optional[str]:
+def fuse_reason(node: pl.PlanOp, kinds, functions) -> Optional[str]:
     """None when this (batch-capable) node can take part in a fused
     pipeline, otherwise why it cannot."""
     node_type = type(node)
     if node_type in (pl.TableScan, pl.Filter, pl.DerivedScan):
-        for predicate in node.preds:
-            reason = _inline_reason(predicate.expr)
-            if reason:
-                return reason
-        return None
-    if node_type is pl.HashJoin:
-        kind = kinds.get(node.kind, functions)
-        if kind.preserves_outer:
+        exprs = [p.expr for p in node.preds]
+    elif node_type is pl.HashJoin:
+        if kinds.get(node.kind, functions).preserves_outer:
             return "outer-join padding"
-        for expr in list(node.outer_keys) + list(node.inner_keys):
-            reason = _inline_reason(expr)
-            if reason:
-                return reason
-        for predicate in node.residual:
-            reason = _inline_reason(predicate.expr)
-            if reason:
-                return reason
-        return None
-    if node_type is pl.Project:
+        exprs = (list(node.outer_keys) + list(node.inner_keys)
+                 + [p.expr for p in node.residual])
+    elif node_type is pl.Project:
         if node.subplans:
             return "subquery expressions"
-        for expr in node.exprs:
-            reason = _inline_reason(expr)
-            if reason:
-                return reason
-        return None
-    if node_type is pl.GroupBy:
-        for expr in node.group_exprs:
-            reason = _inline_reason(expr)
-            if reason:
-                return reason
+        exprs = node.exprs
+    elif node_type is pl.GroupBy:
         for agg in node.aggregates:
             if functions.aggregate(agg.name) is None:
                 # The interpreters raise at runtime; demoting to batch
                 # preserves that error exactly.
                 return "unknown aggregate %s" % agg.name
-            if agg.arg is not None:
-                reason = _inline_reason(agg.arg)
-                if reason:
-                    return reason
-        return None
-    if node_type in _POSTOP_TYPES:
-        return None
-    return "unsupported operator %s" % node.op_name
-
-
-def select_backends(plan: pl.PlanOp, generator, functions, join_kinds,
-                    options) -> ExprCompiler:
-    """Three-way ExecBackend selection for ``execution_mode`` "compiled"
-    and "auto": offer the STAR ``compiled`` for fusable nodes on top of
-    the batch/tuple decision :func:`vectorized.select_backends` makes.
-
-    Every node marked ``compiled`` is also batch-capable (the batch
-    closures are attached here), which is what makes region demotion —
-    at validation below, or after the parallel glue reshapes the plan —
-    always safe.
-    """
-    compiler = ExprCompiler(functions)
-    kinds = join_kinds if join_kinds is not None else default_join_kinds()
-    mode = options.execution_mode
-    fallbacks: List[Tuple[str, str]] = []
-
-    def decide(node: pl.PlanOp) -> None:
-        for child in node.children:
-            decide(child)
-        batchish = all(child.exec_backend != "tuple"
-                       for child in node.children)
-        capable = vectorized._capable(node, compiler, kinds, functions)
-        eligible = capable and batchish and vectorized._leaf_rows_ok(node)
-        if capable:
-            reason = _fuse_reason(node, kinds, functions)
-        else:
-            reason = "not batch-capable"
-        if reason is None and any(child.exec_backend != "compiled"
-                                  for child in node.children):
-            reason = None if not node.children else "input not fused"
-        if reason is not None and mode == "compiled" \
-                and reason != "input not fused":
-            fallbacks.append((node.op_name, reason))
-        wants = reason is None and (
-            mode == "compiled"
-            or (mode == "auto" and eligible and _compiled_rows_ok(node)))
-        generator.evaluate("ExecBackend", plan=node, capable=capable,
-                           mode=mode, eligible=eligible, compiled=wants)
-
-    decide(plan)
-    plan.codegen_fallbacks = fallbacks
-    _finalize_regions(plan, fallbacks)
-    _mark_boundaries(plan)
-    return compiler
-
-
-def _finalize_regions(plan: pl.PlanOp, fallbacks) -> None:
-    """Validate every maximal compiled region against the region grammar;
-    demote the invalid ones (to batch, which is always capable), and
-    merge compiled fragments under a batch parent back into its region
-    so no batch operator ever consumes a fused child through adapters."""
-
-    def visit(node: pl.PlanOp, parent_backend: str) -> None:
-        if node.exec_backend == "compiled" and parent_backend != "compiled":
-            if parent_backend == "batch":
-                _demote_region(node)
-            else:
-                try:
-                    _parse_region(node)
-                except _NotFused as exc:
-                    fallbacks.append((node.op_name, str(exc)))
-                    _demote_region(node)
-        for child in node.children:
-            visit(child, node.exec_backend)
-        for binding in getattr(node, "subplans", []):
-            visit(binding.plan, "tuple")
-
-    visit(plan, "tuple")
-
-
-def _mark_boundaries(plan: pl.PlanOp) -> None:
-    def visit(node: pl.PlanOp, parent_backend: str) -> None:
-        if parent_backend in ("batch", "compiled") \
-                and node.exec_backend == "tuple":
-            node.fallback_mark = "tuple"
-        elif parent_backend == "compiled" and node.exec_backend == "batch":
-            node.fallback_mark = "batch"
-        for child in node.children:
-            visit(child, node.exec_backend)
-
-    visit(plan, "tuple")
+        exprs = list(node.group_exprs) + [
+            agg.arg for agg in node.aggregates if agg.arg is not None]
+    elif node_type in _POSTOP_TYPES:
+        exprs = []
+    else:
+        return "unsupported operator %s" % node.op_name
+    for expr in exprs:
+        reason = reject_reason(expr, functions)
+        if reason is not None:
+            return reason
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +245,12 @@ class _Runtime:
     """Identity-bearing values one generated pipeline needs at run time
     (everything structural is baked into its source)."""
 
-    __slots__ = ("scan", "rx", "aggs")
+    __slots__ = ("scan", "hoisted", "aggs")
 
-    def __init__(self, scan, rx, aggs):
+    def __init__(self, scan, hoisted, aggs):
         self.scan = scan
-        self.rx = rx
+        #: The expression generator's hoisted values (``_hN``).
+        self.hoisted = hoisted
         self.aggs = aggs
 
 
@@ -753,9 +295,11 @@ class Program:
 
 def generate_programs(plan: pl.PlanOp, functions, options,
                       trace=None) -> int:
-    """Generate and attach a :class:`Program` to every valid compiled
-    region root; demote regions invalidated since selection (exchange
-    splices reshape the tree).  Returns the total pipeline count."""
+    """Generate code for what the selection pass chose: a
+    :class:`Program` on every valid compiled region root — regions
+    invalidated since selection (exchange splices reshape the tree)
+    demote to batch — then the batch functions of every batch-marked
+    node.  Returns the total pipeline count."""
     if plan is None:
         return 0
     fallbacks = getattr(plan, "codegen_fallbacks", None)
@@ -768,7 +312,7 @@ def generate_programs(plan: pl.PlanOp, functions, options,
         if node.exec_backend == "compiled" and parent_backend != "compiled":
             try:
                 program = _generate(node, functions)
-            except _NotFused as exc:
+            except Unsupported as exc:
                 fallbacks.append((node.op_name, str(exc)))
                 _demote_region(node)
             else:
@@ -789,6 +333,9 @@ def generate_programs(plan: pl.PlanOp, functions, options,
             visit(binding.plan, "tuple")
 
     visit(plan, "tuple")
+    for node in plan.walk():
+        if node.exec_backend == "batch":
+            vectorized.attach_functions(node, functions)
     return total
 
 
@@ -796,13 +343,8 @@ def _generate(root: pl.PlanOp, functions) -> Program:
     postops, wrap, core = _parse_region(root)
     if isinstance(core, pl.GroupBy):
         final_kind = "groupby"
-        aggs = []
-        for agg in core.aggregates:
-            function = functions.aggregate(agg.name)
-            if function is None:
-                raise _NotFused("unknown aggregate %s" % agg.name)
-            aggs.append(function)
-        agg_functions = tuple(aggs)
+        agg_functions = tuple(
+            rowops.aggregate_functions(core.aggregates, functions))
     else:
         final_kind = "project"
         agg_functions = ()
@@ -819,24 +361,24 @@ def _generate(root: pl.PlanOp, functions) -> Program:
         for predicate in access.preds:
             fn = compiler.compile(predicate.expr)
             if fn is None:
-                raise _NotFused("uncompilable HAVING predicate")
+                raise Unsupported("uncompilable HAVING predicate")
             wrap_preds.append(fn)
         wrap_exprs = []
         for expr in project.exprs:
             fn = compiler.compile(expr)
             if fn is None:
-                raise _NotFused("uncompilable group head expression")
+                raise Unsupported("uncompilable group head expression")
             wrap_exprs.append(fn)
 
     pipelines: List[_Pipeline] = []
     _emit_pipeline(core.children[0], final_kind, core, None, None,
-                   pipelines, agg_functions)
+                   pipelines, agg_functions, functions)
     return Program(pipelines, final_kind, core, postops, agg_functions,
                    wrap_quantifier, tuple(wrap_preds), wrap_exprs)
 
 
 def _emit_pipeline(chain_top, sink_kind, sink_node, payload, keys,
-                   pipelines, agg_functions) -> int:
+                   pipelines, agg_functions, functions) -> int:
     """Emit one pipeline (recursively emitting its builds first); appends
     a :class:`_Pipeline` and returns its program-level index."""
     scan, steps, mapping = _linearize(chain_top)
@@ -922,7 +464,7 @@ def _emit_pipeline(chain_top, sink_kind, sink_node, payload, keys,
         probe_payloads.append(pay)
     for ref in refs:
         if ref not in colmap:
-            raise _NotFused("column %s.%s not produced in this pipeline"
+            raise Unsupported("column %s.%s not produced in this pipeline"
                             % (ref[0].name, ref[1]))
 
     # Builds first (post-order): their tables must exist before the probe
@@ -930,11 +472,13 @@ def _emit_pipeline(chain_top, sink_kind, sink_node, payload, keys,
     consumes = [
         _emit_pipeline(probe.children[1], "build", probe,
                        probe_payloads[k], probe.inner_keys,
-                       pipelines, agg_functions)
+                       pipelines, agg_functions, functions)
         for k, probe in enumerate(probes)]
 
-    rx_index: Dict[str, int] = {}
-    gen = _ExprGen(colmap, rx_index)
+    def column(quantifier, position: int) -> str:
+        return colmap[(quantifier, position)]  # every ref was resolved
+
+    gen = ExprGen(column, functions)
     body: List[Tuple[int, str]] = []
     indent = 0
     for expr in scan_preds:
@@ -968,9 +512,7 @@ def _emit_pipeline(chain_top, sink_kind, sink_node, payload, keys,
     epilogue: List[str] = []
     if sink_kind == "project":
         morsel_prologue = ["_out = []", "_oapp = _out.append"]
-        values = [gen.value(expr) for expr in sink_exprs]
-        body.append((indent, "_oapp((%s%s))"
-                     % (", ".join(values), "," if values else "")))
+        body.append((indent, "_oapp(%s)" % gen.tuple_of(sink_exprs)))
         morsel_epilogue = ["stats.rows_emitted += len(_out)", "yield _out"]
     elif sink_kind == "build":
         prologue = ["_tab = {}", "_tget = _tab.get"]
@@ -994,31 +536,25 @@ def _emit_pipeline(chain_top, sink_kind, sink_node, payload, keys,
                      % (", ".join(pay_values), "," if pay_values else "")))
         epilogue = ["return _tab"]
     else:  # groupby
-        prologue = ["_groups = {}", "_order = []",
-                    "_ordapp = _order.append", "_gget = _groups.get",
+        prologue = ["_groups = {}", "_gget = _groups.get",
                     "_afs = rt.aggs"]
         if any(agg.distinct for agg in sink_node.aggregates):
             prologue.append("_dseen = {}")
-        key_values = [gen.value(expr) for expr in sink_exprs]
-        body.append((indent, "_kt = (%s%s)"
-                     % (", ".join(key_values), "," if key_values else "")))
+        body.append((indent, "_kt = %s" % gen.tuple_of(sink_exprs)))
         body.append((indent, "_accs = _gget(_kt)"))
         body.append((indent, "if _accs is None:"))
         body.append((indent + 1, "_accs = [_f.factory() for _f in _afs]"))
         body.append((indent + 1, "_groups[_kt] = _accs"))
-        body.append((indent + 1, "_ordapp(_kt)"))
         for i, agg in enumerate(sink_node.aggregates):
             _emit_agg_step(body, indent, gen, i, agg, agg_args[i],
                            agg_functions[i])
-        epilogue = ["return _groups, _order"]
+        epilogue = ["return _groups"]
 
     source = _assemble(scan, scan_positions, consumes, gen, prologue,
                        morsel_prologue, body, morsel_epilogue, epilogue)
-    fn, shared = _materialize(source)
-    rx = tuple(_like_regex(pattern)
-               for pattern, _slot in sorted(rx_index.items(),
-                                            key=lambda item: item[1]))
-    rt = _Runtime(scan, rx, agg_functions if sink_kind == "groupby" else ())
+    fn, shared = materialize(source, Source=vectorized._RecordSource)
+    rt = _Runtime(scan, tuple(gen.hoisted),
+                  agg_functions if sink_kind == "groupby" else ())
     index = len(pipelines)
     pipelines.append(_Pipeline(fn, rt, consumes, shared, source,
                                scan.table.name))
@@ -1066,12 +602,8 @@ def _assemble(scan, scan_positions, consumes, gen, prologue,
             % ", ".join(str(p) for p in scan_positions))
     for k in range(len(consumes)):
         out("    _ht%d = tables[%d].get" % (k, k))
-    for index in sorted(gen.used_params):
-        out("    _pp%d = params[%d] if len(params) > %d else _MISS"
-            % (index, index, index))
-    for pattern, slot in sorted(gen.rx_index.items(),
-                                key=lambda item: item[1]):
-        out("    _rx%d = rt.rx[%d].match" % (slot, slot))
+    for line in gen.bind_params() + gen.bind_hoisted("rt.hoisted"):
+        out("    " + line)
     for line in prologue:
         out("    " + line)
     out("    _scan = rt.scan")
@@ -1116,25 +648,12 @@ def rows_from_compiled(plan: pl.PlanOp, ctx: ExecutionContext, env,
                        count_fallback: bool = True
                        ) -> Iterator[Tuple[Any, ...]]:
     """Row stream of a compiled region root (``rows_iter`` and the
-    plan-root boundary route here).  A compiled mark without a program
-    (stale cache entries, exotic callers) silently runs the batch engine
-    — the closures are always attached."""
-    program = getattr(plan, "codegen_program", None)
-    if program is None:
-        return vectorized.rows_from_batches(plan, ctx, env, count_fallback)
+    plan-root boundary route here)."""
     if count_fallback:
         ctx.stats.fallbacks += 1
     if ctx.profile is not None:
         return ctx.profile.iter_stream(plan, _run_program, ctx, env)
     return _run_program(plan, ctx, env)
-
-
-def envs_from_compiled(plan: pl.PlanOp, ctx: ExecutionContext, env,
-                       count_fallback: bool = True):
-    """Safety net: valid fused regions are always row producers, so a
-    binding-stream request means the region was reshaped underneath us —
-    serve it from the batch closures."""
-    return vectorized.envs_from_batches(plan, ctx, env, count_fallback)
 
 
 def _run_program(plan: pl.PlanOp, ctx: ExecutionContext,
@@ -1143,7 +662,12 @@ def _run_program(plan: pl.PlanOp, ctx: ExecutionContext,
     ctx.stats.codegen_pipelines += program.n_pipelines
     rows = _sink_rows(program, ctx)
     for node in reversed(program.postops):
-        rows = _postop_rows(node, rows, ctx)
+        if isinstance(node, pl.Distinct):
+            rows = rowops.distinct_rows(rows)
+        elif isinstance(node, pl.LimitOp):
+            rows = rowops.limit_rows(rows, node.limit)
+        else:
+            rows = _topsort_rows(node, rows, ctx)
     return rows
 
 
@@ -1159,14 +683,9 @@ def _sink_rows(program: Program,
     final = program.pipelines[-1]
     tables = tuple(results[i] for i in final.consumes)
     if program.final_kind == "groupby":
-        groups, order = final.fn(ctx, params, final.rt, tables)
-        if not groups and not program.core.group_exprs:
-            # SQL: aggregation over an empty input yields one row.
-            rows = iter([tuple(f.factory().final()
-                               for f in program.agg_functions)])
-        else:
-            rows = (key + tuple(acc.final() for acc in groups[key])
-                    for key in order)
+        rows = rowops.finish_groups(
+            final.fn(ctx, params, final.rt, tables),
+            bool(program.core.group_exprs), lambda: program.agg_functions)
         if program.wrap_exprs is None:
             yield from rows
             return
@@ -1186,28 +705,10 @@ def _sink_rows(program: Program,
             yield from out
 
 
-def _postop_rows(node: pl.PlanOp, rows: Iterator[Tuple[Any, ...]],
-                 ctx: ExecutionContext) -> Iterator[Tuple[Any, ...]]:
-    if isinstance(node, pl.Distinct):
-        return _distinct_rows(rows)
-    if isinstance(node, pl.LimitOp):
-        if node.limit <= 0:
-            return iter(())
-        return itertools.islice(rows, node.limit)
-    return _topsort_rows(node, rows, ctx)
-
-
-def _distinct_rows(rows) -> Iterator[Tuple[Any, ...]]:
-    seen = set()
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            yield row
-
-
 def _topsort_rows(node: pl.TopSort, rows,
                   ctx: ExecutionContext) -> Iterator[Tuple[Any, ...]]:
+    # A generator, so the sort (like the builds) runs on first pull.
     data = list(rows)
     ctx.stats.sorts += 1
-    data.sort(key=lambda row: _null_last_key(row, node.positions))
+    rowops.sort_rows(data, node.positions)
     yield from data

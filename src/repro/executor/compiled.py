@@ -17,15 +17,10 @@ use it when present.
 Closures have the signature ``f(env, params) -> value`` with SQL
 three-valued semantics (None = unknown/NULL).
 
-The compiler also has a *batch* path (``compile_batch``) used by the
-vectorized executor: batch closures have the signature
-``f(batch, idx, params) -> list`` where ``batch`` exposes
-``col(quantifier, position) -> full-length column list`` and ``idx`` is
-the list of physical row indices to evaluate.  Results align with
-``idx``.  Batch closures replicate the scalar closures' semantics
-exactly, including which sub-expressions are (not) evaluated for a given
-row — that is what keeps error behaviour (division by zero, function
-errors) identical between the two backends.
+The source-emitting backends (batch and fused) do not use these closures:
+:mod:`repro.executor.exprgen` generates Python source with the same
+semantics, sharing :func:`invoker` and :func:`caster` so a function or
+cast error is raised by the same code on every backend.
 """
 
 from __future__ import annotations
@@ -38,9 +33,6 @@ from repro.qgm import expressions as qe
 
 Compiled = Callable[[Dict, Sequence[Any]], Any]
 
-#: Batch closure: f(batch, idx, params) -> list aligned with idx.
-BatchCompiled = Callable[[Any, List[int], Sequence[Any]], List[Any]]
-
 
 class ExprCompiler:
     """Compiles QGM expressions; returns None for non-compilable ones."""
@@ -49,8 +41,6 @@ class ExprCompiler:
         self.functions = functions
         self.compiled_count = 0
         self.fallback_count = 0
-        self.batch_compiled_count = 0
-        self.batch_fallback_count = 0
 
     def compile(self, expr: qe.QExpr) -> Optional[Compiled]:
         # Unbound subquery machinery needs the interpreting evaluator.
@@ -239,20 +229,9 @@ class ExprCompiler:
         function = self.functions.scalar(expr.name)
         if function is None:
             raise _NotCompilable(expr.name)
+        invoke = invoker(function)
         args = [self._compile(a) for a in expr.args]
-
-        def call(env, params):
-            values = [a(env, params) for a in args]
-            try:
-                return function.invoke(values)
-            except ExecutionError:
-                raise
-            except Exception as exc:
-                raise ExecutionError(
-                    "function %s failed: %s" % (function.name, exc)
-                ) from exc
-
-        return call
+        return lambda env, params: invoke([a(env, params) for a in args])
 
     def _c_caseop(self, expr: qe.CaseOp) -> Compiled:
         whens = [(self._compile(c), self._compile(v))
@@ -270,325 +249,49 @@ class ExprCompiler:
 
     def _c_cast(self, expr: qe.Cast) -> Compiled:
         operand = self._compile(expr.operand)
-        target = expr.dtype
-        caster = {"INTEGER": int, "DOUBLE": float, "VARCHAR": str,
-                  "BOOLEAN": bool}.get(target.name)
+        cast = caster(expr.dtype)
 
-        def cast(env, params):
+        def cast_fn(env, params):
             value = operand(env, params)
-            if value is None:
-                return None
-            if caster is not None:
-                try:
-                    return caster(value)
-                except (TypeError, ValueError) as exc:
-                    raise ExecutionError("bad cast: %s" % exc) from exc
-            if target.validate(value):
-                return value
-            raise ExecutionError("cannot cast %r to %s" % (value,
-                                                           target.name))
+            return None if value is None else cast(value)
 
-        return cast
+        return cast_fn
 
-    # -- batch (column-wise) compilation --------------------------------------
 
-    def compile_batch(self, expr: qe.QExpr) -> Optional[BatchCompiled]:
-        """Column-wise variant of :meth:`compile` for the vectorized
-        executor; None when the expression needs the tuple interpreter."""
-        for quantifier in qe.quantifiers_in(expr):
-            if not quantifier.is_setformer:
-                self.batch_fallback_count += 1
-                return None
+def invoker(function) -> Callable[[List[Any]], Any]:
+    """``call(values)`` for one registered scalar function: anything it
+    raises besides an :class:`ExecutionError` is wrapped into one."""
+    invoke = function.invoke
+    name = function.name
+
+    def call(values):
         try:
-            fn = self._compile_batch(expr)
-        except _NotCompilable:
-            self.batch_fallback_count += 1
-            return None
-        self.batch_compiled_count += 1
-        return fn
+            return invoke(values)
+        except ExecutionError:
+            raise
+        except Exception as exc:
+            raise ExecutionError(
+                "function %s failed: %s" % (name, exc)) from exc
 
-    def _compile_batch(self, expr: qe.QExpr) -> BatchCompiled:
-        method = getattr(self, "_cb_%s" % type(expr).__name__.lower(), None)
-        if method is None:
-            raise _NotCompilable(type(expr).__name__)
-        return method(expr)
+    return call
 
-    @staticmethod
-    def _can_raise(expr: qe.QExpr) -> bool:
-        """Whether evaluating ``expr`` can raise for some row.
 
-        The scalar closures skip the right operand when the left is NULL;
-        eager column-wise evaluation is only safe when the skipped side
-        cannot raise, otherwise the batch path masks it to the rows the
-        scalar path would actually evaluate.
-        """
-        for node in qe.walk(expr):
-            if isinstance(node, qe.BinOp) and node.op in ("/", "%"):
-                return True
-            if isinstance(node, (qe.FuncCall, qe.Cast, qe.ParamRef)):
-                return True
-        return False
+def caster(target) -> Callable[[Any], Any]:
+    """``cast(value)`` of a non-NULL value to the ``target`` data type."""
+    convert = {"INTEGER": int, "DOUBLE": float, "VARCHAR": str,
+               "BOOLEAN": bool}.get(target.name)
 
-    def _cb_const(self, expr: qe.Const) -> BatchCompiled:
-        value = expr.value
-        return lambda batch, idx, params: [value] * len(idx)
-
-    def _cb_paramref(self, expr: qe.ParamRef) -> BatchCompiled:
-        index = expr.index
-
-        def get_param(batch, idx, params):
+    def cast(value):
+        if convert is not None:
             try:
-                value = params[index]
-            except IndexError:
-                raise ExecutionError(
-                    "no value bound for parameter %d" % (index + 1)
-                ) from None
-            return [value] * len(idx)
+                return convert(value)
+            except (TypeError, ValueError) as exc:
+                raise ExecutionError("bad cast: %s" % exc) from exc
+        if target.validate(value):
+            return value
+        raise ExecutionError("cannot cast %r to %s" % (value, target.name))
 
-        return get_param
-
-    def _cb_colref(self, expr: qe.ColRef) -> BatchCompiled:
-        quantifier = expr.quantifier
-        position = quantifier.input.head.index_of(expr.column)
-
-        def get_column(batch, idx, params):
-            col = batch.col(quantifier, position)
-            return [col[i] for i in idx]
-
-        return get_column
-
-    def _cb_binop(self, expr: qe.BinOp) -> BatchCompiled:
-        left = self._compile_batch(expr.left)
-        op = expr.op
-        if op in ("and", "or"):
-            right = self._compile_batch(expr.right)
-            # The value that decides the result without looking right.
-            stop = False if op == "and" else True
-
-            def logic(batch, idx, params):
-                avals = left(batch, idx, params)
-                sub = [i for i, a in zip(idx, avals) if a is not stop]
-                bvals = iter(right(batch, sub, params)) if sub else iter(())
-                out = []
-                for a in avals:
-                    if a is stop:
-                        out.append(stop)
-                        continue
-                    b = next(bvals)
-                    if b is stop:
-                        out.append(stop)
-                    elif a is None or b is None:
-                        out.append(None)
-                    else:
-                        out.append(not stop)
-                return out
-
-            return logic
-        right = self._compile_batch(expr.right)
-        right_raises = self._can_raise(expr.right)
-
-        def eval_right(batch, idx, params, avals):
-            # Aligned with idx; error-capable right sides run only where
-            # the left is non-NULL (the scalar closures' short-circuit).
-            if not right_raises:
-                return right(batch, idx, params)
-            sub = [i for i, a in zip(idx, avals) if a is not None]
-            if len(sub) == len(idx):
-                return right(batch, idx, params)
-            vals = iter(right(batch, sub, params)) if sub else iter(())
-            return [next(vals) if a is not None else None for a in avals]
-
-        if op in self._COMPARISONS:
-            compare = self._COMPARISONS[op]
-
-            def cmp_cols(batch, idx, params):
-                avals = left(batch, idx, params)
-                bvals = eval_right(batch, idx, params, avals)
-                return [None if a is None or b is None else compare(a, b)
-                        for a, b in zip(avals, bvals)]
-
-            return cmp_cols
-        if op == "||":
-            def concat_cols(batch, idx, params):
-                avals = left(batch, idx, params)
-                bvals = right(batch, idx, params)  # scalar concat is eager
-                return [None if a is None or b is None else str(a) + str(b)
-                        for a, b in zip(avals, bvals)]
-
-            return concat_cols
-        if op in ("+", "-", "*"):
-            arith = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-                     "*": lambda a, b: a * b}[op]
-
-            def arith_cols(batch, idx, params):
-                avals = left(batch, idx, params)
-                bvals = eval_right(batch, idx, params, avals)
-                return [None if a is None or b is None else arith(a, b)
-                        for a, b in zip(avals, bvals)]
-
-            return arith_cols
-        if op in ("/", "%"):
-            is_div = op == "/"
-
-            def div_cols(batch, idx, params):
-                avals = left(batch, idx, params)
-                bvals = eval_right(batch, idx, params, avals)
-                out = []
-                for a, b in zip(avals, bvals):
-                    if a is None or b is None:
-                        out.append(None)
-                    elif b == 0:
-                        raise DivisionByZeroError("division by zero")
-                    else:
-                        out.append(a / b if is_div else a % b)
-                return out
-
-            return div_cols
-        raise _NotCompilable(op)
-
-    def _cb_not(self, expr: qe.Not) -> BatchCompiled:
-        operand = self._compile_batch(expr.operand)
-
-        def not_cols(batch, idx, params):
-            return [kleene_not(v) for v in operand(batch, idx, params)]
-
-        return not_cols
-
-    def _cb_neg(self, expr: qe.Neg) -> BatchCompiled:
-        operand = self._compile_batch(expr.operand)
-
-        def neg_cols(batch, idx, params):
-            return [None if v is None else -v
-                    for v in operand(batch, idx, params)]
-
-        return neg_cols
-
-    def _cb_isnulltest(self, expr: qe.IsNullTest) -> BatchCompiled:
-        operand = self._compile_batch(expr.operand)
-        negated = expr.negated
-
-        def test_cols(batch, idx, params):
-            values = operand(batch, idx, params)
-            if negated:
-                return [v is not None for v in values]
-            return [v is None for v in values]
-
-        return test_cols
-
-    def _cb_likeop(self, expr: qe.LikeOp) -> BatchCompiled:
-        operand = self._compile_batch(expr.operand)
-        negated = expr.negated
-        if isinstance(expr.pattern, qe.Const) \
-                and expr.pattern.value is not None:
-            regex = _like_regex(expr.pattern.value)
-
-            def like_const_cols(batch, idx, params):
-                out = []
-                for v in operand(batch, idx, params):
-                    if v is None:
-                        out.append(None)
-                    else:
-                        matched = regex.match(v) is not None
-                        out.append((not matched) if negated else matched)
-                return out
-
-            return like_const_cols
-        pattern = self._compile_batch(expr.pattern)
-
-        def like_dyn_cols(batch, idx, params):
-            values = operand(batch, idx, params)
-            patterns = pattern(batch, idx, params)
-            out = []
-            for v, p in zip(values, patterns):
-                if v is None or p is None:
-                    out.append(None)
-                else:
-                    matched = _like_regex(p).match(v) is not None
-                    out.append((not matched) if negated else matched)
-            return out
-
-        return like_dyn_cols
-
-    def _cb_funccall(self, expr: qe.FuncCall) -> BatchCompiled:
-        function = self.functions.scalar(expr.name)
-        if function is None:
-            raise _NotCompilable(expr.name)
-        args = [self._compile_batch(a) for a in expr.args]
-
-        def call_cols(batch, idx, params):
-            if args:
-                rows = zip(*[a(batch, idx, params) for a in args])
-            else:
-                rows = (() for _ in idx)
-            out = []
-            for values in rows:
-                try:
-                    out.append(function.invoke(list(values)))
-                except ExecutionError:
-                    raise
-                except Exception as exc:
-                    raise ExecutionError(
-                        "function %s failed: %s" % (function.name, exc)
-                    ) from exc
-            return out
-
-        return call_cols
-
-    def _cb_caseop(self, expr: qe.CaseOp) -> BatchCompiled:
-        whens = [(self._compile_batch(c), self._compile_batch(v))
-                 for c, v in expr.whens]
-        else_fn = (self._compile_batch(expr.else_value)
-                   if expr.else_value is not None else None)
-
-        def case_cols(batch, idx, params):
-            # Mirror the scalar closure: each row evaluates conditions in
-            # order until one is True, and only that row's value branch.
-            out = [None] * len(idx)
-            pending = list(range(len(idx)))
-            for condition, value in whens:
-                if not pending:
-                    break
-                cond_vals = condition(
-                    batch, [idx[p] for p in pending], params)
-                hits = [p for p, c in zip(pending, cond_vals) if c is True]
-                if hits:
-                    vals = value(batch, [idx[p] for p in hits], params)
-                    for p, v in zip(hits, vals):
-                        out[p] = v
-                pending = [p for p, c in zip(pending, cond_vals)
-                           if c is not True]
-            if else_fn is not None and pending:
-                vals = else_fn(batch, [idx[p] for p in pending], params)
-                for p, v in zip(pending, vals):
-                    out[p] = v
-            return out
-
-        return case_cols
-
-    def _cb_cast(self, expr: qe.Cast) -> BatchCompiled:
-        operand = self._compile_batch(expr.operand)
-        target = expr.dtype
-        caster = {"INTEGER": int, "DOUBLE": float, "VARCHAR": str,
-                  "BOOLEAN": bool}.get(target.name)
-
-        def cast_cols(batch, idx, params):
-            out = []
-            for value in operand(batch, idx, params):
-                if value is None:
-                    out.append(None)
-                elif caster is not None:
-                    try:
-                        out.append(caster(value))
-                    except (TypeError, ValueError) as exc:
-                        raise ExecutionError("bad cast: %s" % exc) from exc
-                elif target.validate(value):
-                    out.append(value)
-                else:
-                    raise ExecutionError(
-                        "cannot cast %r to %s" % (value, target.name))
-            return out
-
-        return cast_cols
+    return cast
 
 
 class _NotCompilable(Exception):

@@ -125,6 +125,21 @@ _WORKER_PLANS: dict = {}
 _WORKER_QUEUES: list = []
 
 
+def _worker_init():
+    """Pool initializer, run once in every forked worker.
+
+    The pool can be forked from a session thread while another thread
+    holds one of the database's locks (buffer pool, plan cache, ...);
+    the child inherits it locked with no owner left to release it.  The
+    worker is single-threaded here, so swapping in fresh locks is safe.
+    The inherited parallel runtime belongs to the parent (its pool
+    handle is meaningless here): workers execute exchanges inline.
+    """
+    db = _WORKER_DB
+    db.reinit_locks_after_fork()
+    db._parallel_runtime = None
+
+
 def _worker_node(text, options, node_index, signature):
     """Compile the statement in this worker (memoized) and locate the
     coordinator's node by ``plan.walk()`` index, cross-checked against
@@ -176,7 +191,8 @@ def _worker_run(task):
     from time import monotonic_ns, perf_counter
 
     from repro.executor.context import ExecutionContext
-    from repro.executor.run import _null_last_key, rows_iter
+    from repro.executor.rowops import sort_rows
+    from repro.executor.run import rows_iter
     from repro.optimizer import plans as pl
 
     text, options, exchange_index, signature, lo, hi, params, \
@@ -202,7 +218,7 @@ def _worker_run(task):
     if isinstance(node, pl.MergeGather):
         # Local sort (stable, so ties stay in scan order) and top-K cut:
         # at most dop * K rows cross the exchange.
-        rows.sort(key=lambda row: _null_last_key(row, node.positions))
+        sort_rows(rows, node.positions)
         if node.limit_hint is not None:
             del rows[node.limit_hint:]
     extra = None
@@ -478,20 +494,18 @@ def _merge_partial_groups(groupby, results) -> List[Tuple[Any, ...]]:
     exactly the serial interpreter's first-seen-in-scan-order.
     """
     nkeys = len(groupby.group_exprs)
-    merged: dict = {}
-    order: List[Tuple] = []
+    merged: dict = {}  # insertion-ordered, like the executors' group maps
     for part in results:
         for row in part:
             key = row[:nkeys]
             partials = merged.get(key)
             if partials is None:
                 merged[key] = list(row[nkeys:])
-                order.append(key)
             else:
                 for index, agg in enumerate(groupby.aggregates):
                     partials[index] = _merge_agg(
                         agg, partials[index], row[nkeys + index])
-    return [key + tuple(merged[key]) for key in order]
+    return [key + tuple(partials) for key, partials in merged.items()]
 
 
 class ParallelRuntime:
@@ -565,7 +579,8 @@ class ParallelRuntime:
         count = max(queue_count, 2 * dop if queue_count else 0)
         self._queues = [context.Queue() for _ in range(count)]
         _WORKER_QUEUES = self._queues
-        self._pool = context.Pool(processes=size)
+        self._pool = context.Pool(processes=size,
+                                  initializer=_worker_init)
         self._pool_version = version
         self._pool_dop = size
         self._pool_queues = count
@@ -659,12 +674,11 @@ class ParallelRuntime:
                 workers=min(exchange.dop, len(morsels)),
                 worker_times=times, worker_ids=worker_ids)
         if isinstance(exchange, pl.MergeGather):
-            from repro.executor.run import _null_last_key
+            from repro.executor.rowops import null_last_key
 
             positions = exchange.positions
             rows = list(heapq.merge(
-                *parts,
-                key=lambda row: _null_last_key(row, positions)))
+                *parts, key=lambda row: null_last_key(row, positions)))
         elif (isinstance(exchange, pl.Gather)
                 and exchange.merge_groups is not None):
             rows = _merge_partial_groups(exchange.merge_groups, parts)

@@ -13,11 +13,10 @@ current outer environment.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError, SubqueryError
+from repro.executor import rowops
 from repro.executor.context import ExecutionContext
 from repro.executor.evaluator import Env, Evaluator, kleene_and
 from repro.executor.kinds import JoinKindRegistry, default_join_kinds
@@ -103,112 +102,28 @@ def _eval_head(evaluator: Evaluator, expr: qe.QExpr, env: Env) -> Any:
 
 def _run_distinct(plan: pl.Distinct, ctx: ExecutionContext,
                   env: Env) -> Iterator[Tuple[Any, ...]]:
-    seen = set()
-    for row in rows_iter(plan.children[0], ctx, env):
-        if row not in seen:
-            seen.add(row)
-            yield row
+    return rowops.distinct_rows(rows_iter(plan.children[0], ctx, env))
 
 
 def _run_limit(plan: pl.LimitOp, ctx: ExecutionContext,
                env: Env) -> Iterator[Tuple[Any, ...]]:
-    return itertools.islice(rows_iter(plan.children[0], ctx, env),
-                            plan.limit)
-
-
-def _null_last_key(row: Tuple[Any, ...],
-                   positions: List[Tuple[int, bool]]):
-    key = []
-    for position, ascending in positions:
-        value = row[position]
-        null_rank = value is None
-        if ascending:
-            key.append((null_rank, value if value is not None else 0, 0))
-        else:
-            key.append((null_rank, _Reversed(value if value is not None
-                                             else 0), 0))
-    return tuple(key)
-
-
-class _Reversed:
-    """Wrapper inverting comparison order for DESC sort keys."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.value == self.value
+    return rowops.limit_rows(rows_iter(plan.children[0], ctx, env),
+                             plan.limit)
 
 
 def _run_topsort(plan: pl.TopSort, ctx: ExecutionContext,
                  env: Env) -> Iterator[Tuple[Any, ...]]:
     rows = list(rows_iter(plan.children[0], ctx, env))
     ctx.stats.sorts += 1
-    rows.sort(key=lambda row: _null_last_key(row, plan.positions))
+    rowops.sort_rows(rows, plan.positions)
     return iter(rows)
 
 
 def _run_setop(plan: pl.SetOpPlan, ctx: ExecutionContext,
                env: Env) -> Iterator[Tuple[Any, ...]]:
-    streams = [rows_iter(child, ctx, env) for child in plan.children]
-    if plan.op == "union":
-        if plan.all_rows:
-            for stream in streams:
-                yield from stream
-            return
-        seen = set()
-        for stream in streams:
-            for row in stream:
-                if row not in seen:
-                    seen.add(row)
-                    yield row
-        return
-    # INTERSECT / EXCEPT over three or more children associate pairwise,
-    # left to right.  Summing all right-hand bags into one Counter is NOT
-    # equivalent: for A INTERSECT ALL B INTERSECT ALL C the count is
-    # min(a, b, c), not min(a, b + c), and distinct INTERSECT requires
-    # membership in every child, not in the union of the rest.
-    left = list(streams[0])
-    for stream in streams[1:]:
-        right_counts = Counter(stream)
-        if plan.op == "intersect":
-            if plan.all_rows:
-                budget = Counter(right_counts)
-                folded = []
-                for row in left:
-                    if budget[row] > 0:
-                        budget[row] -= 1
-                        folded.append(row)
-            else:
-                emitted = set()
-                folded = []
-                for row in left:
-                    if right_counts[row] > 0 and row not in emitted:
-                        emitted.add(row)
-                        folded.append(row)
-        else:  # except
-            if plan.all_rows:
-                budget = Counter(right_counts)
-                folded = []
-                for row in left:
-                    if budget[row] > 0:
-                        budget[row] -= 1
-                    else:
-                        folded.append(row)
-            else:
-                emitted = set()
-                folded = []
-                for row in left:
-                    if right_counts[row] == 0 and row not in emitted:
-                        emitted.add(row)
-                        folded.append(row)
-        left = folded
-    yield from left
+    return rowops.setop_rows(
+        plan.op, plan.all_rows,
+        (rows_iter(child, ctx, env) for child in plan.children))
 
 
 def _run_groupby(plan: pl.GroupBy, ctx: ExecutionContext,
@@ -216,31 +131,25 @@ def _run_groupby(plan: pl.GroupBy, ctx: ExecutionContext,
     evaluator = Evaluator(ctx)
     groups: Dict[Tuple, List[Any]] = {}
     distinct_seen: Dict[Tuple[Tuple, int], set] = {}
-    order: List[Tuple] = []
+    aggregates = plan.aggregates
 
-    def new_accumulators() -> List[Any]:
-        accumulators = []
-        for agg in plan.aggregates:
-            function = ctx.functions.aggregate(agg.name)
-            if function is None:
-                raise ExecutionError("unknown aggregate %s" % agg.name)
-            accumulators.append(function.factory())
-        return accumulators
+    def resolve() -> List[Any]:
+        return rowops.aggregate_functions(aggregates, ctx.functions)
 
+    functions: Optional[List[Any]] = None
     for binding_env in env_iter(plan.children[0], ctx, env):
+        if functions is None:
+            functions = resolve()
         key = tuple(evaluator.eval(k, binding_env) for k in plan.group_exprs)
         accumulators = groups.get(key)
         if accumulators is None:
-            accumulators = new_accumulators()
-            groups[key] = accumulators
-            order.append(key)
-        for index, agg in enumerate(plan.aggregates):
-            function = ctx.functions.aggregate(agg.name)
+            accumulators = groups[key] = [f.factory() for f in functions]
+        for index, agg in enumerate(aggregates):
             if agg.arg is None:
                 value: Any = 1  # COUNT(*)
             else:
                 value = evaluator.eval(agg.arg, binding_env)
-                if value is None and not function.handles_null:
+                if value is None and not functions[index].handles_null:
                     continue
             if agg.distinct:
                 seen = distinct_seen.setdefault((key, index), set())
@@ -248,15 +157,7 @@ def _run_groupby(plan: pl.GroupBy, ctx: ExecutionContext,
                     continue
                 seen.add(value)
             accumulators[index].step(value)
-
-    if not groups and not plan.group_exprs:
-        # SQL: aggregation over an empty input yields one row.
-        accumulators = new_accumulators()
-        yield tuple(acc.final() for acc in accumulators)
-        return
-    for key in order:
-        accumulators = groups[key]
-        yield key + tuple(acc.final() for acc in accumulators)
+    yield from rowops.finish_groups(groups, bool(plan.group_exprs), resolve)
 
 
 def _run_table_function(plan: pl.TableFunctionPlan, ctx: ExecutionContext,
@@ -424,10 +325,8 @@ def env_iter(plan: pl.PlanOp, ctx: ExecutionContext,
         from repro.executor import vectorized
 
         return vectorized.envs_from_batches(plan, ctx, env)
-    if plan.exec_backend == "compiled":
-        from repro.executor import codegen
-
-        return codegen.envs_from_compiled(plan, ctx, env)
+    # Fused regions only produce rows; their binding-stream operators
+    # run inside the generated pipelines, never through here.
     handler = _ENV_OPS.get(type(plan))
     if handler is None:
         raise ExecutionError("no binding interpreter for %s" % plan.op_name)
@@ -497,18 +396,19 @@ def _run_table_scan(plan: pl.TableScan, ctx: ExecutionContext,
             yield out
 
 
-def _run_index_scan(plan: pl.IndexScan, ctx: ExecutionContext,
-                    env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
-    quantifier = plan.quantifier
+def index_rids(plan: pl.IndexScan, evaluator: Evaluator, env: Env):
+    """Open an index scan: the ``(key, rid)`` stream of its probe or
+    range.  The eq/range expressions evaluate once, against the
+    (possibly correlated) outer environment."""
+    ctx = evaluator.ctx
     access = ctx.engine.access_method(plan.index.name)
     eq_values = tuple(evaluator.eval(expr, env) for expr in plan.eq_exprs)
     ctx.stats.index_probes += 1
 
     if (plan.range_bounds is None
             and len(eq_values) == len(plan.index.column_names)):
-        rid_stream = ((eq_values, rid) for rid in access.probe(eq_values))
-    elif plan.range_bounds is not None:
+        return ((eq_values, rid) for rid in access.probe(eq_values))
+    if plan.range_bounds is not None:
         low_expr, low_inc, high_expr, high_inc = plan.range_bounds
         low = list(eq_values)
         high = list(eq_values)
@@ -516,17 +416,21 @@ def _run_index_scan(plan: pl.IndexScan, ctx: ExecutionContext,
             low.append(evaluator.eval(low_expr, env))
         if high_expr is not None:
             high.append(evaluator.eval(high_expr, env))
-        rid_stream = access.range_scan(
+        return access.range_scan(
             tuple(low) if low else None,
             tuple(high) if high else None,
             low_inclusive=low_inc, high_inclusive=high_inc)
-    elif eq_values:
-        rid_stream = access.range_scan(eq_values, eq_values)
-    else:
-        rid_stream = access.range_scan(None, None)
+    if eq_values:
+        return access.range_scan(eq_values, eq_values)
+    return access.range_scan(None, None)
 
+
+def _run_index_scan(plan: pl.IndexScan, ctx: ExecutionContext,
+                    env: Env) -> Iterator[Env]:
+    evaluator = Evaluator(ctx)
+    quantifier = plan.quantifier
     table_name = plan.table.name
-    for _key, rid in rid_stream:
+    for _key, rid in index_rids(plan, evaluator, env):
         ctx.stats.rows_scanned += 1
         row = ctx.engine.fetch(ctx.txn, table_name, rid)
         out = dict(env)
@@ -593,14 +497,13 @@ def _run_sort(plan: pl.Sort, ctx: ExecutionContext,
     envs = list(env_iter(plan.children[0], ctx, env))
     ctx.stats.sorts += 1
 
+    positions = [(index, ascending)
+                 for index, (_expr, ascending) in enumerate(plan.keys)]
+
     def key_of(binding_env: Env):
-        key = []
-        for expr, ascending in plan.keys:
-            value = evaluator.eval(expr, binding_env)
-            null_rank = value is None
-            base = value if value is not None else 0
-            key.append((null_rank, base if ascending else _Reversed(base)))
-        return tuple(key)
+        return rowops.null_last_key(
+            [evaluator.eval(expr, binding_env) for expr, _asc in plan.keys],
+            positions)
 
     envs.sort(key=key_of)
     return iter(envs)

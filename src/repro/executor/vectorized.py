@@ -2,18 +2,19 @@
 
 Section 7's algebraic QEP interface "can also serve as the input
 specification to a component that compiles QEPs into iterative programs
-[FREY86]".  This module is that component's second half (the expression
-half lives in :mod:`repro.executor.compiled`): instead of the stream
-interpreter's one-environment-per-row dispatch, operators here move
-**batches** of rows — per-column Python lists plus a selection vector —
-and evaluate expressions column-wise over a whole batch at once.
+[FREY86]".  Instead of the stream interpreter's one-environment-per-row
+dispatch, operators here move **batches** of rows and evaluate each
+node's expressions over a whole batch in one generated comprehension
+(the source comes from :mod:`repro.executor.exprgen`, the generator the
+fused-pipeline backend uses too).
 
 Two batch containers mirror the interpreter's two stream flavours:
 
 - :class:`EnvBatch` — a *binding* batch: columns keyed by
   ``(quantifier, position)`` (plus ``("rid", q)`` and an optional
-  ``("present", q)`` mask for NULL-padded outer-join rows),
-- :class:`RowBatch` — a *row* batch: positional output columns.
+  ``("present", q)`` mask for NULL-padded outer-join rows) and a
+  selection vector,
+- :class:`RowBatch` — a *row* batch: a list of output tuples.
 
 Columns may be lazy (thunks): a table scan registers one decode thunk per
 column, so only the columns an expression actually touches are ever
@@ -21,42 +22,37 @@ deserialized (column pruning — the main source of the scan speedup).
 
 **Fallback boundaries.**  Not every LOLEPOP has a batch form (on-demand
 E/A/S subqueries, lateral-correlated setformers, DBC join kinds,
-recursion, DML).  The refinement phase marks each node's
-``exec_backend`` via the ExecBackend STAR; adapters convert between
-batch and tuple streams at every boundary, so an unsupported fragment
-falls back **per subtree, never per query**.  ``ctx.stats.batches``
-counts produced batches and ``ctx.stats.fallbacks`` counts boundary
-crossings, so EXPLAIN-style inspection and benchmarks can show what
-actually ran.
+recursion, DML); :func:`batch_reason` is the structural check the
+selection pass asks.  Adapters convert between batch and tuple streams
+at every boundary, so an unsupported fragment falls back **per subtree,
+never per query**.  ``ctx.stats.batches`` counts produced batches and
+``ctx.stats.fallbacks`` counts boundary crossings, so EXPLAIN-style
+inspection and benchmarks can show what actually ran.
 
-**Error equivalence.**  Batch operators replicate the interpreter's
-evaluation order: predicates narrow the selection vector one predicate
-at a time (later predicates never see filtered-out rows), head
-expressions run only on surviving rows, and the batch expression
-closures mask error-capable sub-expressions to exactly the rows the
-scalar closures would evaluate.  Within one batch, errors surface in
-evaluation-stage order rather than strict row order; every error class
-the workload can produce (division by zero) is typed identically across
-backends, so this is unobservable.
+**Error equivalence.**  A generated function evaluates row by row in the
+scalar closures' order — a node's predicates left to right, stopping at
+the first that is not True, and head expressions only on surviving rows
+— so the first error a batch raises is the one the tuple backend would
+raise for that batch.  Blocking row operators are the shared ones in
+:mod:`repro.executor.rowops`.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from collections import Counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError, SubqueryError
-from repro.executor.compiled import ExprCompiler, _NotCompilable
+from repro.executor import rowops
 from repro.executor.context import ExecutionContext
 from repro.executor.evaluator import Env, Evaluator
-from repro.executor.kinds import default_join_kinds
+from repro.executor.exprgen import ExprGen, materialize, reject_reason
 from repro.executor.run import (
     _inner_quantifiers,
     _kinds,
-    _null_last_key,
-    _Reversed,
     env_iter,
+    index_rids,
     rows_iter,
 )
 from repro.optimizer import plans as pl
@@ -93,12 +89,9 @@ class EnvBatch:
         #: quantifier -> number of columns in its rows.
         self.arity: Dict[Any, int] = dict(arity) if arity else {}
 
-    def col(self, quantifier, position: int):
-        """Full-length column for one iterator column (the batch-compiled
-        closures' accessor)."""
-        return self.column((quantifier, position))
-
     def column(self, key):
+        """The full-length column under ``key``, decoded on first use
+        (the generated functions' accessor)."""
         col = self.cols.get(key)
         if col is None:
             thunk = self.lazy.pop(key, None)
@@ -157,28 +150,15 @@ class EnvBatch:
 
 
 class RowBatch:
-    """A batch of plain output rows, stored column-wise."""
+    """A batch of plain output rows."""
 
-    __slots__ = ("n", "columns", "sel")
+    __slots__ = ("rows", "n")
+    #: Row batches carry no selection vector (the profiler reads it).
+    sel = None
 
-    def __init__(self, columns: List[List[Any]], n: int):
-        self.columns = columns
-        self.n = n
-        self.sel: Optional[List[int]] = None
-
-    def indices(self) -> List[int]:
-        return self.sel if self.sel is not None else list(range(self.n))
-
-    def iter_rows(self) -> Iterator[Tuple[Any, ...]]:
-        if self.sel is None:
-            return zip(*self.columns) if self.columns else iter(())
-        return zip(*[[col[i] for i in self.sel] for col in self.columns])
-
-    @classmethod
-    def from_rows(cls, rows: List[Tuple[Any, ...]]) -> "RowBatch":
-        if not rows:
-            return cls([], 0)
-        return cls([list(col) for col in zip(*rows)], len(rows))
+    def __init__(self, rows: List[Tuple[Any, ...]]):
+        self.rows = rows
+        self.n = len(rows)
 
 
 def _gather_thunk(batch: EnvBatch, key, indices: List[int]):
@@ -239,21 +219,29 @@ def _source_thunk(source: _RecordSource, position: int):
 # ---------------------------------------------------------------------------
 
 
-def _apply_preds(batch: EnvBatch, preds, params) -> List[int]:
-    """Narrow the batch's live indices one predicate at a time (mirrors
-    ``_scan_preds_ok``: later predicates never run on rejected rows)."""
-    idx = batch.indices()
-    for fn in preds:
-        if not idx:
-            break
-        values = fn(batch, idx, params)
-        idx = [i for i, v in zip(idx, values) if v is True]
-    return idx
+def _narrow(batch: EnvBatch, select, params) -> bool:
+    """Narrow the batch's selection vector to the rows passing a node's
+    generated predicate function; False when no row survives."""
+    if select is not None:
+        sel = select(batch, batch.indices(), params)
+        if not sel:
+            return False
+        batch.sel = sel
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Stream adapters (the fallback boundaries)
 # ---------------------------------------------------------------------------
+
+
+def _chunked(rows, size: int) -> Iterator[RowBatch]:
+    rows = iter(rows)
+    while True:
+        chunk = list(itertools.islice(rows, size))
+        if not chunk:
+            return
+        yield RowBatch(chunk)
 
 
 def _env_batches(plan: pl.PlanOp, ctx: ExecutionContext,
@@ -313,19 +301,20 @@ def _row_batches(plan: pl.PlanOp, ctx: ExecutionContext,
         stream = handler(plan, ctx, env)
         if ctx.profile is not None:
             stream = ctx.profile.iter_batches(plan, stream)
-        for batch in stream:
-            ctx.stats.batches += 1
-            yield batch
-        return
-    ctx.stats.fallbacks += 1
-    stream = rows_iter(plan, ctx, env)
-    batch_size = ctx.batch_size
-    while True:
-        chunk = list(itertools.islice(stream, batch_size))
-        if not chunk:
-            return
+    else:
+        ctx.stats.fallbacks += 1
+        stream = _chunked(rows_iter(plan, ctx, env), ctx.batch_size)
+    for batch in stream:
         ctx.stats.batches += 1
-        yield RowBatch.from_rows(chunk)
+        yield batch
+
+
+def _child_rows(plan: pl.PlanOp, ctx: ExecutionContext,
+                env: Env) -> Iterator[Tuple[Any, ...]]:
+    """The rows of a child's batches, flattened (what the shared blocking
+    row operators consume)."""
+    for batch in _row_batches(plan, ctx, env):
+        yield from batch.rows
 
 
 def envs_from_batches(plan: pl.PlanOp, ctx: ExecutionContext, env: Env,
@@ -356,7 +345,7 @@ def rows_from_batches(plan: pl.PlanOp, ctx: ExecutionContext, env: Env,
         stream = ctx.profile.iter_batches(plan, stream)
     for batch in stream:
         ctx.stats.batches += 1
-        yield from batch.iter_rows()
+        yield from batch.rows
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +359,7 @@ def _b_table_scan(plan: pl.TableScan, ctx: ExecutionContext,
     table_name = plan.table.name
     serializer = ctx.engine.serializer(table_name)
     arity = {quantifier: plan.table.arity}
-    preds = plan.batch_preds
+    select = plan.batch_preds
     params = ctx.params
     page_range = ctx.morsel_range if plan is ctx.morsel_scan else None
     for make_rids, records in ctx.engine.scan_batches(
@@ -383,49 +372,18 @@ def _b_table_scan(plan: pl.TableScan, ctx: ExecutionContext,
             batch.lazy[(quantifier, position)] = _source_thunk(
                 source, position)
         batch.lazy[("rid", quantifier)] = make_rids
-        if preds:
-            sel = _apply_preds(batch, preds, params)
-            if not sel:
-                continue
-            batch.sel = sel
-        yield batch
+        if _narrow(batch, select, params):
+            yield batch
 
 
 def _b_index_scan(plan: pl.IndexScan, ctx: ExecutionContext,
                   env: Env) -> Iterator[EnvBatch]:
-    # Probe setup mirrors _run_index_scan; eq/range expressions evaluate
-    # scalar against the (possibly correlated) outer environment.
-    evaluator = Evaluator(ctx)
     quantifier = plan.quantifier
-    access = ctx.engine.access_method(plan.index.name)
-    eq_values = tuple(evaluator.eval(expr, env) for expr in plan.eq_exprs)
-    ctx.stats.index_probes += 1
-
-    if (plan.range_bounds is None
-            and len(eq_values) == len(plan.index.column_names)):
-        rid_stream = ((eq_values, rid) for rid in access.probe(eq_values))
-    elif plan.range_bounds is not None:
-        low_expr, low_inc, high_expr, high_inc = plan.range_bounds
-        low = list(eq_values)
-        high = list(eq_values)
-        if low_expr is not None:
-            low.append(evaluator.eval(low_expr, env))
-        if high_expr is not None:
-            high.append(evaluator.eval(high_expr, env))
-        rid_stream = access.range_scan(
-            tuple(low) if low else None,
-            tuple(high) if high else None,
-            low_inclusive=low_inc, high_inclusive=high_inc)
-    elif eq_values:
-        rid_stream = access.range_scan(eq_values, eq_values)
-    else:
-        rid_stream = access.range_scan(None, None)
-
     table_name = plan.table.name
     arity = {quantifier: plan.table.arity}
-    preds = plan.batch_preds
+    select = plan.batch_preds
     params = ctx.params
-    rid_stream = iter(rid_stream)
+    rid_stream = iter(index_rids(plan, Evaluator(ctx), env))
     while True:
         pairs = list(itertools.islice(rid_stream, ctx.batch_size))
         if not pairs:
@@ -438,49 +396,33 @@ def _b_index_scan(plan: pl.IndexScan, ctx: ExecutionContext,
         for position in range(plan.table.arity):
             batch.cols[(quantifier, position)] = cols[position]
         batch.cols[("rid", quantifier)] = [rid for _key, rid in pairs]
-        if preds:
-            sel = _apply_preds(batch, preds, params)
-            if not sel:
-                continue
-            batch.sel = sel
-        yield batch
+        if _narrow(batch, select, params):
+            yield batch
 
 
 def _b_derived_scan(plan: pl.DerivedScan, ctx: ExecutionContext,
                     env: Env) -> Iterator[EnvBatch]:
     quantifier = plan.quantifier
     arity = {quantifier: len(quantifier.input.head.columns)}
-    preds = plan.batch_preds
+    select = plan.batch_preds
     params = ctx.params
     for rbatch in _row_batches(plan.children[0], ctx, env):
-        idx = rbatch.indices()
-        if not idx:
+        if not rbatch.n:
             continue
-        batch = EnvBatch(len(idx), arity)
-        if rbatch.sel is None:
-            for position, col in enumerate(rbatch.columns):
-                batch.cols[(quantifier, position)] = col
-        else:
-            for position, col in enumerate(rbatch.columns):
-                batch.cols[(quantifier, position)] = [col[i] for i in idx]
-        if preds:
-            sel = _apply_preds(batch, preds, params)
-            if not sel:
-                continue
-            batch.sel = sel
-        yield batch
+        batch = EnvBatch(rbatch.n, arity)
+        for position, col in enumerate(zip(*rbatch.rows)):
+            batch.cols[(quantifier, position)] = col
+        if _narrow(batch, select, params):
+            yield batch
 
 
 def _b_filter(plan: pl.Filter, ctx: ExecutionContext,
               env: Env) -> Iterator[EnvBatch]:
-    preds = plan.batch_preds
+    select = plan.batch_preds
     params = ctx.params
     for batch in _env_batches(plan.children[0], ctx, env):
-        sel = _apply_preds(batch, preds, params)
-        if not sel:
-            continue
-        batch.sel = sel
-        yield batch
+        if _narrow(batch, select, params):
+            yield batch
 
 
 def _b_sort(plan: pl.Sort, ctx: ExecutionContext,
@@ -491,19 +433,11 @@ def _b_sort(plan: pl.Sort, ctx: ExecutionContext,
         return
     whole = _concat_env(batches)
     idx = whole.indices()
-    params = ctx.params
-    key_columns = [(fn(whole, idx, params), ascending)
-                   for fn, ascending in plan.batch_keys]
-    keys = []
-    for p in range(len(idx)):
-        key = []
-        for col, ascending in key_columns:
-            value = col[p]
-            null_rank = value is None
-            base = value if value is not None else 0
-            key.append((null_rank, base if ascending else _Reversed(base)))
-        keys.append(tuple(key))
-    order = sorted(range(len(idx)), key=keys.__getitem__)
+    keys = plan.batch_keys(whole, idx, ctx.params)
+    positions = [(index, ascending)
+                 for index, (_expr, ascending) in enumerate(plan.keys)]
+    order = sorted(range(len(idx)),
+                   key=lambda p: rowops.null_last_key(keys[p], positions))
     whole.sel = [idx[p] for p in order]
     yield whole
 
@@ -565,13 +499,10 @@ def _b_hash_join(plan: pl.HashJoin, ctx: ExecutionContext,
     build_idx = inner.indices()
     table: Dict[Tuple, List[int]] = {}
     if build_idx:
-        key_columns = [fn(inner, build_idx, params)
-                       for fn in plan.batch_inner_keys]
-        for p in range(len(build_idx)):
-            key = tuple(col[p] for col in key_columns)
-            if any(value is None for value in key):
-                continue  # SQL join keys never match on NULL
-            table.setdefault(key, []).append(build_idx[p])
+        keys = plan.batch_inner_keys(inner, build_idx, params)
+        for key, bi in zip(keys, build_idx):
+            if None not in key:  # SQL join keys never match on NULL
+                table.setdefault(key, []).append(bi)
     inner_keys = inner.keys()
     residual = plan.batch_residual
 
@@ -579,15 +510,13 @@ def _b_hash_join(plan: pl.HashJoin, ctx: ExecutionContext,
         oidx = obatch.indices()
         if not oidx:
             continue
-        okey_columns = [fn(obatch, oidx, params)
-                        for fn in plan.batch_outer_keys]
+        okeys = plan.batch_outer_keys(obatch, oidx, params)
         pairs_outer: List[int] = []
         pairs_inner: List[int] = []
         bounds: List[Tuple[int, int]] = []
-        for p, oi in enumerate(oidx):
-            key = tuple(col[p] for col in okey_columns)
+        for key, oi in zip(okeys, oidx):
             start = len(pairs_outer)
-            if not any(value is None for value in key):
+            if None not in key:
                 for j in table.get(key, ()):
                     pairs_outer.append(oi)
                     pairs_inner.append(j)
@@ -615,7 +544,7 @@ def _emit_pairs(obatch: EnvBatch, oidx: List[int], inner: EnvBatch,
             merged.lazy[key] = _gather_thunk(obatch, key, pairs_outer)
         for key in inner_keys:
             merged.lazy[key] = _gather_thunk(inner, key, pairs_inner)
-        surviving = _apply_preds(merged, residual, params)
+        surviving = residual(merged, merged.indices(), params)
     else:
         surviving = list(range(len(pairs_outer)))
 
@@ -702,8 +631,6 @@ def _b_merge_join(plan: pl.MergeJoin, ctx: ExecutionContext,
     each outer row's matching group is located by binary search (the
     same semantic merge as the interpreter, so duplicate groups come
     back in identical order)."""
-    import bisect
-
     kind = _kinds(ctx).get(plan.kind, ctx.functions)
     outer_plan, inner_plan = plan.children
     params = ctx.params
@@ -716,13 +643,10 @@ def _b_merge_join(plan: pl.MergeJoin, ctx: ExecutionContext,
     build_idx = inner.indices()
     sorted_pairs: List[Tuple[Tuple, int]] = []
     if build_idx:
-        key_columns = [fn(inner, build_idx, params)
-                       for fn in plan.batch_inner_keys]
-        for p in range(len(build_idx)):
-            key = tuple(col[p] for col in key_columns)
-            if any(value is None for value in key):
-                continue  # SQL join keys never match on NULL
-            sorted_pairs.append((key, build_idx[p]))
+        keys = plan.batch_inner_keys(inner, build_idx, params)
+        # SQL join keys never match on NULL.
+        sorted_pairs = [pair for pair in zip(keys, build_idx)
+                        if None not in pair[0]]
         sorted_pairs.sort(key=lambda pair: pair[0])
     keys_only = [pair[0] for pair in sorted_pairs]
     inner_keys = inner.keys()
@@ -732,15 +656,13 @@ def _b_merge_join(plan: pl.MergeJoin, ctx: ExecutionContext,
         oidx = obatch.indices()
         if not oidx:
             continue
-        okey_columns = [fn(obatch, oidx, params)
-                        for fn in plan.batch_outer_keys]
+        okeys = plan.batch_outer_keys(obatch, oidx, params)
         pairs_outer: List[int] = []
         pairs_inner: List[int] = []
         bounds: List[Tuple[int, int]] = []
-        for p, oi in enumerate(oidx):
-            key = tuple(col[p] for col in okey_columns)
+        for key, oi in zip(okeys, oidx):
             start = len(pairs_outer)
-            if not any(value is None for value in key):
+            if None not in key:
                 index = bisect.bisect_left(keys_only, key)
                 while index < len(sorted_pairs) \
                         and sorted_pairs[index][0] == key:
@@ -775,8 +697,8 @@ class _PendingSubquery:
     """Placeholder in an uncorrelated scalar subquery's result cell.
 
     ``_b_project`` seeds each cell with one of these at stream open; the
-    first compiled column closure that actually reads the cell swaps it
-    for the subquery's single row (or None when it returns no rows).
+    first generated expression that actually reads the cell swaps it for
+    the subquery's single row (or None when it returns no rows).
     Keeping the fill inside the *read* preserves the tuple evaluator's
     evaluate-on-demand laziness: a subquery behind a short-circuited
     operand (``FALSE AND (SELECT ...)``) is never run, so an error it
@@ -799,23 +721,25 @@ class _PendingSubquery:
         return rows[0] if rows else None
 
 
+def _cell_reader(cell: List[Any], position: int):
+    """The column-map entry of a scalar subquery reference: reads (and
+    on first use fills) the quantifier's result cell."""
+    def read():
+        row = cell[0]
+        if type(row) is _PendingSubquery:
+            row = cell[0] = row.fill()
+        return None if row is None else row[position]
+    return read
+
+
 def _b_project(plan: pl.Project, ctx: ExecutionContext,
                env: Env) -> Iterator[RowBatch]:
     params = ctx.params
-    fns = plan.batch_exprs
-    cells = getattr(plan, "batch_subquery_cells", None)
-    if not cells:
-        for batch in _env_batches(plan.children[0], ctx, env):
-            idx = batch.indices()
-            if not idx:
-                continue
-            columns = [fn(batch, idx, params) for fn in fns]
-            ctx.stats.rows_emitted += len(idx)
-            yield RowBatch(columns, len(idx))
-        return
+    head = plan.batch_exprs
     # Uncorrelated scalar subqueries: bind for the evaluator, seed each
     # result cell lazily, and clear on close so a cached plan's next
     # execution re-evaluates against its own context.
+    cells = getattr(plan, "batch_subquery_cells", ())
     ctx.bind_subplans(plan.subplans)
     try:
         for binding, cell in cells:
@@ -824,9 +748,9 @@ def _b_project(plan: pl.Project, ctx: ExecutionContext,
             idx = batch.indices()
             if not idx:
                 continue
-            columns = [fn(batch, idx, params) for fn in fns]
-            ctx.stats.rows_emitted += len(idx)
-            yield RowBatch(columns, len(idx))
+            rows = head(batch, idx, params)
+            ctx.stats.rows_emitted += len(rows)
+            yield RowBatch(rows)
     finally:
         ctx.unbind_subplans(plan.subplans)
         for _binding, cell in cells:
@@ -835,15 +759,9 @@ def _b_project(plan: pl.Project, ctx: ExecutionContext,
 
 def _b_distinct(plan: pl.Distinct, ctx: ExecutionContext,
                 env: Env) -> Iterator[RowBatch]:
-    seen = set()
-    for rbatch in _row_batches(plan.children[0], ctx, env):
-        kept = []
-        for row in rbatch.iter_rows():
-            if row not in seen:
-                seen.add(row)
-                kept.append(row)
-        if kept:
-            yield RowBatch.from_rows(kept)
+    return _chunked(
+        rowops.distinct_rows(_child_rows(plan.children[0], ctx, env)),
+        ctx.batch_size)
 
 
 def _b_limit(plan: pl.LimitOp, ctx: ExecutionContext,
@@ -852,83 +770,29 @@ def _b_limit(plan: pl.LimitOp, ctx: ExecutionContext,
     if remaining <= 0:
         return
     for rbatch in _row_batches(plan.children[0], ctx, env):
-        idx = rbatch.indices()
-        if len(idx) >= remaining:
-            rbatch.sel = idx[:remaining]
-            yield rbatch
+        if rbatch.n >= remaining:
+            yield RowBatch(rbatch.rows[:remaining])
             return
-        remaining -= len(idx)
+        remaining -= rbatch.n
         yield rbatch
 
 
 def _b_topsort(plan: pl.TopSort, ctx: ExecutionContext,
                env: Env) -> Iterator[RowBatch]:
-    rows: List[Tuple[Any, ...]] = []
-    for rbatch in _row_batches(plan.children[0], ctx, env):
-        rows.extend(rbatch.iter_rows())
+    rows = list(_child_rows(plan.children[0], ctx, env))
     ctx.stats.sorts += 1
-    rows.sort(key=lambda row: _null_last_key(row, plan.positions))
+    rowops.sort_rows(rows, plan.positions)
     if rows:
-        yield RowBatch.from_rows(rows)
+        yield RowBatch(rows)
 
 
 def _b_setop(plan: pl.SetOpPlan, ctx: ExecutionContext,
              env: Env) -> Iterator[RowBatch]:
-    if plan.op == "union":
-        if plan.all_rows:
-            for child in plan.children:
-                yield from _row_batches(child, ctx, env)
-            return
-        seen = set()
-        for child in plan.children:
-            for rbatch in _row_batches(child, ctx, env):
-                kept = []
-                for row in rbatch.iter_rows():
-                    if row not in seen:
-                        seen.add(row)
-                        kept.append(row)
-                if kept:
-                    yield RowBatch.from_rows(kept)
-        return
-    # INTERSECT / EXCEPT fold pairwise, left to right (see _run_setop).
-    left: List[Tuple[Any, ...]] = []
-    for rbatch in _row_batches(plan.children[0], ctx, env):
-        left.extend(rbatch.iter_rows())
-    for child in plan.children[1:]:
-        right_counts: Counter = Counter()
-        for rbatch in _row_batches(child, ctx, env):
-            right_counts.update(rbatch.iter_rows())
-        folded: List[Tuple[Any, ...]] = []
-        if plan.op == "intersect":
-            if plan.all_rows:
-                budget = Counter(right_counts)
-                for row in left:
-                    if budget[row] > 0:
-                        budget[row] -= 1
-                        folded.append(row)
-            else:
-                emitted = set()
-                for row in left:
-                    if right_counts[row] > 0 and row not in emitted:
-                        emitted.add(row)
-                        folded.append(row)
-        else:  # except
-            if plan.all_rows:
-                budget = Counter(right_counts)
-                for row in left:
-                    if budget[row] > 0:
-                        budget[row] -= 1
-                    else:
-                        folded.append(row)
-            else:
-                emitted = set()
-                for row in left:
-                    if right_counts[row] == 0 and row not in emitted:
-                        emitted.add(row)
-                        folded.append(row)
-        left = folded
-    if left:
-        yield RowBatch.from_rows(left)
+    return _chunked(
+        rowops.setop_rows(plan.op, plan.all_rows,
+                          (_child_rows(child, ctx, env)
+                           for child in plan.children)),
+        ctx.batch_size)
 
 
 def _b_groupby(plan: pl.GroupBy, ctx: ExecutionContext,
@@ -936,63 +800,37 @@ def _b_groupby(plan: pl.GroupBy, ctx: ExecutionContext,
     params = ctx.params
     groups: Dict[Tuple, List[Any]] = {}
     distinct_seen: Dict[Tuple[Tuple, int], set] = {}
-    order: List[Tuple] = []
-    functions: Optional[List[Any]] = None
     aggregates = plan.aggregates
 
-    def agg_functions() -> List[Any]:
-        out = []
-        for agg in aggregates:
-            function = ctx.functions.aggregate(agg.name)
-            if function is None:
-                raise ExecutionError("unknown aggregate %s" % agg.name)
-            out.append(function)
-        return out
+    def resolve() -> List[Any]:
+        return rowops.aggregate_functions(aggregates, ctx.functions)
 
+    functions: Optional[List[Any]] = None
     for batch in _env_batches(plan.children[0], ctx, env):
         idx = batch.indices()
         if not idx:
             continue
         if functions is None:
-            functions = agg_functions()
-        key_columns = [fn(batch, idx, params)
-                       for fn in plan.batch_group_exprs]
-        arg_columns = [fn(batch, idx, params) if fn is not None else None
-                       for fn in plan.batch_agg_args]
-        for p in range(len(idx)):
-            key = tuple(col[p] for col in key_columns)
+            functions = resolve()
+        keys = plan.batch_group_exprs(batch, idx, params)
+        args = plan.batch_agg_args(batch, idx, params)
+        for key, values in zip(keys, args):
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = [f.factory() for f in functions]
-                groups[key] = accumulators
-                order.append(key)
+                accumulators = groups[key] = [f.factory() for f in functions]
             for index, agg in enumerate(aggregates):
-                col = arg_columns[index]
-                if col is None:
-                    value: Any = 1  # COUNT(*)
-                else:
-                    value = col[p]
-                    if value is None and not functions[index].handles_null:
-                        continue
+                value = values[index]  # COUNT(*) steps the constant 1
+                if value is None and not functions[index].handles_null:
+                    continue
                 if agg.distinct:
                     seen = distinct_seen.setdefault((key, index), set())
                     if value in seen:
                         continue
                     seen.add(value)
                 accumulators[index].step(value)
-
-    if not groups and not plan.group_exprs:
-        # SQL: aggregation over an empty input yields one row.
-        if functions is None:
-            functions = agg_functions()
-        accumulators = [f.factory() for f in functions]
-        yield RowBatch.from_rows(
-            [tuple(acc.final() for acc in accumulators)])
-        return
-    rows = [key + tuple(acc.final() for acc in groups[key])
-            for key in order]
+    rows = list(rowops.finish_groups(groups, bool(plan.group_exprs), resolve))
     if rows:
-        yield RowBatch.from_rows(rows)
+        yield RowBatch(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,265 +861,144 @@ _BATCH_ROW_OPS = {
 
 
 # ---------------------------------------------------------------------------
-# Backend selection (refinement phase)
+# Capability and function generation (refinement phase)
 # ---------------------------------------------------------------------------
 
-#: Auto mode only batches subtrees whose leaf scans *read* at least this
-#: many rows; below it, batch setup overhead beats per-row dispatch.
-AUTO_MIN_ROWS = 32.0
+_ONE = qe.Const(1)
+_JOINS = (pl.HashJoin, pl.MergeJoin, pl.NLJoin)
 
 
-def select_backends(plan: pl.PlanOp, generator, functions, join_kinds,
-                    options) -> ExprCompiler:
-    """Mark each node's ``exec_backend`` via the ExecBackend STAR.
-
-    Walks children only (subplan bindings always run on the tuple
-    interpreter — they are the evaluate-on-demand machinery; a Project
-    over *uncorrelated scalar* subqueries still batches, feeding the
-    tuple-evaluated result through a cell), checks per
-    node whether the batch engine structurally supports it (operator
-    type, batch-compilable and *self-contained* expressions, supported
-    join kind), and lets the STAR decide.  In ``batch`` mode every
-    capable node is marked; in ``auto`` mode only contiguous capable
-    subtrees over enough rows are, which keeps adapter crossings at the
-    genuinely unsupported boundaries.
-    """
-    compiler = ExprCompiler(functions)
-    kinds = join_kinds if join_kinds is not None else default_join_kinds()
-    mode = options.execution_mode
-
-    def decide(node: pl.PlanOp) -> bool:
-        children_batch = True
-        for child in node.children:
-            if not decide(child):
-                children_batch = False
-        capable = _capable(node, compiler, kinds, functions)
-        eligible = capable and children_batch and _leaf_rows_ok(node)
-        generator.evaluate("ExecBackend", plan=node, capable=capable,
-                           mode=mode, eligible=eligible)
-        return node.exec_backend == "batch"
-
-    decide(plan)
-
-    def mark_boundaries(node: pl.PlanOp, parent_batch: bool) -> None:
-        # EXPLAIN annotation: a tuple-marked node under a batch parent is
-        # where this subtree fell back to the stream interpreter (an
-        # adapter sits on this edge at run time).
-        if parent_batch and node.exec_backend != "batch":
-            node.fallback_mark = "tuple"
-        for child in node.children:
-            mark_boundaries(child, node.exec_backend == "batch")
-
-    mark_boundaries(plan, False)
-    return compiler
-
-
-def _leaf_rows_ok(node: pl.PlanOp) -> bool:
-    """Auto-mode heuristic: does this leaf *read* enough rows to batch?
-
-    Scans record their ``TableStatistics``-driven input cardinality
-    (table row count for SCAN, matched-range size for ISCAN) at plan
-    time; that — not the post-predicate output estimate in
-    ``props.card`` — is the work the batch backend amortizes, so a
-    large-table scan behind a selective filter still batches.
-    """
-    if not node.children:
-        rows = getattr(node, "input_rows", None)
-        if rows is None:
-            rows = node.props.card
-        return rows >= AUTO_MIN_ROWS
-    return True
-
-
-def _capable(node: pl.PlanOp, compiler: ExprCompiler, kinds,
-             functions) -> bool:
-    """Can the batch engine run this node?  On success, attaches the
-    batch-compiled expression closures the handlers need."""
+def _expr_groups(node: pl.PlanOp):
+    """What a node evaluates batch-wise, one entry per generated
+    function: ``(attribute, shape, expressions, quantifiers in scope)``.
+    None for operators without a batch form."""
     node_type = type(node)
-    if node_type in (pl.TableScan, pl.IndexScan):
-        # eq/range probe expressions stay scalar (they evaluate against
-        # the outer environment once per open); only the row predicates
-        # run batch and must be self-contained.
-        return _prep_preds(node, compiler, {node.quantifier})
-    if node_type is pl.DerivedScan:
-        return _prep_preds(node, compiler, {node.quantifier})
+    if node_type in (pl.TableScan, pl.IndexScan, pl.DerivedScan):
+        # An index scan's eq/range probe expressions stay scalar (they
+        # evaluate against the outer environment once per open).
+        return [("batch_preds", "select", [p.expr for p in node.preds],
+                 {node.quantifier})]
+    if node_type in (pl.Temp, pl.Distinct, pl.LimitOp, pl.TopSort,
+                     pl.SetOpPlan):
+        return []  # pure row-shufflers: no expressions
+    scope = node.children[0].props.quantifiers if node.children else None
     if node_type is pl.Filter:
-        return _prep_preds(
-            node, compiler, node.children[0].props.quantifiers)
+        return [("batch_preds", "select", [p.expr for p in node.preds],
+                 scope)]
     if node_type in (pl.HashJoin, pl.MergeJoin):
-        try:
-            kind = kinds.get(node.kind, functions)
-        except Exception:
-            return False
-        # The batch hash/merge joins implement exactly the binding
-        # semantics (regular/left_outer-shaped kinds); combine-driven
-        # semijoins and scalar kinds keep the interpreter.
-        if not kind.binds_inner or kind.scalar or kind.combine is not None:
-            return False
-        outer_q = node.children[0].props.quantifiers
-        inner_q = node.children[1].props.quantifiers
-        outer_keys = _compile_all(node.outer_keys, compiler, outer_q)
-        inner_keys = _compile_all(node.inner_keys, compiler, inner_q)
-        if outer_keys is None or inner_keys is None:
-            return False
-        residual = _compile_all(
-            [p.expr for p in node.residual], compiler, outer_q | inner_q)
-        if residual is None:
-            return False
-        node.batch_outer_keys = outer_keys
-        node.batch_inner_keys = inner_keys
-        node.batch_residual = residual
-        return True
+        inner = node.children[1].props.quantifiers
+        return [("batch_outer_keys", "rows", node.outer_keys, scope),
+                ("batch_inner_keys", "rows", node.inner_keys, inner),
+                ("batch_residual", "select",
+                 [p.expr for p in node.residual], scope | inner)]
     if node_type is pl.NLJoin:
+        return [("batch_preds", "select", [p.expr for p in node.preds],
+                 scope | node.children[1].props.quantifiers)]
+    if node_type is pl.Sort:
+        return [("batch_keys", "rows", [expr for expr, _asc in node.keys],
+                 scope)]
+    if node_type is pl.Project:
+        cells = {binding.quantifier for binding in node.subplans}
+        return [("batch_exprs", "rows", node.exprs, scope | cells)]
+    if node_type is pl.GroupBy:
+        return [("batch_group_exprs", "rows", node.group_exprs, scope),
+                ("batch_agg_args", "rows",
+                 [_ONE if agg.arg is None else agg.arg
+                  for agg in node.aggregates], scope)]
+    return None
+
+
+def batch_reason(node: pl.PlanOp, kinds, functions) -> Optional[str]:
+    """None when the batch engine can run this node, otherwise why not —
+    a structural check: nothing is generated until a backend is chosen.
+
+    Expressions must be generatable and *self-contained*: every
+    referenced quantifier is bound inside the subtree, which is what
+    excludes lateral-correlated setformers.
+    """
+    groups = _expr_groups(node)
+    if groups is None:
+        return "no batch operator %s" % node.op_name
+    if isinstance(node, _JOINS):
         try:
             kind = kinds.get(node.kind, functions)
-        except Exception:
-            return False
+        except SubqueryError:
+            return "unknown join kind %s" % node.kind
+        # The batch joins implement exactly the binding semantics
+        # (regular/left_outer-shaped kinds); combine-driven semijoins
+        # and scalar kinds keep the interpreter.
         if not kind.binds_inner or kind.scalar or kind.combine is not None:
-            return False
-        # Only Temp'd (uncorrelated, materialized-once) inners: a lateral
-        # inner re-opens with each outer row's bindings, which is exactly
-        # the per-row dispatch batching cannot express.
-        if not isinstance(node.children[1], pl.Temp):
-            return False
-        outer_q = node.children[0].props.quantifiers
-        inner_q = node.children[1].props.quantifiers
-        preds = _compile_all([p.expr for p in node.preds], compiler,
-                             outer_q | inner_q)
-        if preds is None:
-            return False
-        node.batch_preds = preds
-        return True
-    if node_type is pl.Temp:
-        return True
-    if node_type is pl.Sort:
-        keys = _compile_all([expr for expr, _asc in node.keys], compiler,
-                            node.children[0].props.quantifiers)
-        if keys is None:
-            return False
-        node.batch_keys = [(fn, ascending) for fn, (_expr, ascending)
-                           in zip(keys, node.keys)]
-        return True
-    if node_type is pl.Project:
-        if node.subplans:
-            # Uncorrelated scalar subqueries batch fine: the subplan is
-            # still evaluated by the tuple machinery (once, on demand),
-            # and its single row feeds the column closures through a
-            # shared cell.  Correlation would need per-row re-evaluation
-            # — that stays on the tuple interpreter.
-            cells: Dict[Any, List[Any]] = {}
-            for binding in node.subplans:
-                if binding.correlation or binding.quantifier.qtype != "S":
-                    return False
-                cells[binding.quantifier] = [None]
-            sub_compiler = _ScalarSubqueryCompiler(functions, cells)
-            allowed = set(node.children[0].props.quantifiers) | set(cells)
-            exprs = _compile_all(node.exprs, sub_compiler, allowed)
-            if exprs is None:
-                return False
-            node.batch_exprs = exprs
-            node.batch_subquery_cells = [
-                (binding, cells[binding.quantifier])
-                for binding in node.subplans]
-            return True
-        exprs = _compile_all(node.exprs, compiler,
-                             node.children[0].props.quantifiers)
-        if exprs is None:
-            return False
-        node.batch_exprs = exprs
-        return True
-    if node_type is pl.GroupBy:
-        allowed = node.children[0].props.quantifiers
-        group_exprs = _compile_all(node.group_exprs, compiler, allowed)
-        if group_exprs is None:
-            return False
-        agg_args: List[Any] = []
-        for agg in node.aggregates:
-            if agg.arg is None:
-                agg_args.append(None)
-                continue
-            fns = _compile_all([agg.arg], compiler, allowed)
-            if fns is None:
-                return False
-            agg_args.append(fns[0])
-        node.batch_group_exprs = group_exprs
-        node.batch_agg_args = agg_args
-        return True
-    if node_type in (pl.Distinct, pl.LimitOp, pl.TopSort, pl.SetOpPlan):
-        # Pure row-shufflers: no expressions to compile.
-        return True
-    return False
+            return "join kind %s" % node.kind
+        # Only Temp'd (uncorrelated, materialized-once) NL inners: a
+        # lateral inner re-opens with each outer row's bindings, which
+        # is exactly the per-row dispatch batching cannot express.
+        if isinstance(node, pl.NLJoin) \
+                and not isinstance(node.children[1], pl.Temp):
+            return "lateral inner"
+    cells = set()
+    for binding in getattr(node, "subplans", ()):
+        # An uncorrelated scalar subquery is still evaluated by the
+        # tuple machinery (once, on demand); its single row feeds the
+        # generated head through a cell.  Correlation would need per-row
+        # re-evaluation — that stays on the tuple interpreter.
+        if binding.correlation or binding.quantifier.qtype != "S":
+            return "subquery expressions"
+        cells.add(binding.quantifier)
+    for _attr, _shape, exprs, scope in groups:
+        for expr in exprs:
+            if not qe.quantifiers_in(expr) <= scope:
+                return "correlated expression"
+            reason = reject_reason(expr, functions, cells)
+            if reason is not None:
+                return reason
+    return None
 
 
-def _prep_preds(node: pl.PlanOp, compiler: ExprCompiler, allowed) -> bool:
-    fns = _compile_all([p.expr for p in node.preds], compiler, allowed)
-    if fns is None:
-        return False
-    node.batch_preds = fns
-    return True
+def attach_functions(node: pl.PlanOp, functions) -> None:
+    """Generate the batch functions of a node the batch engine was
+    selected for (:func:`batch_reason` returned None)."""
+    cells = {binding.quantifier: [None]
+             for binding in getattr(node, "subplans", ())}
+    for attr, shape, exprs, _scope in _expr_groups(node):
+        setattr(node, attr, _generate(shape, exprs, functions, cells))
+    if cells:
+        node.batch_subquery_cells = [
+            (binding, cells[binding.quantifier])
+            for binding in node.subplans]
 
 
-class _ScalarSubqueryCompiler(ExprCompiler):
-    """Batch compiler that additionally resolves uncorrelated scalar
-    subquery quantifiers: a reference reads the quantifier's result cell
-    (filled lazily with the subquery's single row by
-    :class:`_PendingSubquery`) and broadcasts the value down the batch.
+def _generate(shape: str, exprs, functions, cells):
+    """One batch function ``f(batch, idx, params) -> list`` over
+    ``exprs``, a single comprehension over the live row indices:
+
+    - ``"select"`` — the indices where every predicate is True, tested
+      left to right (None when there are no predicates),
+    - ``"rows"`` — one tuple of the expressions' values per index.
     """
+    if shape == "select" and not exprs:
+        return None
+    slots: Dict[Tuple[Any, int], int] = {}
 
-    def __init__(self, functions, cells: Dict[Any, List[Any]]):
-        super().__init__(functions)
-        self.cells = cells
+    def column(quantifier, position: int) -> str:
+        cell = cells.get(quantifier)
+        if cell is not None:
+            return gen.hoist(_cell_reader(cell, position)) + "()"
+        slot = slots.setdefault((quantifier, position), len(slots))
+        return "_c%d[_i]" % slot
 
-    def compile_batch(self, expr: qe.QExpr):
-        for quantifier in qe.quantifiers_in(expr):
-            if not quantifier.is_setformer and quantifier not in self.cells:
-                self.batch_fallback_count += 1
-                return None
-        try:
-            fn = self._compile_batch(expr)
-        except _NotCompilable:
-            self.batch_fallback_count += 1
-            return None
-        self.batch_compiled_count += 1
-        return fn
-
-    def _can_raise(self, expr: qe.QExpr) -> bool:
-        # A subquery reference can raise (multi-row result, or any error
-        # inside the subplan), so it must keep the scalar short-circuit
-        # treatment: only evaluate where the guarding operand demands it.
-        for node in qe.walk(expr):
-            if isinstance(node, qe.ColRef) and node.quantifier in self.cells:
-                return True
-        return ExprCompiler._can_raise(expr)
-
-    def _cb_colref(self, expr: qe.ColRef):
-        cell = self.cells.get(expr.quantifier)
-        if cell is None:
-            return super()._cb_colref(expr)
-        position = expr.quantifier.input.head.index_of(expr.column)
-
-        def get_subquery_column(batch, idx, params):
-            if not idx:
-                return []
-            row = cell[0]
-            if type(row) is _PendingSubquery:
-                row = cell[0] = row.fill()
-            value = None if row is None else row[position]
-            return [value] * len(idx)
-
-        return get_subquery_column
-
-
-def _compile_all(exprs, compiler: ExprCompiler, allowed) -> Optional[List]:
-    """Batch-compile every expression, requiring self-containment: all
-    referenced quantifiers must be bound inside the subtree (this is what
-    excludes lateral-correlated setformers from the batch engine)."""
-    fns = []
-    for expr in exprs:
-        if not qe.quantifiers_in(expr) <= set(allowed):
-            return None
-        fn = compiler.compile_batch(expr)
-        if fn is None:
-            return None
-        fns.append(fn)
-    return fns
+    gen = ExprGen(column, functions, volatile=cells)
+    if shape == "select":
+        result = "[_i for _i in idx if %s]" % " and ".join(
+            gen.cond(expr) for expr in exprs)
+    else:
+        result = "[%s for _i in idx]" % gen.tuple_of(exprs)
+    lines = ["def _p(H, K):"]
+    lines.extend("    " + line for line in gen.bind_hoisted("H"))
+    lines.append("    def f(batch, idx, params):")
+    lines.extend("        _c%d = batch.column(K[%d])" % (slot, slot)
+                 for slot in range(len(slots)))
+    lines.extend("        " + line for line in gen.bind_params())
+    lines.append("        return " + result)
+    lines.append("    return f")
+    factory, _shared = materialize("\n".join(lines) + "\n")
+    return factory(tuple(gen.hoisted), tuple(slots))

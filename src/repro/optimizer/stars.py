@@ -519,19 +519,18 @@ def default_star_array() -> Dict[str, STAR]:
 
     # ---- execution backend (refinement-phase glue) --------------------------
     #
-    # Evaluated per plan node during refinement (not plan search): decides
-    # which executor backend runs the node.  ``capable`` means the
-    # vectorized engine structurally supports the node (operators +
-    # batch-compilable, self-contained expressions); ``eligible`` carries
-    # the auto-mode heuristic (contiguous batch subtree over enough rows).
+    # Evaluated per plan node during refinement (not plan search) by
+    # ``repro.executor.selection``: decides which executor backend runs
+    # the node.  ``capable`` means the vectorized engine structurally
+    # supports the node (operator + generatable, self-contained
+    # expressions); ``eligible`` carries the auto-mode heuristic
+    # (contiguous batch subtree over enough rows); ``compiled`` means the
+    # node can also join a fused pipeline and the mode wants it to.
     # A DBC can re-rank or replace these alternatives to steer backend
     # choice, exactly like any other STAR.
 
     def compiled_eligible(gen: PlanGenerator, args: Args) -> bool:
-        # ``compiled`` is set only by the codegen selection pass
-        # (execution_mode "compiled"/"auto"); the vectorized selection
-        # pass does not pass it, so ``get`` keeps it falsy there.
-        return bool(args.get("compiled"))
+        return bool(args["compiled"])
 
     def batch_eligible(gen: PlanGenerator, args: Args) -> bool:
         if compiled_eligible(gen, args):

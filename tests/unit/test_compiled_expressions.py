@@ -6,14 +6,19 @@ back to interpretation.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import CompileOptions, Database
 from repro.catalog import Catalog, ColumnDef, TableDef
 from repro.datatypes import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 from repro.errors import ExecutionError
+from repro.executor import vectorized
 from repro.executor.compiled import ExprCompiler, refine_plan
 from repro.executor.context import ExecutionContext
 from repro.executor.evaluator import Evaluator
 from repro.functions import FunctionRegistry, register_builtins
+from repro.functions.registry import ScalarFunction
 from repro.qgm import expressions as qe
 from repro.qgm.model import QGM
 
@@ -161,3 +166,183 @@ class TestRefinePlan:
         assert compiled.refiner.fallback_count >= 1
         result = emp_db.run_compiled(compiled)
         assert sorted(result.rows) == [("alice",), ("frank",)]
+
+
+# ---------------------------------------------------------------------------
+# Scalar closures vs generated source (the batch and fused backends' form)
+# ---------------------------------------------------------------------------
+
+_GRAPH = QGM()
+_Q = _GRAPH.new_quantifier("F", _GRAPH.base_table(TableDef("g", [
+    ColumnDef("a", INTEGER), ColumnDef("b", INTEGER),
+    ColumnDef("s", VARCHAR), ColumnDef("p", VARCHAR)])))
+
+#: Tags of the ``probe`` calls one evaluation made, in order: two
+#: evaluations with equal logs skipped exactly the same operands.
+_LOG = []
+
+
+def _probe(tag, value):
+    _LOG.append(tag)
+    if value == 13:
+        raise ValueError("unlucky")  # surfaces wrapped, as ExecutionError
+    return value
+
+
+_FUNCTIONS = register_builtins(FunctionRegistry())
+_FUNCTIONS.register_scalar(ScalarFunction(
+    "probe", _probe, INTEGER, arity=2, handles_null=True))
+
+_tags = st.integers(0, 99)
+
+
+def _probed(exprs, dtype):
+    return st.tuples(_tags, exprs).map(lambda t: qe.FuncCall(
+        "probe", [qe.Const(t[0], INTEGER), t[1]], dtype))
+
+
+def _arith(depth=2):
+    leaves = st.one_of(
+        st.sampled_from([0, 1, 2, 13, -7]).map(
+            lambda v: qe.Const(v, INTEGER)),
+        st.just(qe.Const(None, None)),
+        st.sampled_from(["a", "b"]).map(lambda c: col(_Q, c)),
+        st.sampled_from([0, 1]).map(
+            lambda i: qe.ParamRef(i, None, INTEGER)),
+        st.just(qe.Cast(col(_Q, "s", VARCHAR), INTEGER)),
+    )
+    if depth == 0:
+        return leaves
+    sub = _arith(depth - 1)
+    return st.one_of(
+        leaves,
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "%"]), sub, sub).map(
+            lambda t: qe.BinOp(t[0], t[1], t[2], INTEGER)),
+        sub.map(lambda e: qe.Neg(e, INTEGER)),
+        sub.map(lambda e: qe.FuncCall("abs", [e], INTEGER)),
+        sub.map(lambda e: qe.Cast(e, DOUBLE)),
+        _probed(sub, INTEGER),
+    )
+
+
+def _boolean(depth=2):
+    text = st.one_of(
+        st.just(col(_Q, "s", VARCHAR)),
+        _arith(0).map(lambda e: qe.Cast(e, VARCHAR)))
+    pattern = st.one_of(
+        st.sampled_from(["1%", "_", "%"]).map(
+            lambda v: qe.Const(v, VARCHAR)),
+        st.just(col(_Q, "p", VARCHAR)))  # dynamic, possibly NULL
+    leaves = st.one_of(
+        st.tuples(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]),
+                  _arith(1), _arith(1)).map(
+            lambda t: qe.BinOp(t[0], t[1], t[2], BOOLEAN)),
+        _arith(1).map(qe.IsNullTest),
+        st.tuples(text, pattern, st.booleans()).map(
+            lambda t: qe.LikeOp(t[0], t[1], t[2])),
+    )
+    if depth == 0:
+        return leaves
+    sub = _boolean(depth - 1)
+    return st.one_of(
+        leaves,
+        st.tuples(st.sampled_from(["and", "or"]), sub, sub).map(
+            lambda t: qe.BinOp(t[0], t[1], t[2], BOOLEAN)),
+        sub.map(qe.Not),
+        _probed(sub, BOOLEAN),
+    )
+
+
+def _numeric():
+    return st.one_of(
+        _arith(),
+        st.tuples(_boolean(1), _arith(1), _arith(1)).map(
+            lambda t: qe.CaseOp([(t[0], t[1])], t[2], INTEGER)))
+
+
+_rows = st.tuples(
+    st.sampled_from([None, 0, 1, 13, -7]),
+    st.sampled_from([None, 0, 2, 5]),
+    st.sampled_from([None, "12", "x", ""]),
+    st.sampled_from([None, "1%", "_"]),
+)
+_params = st.lists(st.sampled_from([None, 0, 3]), max_size=2).map(tuple)
+
+
+def _outcome(thunk):
+    """(value-or-error-class, probe log) of one evaluation."""
+    del _LOG[:]
+    try:
+        value = thunk()
+        result = (type(value), value)
+    except Exception as exc:  # the class is what the backends must share
+        result = type(exc)
+    return result, list(_LOG)
+
+
+def _one_row_batch(row):
+    batch = vectorized.EnvBatch(1)
+    for position, value in enumerate(row):
+        batch.cols[(_Q, position)] = [value]
+    return batch
+
+
+class TestGeneratedSourceAgreesWithClosures:
+    """The scalar closure (tuple backend) and the generated source (batch
+    and fused backends) must agree on the value, on the class of a raised
+    error, and on which operands were *not* evaluated — the right sides
+    of AND/OR, untaken CASE branches, operands behind a NULL."""
+
+    @given(expr=st.one_of(_numeric(), _boolean()), row=_rows, params=_params)
+    @settings(max_examples=300, deadline=None)
+    def test_value_form(self, expr, row, params):
+        closure = ExprCompiler(_FUNCTIONS).compile(expr)
+        generated = vectorized._generate("rows", [expr], _FUNCTIONS, {})
+        expected = _outcome(lambda: closure({_Q: row}, params))
+        got = _outcome(
+            lambda: generated(_one_row_batch(row), [0], params)[0][0])
+        assert got == expected
+
+    @given(expr=_boolean(), row=_rows, params=_params)
+    @settings(max_examples=300, deadline=None)
+    def test_predicate_form(self, expr, row, params):
+        closure = ExprCompiler(_FUNCTIONS).compile(expr)
+        select = vectorized._generate("select", [expr], _FUNCTIONS, {})
+        expected = _outcome(lambda: closure({_Q: row}, params) is True)
+        got = _outcome(
+            lambda: select(_one_row_batch(row), [0], params) == [0])
+        assert got == expected
+
+    def test_unevaluated_right_side_pinned(self):
+        # FALSE AND probe(1/0): neither the probe nor the division runs;
+        # NULL AND probe(13): the right side runs, and its error surfaces.
+        boom = qe.FuncCall("probe", [qe.Const(1, INTEGER), qe.BinOp(
+            "/", qe.Const(1, INTEGER), qe.Const(0, INTEGER), INTEGER)],
+            BOOLEAN)
+        unknown = qe.BinOp("=", col(_Q, "a"), qe.Const(1, INTEGER), BOOLEAN)
+        unlucky = qe.FuncCall("probe", [qe.Const(2, INTEGER),
+                                        qe.Const(13, INTEGER)], BOOLEAN)
+        batch = _one_row_batch((None, 0, None, None))
+        guarded = vectorized._generate("rows", [qe.BinOp(
+            "and", qe.Const(False, BOOLEAN), boom, BOOLEAN)], _FUNCTIONS, {})
+        assert _outcome(lambda: guarded(batch, [0], ())) == (
+            (list, [(False,)]), [])
+        exposed = vectorized._generate("select", [qe.BinOp(
+            "and", unknown, unlucky, BOOLEAN)], _FUNCTIONS, {})
+        assert _outcome(lambda: exposed(batch, [0], ())) == (
+            ExecutionError, [2])
+
+
+def test_auto_compile_that_stays_on_tuple_generates_nothing():
+    db = Database()
+    db.execute("CREATE TABLE five (n INTEGER, tag VARCHAR(4))")
+    db.execute("INSERT INTO five VALUES (1, 'a'), (2, 'b'), (3, 'c'), "
+               "(4, 'd'), (5, 'e')")
+    db.analyze()
+    before = db.cache_stats()["codegen"]
+    compiled = db.compile(
+        "SELECT n * 2, upper(tag) FROM five WHERE n % 2 = 1 ORDER BY n",
+        options=CompileOptions(execution_mode="auto", plan_cache=False))
+    assert all(node.exec_backend == "tuple" for node in compiled.plan.walk())
+    assert db.cache_stats()["codegen"] == before
+    assert db.run_compiled(compiled).rows == [(2, "A"), (6, "C"), (10, "E")]

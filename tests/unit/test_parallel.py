@@ -11,6 +11,8 @@ the serial dop=1 plan — including when it silently degrades.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import CompileOptions, Database
@@ -213,6 +215,51 @@ class TestPoolLifecycle:
         db = Database()
         db.close()
         db.close()
+
+    def test_pool_forked_while_a_thread_holds_the_buffer_pool_lock(self):
+        """A session thread can fork the pool while another thread is
+        inside the buffer pool; the workers inherit that lock held by a
+        thread that does not exist in them, and must re-initialize it
+        or their first page read blocks forever."""
+        db = Database(pool_capacity=128)
+        db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+        txn = db.begin()
+        for i in range(4000):
+            db.engine.insert(txn, "t", (i, i % 10))
+        db.commit(txn)
+        db.analyze()
+        held, release = threading.Event(), threading.Event()
+
+        def hold_pool_lock():
+            with db.engine.pool._lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold_pool_lock, daemon=True)
+        holder.start()
+        outcome = {}
+
+        def query():
+            outcome["result"] = db.execute(
+                "SELECT sum(v) FROM t",
+                options=_options(db, parallelism="on", dop=2))
+
+        runner = threading.Thread(target=query, daemon=True)
+        try:
+            assert held.wait(5)
+            db.parallel_runtime()._ensure_pool(2)  # fork under the lock
+            release.set()
+            holder.join(5)
+            runner.start()
+            runner.join(30)
+            assert not runner.is_alive(), "exchange hung on an inherited lock"
+            result = outcome["result"]
+            assert result.scalar() == sum(i % 10 for i in range(4000))
+            assert result.stats.morsels > 1
+            assert result.stats.parallel_fallbacks == 0
+        finally:
+            release.set()
+            db.close()
 
 
 class TestPoolClamp:

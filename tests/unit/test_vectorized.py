@@ -302,3 +302,56 @@ def test_lateral_inner_keeps_nl_join_tuple(batch_db):
            "WHERE t.a < 20 ORDER BY t.a")
     tuple_result, batch_result = _both(batch_db, sql)
     assert batch_result.rows == tuple_result.rows
+
+
+# ---------------------------------------------------------------------------
+# Auto-mode demotion: a lone predicate-free batch leaf under a tuple operator
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def oltp_db() -> Database:
+    db = Database(pool_capacity=256)
+    db.execute("CREATE TABLE accounts (id INTEGER PRIMARY KEY, "
+               "branch INTEGER, balance DOUBLE)")
+    db.execute("CREATE TABLE branches (bid INTEGER PRIMARY KEY, "
+               "city VARCHAR(10))")
+    db.execute("CREATE TABLE events (a INTEGER, b INTEGER, x DOUBLE)")
+    txn = db.begin()
+    for i in range(2000):
+        db.engine.insert(txn, "accounts", (i, i % 50, float(i)))
+    for i in range(50):
+        db.engine.insert(txn, "branches", (i, "c%d" % i))
+    for i in range(30000):
+        db.engine.insert(txn, "events", (i, i % 100, float(i % 997)))
+    db.commit(txn)
+    db.analyze()
+    return db
+
+
+def test_auto_leaves_bare_join_inner_on_tuple(oltp_db):
+    """The inner SCAN of a tuple-backend join has nothing to evaluate
+    column-wise; marked batch, every probe re-open would cross a
+    batch→tuple adapter for no work saved."""
+    sql = ("SELECT a.balance, b.city FROM accounts a, branches b "
+           "WHERE a.id = ? AND a.branch = b.bid")
+    auto = _options(oltp_db, execution_mode="auto")
+    text = oltp_db.explain(sql, options=auto)
+    assert "NLJOIN" in text and "SCAN(branches" in text
+    assert "backend=" not in text
+    result = oltp_db.execute(sql, (7,), options=auto)
+    assert result.rows == [(7.0, "c7")]
+    assert result.stats.batches == 0 and result.stats.fallbacks == 0
+    # Forcing batch mode still marks every capable node.
+    forced = oltp_db.explain(
+        sql, options=_options(oltp_db, execution_mode="batch"))
+    assert "backend=batch" in forced
+
+
+def test_auto_still_accelerates_big_scan_filter_project(oltp_db):
+    sql = "SELECT a, b * 2 + 1, x FROM events WHERE b < 70 AND a % 3 <> 0"
+    text = oltp_db.explain(
+        sql, options=_options(oltp_db, execution_mode="auto"))
+    plan_lines = [line for line in text.splitlines()
+                  if "PROJECT(" in line or "SCAN(events" in line]
+    assert plan_lines and all("backend=" in line for line in plan_lines)
