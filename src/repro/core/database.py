@@ -69,8 +69,6 @@ class Settings:
         self.optimizer = OptimizerSettings()
         #: Validate QGM after parse and rewrite (debug aid; cheap).
         self.validate_qgm = True
-        #: Plan refinement compiles subquery-free expressions to closures.
-        self.compile_expressions = True
         #: Execution backend: "tuple" (stream interpreter), "batch"
         #: (vectorized where supported), "compiled" (pipeline-fusion
         #: codegen where fusable), or "auto" (refinement decides per
@@ -646,7 +644,7 @@ class Database:
                       number: int) -> None:
         """Compile a CHECK expression into a constraint attachment."""
         from repro.access.constraints import CheckConstraint
-        from repro.executor.evaluator import Evaluator
+        from repro.executor.compiled import closure
         from repro.language.translator import Scope, SourceBinding, Translator
         from repro.qgm.model import QGM as QGMGraph
 
@@ -660,10 +658,13 @@ class Database:
         expr = translator._translate_expr(check_ast, None, scope,
                                           allow_aggregates=False)
 
+        check = closure(expr, self.functions, True)
+        ctx = ExecutionContext(self.engine, self.functions)
+        names = [c.name for c in table.columns]
+
         def predicate(named_row: dict) -> Optional[bool]:
-            ctx = ExecutionContext(self.engine, self.functions)
-            row = tuple(named_row[c.name] for c in table.columns)
-            return Evaluator(ctx).eval_bool(expr, {quantifier: row})
+            row = tuple([named_row[name] for name in names])
+            return check({quantifier: row}, ctx)
 
         self.engine.add_constraint(
             table.name,

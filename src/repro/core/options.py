@@ -1,8 +1,8 @@
 """Compile-time configuration as one first-class object.
 
 Every knob the pipeline used to read ad-hoc from ``db.settings`` —
-rewrite on/off, QGM validation, expression compilation, and the optimizer
-search-strategy switches — lives here as a single immutable-by-convention
+rewrite on/off, QGM validation, and the optimizer search-strategy
+switches — lives here as a single immutable-by-convention
 value that can be passed to :func:`repro.core.pipeline.compile_statement`
 (and through ``Database.execute`` / ``Database.compile``) without mutating
 the database.  The differential test harness compiles the same statement
@@ -45,7 +45,7 @@ class CompileOptions:
     """One compilation's worth of pipeline configuration."""
 
     __slots__ = ("rewrite_enabled", "rewrite_strategy", "rewrite_only_rules",
-                 "validate_qgm", "compile_expressions",
+                 "validate_qgm",
                  "allow_bushy", "allow_cartesian", "rank_cutoff",
                  "sort_by_rank", "naive_recursion", "forced_join_method",
                  "join_enumeration", "execution_mode", "batch_size",
@@ -57,7 +57,6 @@ class CompileOptions:
                  rewrite_strategy: str = "default",
                  rewrite_only_rules: Optional[Sequence[str]] = None,
                  validate_qgm: bool = True,
-                 compile_expressions: bool = True,
                  allow_bushy: bool = False,
                  allow_cartesian: bool = False,
                  rank_cutoff: float = 100.0,
@@ -109,7 +108,6 @@ class CompileOptions:
                                    if rewrite_only_rules is not None
                                    else None)
         self.validate_qgm = validate_qgm
-        self.compile_expressions = compile_expressions
         self.allow_bushy = allow_bushy
         self.allow_cartesian = allow_cartesian
         self.rank_cutoff = rank_cutoff
@@ -151,7 +149,6 @@ class CompileOptions:
             rewrite_enabled=settings.rewrite_enabled,
             rewrite_strategy=settings.rewrite_strategy,
             validate_qgm=settings.validate_qgm,
-            compile_expressions=settings.compile_expressions,
             allow_bushy=optimizer.allow_bushy,
             allow_cartesian=optimizer.allow_cartesian,
             rank_cutoff=optimizer.rank_cutoff,
@@ -196,8 +193,6 @@ class CompileOptions:
             parts.append("rw-%s" % self.rewrite_strategy)
         if self.rewrite_only_rules is not None:
             parts.append("only[%s]" % ",".join(self.rewrite_only_rules))
-        if not self.compile_expressions:
-            parts.append("interpreted")
         if self.forced_join_method:
             parts.append("force-%s" % self.forced_join_method)
         if self.join_enumeration != "dp":

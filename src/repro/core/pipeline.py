@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from repro.core.options import CompileOptions
 from repro.errors import SemanticError
+from repro.executor.compiled import refine_plan
 from repro.language import ast
 from repro.language.parser import parse_statement
 from repro.language.translator import translate
@@ -169,15 +170,11 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
         trace.event("phase", name="optimize", seconds=timings.optimize)
 
     # Plan refinement (QEP → executable QEP): verify every operator has an
-    # interpreter and compile subquery-free expressions to closures (the
-    # [FREY86] compilation the paper points at).
+    # interpreter, settle backends and parallel glue, then compile every
+    # expression of the final tree to closures (the [FREY86] compilation
+    # the paper points at).
     started = time.perf_counter()
     _refine_check(plan)
-    refiner = None
-    if options.compile_expressions:
-        from repro.executor.compiled import refine_plan
-
-        refiner = refine_plan(plan, db.functions)
     if options.execution_mode != "tuple":
         # Backend selection is a refinement too: the ExecBackend STAR
         # marks each subtree tuple, batch or compiled (fused) from
@@ -193,6 +190,7 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
         from repro.optimizer.stars import parallelize_plan
 
         plan = parallelize_plan(plan, optimizer.generator, options)
+    refiner = refine_plan(plan, db.functions)
     timings.refine = time.perf_counter() - started
     if trace is not None:
         trace.event("phase", name="refine", seconds=timings.refine)

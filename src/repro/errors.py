@@ -81,8 +81,8 @@ class DivisionByZeroError(ExecutionError):
     """Raised when ``/`` or ``%`` sees a zero divisor.
 
     A dedicated type so the differential testkit can treat division by
-    zero as its own divergence class: every evaluator (interpreted,
-    compiled, batch, and the reference oracle) must raise exactly this.
+    zero as its own divergence class: every evaluator (closures,
+    generated source, and the reference oracle) must raise exactly this.
     """
 
 

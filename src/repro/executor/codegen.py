@@ -61,7 +61,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.executor import rowops, vectorized
-from repro.executor.compiled import ExprCompiler
+from repro.executor.compiled import closures
 from repro.executor.context import ExecutionContext
 from repro.executor.exprgen import (
     ExprGen,
@@ -356,19 +356,9 @@ def _generate(root: pl.PlanOp, functions) -> Program:
         # HAVING predicates and head expressions over the group rows:
         # scalar closures (ExprCompiler semantics), run once per group.
         project, access = wrap
-        compiler = ExprCompiler(functions)
         wrap_quantifier = access.quantifier
-        for predicate in access.preds:
-            fn = compiler.compile(predicate.expr)
-            if fn is None:
-                raise Unsupported("uncompilable HAVING predicate")
-            wrap_preds.append(fn)
-        wrap_exprs = []
-        for expr in project.exprs:
-            fn = compiler.compile(expr)
-            if fn is None:
-                raise Unsupported("uncompilable group head expression")
-            wrap_exprs.append(fn)
+        wrap_preds = closures(access.preds, functions)
+        wrap_exprs = closures(project.exprs, functions, True)
 
     pipelines: List[_Pipeline] = []
     _emit_pipeline(core.children[0], final_kind, core, None, None,
@@ -695,10 +685,10 @@ def _sink_rows(program: Program,
         exprs = program.wrap_exprs
         for row in rows:
             env = {quantifier: row}
-            if any(fn(env, params) is not True for fn in preds):
+            if any(fn(env, ctx) is not True for fn in preds):
                 continue
             ctx.stats.rows_emitted += 1
-            yield tuple(fn(env, params) for fn in exprs)
+            yield tuple(fn(env, ctx) for fn in exprs)
         return
     for out in final.fn(ctx, params, final.rt, tables):
         if out:

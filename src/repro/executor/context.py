@@ -16,6 +16,9 @@ class ExecutionStats:
         self.subquery_cache_hits = 0
         self.recursion_iterations = 0
         self.sorts = 0
+        #: One increment each time an OR's left arm is TRUE, so its right
+        #: arm (often a subquery) is not evaluated.  The scalar closures
+        #: count; source generated for batch and fused code does not.
         self.or_branch_shortcuts = 0
         #: Number of RowBatch/EnvBatch objects the vectorized engine
         #: produced (0 under pure tuple execution).

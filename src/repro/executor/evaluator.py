@@ -1,66 +1,26 @@
-"""Expression evaluation with SQL three-valued logic and on-demand
-subquery evaluation.
+"""The DBC-facing handle on expression evaluation.
 
-An *environment* maps quantifiers to their current rows.  Evaluating a
-reference to an unbound quantifier triggers the subquery machinery:
-
-- scalar (S) quantifiers are evaluated on demand — at most one row, NULLs
-  when empty — with correlation-value caching,
-- existential/universal/DBC quantifiers are combined at the smallest
-  boolean subexpression containing their references: for each subquery row
-  the subexpression is evaluated, and the per-row outcomes are folded with
-  the quantifier type's combinator (ANY, ALL, NOT EXISTS, MAJORITY, ...).
-  This gives the OR operator of section 7 for free: in
-  ``a = 5 OR b = (subquery)`` the OR's left arm is tried first and the
-  subquery is only run when needed.
+An operator a database customizer registers (``register_env_operator``)
+evaluates its expressions through ``Evaluator(ctx)``.  The handle holds
+no semantics of its own: every method calls the expression's closure
+(:mod:`repro.executor.compiled`), compiled on first use and kept on the
+expression, so an extension sees exactly the three-valued logic, NULL
+rules and evaluate-on-demand subqueries the built-in operators see.
 """
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.errors import DivisionByZeroError, ExecutionError, SubqueryError
-from repro.functions.builtins import combine_all, combine_any
+from repro.executor.compiled import (  # noqa: F401 - re-exported
+    Env,
+    closure,
+    kleene_and,
+    kleene_not,
+    kleene_or,
+    subquery_rows,
+)
 from repro.qgm import expressions as qe
-from repro.qgm.model import Quantifier
-
-Env = Dict[Any, Any]
-
-
-@lru_cache(maxsize=512)
-def _like_regex(pattern: str) -> "re.Pattern":
-    """Compile a SQL LIKE pattern (%, _) to a regex."""
-    parts = []
-    for ch in pattern:
-        if ch == "%":
-            parts.append(".*")
-        elif ch == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(ch))
-    return re.compile("^" + "".join(parts) + "$", re.DOTALL)
-
-
-def kleene_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def kleene_or(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
-
-
-def kleene_not(value: Optional[bool]) -> Optional[bool]:
-    return None if value is None else (not value)
 
 
 class Evaluator:
@@ -68,262 +28,19 @@ class Evaluator:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._index_cache: Dict[Tuple[int, str], int] = {}
 
-    # -- helpers -----------------------------------------------------------------
+    def eval(self, expr: qe.QExpr, env: Env) -> Any:
+        """``expr`` as a value."""
+        return closure(expr, self.ctx.functions)(env, self.ctx)
 
-    def _column_index(self, quantifier: Quantifier, column: str) -> int:
-        key = (quantifier.uid, column)
-        index = self._index_cache.get(key)
-        if index is None:
-            index = quantifier.input.head.index_of(column)
-            self._index_cache[key] = index
-        return index
-
-    def _combinator_for(self, quantifier: Quantifier):
-        qtype = quantifier.qtype
-        if qtype == "E":
-            return combine_any
-        if qtype == "A":
-            return combine_all
-        if qtype == "NE":
-            return lambda outcomes: kleene_not(combine_any(outcomes))
-        function = self.ctx.functions.set_predicate_for_qtype(qtype)
-        if function is not None:
-            return function.combine
-        raise SubqueryError("no combinator for iterator type %s" % qtype)
-
-    def _unbound_subqueries(self, expr: qe.QExpr,
-                            env: Env) -> List[Quantifier]:
-        found: List[Quantifier] = []
-        for quantifier in qe.quantifiers_in(expr):
-            if quantifier in env or quantifier.is_setformer:
-                continue
-            if quantifier in self.ctx.subplan_bindings:
-                found.append(quantifier)
-        return sorted(found, key=lambda q: q.uid)
-
-    def subquery_rows(self, binding, env: Env) -> List[Tuple[Any, ...]]:
-        """Evaluate-on-demand with correlation caching (section 7)."""
-        from repro.executor.run import rows_iter
-
-        key = None
-        if self.ctx.cache_subqueries:
-            try:
-                key = (id(binding),
-                       tuple(self.eval(ref, env) for ref in binding.correlation))
-                cached = self.ctx.subquery_cache.get(key)
-            except TypeError:
-                cached = None
-                key = None
-            else:
-                if cached is not None:
-                    self.ctx.stats.subquery_cache_hits += 1
-                    return cached
-        self.ctx.stats.subquery_evaluations += 1
-        rows = list(rows_iter(binding.plan, self.ctx, env))
-        if key is not None:
-            self.ctx.subquery_cache[key] = rows
-        return rows
-
-    # -- entry points ----------------------------------------------------------------
+    def eval_bool(self, expr: qe.QExpr, env: Env) -> Optional[bool]:
+        """Three-valued evaluation with quantified combination."""
+        return closure(expr, self.ctx.functions, True)(env, self.ctx)
 
     def eval_predicate(self, expr: qe.QExpr, env: Env) -> bool:
         """True only when the predicate evaluates to SQL TRUE."""
         return self.eval_bool(expr, env) is True
 
-    def eval_bool(self, expr: qe.QExpr, env: Env) -> Optional[bool]:
-        """Three-valued evaluation with quantified combination."""
-        if isinstance(expr, qe.BinOp) and expr.op in ("and", "or"):
-            left = self.eval_bool(expr.left, env)
-            if expr.op == "and":
-                if left is False:
-                    return False
-                right = self.eval_bool(expr.right, env)
-                return kleene_and(left, right)
-            if left is True:
-                self.ctx.stats.or_branch_shortcuts += 1
-                return True
-            right = self.eval_bool(expr.right, env)
-            return kleene_or(left, right)
-        if isinstance(expr, qe.Not):
-            return kleene_not(self.eval_bool(expr.operand, env))
-
-        unbound = self._unbound_subqueries(expr, env)
-        # Scalar quantifiers are value-like; they are resolved inside eval.
-        quantified = [q for q in unbound if q.qtype != "S"]
-        if quantified:
-            quantifier = quantified[0]
-            binding = self.ctx.subplan_bindings[quantifier]
-            combine = self._combinator_for(quantifier)
-            rows = self.subquery_rows(binding, env)
-
-            def outcomes() -> Iterable[Optional[bool]]:
-                for row in rows:
-                    inner_env = dict(env)
-                    inner_env[quantifier] = row
-                    yield self.eval_bool(expr, inner_env)
-
-            return combine(outcomes())
-        value = self.eval(expr, env)
-        if value is None or isinstance(value, bool):
-            return value
-        raise ExecutionError("predicate produced non-boolean %r" % (value,))
-
-    # -- value evaluation ---------------------------------------------------------------
-
-    def eval(self, expr: qe.QExpr, env: Env) -> Any:
-        method = getattr(self, "_ev_%s" % type(expr).__name__.lower(), None)
-        if method is None:
-            raise ExecutionError(
-                "cannot evaluate %s" % type(expr).__name__
-            )
-        return method(expr, env)
-
-    def _ev_const(self, expr: qe.Const, env: Env) -> Any:
-        return expr.value
-
-    def _ev_paramref(self, expr: qe.ParamRef, env: Env) -> Any:
-        try:
-            return self.ctx.params[expr.index]
-        except IndexError:
-            raise ExecutionError(
-                "no value bound for parameter %d" % (expr.index + 1)
-            ) from None
-
-    def _ev_colref(self, expr: qe.ColRef, env: Env) -> Any:
-        quantifier = expr.quantifier
-        row = env.get(quantifier)
-        if row is None and quantifier not in env:
-            binding = self.ctx.subplan_bindings.get(quantifier)
-            if binding is not None and quantifier.qtype == "S":
-                rows = self.subquery_rows(binding, env)
-                if len(rows) > 1:
-                    raise SubqueryError(
-                        "scalar subquery returned %d rows" % len(rows)
-                    )
-                if not rows:
-                    return None
-                row = rows[0]
-            else:
-                raise ExecutionError(
-                    "unbound iterator %s in expression" % quantifier.name
-                )
-        if row is None:
-            return None  # NULL-padded outer-join row
-        return row[self._column_index(quantifier, expr.column)]
-
-    def _ev_binop(self, expr: qe.BinOp, env: Env) -> Any:
-        op = expr.op
-        if op in ("and", "or"):
-            return self.eval_bool(expr, env)
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            if left is None or right is None:
-                return None
-            if op == "=":
-                return left == right
-            if op == "<>":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        if left is None or right is None:
-            return None
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise DivisionByZeroError("division by zero")
-            result = left / right
-            return result
-        if op == "%":
-            if right == 0:
-                raise DivisionByZeroError("division by zero")
-            return left % right
-        if op == "||":
-            return str(left) + str(right)
-        raise ExecutionError("unknown operator %s" % op)
-
-    def _ev_not(self, expr: qe.Not, env: Env) -> Optional[bool]:
-        return kleene_not(self.eval_bool(expr.operand, env))
-
-    def _ev_neg(self, expr: qe.Neg, env: Env) -> Any:
-        value = self.eval(expr.operand, env)
-        return None if value is None else -value
-
-    def _ev_isnulltest(self, expr: qe.IsNullTest, env: Env) -> bool:
-        value = self.eval(expr.operand, env)
-        is_null = value is None
-        return (not is_null) if expr.negated else is_null
-
-    def _ev_likeop(self, expr: qe.LikeOp, env: Env) -> Optional[bool]:
-        value = self.eval(expr.operand, env)
-        pattern = self.eval(expr.pattern, env)
-        if value is None or pattern is None:
-            return None
-        matched = _like_regex(pattern).match(value) is not None
-        return (not matched) if expr.negated else matched
-
-    def _ev_funccall(self, expr: qe.FuncCall, env: Env) -> Any:
-        function = self.ctx.functions.scalar(expr.name)
-        if function is None:
-            raise ExecutionError("unknown function %s" % expr.name)
-        args = [self.eval(a, env) for a in expr.args]
-        try:
-            return function.invoke(args)
-        except ExecutionError:
-            raise
-        except Exception as exc:
-            raise ExecutionError(
-                "function %s failed: %s" % (expr.name, exc)
-            ) from exc
-
-    def _ev_aggcall(self, expr: qe.AggCall, env: Env) -> Any:
-        raise ExecutionError(
-            "aggregate %s evaluated outside GROUP BY" % expr.name
-        )
-
-    def _ev_caseop(self, expr: qe.CaseOp, env: Env) -> Any:
-        for condition, value in expr.whens:
-            if self.eval_bool(condition, env) is True:
-                return self.eval(value, env)
-        if expr.else_value is not None:
-            return self.eval(expr.else_value, env)
-        return None
-
-    def _ev_cast(self, expr: qe.Cast, env: Env) -> Any:
-        value = self.eval(expr.operand, env)
-        if value is None:
-            return None
-        target = expr.dtype.name
-        try:
-            if target == "INTEGER":
-                return int(value)
-            if target == "DOUBLE":
-                return float(value)
-            if target == "VARCHAR":
-                return str(value)
-            if target == "BOOLEAN":
-                return bool(value)
-        except (TypeError, ValueError) as exc:
-            raise ExecutionError("bad cast: %s" % exc) from exc
-        if expr.dtype.validate(value):
-            return value
-        raise ExecutionError(
-            "cannot cast %r to %s" % (value, target)
-        )
-
-    def _ev_existstest(self, expr: qe.ExistsTest, env: Env) -> bool:
-        # When the quantifier is bound we are looking at one inner row,
-        # which by construction exists.
-        return True
+    def subquery_rows(self, binding, env: Env) -> List[Tuple[Any, ...]]:
+        """Evaluate-on-demand with correlation caching (section 7)."""
+        return subquery_rows(binding, env, self.ctx)

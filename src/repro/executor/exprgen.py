@@ -17,8 +17,8 @@ calls and casts go through the *same* helpers the closures use
 (:func:`~repro.executor.compiled.invoker`, :func:`~repro.executor.
 compiled.caster`), hoisted out of the loop.  So generated code is
 row-for-row and error-for-error identical to the tuple backend, and
-expression semantics live in three places only: the interpreter (which
-owns on-demand subqueries), the scalar closures and this generator.
+the engine's expression semantics live in two places only: the scalar
+closures (which own on-demand subqueries) and this generator.
 
 **Hoisting.**  Source text is structural — column slots, parameter
 indices, operator shape.  Every value (constants, regexes, function
@@ -34,8 +34,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DivisionByZeroError, ExecutionError
-from repro.executor.compiled import caster, invoker
-from repro.executor.evaluator import _like_regex
+from repro.executor.compiled import _like_regex, caster, invoker
 from repro.qgm import expressions as qe
 
 
@@ -130,7 +129,7 @@ _PLAIN_NODES = (qe.Const, qe.ParamRef, qe.Not, qe.Neg, qe.IsNullTest,
 def reject_reason(expr: qe.QExpr, functions, cells=()) -> Optional[str]:
     """None when :class:`ExprGen` can emit ``expr``, otherwise why not.
 
-    Subquery quantifiers need the interpreter's evaluate-on-demand
+    Subquery quantifiers need the closures' evaluate-on-demand
     machinery, except those in ``cells`` (uncorrelated scalar subqueries
     the batch engine reads through a result cell).
     """

@@ -340,9 +340,9 @@ def _worker_partition(task):
     """
     from time import perf_counter
 
+    from repro.executor.compiled import closures
     from repro.executor.context import ExecutionContext
-    from repro.executor.evaluator import Evaluator
-    from repro.executor.run import _eval_head, env_iter, rows_iter
+    from repro.executor.run import env_iter, rows_iter
     from repro.optimizer import plans as pl
     from repro.storage.record import unpack_rows
 
@@ -377,7 +377,6 @@ def _worker_partition(task):
                              for seq, row in entries]
     ctx.repartition_feeds = feeds
 
-    evaluator = Evaluator(ctx)
     child = node.children[0]
     tagged = []
     if node.tag_exprs is not None:
@@ -390,9 +389,9 @@ def _worker_partition(task):
             feed_root = feed_root.children[0].children[0]
         seq_of = _seq_getter(feed_root)
         first_seen = {}
+        tags = closures(node.tag_exprs, ctx.functions)
         for env in env_iter(feed_root, ctx, {}):
-            key = tuple(evaluator.eval(expr, env)
-                        for expr in node.tag_exprs)
+            key = tuple([fn(env, ctx) for fn in tags])
             if key not in first_seen:
                 first_seen[key] = seq_of(env)
         nkeys = len(groupby.group_exprs)
@@ -407,15 +406,10 @@ def _worker_partition(task):
         join = project.children[0]
         outer_seq = _seq_getter(join.children[0])
         inner_seq = _seq_getter(join.children[1])
-        compiled_exprs = getattr(project, "compiled_exprs", None)
-        if compiled_exprs is None:
-            compiled_exprs = [None] * len(project.exprs)
+        exprs = closures(project.exprs, ctx.functions, True)
         pad = (-1, -1)
         for env in env_iter(join, ctx, {}):
-            row = tuple(
-                fn(env, ctx.params) if fn is not None
-                else _eval_head(evaluator, expr, env)
-                for fn, expr in zip(compiled_exprs, project.exprs))
+            row = tuple([fn(env, ctx) for fn in exprs])
             tagged.append(((outer_seq(env), inner_seq(env) or pad), row))
     return tagged, perf_counter() - started, os.getpid()
 

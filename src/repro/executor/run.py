@@ -15,13 +15,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ExecutionError, SubqueryError
+from repro.errors import ExecutionError
 from repro.executor import rowops
+from repro.executor.compiled import (
+    Env,
+    closure,
+    closures,
+    kleene_and,
+    scalar_subquery_row,
+    subquery_rows,
+)
 from repro.executor.context import ExecutionContext
-from repro.executor.evaluator import Env, Evaluator, kleene_and
 from repro.executor.kinds import JoinKindRegistry, default_join_kinds
 from repro.optimizer import plans as pl
-from repro.qgm import expressions as qe
 
 #: Registry used when the context does not carry its own.
 _DEFAULT_KINDS = default_join_kinds()
@@ -74,30 +80,15 @@ def rows_iter(plan: pl.PlanOp, ctx: ExecutionContext,
 
 def _run_project(plan: pl.Project, ctx: ExecutionContext,
                  env: Env) -> Iterator[Tuple[Any, ...]]:
-    evaluator = Evaluator(ctx)
-    compiled = getattr(plan, "compiled_exprs", None)
-    if compiled is None:
-        compiled = [None] * len(plan.exprs)
-    params = ctx.params
+    exprs = closures(plan.exprs, ctx.functions, True)
     ctx.bind_subplans(plan.subplans)
     try:
         for binding_env in env_iter(plan.children[0], ctx, env):
-            row = tuple(
-                fn(binding_env, params) if fn is not None
-                else _eval_head(evaluator, expr, binding_env)
-                for fn, expr in zip(compiled, plan.exprs))
+            row = tuple([fn(binding_env, ctx) for fn in exprs])
             ctx.stats.rows_emitted += 1
             yield row
     finally:
         ctx.unbind_subplans(plan.subplans)
-
-
-def _eval_head(evaluator: Evaluator, expr: qe.QExpr, env: Env) -> Any:
-    """Head expressions may be boolean trees over subquery quantifiers."""
-    unbound = evaluator._unbound_subqueries(expr, env)
-    if any(q.qtype != "S" for q in unbound):
-        return evaluator.eval_bool(expr, env)
-    return evaluator.eval(expr, env)
 
 
 def _run_distinct(plan: pl.Distinct, ctx: ExecutionContext,
@@ -128,10 +119,13 @@ def _run_setop(plan: pl.SetOpPlan, ctx: ExecutionContext,
 
 def _run_groupby(plan: pl.GroupBy, ctx: ExecutionContext,
                  env: Env) -> Iterator[Tuple[Any, ...]]:
-    evaluator = Evaluator(ctx)
     groups: Dict[Tuple, List[Any]] = {}
     distinct_seen: Dict[Tuple[Tuple, int], set] = {}
     aggregates = plan.aggregates
+    keys = closures(plan.group_exprs, ctx.functions)
+    # COUNT(*) has no argument: it steps on a constant.
+    args = [None if agg.arg is None else closure(agg.arg, ctx.functions)
+            for agg in aggregates]
 
     def resolve() -> List[Any]:
         return rowops.aggregate_functions(aggregates, ctx.functions)
@@ -140,15 +134,16 @@ def _run_groupby(plan: pl.GroupBy, ctx: ExecutionContext,
     for binding_env in env_iter(plan.children[0], ctx, env):
         if functions is None:
             functions = resolve()
-        key = tuple(evaluator.eval(k, binding_env) for k in plan.group_exprs)
+        key = tuple([fn(binding_env, ctx) for fn in keys])
         accumulators = groups.get(key)
         if accumulators is None:
             accumulators = groups[key] = [f.factory() for f in functions]
         for index, agg in enumerate(aggregates):
-            if agg.arg is None:
-                value: Any = 1  # COUNT(*)
+            arg = args[index]
+            if arg is None:
+                value: Any = 1
             else:
-                value = evaluator.eval(agg.arg, binding_env)
+                value = arg(binding_env, ctx)
                 if value is None and not functions[index].handles_null:
                     continue
             if agg.distinct:
@@ -166,8 +161,8 @@ def _run_table_function(plan: pl.TableFunctionPlan, ctx: ExecutionContext,
     if function is None:
         raise ExecutionError(
             "unknown table function %s" % plan.function_name)
-    evaluator = Evaluator(ctx)
-    args = [evaluator.eval(a, env) for a in plan.scalar_args]
+    args = [fn(env, ctx)
+            for fn in closures(plan.scalar_args, ctx.functions)]
     inputs = []
     for child, quantifier in zip(plan.children, plan.box.quantifiers):
         head = quantifier.input.head
@@ -252,10 +247,10 @@ def _run_insert(plan: pl.InsertPlan, ctx: ExecutionContext,
                 env: Env) -> Iterator[Tuple[Any, ...]]:
     if ctx.txn is None:
         raise ExecutionError("DML requires a transaction")
-    evaluator = Evaluator(ctx)
     if plan.literal_rows is not None:
-        source_rows = [tuple(evaluator.eval(value, env) for value in row)
-                       for row in plan.literal_rows]
+        source_rows = [
+            tuple([fn(env, ctx) for fn in closures(row, ctx.functions)])
+            for row in plan.literal_rows]
     else:
         source_rows = list(rows_iter(plan.children[0], ctx, env))
     count = 0
@@ -274,8 +269,10 @@ def _run_update(plan: pl.UpdatePlan, ctx: ExecutionContext,
                 env: Env) -> Iterator[Tuple[Any, ...]]:
     if ctx.txn is None:
         raise ExecutionError("DML requires a transaction")
-    evaluator = Evaluator(ctx)
     quantifier = plan.target_quantifier
+    assignments = [
+        (plan.table.column_index(name), closure(expr, ctx.functions))
+        for name, expr in plan.assignments]
     ctx.bind_subplans(plan.subplans)
     try:
         pending: List[Tuple[Any, Tuple[Any, ...]]] = []
@@ -285,9 +282,8 @@ def _run_update(plan: pl.UpdatePlan, ctx: ExecutionContext,
                 raise ExecutionError("UPDATE target has no RID")
             current = binding_env[quantifier]
             new_row = list(current)
-            for name, expr in plan.assignments:
-                position = plan.table.column_index(name)
-                new_row[position] = evaluator.eval(expr, binding_env)
+            for position, fn in assignments:
+                new_row[position] = fn(binding_env, ctx)
             pending.append((rid, tuple(new_row)))
         for rid, new_row in pending:
             ctx.engine.update(ctx.txn, plan.table.name, rid, new_row)
@@ -335,19 +331,16 @@ def env_iter(plan: pl.PlanOp, ctx: ExecutionContext,
     return handler(plan, ctx, env)
 
 
-def _scan_preds_ok(evaluator: Evaluator, preds, env: Env) -> bool:
-    for predicate in preds:
-        compiled = getattr(predicate, "compiled", None)
-        if compiled is not None:
-            if compiled(env, evaluator.ctx.params) is not True:
-                return False
-        elif not evaluator.eval_predicate(predicate.expr, env):
+def _scan_preds_ok(preds, env: Env, ctx: ExecutionContext) -> bool:
+    """Whether every predicate closure in ``preds`` is SQL TRUE."""
+    for fn in preds:
+        if fn(env, ctx) is not True:
             return False
     return True
 
 
-def _pruned_partition(evaluator: Evaluator, plan: pl.TableScan,
-                      env: Env, ctx: ExecutionContext) -> Optional[int]:
+def _pruned_partition(plan: pl.TableScan, env: Env,
+                      ctx: ExecutionContext) -> Optional[int]:
     """Equality-predicate partition pruning on a sharded table scan.
 
     ``q.part_col = const`` routes every qualifying row to one shard, so
@@ -355,54 +348,43 @@ def _pruned_partition(evaluator: Evaluator, plan: pl.TableScan,
     global scan order restricted to it, so results are byte-identical).
     """
     table = plan.table
-    for predicate in plan.preds:
-        expr = predicate.expr
-        if not isinstance(expr, qe.BinOp) or expr.op != "=":
-            continue
-        for side, other in ((expr.left, expr.right),
-                            (expr.right, expr.left)):
-            if not (isinstance(side, qe.ColRef)
-                    and side.quantifier is plan.quantifier
-                    and side.column == table.partition_by):
-                continue
-            if plan.quantifier in qe.quantifiers_in(other):
-                continue
-            try:
-                value = evaluator.eval(other, env)
-            except Exception:
-                continue  # unbound correlation etc. — no pruning
-            ctx.stats.partitions_pruned += table.partitions - 1
-            return ctx.engine.partition_for(table.name, value)
+    for fn in closures(plan.prune_exprs, ctx.functions):
+        try:
+            value = fn(env, ctx)
+        except Exception:
+            continue  # unbound correlation etc. — no pruning
+        ctx.stats.partitions_pruned += table.partitions - 1
+        return ctx.engine.partition_for(table.name, value)
     return None
 
 
 def _run_table_scan(plan: pl.TableScan, ctx: ExecutionContext,
                     env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
+    preds = closures(plan.preds, ctx.functions)
     quantifier = plan.quantifier
     page_range = ctx.morsel_range if plan is ctx.morsel_scan else None
     partition = None
     if ctx.partition_map is not None:
         partition = ctx.partition_map.get(id(plan))
-    elif plan.table.partition_by and plan.table.partitions > 1:
-        partition = _pruned_partition(evaluator, plan, env, ctx)
+    elif plan.prune_exprs:
+        partition = _pruned_partition(plan, env, ctx)
     for rid, row in ctx.engine.scan(ctx.txn, plan.table.name, page_range,
                                     partition=partition):
         ctx.stats.rows_scanned += 1
         out = dict(env)
         out[quantifier] = row
         out[("rid", quantifier)] = rid
-        if _scan_preds_ok(evaluator, plan.preds, out):
+        if _scan_preds_ok(preds, out, ctx):
             yield out
 
 
-def index_rids(plan: pl.IndexScan, evaluator: Evaluator, env: Env):
+def index_rids(plan: pl.IndexScan, ctx: ExecutionContext, env: Env):
     """Open an index scan: the ``(key, rid)`` stream of its probe or
     range.  The eq/range expressions evaluate once, against the
     (possibly correlated) outer environment."""
-    ctx = evaluator.ctx
     access = ctx.engine.access_method(plan.index.name)
-    eq_values = tuple(evaluator.eval(expr, env) for expr in plan.eq_exprs)
+    eq_values = tuple(
+        [fn(env, ctx) for fn in closures(plan.eq_exprs, ctx.functions)])
     ctx.stats.index_probes += 1
 
     if (plan.range_bounds is None
@@ -413,9 +395,9 @@ def index_rids(plan: pl.IndexScan, evaluator: Evaluator, env: Env):
         low = list(eq_values)
         high = list(eq_values)
         if low_expr is not None:
-            low.append(evaluator.eval(low_expr, env))
+            low.append(closure(low_expr, ctx.functions)(env, ctx))
         if high_expr is not None:
-            high.append(evaluator.eval(high_expr, env))
+            high.append(closure(high_expr, ctx.functions)(env, ctx))
         return access.range_scan(
             tuple(low) if low else None,
             tuple(high) if high else None,
@@ -427,27 +409,27 @@ def index_rids(plan: pl.IndexScan, evaluator: Evaluator, env: Env):
 
 def _run_index_scan(plan: pl.IndexScan, ctx: ExecutionContext,
                     env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
+    preds = closures(plan.preds, ctx.functions)
     quantifier = plan.quantifier
     table_name = plan.table.name
-    for _key, rid in index_rids(plan, evaluator, env):
+    for _key, rid in index_rids(plan, ctx, env):
         ctx.stats.rows_scanned += 1
         row = ctx.engine.fetch(ctx.txn, table_name, rid)
         out = dict(env)
         out[quantifier] = row
         out[("rid", quantifier)] = rid
-        if _scan_preds_ok(evaluator, plan.preds, out):
+        if _scan_preds_ok(preds, out, ctx):
             yield out
 
 
 def _run_derived_scan(plan: pl.DerivedScan, ctx: ExecutionContext,
                       env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
+    preds = closures(plan.preds, ctx.functions)
     quantifier = plan.quantifier
     for row in rows_iter(plan.children[0], ctx, env):
         out = dict(env)
         out[quantifier] = row
-        if _scan_preds_ok(evaluator, plan.preds, out):
+        if _scan_preds_ok(preds, out, ctx):
             yield out
 
 
@@ -470,40 +452,32 @@ def _run_singleton(plan, ctx: ExecutionContext, env: Env) -> Iterator[Env]:
     yield dict(env)
 
 
-def _run_filter(plan: pl.Filter, ctx: ExecutionContext,
-                env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
-    for binding_env in env_iter(plan.children[0], ctx, env):
-        if _scan_preds_ok(evaluator, plan.preds, binding_env):
-            yield binding_env
-
-
-def _run_quantified_filter(plan: pl.QuantifiedFilter, ctx: ExecutionContext,
-                           env: Env) -> Iterator[Env]:
-    """The OR operator: predicates over subquery streams, short-circuited."""
-    evaluator = Evaluator(ctx)
-    ctx.bind_subplans(plan.subplans)
+def _run_filter(plan, ctx: ExecutionContext, env: Env) -> Iterator[Env]:
+    """FILTER, and — with subquery plans in scope — the OR operator:
+    predicates over subquery streams, short-circuited."""
+    preds = closures(plan.preds, ctx.functions)
+    subplans = getattr(plan, "subplans", ())
+    ctx.bind_subplans(subplans)
     try:
         for binding_env in env_iter(plan.children[0], ctx, env):
-            if _scan_preds_ok(evaluator, plan.preds, binding_env):
+            if _scan_preds_ok(preds, binding_env, ctx):
                 yield binding_env
     finally:
-        ctx.unbind_subplans(plan.subplans)
+        ctx.unbind_subplans(subplans)
 
 
 def _run_sort(plan: pl.Sort, ctx: ExecutionContext,
               env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
     envs = list(env_iter(plan.children[0], ctx, env))
     ctx.stats.sorts += 1
 
+    keys = closures([expr for expr, _asc in plan.keys], ctx.functions)
     positions = [(index, ascending)
                  for index, (_expr, ascending) in enumerate(plan.keys)]
 
     def key_of(binding_env: Env):
         return rowops.null_last_key(
-            [evaluator.eval(expr, binding_env) for expr, _asc in plan.keys],
-            positions)
+            [fn(binding_env, ctx) for fn in keys], positions)
 
     envs.sort(key=key_of)
     return iter(envs)
@@ -522,7 +496,7 @@ def _pad_nulls(env: Env, quantifiers) -> Env:
 
 def _run_nl_join(plan: pl.NLJoin, ctx: ExecutionContext,
                  env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
+    preds = closures(plan.preds, ctx.functions)
     kind = _kinds(ctx).get(plan.kind, ctx.functions)
     outer_plan, inner_plan = plan.children
     inner_cached: Optional[List[Env]] = None
@@ -538,17 +512,18 @@ def _run_nl_join(plan: pl.NLJoin, ctx: ExecutionContext,
         else:
             inner_stream = env_iter(inner_plan, ctx, outer_env)
         for merged in inner_stream:
-            if _scan_preds_ok(evaluator, plan.preds, merged):
+            if _scan_preds_ok(preds, merged, ctx):
                 matched = True
                 yield merged
         if not matched and kind.preserves_outer:
             yield _pad_nulls(outer_env, inner_pad)
 
 
-def _join_key(evaluator: Evaluator, exprs, env: Env) -> Optional[Tuple]:
+def _join_key(keys, env: Env, ctx: ExecutionContext) -> Optional[Tuple]:
+    """The values of the key closures, or None when any is NULL."""
     values = []
-    for expr in exprs:
-        value = evaluator.eval(expr, env)
+    for fn in keys:
+        value = fn(env, ctx)
         if value is None:
             return None  # SQL join keys never match on NULL
         values.append(value)
@@ -557,23 +532,25 @@ def _join_key(evaluator: Evaluator, exprs, env: Env) -> Optional[Tuple]:
 
 def _run_hash_join(plan: pl.HashJoin, ctx: ExecutionContext,
                    env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
+    outer_keys = closures(plan.outer_keys, ctx.functions)
+    inner_keys = closures(plan.inner_keys, ctx.functions)
+    residual = closures(plan.residual, ctx.functions)
     kind = _kinds(ctx).get(plan.kind, ctx.functions)
     outer_plan, inner_plan = plan.children
     table: Dict[Tuple, List[Env]] = {}
     for inner_env in env_iter(inner_plan, ctx, env):
-        key = _join_key(evaluator, plan.inner_keys, inner_env)
+        key = _join_key(inner_keys, inner_env, ctx)
         if key is not None:
             table.setdefault(key, []).append(inner_env)
     inner_pad = _inner_quantifiers(inner_plan)
 
     for outer_env in env_iter(outer_plan, ctx, env):
-        key = _join_key(evaluator, plan.outer_keys, outer_env)
+        key = _join_key(outer_keys, outer_env, ctx)
         matched = False
         if key is not None:
             for inner_env in table.get(key, ()):
                 merged = {**outer_env, **inner_env}
-                if _scan_preds_ok(evaluator, plan.residual, merged):
+                if _scan_preds_ok(residual, merged, ctx):
                     matched = True
                     yield merged
         if not matched and kind.preserves_outer:
@@ -589,12 +566,14 @@ def _run_merge_join(plan: pl.MergeJoin, ctx: ExecutionContext,
     """
     import bisect
 
-    evaluator = Evaluator(ctx)
+    outer_keys = closures(plan.outer_keys, ctx.functions)
+    inner_keys = closures(plan.inner_keys, ctx.functions)
+    residual = closures(plan.residual, ctx.functions)
     kind = _kinds(ctx).get(plan.kind, ctx.functions)
     outer_plan, inner_plan = plan.children
     inner: List[Tuple[Tuple, Env]] = []
     for inner_env in env_iter(inner_plan, ctx, env):
-        key = _join_key(evaluator, plan.inner_keys, inner_env)
+        key = _join_key(inner_keys, inner_env, ctx)
         if key is not None:
             inner.append((key, inner_env))
     inner.sort(key=lambda pair: pair[0])
@@ -602,14 +581,14 @@ def _run_merge_join(plan: pl.MergeJoin, ctx: ExecutionContext,
     inner_pad = _inner_quantifiers(inner_plan)
 
     for outer_env in env_iter(outer_plan, ctx, env):
-        key = _join_key(evaluator, plan.outer_keys, outer_env)
+        key = _join_key(outer_keys, outer_env, ctx)
         matched = False
         if key is not None:
             start = bisect.bisect_left(keys_only, key)
             index = start
             while index < len(inner) and inner[index][0] == key:
                 merged = {**outer_env, **inner[index][1]}
-                if _scan_preds_ok(evaluator, plan.residual, merged):
+                if _scan_preds_ok(residual, merged, ctx):
                     matched = True
                     yield merged
                 index += 1
@@ -619,35 +598,30 @@ def _run_merge_join(plan: pl.MergeJoin, ctx: ExecutionContext,
 
 def _run_subquery_join(plan: pl.SubqueryJoin, ctx: ExecutionContext,
                        env: Env) -> Iterator[Env]:
-    evaluator = Evaluator(ctx)
+    preds = closures(plan.preds, ctx.functions)
     kind = _kinds(ctx).get(plan.kind, ctx.functions)
     binding = plan.binding
     quantifier = binding.quantifier
 
     for outer_env in env_iter(plan.children[0], ctx, env):
-        rows = evaluator.subquery_rows(binding, outer_env)
         if kind.scalar:
-            if len(rows) > 1:
-                raise SubqueryError(
-                    "scalar subquery returned %d rows" % len(rows))
             out = dict(outer_env)
-            out[quantifier] = rows[0] if rows else None
-            if _scan_preds_ok(evaluator, plan.preds, out):
+            out[quantifier] = scalar_subquery_row(binding, outer_env, ctx)
+            if _scan_preds_ok(preds, out, ctx):
                 yield out
             continue
         if kind.combine is None:
             raise ExecutionError(
                 "join kind %s cannot drive a subquery join" % kind.name)
+        rows = subquery_rows(binding, outer_env, ctx)
 
         def outcomes():
             for row in rows:
                 inner_env = dict(outer_env)
                 inner_env[quantifier] = row
                 verdict: Optional[bool] = True
-                for predicate in plan.preds:
-                    verdict = kleene_and(
-                        verdict,
-                        evaluator.eval_bool(predicate.expr, inner_env))
+                for fn in preds:
+                    verdict = kleene_and(verdict, fn(inner_env, ctx))
                     if verdict is False:
                         break
                 yield verdict
@@ -760,7 +734,7 @@ _ENV_OPS = {
     pl.DerivedScan: _run_derived_scan,
     pl.DeltaScan: _run_delta_scan,
     pl.Filter: _run_filter,
-    pl.QuantifiedFilter: _run_quantified_filter,
+    pl.QuantifiedFilter: _run_filter,
     pl.Sort: _run_sort,
     pl.NLJoin: _run_nl_join,
     pl.HashJoin: _run_hash_join,

@@ -46,7 +46,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.errors import ExecutionError, SubqueryError
 from repro.executor import rowops
 from repro.executor.context import ExecutionContext
-from repro.executor.evaluator import Env, Evaluator
+from repro.executor.compiled import Env, scalar_subquery_row
 from repro.executor.exprgen import ExprGen, materialize, reject_reason
 from repro.executor.run import (
     _inner_quantifiers,
@@ -383,7 +383,7 @@ def _b_index_scan(plan: pl.IndexScan, ctx: ExecutionContext,
     arity = {quantifier: plan.table.arity}
     select = plan.batch_preds
     params = ctx.params
-    rid_stream = iter(index_rids(plan, Evaluator(ctx), env))
+    rid_stream = iter(index_rids(plan, ctx, env))
     while True:
         pairs = list(itertools.islice(rid_stream, ctx.batch_size))
         if not pairs:
@@ -714,11 +714,7 @@ class _PendingSubquery:
         self.env = env
 
     def fill(self) -> Optional[Tuple[Any, ...]]:
-        rows = Evaluator(self.ctx).subquery_rows(self.binding, self.env)
-        if len(rows) > 1:
-            raise SubqueryError(
-                "scalar subquery returned %d rows" % len(rows))
-        return rows[0] if rows else None
+        return scalar_subquery_row(self.binding, self.env, self.ctx)
 
 
 def _cell_reader(cell: List[Any], position: int):

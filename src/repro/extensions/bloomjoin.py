@@ -25,12 +25,7 @@ from typing import Any, Iterator, List, Sequence
 
 from repro.executor.context import ExecutionContext
 from repro.executor.evaluator import Evaluator
-from repro.executor.run import (
-    _join_key,
-    _scan_preds_ok,
-    env_iter,
-    register_env_operator,
-)
+from repro.executor.run import env_iter, register_env_operator
 from repro.optimizer.cost import CPU_WEIGHT, CostModel
 from repro.optimizer.plans import PlanOp, _join_props
 from repro.optimizer.stars import Alternative, PlanGenerator
@@ -115,21 +110,27 @@ class BloomJoin(PlanOp):
 
 def _run_bloom_join(plan: BloomJoin, ctx: ExecutionContext,
                     env) -> Iterator:
+    # The DBC-facing handle: each expression's closure is what refinement
+    # compiled, or is compiled on first use and kept.
     evaluator = Evaluator(ctx)
     outer_plan, inner_plan = plan.children
+
+    def join_key(exprs, binding_env):
+        values = tuple([evaluator.eval(e, binding_env) for e in exprs])
+        return None if None in values else values
 
     # Build side: hash table + Bloom filter over the inner keys.
     bloom = BloomFilter()
     table = {}
     for inner_env in env_iter(inner_plan, ctx, env):
-        key = _join_key(evaluator, plan.inner_keys, inner_env)
+        key = join_key(plan.inner_keys, inner_env)
         if key is not None:
             bloom.add(key)
             table.setdefault(key, []).append(inner_env)
 
     filtered = 0
     for outer_env in env_iter(outer_plan, ctx, env):
-        key = _join_key(evaluator, plan.outer_keys, outer_env)
+        key = join_key(plan.outer_keys, outer_env)
         if key is None:
             continue
         if not bloom.might_contain(key):
@@ -137,7 +138,8 @@ def _run_bloom_join(plan: BloomJoin, ctx: ExecutionContext,
             continue
         for inner_env in table.get(key, ()):
             merged = {**outer_env, **inner_env}
-            if _scan_preds_ok(evaluator, plan.residual, merged):
+            if all(evaluator.eval_predicate(p.expr, merged)
+                   for p in plan.residual):
                 yield merged
     ctx.stats.__dict__.setdefault("bloom_filtered", 0)
     ctx.stats.__dict__["bloom_filtered"] += filtered

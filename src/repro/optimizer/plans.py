@@ -135,6 +135,12 @@ class TableScan(PlanOp):
         #: selection in "auto" mode must size against — a selective
         #: filter doesn't make a big scan cheap to read.
         self.input_rows = rows
+        #: On a sharded table, the ``e`` of every pushed ``q.part_col = e``
+        #: (``e`` not over ``q``): a value of one routes the whole scan to
+        #: a single partition.
+        self.prune_exprs = (
+            _partition_key_operands(self.preds, quantifier, table.partition_by)
+            if table.partition_by and table.partitions > 1 else [])
         selectivity = 1.0
         for predicate in self.preds:
             selectivity *= cm.selectivity(predicate)
@@ -163,6 +169,24 @@ class TableScan(PlanOp):
         extra = " + %d pred(s)" % len(self.preds) if self.preds else ""
         return "SCAN(%s as %s%s)" % (self.table.name, self.quantifier.name,
                                      extra)
+
+
+def _partition_key_operands(preds: Sequence[Predicate],
+                            quantifier: Quantifier,
+                            column: str) -> List[qe.QExpr]:
+    found = []
+    for predicate in preds:
+        expr = predicate.expr
+        if not isinstance(expr, qe.BinOp) or expr.op != "=":
+            continue
+        for side, other in ((expr.left, expr.right),
+                            (expr.right, expr.left)):
+            if (isinstance(side, qe.ColRef)
+                    and side.quantifier is quantifier
+                    and side.column == column
+                    and quantifier not in qe.quantifiers_in(other)):
+                found.append(other)
+    return found
 
 
 class IndexScan(PlanOp):

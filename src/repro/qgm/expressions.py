@@ -23,10 +23,15 @@ from repro.datatypes.types import BOOLEAN, DataType
 class QExpr:
     """Base class for resolved expressions."""
 
-    __slots__ = ("dtype",)
+    __slots__ = ("dtype", "closure")
 
     def __init__(self, dtype: Optional[DataType] = None):
         self.dtype = dtype
+        #: The compiled form of the expression rooted here, set by plan
+        #: refinement (:mod:`repro.executor.compiled`) on the roots a plan
+        #: evaluates.  A ``deepcopy`` carries it by reference, bound to the
+        #: original's quantifiers: ``QGM.snapshot`` is for rewrite, before it.
+        self.closure = None
 
     def children(self) -> Sequence["QExpr"]:
         return ()

@@ -8,7 +8,7 @@ Comparison semantics:
 
 - results are compared as *bags* (row multisets).  The comparison is
   type-aware — ``1`` (INTEGER) and ``1.0`` (DOUBLE) are different answers
-  even though Python considers them equal — because compiled-vs-interpreted
+  even though Python considers them equal — because backend-vs-backend
   type drift is exactly the kind of bug this harness exists to catch,
 - when the query has an ORDER BY, the sequence of values in the ordered
   positions must also match (ties may appear in any order, so only the
@@ -76,10 +76,6 @@ def default_matrix() -> List[Config]:
     return [
         Config("default", base),
         Config("no-rewrite", base.replace(rewrite_enabled=False)),
-        Config("interpreted", base.replace(compile_expressions=False)),
-        Config("no-rewrite-interpreted",
-               base.replace(rewrite_enabled=False,
-                            compile_expressions=False)),
         # Cost-driven rewrite search must compute the same bag of rows
         # as the sequential pass, but not necessarily in the same order:
         # when the optimizer proves a variant firing sequence strictly

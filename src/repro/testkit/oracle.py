@@ -610,6 +610,11 @@ class ReferenceOracle:
         if op in ("and", "or"):
             return self._eval_bool(expr, env)
         left = self._eval(expr.left, env)
+        if left is None and op != "||":
+            # Comparisons and arithmetic are NULL on a NULL left operand
+            # without evaluating the right one (so its errors are never
+            # raised); ``||`` evaluates both operands first.
+            return None
         right = self._eval(expr.right, env)
         if left is None or right is None:
             return None

@@ -2,8 +2,8 @@
 
 Every seed drives the whole loop — random schema + data, random Hydrogen
 queries, execution under the full configuration matrix (rewrite on/off,
-forced join methods, DP vs. greedy enumeration, bushy/Cartesian,
-compiled vs. interpreted expressions) — and the result of each run must
+forced join methods, DP vs. greedy enumeration, bushy/Cartesian, the
+three execution backends) — and the result of each run must
 match the deliberately naive oracle in ``repro.testkit.oracle``.
 
 The tier-1 portion checks a fixed block of seeds and is deterministic;

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ConstraintError, DataTypeError
+from repro import CompileOptions
+from repro.errors import ConstraintError, DataTypeError, ExecutionError
 
 
 def q(db, sql, params=()):
@@ -48,6 +49,38 @@ class TestInsert:
         with pytest.raises(ConstraintError):
             db.execute("INSERT INTO t VALUES (-5)")
 
+    def test_check_compiled_once_for_a_thousand_rows(self, db, monkeypatch):
+        from repro.executor import compiled
+        from repro.executor.context import ExecutionContext
+
+        db.execute("CREATE TABLE t (qty INTEGER, price DOUBLE, "
+                   "CHECK (qty > 0 AND price < 1000))")
+        compiles, contexts = [], []
+        real_compile = compiled.ExprCompiler._compile_bool
+        real_init = ExecutionContext.__init__
+        monkeypatch.setattr(
+            compiled.ExprCompiler, "_compile_bool",
+            lambda self, expr: compiles.append(expr)
+            or real_compile(self, expr))
+        monkeypatch.setattr(
+            ExecutionContext, "__init__",
+            lambda self, *a, **kw: contexts.append(self)
+            or real_init(self, *a, **kw))
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            "(%d, %d.5)" % (i + 1, i % 999) for i in range(1000)))
+        assert q(db, "SELECT count(*) FROM t") == [(1000,)]
+        # The constraint was compiled when it was attached: checking the
+        # rows compiled nothing of it and built no context per row (one
+        # per statement executed above, the INSERT and the SELECT).
+        assert not any("qty" in repr(expr) for expr in compiles)
+        assert len(contexts) == 2
+        # unknown passes, false fails — on either conjunct
+        db.execute("INSERT INTO t VALUES (NULL, 5.0), (5, NULL)")
+        for bad in ("(0, 5.0)", "(5, 1000.0)", "(NULL, 2000.0)"):
+            with pytest.raises(ConstraintError):
+                db.execute("INSERT INTO t VALUES " + bad)
+        assert q(db, "SELECT count(*) FROM t") == [(1002,)]
+
     def test_type_coercion_on_insert(self, db):
         db.execute("CREATE TABLE t (a DOUBLE)")
         db.execute("INSERT INTO t VALUES (3)")
@@ -79,6 +112,35 @@ class TestUpdateDelete:
                        "(SELECT max(salary) FROM emp) WHERE name = 'frank'")
         assert q(emp_db, "SELECT salary FROM emp WHERE name = 'frank'") == [
             (120.0,)]
+
+    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    def test_update_assigns_a_case_over_an_in_subquery(self, db, mode):
+        # An assignment is a value: the IN folds at the CASE condition
+        # and the CASE's 10/20 are never combined as truth values.
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        db.execute("CREATE TABLE u (c INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)")
+        db.execute("INSERT INTO u VALUES (1)")
+        db.execute(
+            "UPDATE t SET a = CASE WHEN b IN (SELECT c FROM u) "
+            "THEN 10 ELSE 20 END",
+            options=CompileOptions(execution_mode=mode))
+        assert sorted(q(db, "SELECT a, b FROM t")) == [
+            (10, 1), (20, 2), (20, 3)]
+
+    def test_head_over_a_quantified_case_is_not_silently_boolean(self, db):
+        # A head that mentions a quantified subquery is a boolean
+        # position (SELECT b IN (...)); one that is not a truth value
+        # raises instead of returning a combinator's False.
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        db.execute("CREATE TABLE u (c INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 1), (2, 2)")
+        db.execute("INSERT INTO u VALUES (1)")
+        assert sorted(q(db, "SELECT a, b IN (SELECT c FROM u) FROM t")) == [
+            (1, True), (2, False)]
+        with pytest.raises(ExecutionError, match="non-boolean"):
+            db.execute("SELECT a, CASE WHEN b IN (SELECT c FROM u) "
+                       "THEN 10 ELSE 20 END FROM t")
 
     def test_update_maintains_index(self, emp_db):
         emp_db.execute("CREATE INDEX isal ON emp (salary)")

@@ -51,7 +51,6 @@ def test_lateral_setformer_after_subquery_to_join():
     CompileOptions(forced_join_method="hash"),
     CompileOptions(forced_join_method="merge"),
     CompileOptions(allow_bushy=True, allow_cartesian=True),
-    CompileOptions(compile_expressions=False),
 ])
 def test_lateral_setformer_config_matrix(options):
     """The lateral constraint holds under every optimizer configuration,
@@ -209,3 +208,34 @@ def test_differential_seed_33_compiled_agg_temp_collision():
         'FROM t1 a9 GROUP BY a9.c1',
         options=CompileOptions(execution_mode='compiled'))
     assert result.rows == [('b', 1.0)]
+
+
+_NULL_LEFT_STATEMENTS = [
+    'SELECT b FROM t WHERE a = 1 / b',
+    'SELECT b FROM t WHERE a + 1 / b > 0',
+    'SELECT b FROM t WHERE a = 1 / b '
+    'OR b = (SELECT max(c) FROM u WHERE c > 5)',
+]
+
+
+@pytest.mark.parametrize("sql", _NULL_LEFT_STATEMENTS)
+def test_null_left_operand_skips_the_right_one_everywhere(sql):
+    """A comparison or arithmetic operator whose left operand is NULL is
+    NULL without evaluating its right operand — in the oracle, in the
+    closures (tuple) and in generated source (batch, fused) alike — so
+    over the row (NULL, 0) the division by ``b`` never runs.  Before the
+    one-evaluator change the oracle and the tree-walking interpreter
+    evaluated both operands and raised, and the default raised too as
+    soon as an unrelated subquery was OR-ed into the predicate."""
+    from repro.testkit.oracle import ReferenceOracle
+
+    db = Database()
+    db.execute('CREATE TABLE t (a INTEGER, b INTEGER)')
+    db.execute('CREATE TABLE u (c INTEGER)')
+    db.execute('INSERT INTO t VALUES (NULL, 0)')
+    db.execute('INSERT INTO u VALUES (7)')
+    db.analyze()
+    assert ReferenceOracle(db).execute(sql).rows == []
+    for mode in ('tuple', 'batch', 'compiled'):
+        options = CompileOptions(execution_mode=mode)
+        assert db.execute(sql, options=options).rows == [], mode
