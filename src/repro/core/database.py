@@ -203,11 +203,11 @@ class Database:
     def reinit_locks_after_fork(self) -> None:
         """Replace every lock this instance owns with a fresh one.
 
-        Called by forked snapshot workers (``repro.serve``) right after
-        ``fork()``: any parent *thread* could have held one of these
-        locks at fork time, and the child inherits it locked with no
-        owner to release it.  The child is single-threaded at this point
-        so swapping the locks is safe.
+        Called by every forked worker at boot
+        (``repro.executor.workerpool``): any parent *thread* could have
+        held one of these locks at fork time, and the child inherits it
+        locked with no owner to release it.  The child is single-threaded
+        at this point so swapping the locks is safe.
         """
         self._parallel_runtime_lock = threading.Lock()
         self.metrics.reinit_locks()

@@ -162,3 +162,13 @@ class ExtensionError(ReproError):
 
 class DataTypeError(ReproError):
     """Raised for data-type registration and value-validation failures."""
+
+
+def rebuild_error(class_name: str, message: str) -> ReproError:
+    """Reconstruct an engine error that crossed a process or wire
+    boundary as (class name, message); unknown names degrade to
+    ExecutionError so nothing is swallowed."""
+    cls = globals().get(class_name)
+    if isinstance(cls, type) and issubclass(cls, ReproError):
+        return cls(message)
+    return ExecutionError("%s: %s" % (class_name, message))

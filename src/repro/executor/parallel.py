@@ -7,9 +7,10 @@ module supplies the machinery that runs them:
 - **morsels** — contiguous heap page ranges carved from the scanned
   table; morsel order equals serial scan order, so concatenating worker
   results reproduces serial output byte-for-byte,
-- **workers** — a persistent ``multiprocessing`` pool using the *fork*
-  start method, so every worker inherits the open in-memory database
-  copy-on-write; no state is shipped besides the statement text,
+- **workers** — the database's :class:`~repro.executor.workerpool.
+  WorkerPool` (DESIGN.md "Worker pool"): forked children that inherit
+  the open in-memory database copy-on-write; no state is shipped besides
+  the statement text,
 - **self-compiling workers** — plans hold compiled expression closures
   that cannot cross a pipe, so each worker compiles the statement itself
   (memoized, deterministic under fork) and locates the Exchange by its
@@ -19,18 +20,11 @@ module supplies the machinery that runs them:
   and local top-K (MERGEGATHER) run inside the workers, so only merged
   group rows or dop·K sorted rows cross the exchange,
 - **real data movement** — REPARTITION producers hash-route wire-encoded
-  row batches into per-destination queues created before the fork; the
-  coordinator drains them and hands each partition's feed to a consumer
-  worker (PARTITIONGATHER), and SHIP runs its child in a worker standing
-  in for the remote site, returning the stream wire-encoded.
-
-The coordinator — not the consumer workers — unloads the shuffle
-queues.  A queue's feeder thread flushes blobs in FIFO order, so a
-blocked write to one destination pipe can hide messages bound for
-another; with a pool smaller than the partition count, consumer-side
-draining could deadlock on that ordering.  Round-robin polling in the
-parent always drains whatever is ready and terminates because the
-producer tasks have already returned (every blob is in flight).
+  row batches, one blob per destination partition, back to the
+  coordinator in their task reply; the coordinator hands each
+  partition's feed to a consumer task (PARTITIONGATHER), and SHIP runs
+  its child in a worker standing in for the remote site, returning the
+  stream wire-encoded.
 
 Every failure path — no fork on this platform, pool creation failure, a
 worker error, an open explicit transaction, a plan-shape mismatch —
@@ -44,9 +38,11 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
+import threading
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError
+from repro.executor.workerpool import WorkerPool, data_version
 
 #: Morsels carved per worker: small enough to balance skew, large enough
 #: that per-task pickle overhead stays negligible.
@@ -105,48 +101,24 @@ def pool_size(dop: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Worker side (runs in forked children)
+# Worker side (runs in forked children, as ``task(db, payload)``)
 # ---------------------------------------------------------------------------
-
-#: The Database forked workers operate on.  Set in the parent immediately
-#: before pool creation; children inherit it through fork.  The parent
-#: never reads it back.
-_WORKER_DB = None
 
 #: Per-worker memo of compiled statements, keyed on (text, options key).
 #: Lives only in the children; dies with the pool on data-version change.
 _WORKER_PLANS: dict = {}
 
-#: Shuffle queues for REPARTITION exchanges.  Created in the parent
-#: immediately before pool creation (multiprocessing queues cannot cross
-#: the pickle boundary of ``pool.map``); children inherit them through
-#: fork.  Index scheme: source slot ``s``, destination partition ``p`` →
-#: ``_WORKER_QUEUES[s * dop + p]``.
-_WORKER_QUEUES: list = []
 
-
-def _worker_init():
-    """Pool initializer, run once in every forked worker.
-
-    The pool can be forked from a session thread while another thread
-    holds one of the database's locks (buffer pool, plan cache, ...);
-    the child inherits it locked with no owner left to release it.  The
-    worker is single-threaded here, so swapping in fresh locks is safe.
-    The inherited parallel runtime belongs to the parent (its pool
-    handle is meaningless here): workers execute exchanges inline.
-    """
-    db = _WORKER_DB
-    db.reinit_locks_after_fork()
-    db._parallel_runtime = None
-
-
-def _worker_node(text, options, node_index, signature):
-    """Compile the statement in this worker (memoized) and locate the
-    coordinator's node by ``plan.walk()`` index, cross-checked against
-    the structural signature."""
+def _open_task(db, head):
+    """What every task does first: compile the statement in this worker
+    (memoized), locate the coordinator's node by ``plan.walk()`` index —
+    cross-checked against the structural signature, which names the
+    operator — and build the execution context.  ``head`` is ``(text,
+    options, node_index, signature, params)``."""
     from repro.core.pipeline import compile_statement
+    from repro.executor.context import ExecutionContext
 
-    db = _WORKER_DB
+    text, options, node_index, signature, params = head
     key = (text, options.cache_key())
     compiled = _WORKER_PLANS.get(key)
     if compiled is None:
@@ -161,19 +133,25 @@ def _worker_node(text, options, node_index, signature):
         raise ExecutionError(
             "worker plan diverged from the coordinator's: expected %s at "
             "walk index %d" % (signature, node_index))
-    return db, compiled, node
+    ctx = ExecutionContext(db.engine, db.functions, list(params), txn=None)
+    ctx.join_kinds = db.join_kinds
+    ctx.batch_size = options.batch_size
+    return compiled, node, ctx
 
 
-def _worker_run(task):
-    """Execute one morsel and return ``(rows, extra, elapsed, worker_id,
-    fragment)``.
+def _tuple_only(node) -> None:
+    # Shuffle feeds and sequence tags live in tuple-interpreter envs;
+    # the batch/compiled backends would bypass both.
+    for sub in node.walk():
+        sub.exec_backend = "tuple"
 
-    ``task`` is (text, options, exchange_index, signature, page_lo,
-    page_hi, params, trace_on).  The worker compiles the statement
-    against its forked database snapshot, finds the Exchange at
-    ``exchange_index`` in ``plan.walk()`` order, verifies the structural
-    signature, and runs the Exchange's child with the scan restricted to
-    the page range.
+
+def _worker_run(db, payload):
+    """Execute one morsel of a Gather/MergeGather and return ``(rows,
+    extra, elapsed, worker_id, fragment)``.
+
+    ``payload`` is ``(head, page_lo, page_hi, trace_on)``: the
+    Exchange's child runs with the scan restricted to the page range.
 
     ``extra`` is None normally; under ``options.analyze`` it is
     ``(profile_export, stats_export)`` — the worker's per-operator probes
@@ -190,27 +168,17 @@ def _worker_run(task):
     """
     from time import monotonic_ns, perf_counter
 
-    from repro.executor.context import ExecutionContext
     from repro.executor.rowops import sort_rows
     from repro.executor.run import rows_iter
     from repro.optimizer import plans as pl
 
-    text, options, exchange_index, signature, lo, hi, params, \
-        trace_on = task
+    head, lo, hi, trace_on = payload
     started = perf_counter()
     started_ns = monotonic_ns()
-    db, compiled, node = _worker_node(text, options, exchange_index,
-                                      signature)
-    if not isinstance(node, pl.Exchange):
-        raise ExecutionError("expected an Exchange at walk index %d"
-                             % exchange_index)
-
-    ctx = ExecutionContext(db.engine, db.functions, list(params), txn=None)
-    ctx.join_kinds = db.join_kinds
-    ctx.batch_size = options.batch_size
+    compiled, node, ctx = _open_task(db, head)
     ctx.morsel_range = (lo, hi)
     ctx.morsel_scan = node.morsel_scan
-    if options.analyze:
+    if head[1].analyze:
         from repro.obs.profile import PlanProfile
 
         ctx.profile = PlanProfile(compiled.plan)
@@ -237,14 +205,13 @@ def _worker_run(task):
     return rows, extra, perf_counter() - started, os.getpid(), fragment
 
 
-def _worker_shuffle(task):
+def _worker_shuffle(db, payload):
     """Producer half of a REPARTITION shuffle.
 
     Runs the Repartition's child chain over one page-range morsel,
-    routes every binding by the stable hash of its key column, and ships
-    each destination's buffer wire-encoded to that partition's queue —
-    always exactly one blob per destination (empty ones included), so
-    the coordinator knows how many messages to drain.
+    routes every binding by the stable hash of its key column, and
+    returns each destination partition's buffer wire-encoded — always
+    exactly ``dop`` blobs, in partition order.
 
     Rows cross the wire as ``(seq_page, seq_slot, *row)``; the sequence
     pair restores serial scan order on the consumer side.  ``seq_page``
@@ -252,32 +219,16 @@ def _worker_shuffle(task):
     trusting raw page numbers, which keeps tags order-isomorphic to scan
     order even when predicates skip whole pages.
 
-    ``task`` is (text, options, repart_index, signature, page_lo,
-    page_hi, source_slot, params).  Returns ``(rows_routed, elapsed)``.
+    ``payload`` is ``(head, page_lo, page_hi)``.
     """
-    from time import perf_counter
-
-    from repro.executor.context import ExecutionContext
     from repro.executor.run import env_iter
-    from repro.optimizer import plans as pl
     from repro.storage.heap import stable_partition_hash
     from repro.storage.record import pack_rows
 
-    text, options, repart_index, signature, lo, hi, slot, params = task
-    started = perf_counter()
-    db, compiled, node = _worker_node(text, options, repart_index,
-                                      signature)
-    if not isinstance(node, pl.Repartition):
-        raise ExecutionError("expected a REPARTITION at walk index %d"
-                             % repart_index)
-    for sub in node.walk():
-        # Sequence tags ride in tuple-interpreter envs (RID entries);
-        # the batch/compiled backends would lose them.
-        sub.exec_backend = "tuple"
+    head, lo, hi = payload
+    _compiled, node, ctx = _open_task(db, head)
+    _tuple_only(node)
     n = node.dop
-    ctx = ExecutionContext(db.engine, db.functions, list(params), txn=None)
-    ctx.join_kinds = db.join_kinds
-    ctx.batch_size = options.batch_size
     ctx.morsel_range = (lo, hi)
     ctx.morsel_scan = node.morsel_scan
     quantifier = node.morsel_scan.quantifier
@@ -286,7 +237,6 @@ def _worker_shuffle(task):
     buffers: List[list] = [[] for _ in range(n)]
     page_index = lo - 1
     last_page = None
-    routed = 0
     for env in env_iter(node.children[0], ctx, {}):
         rid = env[rid_key]
         if rid.page_no != last_page:
@@ -295,11 +245,7 @@ def _worker_shuffle(task):
         row = env[quantifier]
         buffers[stable_partition_hash(row[key_pos]) % n].append(
             (page_index, rid.slot) + tuple(row))
-        routed += 1
-    base = slot * n
-    for dest, rows in enumerate(buffers):
-        _WORKER_QUEUES[base + dest].put(pack_rows(rows))
-    return routed, perf_counter() - started
+    return [pack_rows(rows) for rows in buffers]
 
 
 def _seq_getter(side):
@@ -327,41 +273,28 @@ def _seq_getter(side):
     return seq_of
 
 
-def _worker_partition(task):
+def _worker_partition(db, payload):
     """Consumer half of a partition-wise plan: rebuild this partition's
     shuffled feeds, restrict co-located scans to the partition, execute
     the PartitionGather's child, and tag every output row with its
     serial sequence so the coordinator's merge reproduces dop=1 order.
 
-    ``task`` is (text, options, gather_index, signature, partition,
-    source_blobs, params) with ``source_blobs`` aligned to
-    ``gather.sources`` — each entry the wire blobs routed to this
-    partition.  Returns ``(tagged_rows, elapsed, worker_id)``.
+    ``payload`` is ``(head, partition, source_blobs)`` with
+    ``source_blobs`` aligned to ``gather.sources`` — each entry the wire
+    blobs routed to this partition.  Returns ``(tagged_rows, elapsed,
+    worker_id)``.
     """
     from time import perf_counter
 
     from repro.executor.compiled import closures
-    from repro.executor.context import ExecutionContext
     from repro.executor.run import env_iter, rows_iter
     from repro.optimizer import plans as pl
     from repro.storage.record import unpack_rows
 
-    (text, options, gather_index, signature, partition, source_blobs,
-     params) = task
+    head, partition, source_blobs = payload
     started = perf_counter()
-    db, compiled, node = _worker_node(text, options, gather_index,
-                                      signature)
-    if not isinstance(node, pl.PartitionGather):
-        raise ExecutionError("expected a PARTITIONGATHER at walk index %d"
-                             % gather_index)
-    for sub in node.walk():
-        # Feeds and sequence tags live in tuple-interpreter envs; the
-        # batch/compiled backends would bypass both.
-        sub.exec_backend = "tuple"
-
-    ctx = ExecutionContext(db.engine, db.functions, list(params), txn=None)
-    ctx.join_kinds = db.join_kinds
-    ctx.batch_size = options.batch_size
+    _compiled, node, ctx = _open_task(db, head)
+    _tuple_only(node)
     ctx.partition_map = {id(scan): partition
                          for scan in node.colocated_scans}
     feeds = {}
@@ -414,27 +347,17 @@ def _worker_partition(task):
     return tagged, perf_counter() - started, os.getpid()
 
 
-def _worker_ship(task):
+def _worker_ship(db, head):
     """Run a SHIP's child in a worker — the stand-in for the remote
     site — and return the result stream wire-encoded, plus elapsed
-    seconds and the worker pid.  ``task`` is (text, options, ship_index,
-    signature, params)."""
+    seconds and the worker pid."""
     from time import perf_counter
 
-    from repro.executor.context import ExecutionContext
     from repro.executor.run import rows_iter
-    from repro.optimizer import plans as pl
     from repro.storage.record import pack_rows
 
-    text, options, ship_index, signature, params = task
     started = perf_counter()
-    db, compiled, node = _worker_node(text, options, ship_index, signature)
-    if not isinstance(node, pl.Ship):
-        raise ExecutionError("expected a SHIP at walk index %d"
-                             % ship_index)
-    ctx = ExecutionContext(db.engine, db.functions, list(params), txn=None)
-    ctx.join_kinds = db.join_kinds
-    ctx.batch_size = options.batch_size
+    _compiled, node, ctx = _open_task(db, head)
     rows = list(rows_iter(node.children[0], ctx, {}))
     return pack_rows(rows), perf_counter() - started, os.getpid()
 
@@ -503,51 +426,29 @@ def _merge_partial_groups(groupby, results) -> List[Tuple[Any, ...]]:
 
 
 class ParallelRuntime:
-    """Owns one Database's fork-based worker pool.
+    """Owns one Database's worker pool for exchanges.
 
-    The pool is created lazily and recreated whenever the database's data
-    version — (schema_epoch, stats_epoch, dml_clock) — changes: forked
-    workers hold a copy-on-write snapshot, and any parent-side change
-    makes that snapshot stale.  Keeping the pool across queries means a
+    The pool is created lazily and replaced whenever the database's data
+    version moves (forked workers hold a copy-on-write snapshot, and any
+    parent-side change makes it stale), a worker has died, or a larger
+    one is asked for.  Keeping the pool across queries means a
     statement-per-query workload (the differential sweep, the plan-cache
     benchmark) forks once, not per statement.
     """
 
     def __init__(self, db):
         self.db = db
-        self._pool = None
-        self._pool_version = None
-        self._pool_dop = 0
-        self._pool_queues = 0
-        # The exact queue list this runtime's pool children inherited at
-        # fork.  The coordinator must drain *this* list, never the
-        # module global: several Databases (and therefore runtimes) can
-        # live in one process, and whichever forks last re-points
-        # ``_WORKER_QUEUES`` — draining the global would silently watch
-        # queues the reused pool's children have never seen.
-        self._queues: list = []
-
-    def data_version(self) -> Tuple:
-        catalog = self.db.catalog
-        return (catalog.schema_epoch, catalog.stats_epoch,
-                catalog.dml_clock)
+        self._pool: Optional[WorkerPool] = None
+        #: Serializes the pool swap.  Statements run outside it: one
+        #: that leased workers from the old pool finishes on them (the
+        #: old pool's terminate() waits), the next sees the new pool.
+        self._lock = threading.Lock()
 
     def close(self) -> None:
-        global _WORKER_QUEUES
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._pool_version = None
-            self._pool_dop = 0
-            self._pool_queues = 0
-            # Queues belong to the dead pool's fork generation; a stale
-            # one could leak messages into the next pool's exchanges.
-            # Only clear the global if it is still ours — another
-            # runtime may have re-pointed it for its own fork since.
-            if _WORKER_QUEUES is self._queues:
-                _WORKER_QUEUES = []
-            self._queues = []
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()
 
     def __del__(self):  # backstop; Database.close() is the real path
         try:
@@ -555,94 +456,120 @@ class ParallelRuntime:
         except Exception:
             pass
 
-    def _ensure_pool(self, dop: int, queue_count: int = 0):
+    def _ensure_pool(self, dop: int) -> WorkerPool:
         size = pool_size(dop)
-        version = self.data_version()
-        if (self._pool is not None and version == self._pool_version
-                and size <= self._pool_dop
-                and queue_count <= self._pool_queues):
+        with self._lock:
+            pool = self._pool
+            if (pool is not None and pool.healthy and size <= pool.size
+                    and pool.version == data_version(self.db)):
+                return pool
+            self._pool = WorkerPool(self.db, size)
+            if pool is not None:
+                pool.terminate()
             return self._pool
-        self.close()
-        global _WORKER_DB, _WORKER_QUEUES
-        _WORKER_DB = self.db
-        context = multiprocessing.get_context("fork")
-        # Shuffle queues must exist before the fork: children inherit
-        # them as pipe descriptors, they cannot cross pool.map's pickle
-        # boundary.  A few spares avoid rebuilding the pool when a later
-        # query needs slightly more.
-        count = max(queue_count, 2 * dop if queue_count else 0)
-        self._queues = [context.Queue() for _ in range(count)]
-        _WORKER_QUEUES = self._queues
-        self._pool = context.Pool(processes=size,
-                                  initializer=_worker_init)
-        self._pool_version = version
-        self._pool_dop = size
-        self._pool_queues = count
-        return self._pool
 
-    def _inline(self, exchange, ctx, reason: str):
+    def _inline(self, node, ctx, env, reason: Optional[str] = None):
+        """Run the node's child in this process at dop=1 — byte-identical
+        to the parallel path by construction.  A ``reason`` makes it a
+        recorded degradation."""
         from repro.executor.run import rows_iter
 
-        ctx.stats.parallel_fallbacks += 1
-        ctx.stats.parallel_reasons.append(reason)
-        trace = getattr(ctx, "trace", None)
-        if trace is not None:
-            trace.current().set(parallel_degraded=reason)
-        return rows_iter(exchange.children[0], ctx, {})
+        if reason is not None:
+            ctx.stats.parallel_fallbacks += 1
+            ctx.stats.parallel_reasons.append(reason)
+            if ctx.trace is not None:
+                ctx.trace.current().set(parallel_degraded=reason)
+        return rows_iter(node.children[0], ctx, env)
 
-    def run_exchange(self, exchange, ctx) -> Iterator[Tuple[Any, ...]]:
-        """Run one Exchange: fan its child out over morsels, recombine."""
-        from repro.executor.run import rows_iter
-        from repro.optimizer import plans as pl
-
-        ctx.stats.parallel_exchanges += 1
+    def _preflight(self, node, ctx, env, ship: bool):
+        """Can ``node`` run in workers?  Returns ``(heads, None)`` — the
+        task head ``(text, options, walk_index, signature, params)`` for
+        the node and then for each of its REPARTITION sources — or
+        ``(None, reason)``."""
+        if env:
+            # Opened with outer bindings (e.g. as a re-opened join
+            # inner): workers start from an empty environment.
+            return None, "%s opened with outer bindings" % node.op_name
+        if getattr(node, "mode", None) == "repartition":
+            # A bare REPARTITION (DBC-built) has no PARTITIONGATHER
+            # consumer to drive the shuffle.
+            return None, "REPARTITION without a PARTITIONGATHER consumer"
+        if not ship:  # a SHIP counts as an exchange once it has moved rows
+            ctx.stats.parallel_exchanges += 1
         if ctx.txn is not None:
-            # Worker scans take no locks and cannot see this transaction's
-            # isolation scope; stay serial inside explicit transactions.
-            return self._inline(exchange, ctx, "explicit transaction open")
+            # Worker scans take no locks and cannot see this
+            # transaction's isolation scope.
+            return None, "explicit transaction open"
         if not fork_available():
-            return self._inline(exchange, ctx, disabled_reason())
+            return None, disabled_reason()
         compiled = getattr(ctx, "compiled", None)
         if compiled is None or compiled.plan is None:
-            return self._inline(
-                exchange, ctx,
-                "no compiled statement attached to the context")
-        pages = self.db.engine.table_page_count(
-            exchange.morsel_scan.table.name)
-        morsels = _carve(pages, exchange.dop)
-        if len(morsels) <= 1:
-            # An empty or single-page table has nothing to fan out; the
-            # inline run is the dop=1 plan by construction (no fallback).
-            return rows_iter(exchange.children[0], ctx, {})
-        exchange_index = next(
-            (index for index, node in enumerate(compiled.plan.walk())
-             if node is exchange), None)
-        if exchange_index is None:
-            return self._inline(exchange, ctx,
-                                "exchange not found in the compiled plan")
-        signature = _signature(exchange)
+            return None, "no compiled statement attached to the context"
         # A cached plan's options may carry a stale analyze flag (analyze
-        # is excluded from the cache key); workers must follow this run's
-        # actual profile state.  cache_key() ignores analyze, so both
-        # variants share one compiled plan in the worker memo.
+        # is excluded from the cache key, so both variants share one
+        # compiled plan in the worker memo); workers follow this run's
+        # actual profile state.
         options = compiled.options
         if options.analyze != (ctx.profile is not None):
             options = options.replace(analyze=ctx.profile is not None)
-        trace = getattr(ctx, "trace", None)
+        index_of = {id(candidate): index for index, candidate
+                    in enumerate(compiled.plan.walk())}
+        params = tuple(ctx.params)
+        heads = []
+        for target in (node, *getattr(node, "sources", ())):
+            index = index_of.get(id(target))
+            if index is None:
+                return None, (
+                    "exchange not found in the compiled plan"
+                    if target is node else
+                    "repartition source missing from the compiled plan")
+            heads.append((compiled.text, options, index,
+                          _signature(target), params))
+        return heads, None
+
+    def run(self, node, ctx, env) -> Iterator[Tuple[Any, ...]]:
+        """Run an Exchange, PARTITIONGATHER or SHIP through the worker
+        pool, or degrade to its child inline at dop=1."""
+        from repro.optimizer import plans as pl
+
+        ship = isinstance(node, pl.Ship)
+        heads, reason = self._preflight(node, ctx, env, ship)
+        if heads is None:
+            # SHIP is the serial plan's operator too: where it cannot
+            # move to a worker it is a pass-through, not a degradation.
+            return self._inline(node, ctx, env, None if ship else reason)
         try:
-            pool = self._ensure_pool(exchange.dop)
-            tasks = [(compiled.text, options, exchange_index,
-                      signature, lo, hi, tuple(ctx.params),
-                      trace is not None)
-                     for lo, hi in morsels]
-            results = pool.map(_worker_run, tasks)
+            if ship:
+                rows = self._ship(node, ctx, heads[0])
+            elif node.mode == "partition":
+                rows = self._partitioned(node, ctx, heads)
+            else:
+                rows = self._exchange(node, ctx, heads[0])
         except Exception as exc:
             # Pool breakage and genuine query errors both land here; the
             # inline rerun either succeeds serially or raises the same
             # deterministic error the serial plan would.
-            self.close()
-            return self._inline(exchange, ctx,
-                                "parallel execution failed: %r" % (exc,))
+            return self._inline(node, ctx, env, "%s execution failed: %r"
+                                % ("ship" if ship else "parallel", exc))
+        if rows is None:
+            # Nothing to fan out: the inline run is the dop=1 plan by
+            # construction (no fallback).
+            return self._inline(node, ctx, env)
+        return iter(rows)
+
+    def _exchange(self, exchange, ctx, head):
+        """Gather/MergeGather: fan the child out over morsels, recombine."""
+        from repro.optimizer import plans as pl
+
+        pages = self.db.engine.table_page_count(
+            exchange.morsel_scan.table.name)
+        morsels = _carve(pages, exchange.dop)
+        if len(morsels) <= 1:
+            return None
+        trace = ctx.trace
+        results = self._ensure_pool(exchange.dop).map(
+            _worker_run,
+            [(head, lo, hi, trace is not None) for lo, hi in morsels])
         ctx.stats.morsels += len(morsels)
         parts = []
         times = []
@@ -671,150 +598,47 @@ class ParallelRuntime:
             from repro.executor.rowops import null_last_key
 
             positions = exchange.positions
-            rows = list(heapq.merge(
+            return list(heapq.merge(
                 *parts, key=lambda row: null_last_key(row, positions)))
-        elif (isinstance(exchange, pl.Gather)
+        if (isinstance(exchange, pl.Gather)
                 and exchange.merge_groups is not None):
-            rows = _merge_partial_groups(exchange.merge_groups, parts)
-        else:
-            rows = [row for part in parts for row in part]
-        return iter(rows)
+            return _merge_partial_groups(exchange.merge_groups, parts)
+        return [row for part in parts for row in part]
 
-    def _drain_queues(self, sources, counts, n: int):
-        """Drain every (source slot, partition) shuffle queue in the
-        coordinator, round-robin (see the module docstring for why the
-        parent and not the consumers must do this).  ``counts[s]`` is
-        the number of producer tasks — and therefore blobs per queue —
-        for source slot ``s``.  Returns ``({(slot, partition): [blob]},
-        total_bytes)``.
-
-        Drains ``self._queues`` — the list this pool's children
-        inherited — and raises if no blob arrives for 10s: the producer
-        wave already completed, so a prolonged dry spell means the
-        messages can never arrive (e.g. a respawned worker that forked
-        off a different queue generation); the caller turns the raise
-        into the byte-identical inline fallback instead of hanging."""
-        import queue as queue_module
-        from time import monotonic
-
-        pending = {}
-        blobs = {}
-        for slot in range(len(sources)):
-            for p in range(n):
-                pending[(slot, p)] = counts[slot]
-                blobs[(slot, p)] = []
-        moved = 0
-        last_progress = monotonic()
-        while pending:
-            drained_any = False
-            for key in list(pending):
-                slot, p = key
-                try:
-                    blob = self._queues[slot * n + p].get_nowait()
-                except queue_module.Empty:
-                    continue
-                drained_any = True
-                blobs[key].append(blob)
-                moved += len(blob)
-                pending[key] -= 1
-                if not pending[key]:
-                    del pending[key]
-            if drained_any:
-                last_progress = monotonic()
-            elif pending:
-                if monotonic() - last_progress > 10.0:
-                    raise ExecutionError(
-                        "shuffle drain stalled: %d queue message(s) "
-                        "never arrived" % sum(pending.values()))
-                # Nothing ready anywhere: block briefly on one queue so
-                # the poll loop doesn't spin while feeders catch up.
-                key = next(iter(pending))
-                slot, p = key
-                try:
-                    blob = self._queues[slot * n + p].get(timeout=0.05)
-                except queue_module.Empty:
-                    continue
-                blobs[key].append(blob)
-                moved += len(blob)
-                pending[key] -= 1
-                if not pending[key]:
-                    del pending[key]
-                last_progress = monotonic()
-        return blobs, moved
-
-    def run_partitioned(self, gather, ctx) -> Iterator[Tuple[Any, ...]]:
-        """Run one PartitionGather: shuffle (or partition-restrict) its
-        inputs, execute the child once per partition, and merge the
-        per-partition streams by their serial sequence tags — output is
-        byte-identical to dop=1 execution by construction."""
-        from repro.executor.run import rows_iter
-
-        ctx.stats.parallel_exchanges += 1
-        if ctx.txn is not None:
-            return self._inline(gather, ctx, "explicit transaction open")
-        if not fork_available():
-            return self._inline(gather, ctx, disabled_reason())
-        compiled = getattr(ctx, "compiled", None)
-        if compiled is None or compiled.plan is None:
-            return self._inline(
-                gather, ctx,
-                "no compiled statement attached to the context")
+    def _partitioned(self, gather, ctx, heads):
+        """PartitionGather: shuffle (or partition-restrict) the inputs,
+        execute the child once per partition, and merge the per-partition
+        streams by their serial sequence tags — output is byte-identical
+        to dop=1 execution by construction."""
         n = gather.dop
         if n <= 1:
-            return rows_iter(gather.children[0], ctx, {})
-        index_of = {id(node): index
-                    for index, node in enumerate(compiled.plan.walk())}
-        gather_index = index_of.get(id(gather))
-        if gather_index is None:
-            return self._inline(gather, ctx,
-                                "exchange not found in the compiled plan")
-        options = compiled.options
-        if options.analyze:
-            # Partition workers export no probes; keep their compile
-            # memo on the analyze=False variant (same cache key).
-            options = options.replace(analyze=False)
-        producer_tasks = []
-        counts = []
+            return None
+        # Producers answer with one blob per destination; grouping the
+        # replies by (source slot, partition) in task order gives every
+        # consumer a deterministic feed.
+        slots = []
+        producers = []
         for slot, source in enumerate(gather.sources):
-            source_index = index_of.get(id(source))
-            if source_index is None:
-                return self._inline(
-                    gather, ctx,
-                    "repartition source missing from the compiled plan")
             pages = self.db.engine.table_page_count(
                 source.morsel_scan.table.name)
-            morsels = _carve(pages, n)
-            counts.append(len(morsels))
-            sig = _signature(source)
-            producer_tasks.extend(
-                (compiled.text, options, source_index, sig, lo, hi, slot,
-                 tuple(ctx.params))
-                for lo, hi in morsels)
-        try:
-            pool = self._ensure_pool(
-                n, queue_count=max(1, len(gather.sources) * n))
-            if producer_tasks:
-                shuffle_stats = pool.map(_worker_shuffle, producer_tasks)
-            else:
-                shuffle_stats = []
-            blobs, moved = self._drain_queues(gather.sources, counts, n)
-            consumer_tasks = [
-                (compiled.text, options, gather_index, _signature(gather),
-                 p,
-                 tuple(tuple(blobs[(slot, p)])
-                       for slot in range(len(gather.sources))),
-                 tuple(ctx.params))
-                for p in range(n)]
-            results = pool.map(_worker_partition, consumer_tasks)
-        except Exception as exc:
-            self.close()
-            return self._inline(gather, ctx,
-                                "parallel execution failed: %r" % (exc,))
-        ctx.stats.morsels += len(producer_tasks)
+            for lo, hi in _carve(pages, n):
+                slots.append(slot)
+                producers.append((heads[1 + slot], lo, hi))
+        pool = self._ensure_pool(n)
+        feeds = [[[] for _slot in gather.sources] for _p in range(n)]
+        moved = 0
+        for slot, blobs in zip(slots,
+                               pool.map(_worker_shuffle, producers)):
+            for p, blob in enumerate(blobs):
+                feeds[p][slot].append(blob)
+                moved += len(blob)
+        results = pool.map(_worker_partition,
+                           [(heads[0], p, feeds[p]) for p in range(n)])
+        ctx.stats.morsels += len(producers)
         ctx.stats.exchange_bytes += moved
         if ctx.profile is not None:
             ctx.profile.note_exchange(
-                gather, morsels=len(producer_tasks) or n,
+                gather, morsels=len(producers) or n,
                 workers=pool_size(n),
                 worker_times=[elapsed
                               for _tagged, elapsed, _pid in results],
@@ -823,39 +647,16 @@ class ParallelRuntime:
         merged = heapq.merge(*(tagged for tagged, _elapsed, _pid
                                in results),
                              key=lambda entry: entry[0])
-        return iter([row for _tag, row in merged])
+        return [row for _tag, row in merged]
 
-    def run_ship(self, ship, ctx) -> Iterator[Tuple[Any, ...]]:
-        """Execute SHIP as real inter-process movement: the child runs
-        in a forked worker standing in for the remote site, and the
-        result stream comes back wire-encoded over the result pipe.
-        Any failure degrades to the serial pass-through."""
-        from repro.executor.run import rows_iter
+    def _ship(self, ship, ctx, head):
+        """SHIP as real inter-process movement: the child runs in a
+        worker standing in for the remote site, and the result stream
+        comes back wire-encoded over the result pipe."""
         from repro.storage.record import unpack_rows
 
-        compiled = getattr(ctx, "compiled", None)
-        if (not fork_available() or compiled is None
-                or compiled.plan is None):
-            return rows_iter(ship.children[0], ctx, {})
-        ship_index = next(
-            (index for index, node in enumerate(compiled.plan.walk())
-             if node is ship), None)
-        if ship_index is None:
-            return rows_iter(ship.children[0], ctx, {})
-        options = compiled.options
-        if options.analyze:
-            options = options.replace(analyze=False)
-        task = (compiled.text, options, ship_index, _signature(ship),
-                tuple(ctx.params))
-        try:
-            pool = self._ensure_pool(1)
-            blob, elapsed, worker_id = pool.apply(_worker_ship, (task,))
-        except Exception as exc:
-            self.close()
-            ctx.stats.parallel_fallbacks += 1
-            ctx.stats.parallel_reasons.append(
-                "ship execution failed: %r" % (exc,))
-            return rows_iter(ship.children[0], ctx, {})
+        blob, elapsed, worker_id = self._ensure_pool(1).map(
+            _worker_ship, [head])[0]
         ctx.stats.parallel_exchanges += 1
         ctx.stats.exchange_bytes += len(blob)
         if ctx.profile is not None:
@@ -863,4 +664,4 @@ class ParallelRuntime:
                                       worker_times=[elapsed],
                                       worker_ids=[worker_id],
                                       wire_bytes=len(blob))
-        return iter(unpack_rows(blob))
+        return unpack_rows(blob)

@@ -226,20 +226,6 @@ def _run_temp_rows(plan: pl.Temp, ctx: ExecutionContext,
     return iter(list(env_iter(plan.children[0], ctx, env)))
 
 
-def _run_ship_rows(plan: pl.Ship, ctx: ExecutionContext, env: Env):
-    runtime = ctx.parallel
-    if (runtime is not None and plan.produces_rows and not env
-            and ctx.txn is None):
-        # Real data movement: the child runs in a worker process at the
-        # remote "site" and its rows travel back wire-encoded.  Opened
-        # with bindings or inside a transaction, SHIP stays a local
-        # pass-through (workers fork without either).
-        return runtime.run_ship(plan, ctx)
-    if plan.produces_rows:
-        return rows_iter(plan.children[0], ctx, env)
-    return env_iter(plan.children[0], ctx, env)
-
-
 # -- DML ------------------------------------------------------------------------
 
 
@@ -640,13 +626,13 @@ def _run_temp_env(plan: pl.Temp, ctx: ExecutionContext,
 # ---------------------------------------------------------------------------
 
 
-def _run_exchange_rows(plan: pl.Exchange, ctx: ExecutionContext,
+def _run_exchange_rows(plan, ctx: ExecutionContext,
                        env: Env) -> Iterator[Tuple[Any, ...]]:
-    """Run an Exchange: fan the child subtree out over page-range morsels
-    via the database's parallel runtime, or degrade to inline dop=1.
-
-    Inline execution of the child is always byte-identical to the
-    parallel path, so every degradation is safe; reasons are recorded in
+    """Run an Exchange, PARTITIONGATHER or row-position SHIP through the
+    database's parallel runtime: morsels fanned out, partitions shuffled,
+    or the child run at the remote "site" with its rows travelling back
+    wire-encoded.  The runtime degrades to the child inline at dop=1 —
+    always byte-identical to the parallel path — and records why in
     ``stats.parallel_reasons``.
     """
     runtime = ctx.parallel
@@ -654,42 +640,12 @@ def _run_exchange_rows(plan: pl.Exchange, ctx: ExecutionContext,
         # No runtime attached (serial serve, EXPLAIN, inside a worker):
         # the child runs inline at dop=1.
         return rows_iter(plan.children[0], ctx, env)
-    if env:
-        # Opened with outer bindings (e.g. as a re-opened join inner):
-        # workers fork from an empty environment, so degrade per subtree.
-        ctx.stats.parallel_fallbacks += 1
-        ctx.stats.parallel_reasons.append(
-            "%s opened with outer bindings" % plan.op_name)
-        return rows_iter(plan.children[0], ctx, env)
-    if plan.mode == "repartition":
-        # A bare REPARTITION (DBC-built) has no PARTITIONGATHER consumer
-        # to drive the shuffle protocol; degrade honestly.
-        ctx.stats.parallel_fallbacks += 1
-        ctx.stats.parallel_reasons.append(
-            "REPARTITION without a PARTITIONGATHER consumer")
-        return rows_iter(plan.children[0], ctx, env)
-    return runtime.run_exchange(plan, ctx)
-
-
-def _run_partition_gather(plan, ctx: ExecutionContext,
-                          env: Env) -> Iterator[Tuple[Any, ...]]:
-    """Run a PARTITIONGATHER: shuffle the sources across worker
-    processes, execute the child partition-wise, merge back into serial
-    order.  Degrades to inline dop=1 like every Exchange."""
-    runtime = ctx.parallel
-    if runtime is None:
-        return rows_iter(plan.children[0], ctx, env)
-    if env:
-        ctx.stats.parallel_fallbacks += 1
-        ctx.stats.parallel_reasons.append(
-            "%s opened with outer bindings" % plan.op_name)
-        return rows_iter(plan.children[0], ctx, env)
-    return runtime.run_partitioned(plan, ctx)
+    return runtime.run(plan, ctx, env)
 
 
 def _run_exchange_env(plan: pl.Exchange, ctx: ExecutionContext,
                       env: Env) -> Iterator[Env]:
-    """Binding-stream Exchange: inside a partition-wise worker a
+    """Binding-stream Exchange or SHIP: inside a partition-wise worker a
     REPARTITION node's stream is the shuffled feed for this worker's
     partition; everywhere else (serial execution, fallbacks, DBC-built
     plans) the node is a transparent pass-through of its child."""
@@ -717,7 +673,7 @@ _ROW_OPS = {
     pl.TableFunctionPlan: _run_table_function,
     pl.Recurse: _run_recurse,
     pl.Temp: _run_temp_rows,
-    pl.Ship: _run_ship_rows,
+    pl.Ship: _run_exchange_rows,
     pl.InsertPlan: _run_insert,
     pl.UpdatePlan: _run_update,
     pl.DeletePlan: _run_delete,
@@ -725,7 +681,7 @@ _ROW_OPS = {
     pl.Gather: _run_exchange_rows,
     pl.MergeGather: _run_exchange_rows,
     pl.Repartition: _run_exchange_rows,
-    pl.PartitionGather: _run_partition_gather,
+    pl.PartitionGather: _run_exchange_rows,
 }
 
 _ENV_OPS = {
@@ -741,7 +697,7 @@ _ENV_OPS = {
     pl.MergeJoin: _run_merge_join,
     pl.SubqueryJoin: _run_subquery_join,
     pl.Temp: _run_temp_env,
-    pl.Ship: _run_ship_rows,
+    pl.Ship: _run_exchange_env,
     pl.Exchange: _run_exchange_env,
     pl.Gather: _run_exchange_env,
     pl.MergeGather: _run_exchange_env,

@@ -21,7 +21,7 @@ and the documented degradation matrix.
 from repro.serve.admission import AdmissionController
 from repro.serve.server import Route, ServeSettings, Server
 from repro.serve.session import Session
-from repro.serve.snapshot import SnapshotManager, SnapshotPool
+from repro.serve.snapshot import SnapshotManager
 from repro.serve.wire import TCPServer
 from repro.serve.client import WireClient
 
@@ -32,7 +32,6 @@ __all__ = [
     "Server",
     "Session",
     "SnapshotManager",
-    "SnapshotPool",
     "TCPServer",
     "WireClient",
 ]

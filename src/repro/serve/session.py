@@ -34,24 +34,10 @@ import threading
 from time import perf_counter
 from typing import Any, Optional, Sequence
 
-from repro import errors as errors_module
 from repro.core.database import Result
-from repro.errors import (
-    ExecutionError,
-    ReproError,
-    ServeError,
-    SessionClosed,
-)
-
-
-def rebuild_error(class_name: str, message: str) -> ReproError:
-    """Reconstruct an engine error that crossed a process or wire
-    boundary as (class name, message); unknown names degrade to
-    ExecutionError so nothing is swallowed."""
-    cls = getattr(errors_module, class_name, None)
-    if isinstance(cls, type) and issubclass(cls, ReproError):
-        return cls(message)
-    return ExecutionError("%s: %s" % (class_name, message))
+from repro.errors import ServeError, SessionClosed, rebuild_error
+from repro.executor.workerpool import WorkerPoolError
+from repro.serve.snapshot import run_statement
 
 
 class _RequestNote:
@@ -416,23 +402,24 @@ class Session:
             options = options.replace(parallelism="off")
         span = None
         if trace is not None:
-            span = trace.begin("snapshot.execute", workers=len(pool))
+            span = trace.begin("snapshot.execute", workers=pool.size)
         try:
-            reply = pool.execute(sql, params, options,
-                                 trace_on=trace is not None)
-        except ServeError as exc:
+            reply = pool.call(run_statement, (sql, tuple(params), options,
+                                              trace is not None))
+        except WorkerPoolError as exc:
+            reason = "snapshot %s" % exc
             if note is not None:
-                note.degraded = str(exc)
+                note.degraded = reason
             if span is not None:
-                span.set(degraded=str(exc))
+                span.set(degraded=reason)
                 trace.end(span)
             if self._pinned is pool:
                 # The pinned image is gone; losing the pin is worse
                 # than a live read is — surface it.
-                raise
+                raise ServeError(reason)
             return None
         if reply[0] == "ok":
-            _, columns, rows, rowcount, cached, fragment = reply
+            columns, rows, rowcount, cached, fragment = reply[1]
             if note is not None:
                 note.cache_hit = cached
             if span is not None:

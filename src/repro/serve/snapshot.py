@@ -1,26 +1,23 @@
 """Snapshot-isolated reads via forked copy-on-write worker pools.
 
 The engine has no storage-level MVCC, but it does not need one to give
-readers a consistent view: ``fork()`` *is* a snapshot.  A
-:class:`SnapshotPool` forks N worker processes while the server holds
-every write stripe and has drained live readers (so no statement at
-all is mid-flight), stamping
-the pool with the database's data version — the same
-``(schema_epoch, stats_epoch, dml_clock)`` triple the parallel runtime
-keys its morsel pool on.  Every read the pool serves sees exactly the
-committed state at fork time, no matter what writers commit in the
-parent afterwards, and never takes an engine lock — readers cannot
-block behind writers by construction.
+readers a consistent view: ``fork()`` *is* a snapshot.  A snapshot pool
+is a :class:`~repro.executor.workerpool.WorkerPool` (DESIGN.md "Worker
+pool") forked while the server holds every write stripe and has drained
+live readers, so no statement at all is mid-flight in the image.  Every
+read the pool serves sees exactly the committed state at fork time, no
+matter what writers commit in the parent afterwards, and never takes an
+engine lock — readers cannot block behind writers by construction.
 
 A :class:`SnapshotManager` keeps one *current* pool fresh (re-forking on
-a bounded-staleness timer when the data version moves) and lets sessions
-*pin* pools: ``SNAPSHOT BEGIN`` refcounts the pool it pins so the old
-image stays alive — and keeps serving the old rows — until the session
-releases it, which is the whole of snapshot isolation here.  Retired
-pools are terminated once the last pin drops.
+a bounded-staleness timer when the data version moves or a worker died)
+and lets sessions *pin* pools: ``SNAPSHOT BEGIN`` refcounts the pool it
+pins so the old image stays alive — and keeps serving the old rows —
+until the session releases it, which is the whole of snapshot isolation
+here.  Retired pools are terminated once the last pin drops.
 
-Workers execute whole read statements shipped over a pipe and return
-materialized ``(columns, rows, rowcount)``; the parent thread blocks in
+Workers execute whole read statements (:func:`run_statement`) and
+return materialized rows; the parent thread blocks in
 ``Connection.recv`` — which releases the GIL — so N clients reading
 through N workers scale across cores, which is what the serving
 benchmark's throughput gate measures.
@@ -28,164 +25,36 @@ benchmark's throughput gate measures.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_module
 import threading
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ServeError
-
-#: The Database a snapshot worker operates on.  Set in the parent
-#: immediately before fork; children inherit it (same idiom as
-#: ``repro.executor.parallel``).
-_FORK_DB = None
+from repro.executor.workerpool import WorkerPool, data_version
 
 
-def _snapshot_worker_main(conn) -> None:
-    """Run one snapshot worker: a request loop over an inherited pipe.
+def run_statement(db, payload) -> Tuple:
+    """Worker-pool handler: run one read against the worker's frozen
+    image.  ``payload`` is ``(sql, params, options, trace_on)``; returns
+    ``(columns, rows, rowcount, cached, fragment)`` — ``cached`` flags a
+    worker plan-cache hit, ``fragment`` is the worker's span export when
+    ``trace_on`` (None otherwise)."""
+    sql, params, options, trace_on = payload
+    wtrace = None
+    if trace_on:
+        from repro.obs.spans import RequestTrace
 
-    The child first makes its copy-on-write database image safe to use:
-    every lock the parent's *threads* might have held at fork time is
-    re-initialized, and the parent's parallel worker pool reference is
-    dropped without closing it (closing would terminate the parent's
-    processes — the handle is shared, the pool is not ours).
-    """
-    db = _FORK_DB
-    db.reinit_locks_after_fork()
-    db._parallel_runtime = None
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        if message is None:
-            break
-        sql, params, options, trace_on = message
-        try:
-            wtrace = None
-            if trace_on:
-                from repro.obs.spans import RequestTrace
-
-                # Monotonic-ns timestamps are system-wide, so this
-                # fragment slots straight into the parent's tree.
-                wtrace = RequestTrace("worker", name="snapshot.worker")
-                wtrace.root.set(pid=os.getpid())
-            result = db.execute(sql, params, options=options,
-                                tracer=wtrace)
-            cached = False
-            fragment = None
-            if wtrace is not None:
-                wtrace.finish()
-                fragment = wtrace.root.export()
-            if result.timings is not None:
-                cached = result.timings.pipeline == "cached"
-            conn.send(("ok", result.columns, result.rows,
-                       result.rowcount, cached, fragment))
-        except BaseException as exc:  # ship the error, keep serving
-            conn.send(("err", type(exc).__name__, str(exc)))
-    conn.close()
-
-
-class SnapshotWorker:
-    """One forked worker process plus the parent end of its pipe."""
-
-    def __init__(self, context, db):
-        global _FORK_DB
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        _FORK_DB = db
-        self.process = context.Process(
-            target=_snapshot_worker_main, args=(child_conn,), daemon=True)
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-
-    def stop(self) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-        self.conn.close()
-
-
-class SnapshotPool:
-    """N forked workers serving reads against one frozen data version."""
-
-    def __init__(self, db, workers: int, version: Tuple[int, int, int]):
-        self.version = version
-        self.closed = False
-        self.pins = 0
-        context = multiprocessing.get_context("fork")
-        self._workers: List[SnapshotWorker] = [
-            SnapshotWorker(context, db) for _ in range(max(1, workers))]
-        self._free: "queue_module.Queue[SnapshotWorker]" = \
-            queue_module.Queue()
-        for worker in self._workers:
-            self._free.put(worker)
-        #: In-flight reads lease the pool: terminate() must not close a
-        #: pipe a reader thread is blocked in recv() on (the manager can
-        #: retire the current pool between a session fetching it and the
-        #: read finishing), so shutdown defers until leases drain.
-        self._state_lock = threading.Lock()
-        self._leases = 0
-        self._terminating = False
-
-    def execute(self, sql: str, params, options,
-                trace_on: bool = False) -> Tuple:
-        """Run one read in a snapshot worker.  Returns ``("ok", columns,
-        rows, rowcount, cached, fragment)`` — ``cached`` flags a worker
-        plan-cache hit, ``fragment`` is the worker's span export when
-        ``trace_on`` (None otherwise) — or ``("err", error_class_name,
-        message)``, which the caller wraps in the rebuilt engine error.
-        Raises :class:`ServeError` if the pool is retired or its workers
-        died."""
-        with self._state_lock:
-            if self.closed or self._terminating:
-                raise ServeError("snapshot pool is retired")
-            self._leases += 1
-        try:
-            worker = self._free.get()
-            try:
-                worker.conn.send((sql, tuple(params), options, trace_on))
-                reply = worker.conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                # A dead worker poisons only itself; the session retries
-                # the read live and the manager re-forks on the next
-                # refresh.
-                raise ServeError("snapshot worker died: %r" % (exc,))
-            finally:
-                self._free.put(worker)
-            return reply
-        finally:
-            with self._state_lock:
-                self._leases -= 1
-                drain = self._terminating and self._leases == 0
-            if drain:
-                self._shutdown()
-
-    def terminate(self) -> None:
-        with self._state_lock:
-            if self.closed or self._terminating:
-                return
-            self._terminating = True
-            drain = self._leases == 0
-        if drain:
-            self._shutdown()
-
-    def _shutdown(self) -> None:
-        with self._state_lock:
-            if self.closed:
-                return
-            self.closed = True
-        for worker in self._workers:
-            worker.stop()
-
-    def __len__(self) -> int:
-        return len(self._workers)
+        # Monotonic-ns timestamps are system-wide, so this fragment
+        # slots straight into the parent's tree.
+        wtrace = RequestTrace("worker", name="snapshot.worker")
+        wtrace.root.set(pid=os.getpid())
+    result = db.execute(sql, params, options=options, tracer=wtrace)
+    fragment = None
+    if wtrace is not None:
+        wtrace.finish()
+        fragment = wtrace.root.export()
+    cached = (result.timings is not None
+              and result.timings.pipeline == "cached")
+    return result.columns, result.rows, result.rowcount, cached, fragment
 
 
 class SnapshotManager:
@@ -204,8 +73,10 @@ class SnapshotManager:
         self.refresh_s = refresh_s
         self._fork_gate = fork_gate
         self._lock = threading.Lock()
-        self._current: Optional[SnapshotPool] = None
-        self._retired: List[SnapshotPool] = []
+        self._current: Optional[WorkerPool] = None
+        self._retired: List[WorkerPool] = []
+        #: SNAPSHOT BEGIN refcounts: a pinned pool outlives its retirement.
+        self._pins: Dict[WorkerPool, int] = {}
         self._stop = threading.Event()
         self._refresher: Optional[threading.Thread] = None
         self._c_forks = (metrics.counter(
@@ -221,20 +92,21 @@ class SnapshotManager:
 
     # -- version bookkeeping -------------------------------------------------
 
-    def data_version(self) -> Tuple[int, int, int]:
-        catalog = self.db.catalog
-        return (catalog.schema_epoch, catalog.stats_epoch,
-                catalog.dml_clock)
+    def _fresh_locked(self) -> bool:
+        """Is the current pool at the database's exact version with all
+        its workers alive?"""
+        pool = self._current
+        return (pool is not None and pool.healthy
+                and pool.version == data_version(self.db))
 
-    def _fork_pool(self) -> SnapshotPool:
+    def _fork_pool(self) -> WorkerPool:
         """Fork a pool at the *committed now*: quiesce writers and live
         readers, stamp the version, fork.  Caller holds self._lock."""
         from time import monotonic
 
         started = monotonic()
         with self._fork_gate():
-            version = self.data_version()
-            pool = SnapshotPool(self.db, self.workers, version)
+            pool = WorkerPool(self.db, self.workers)
         if self._c_forks is not None:
             self._c_forks.inc()
         if self._h_fork is not None:
@@ -254,7 +126,7 @@ class SnapshotManager:
 
     # -- the serving surface -------------------------------------------------
 
-    def current_pool(self) -> Optional[SnapshotPool]:
+    def current_pool(self) -> Optional[WorkerPool]:
         """The pool serving unpinned reads, or None when reads must run
         live.  The pool may lag the database by up to ``refresh_s`` of
         committed DML (bounded staleness) but is refused outright when
@@ -268,22 +140,24 @@ class SnapshotManager:
                 return None
             return pool
 
-    def pin(self) -> SnapshotPool:
+    def pin(self) -> WorkerPool:
         """Pin a pool at the database's exact current version (forking a
         fresh one if the current pool lags), for ``SNAPSHOT BEGIN``."""
         with self._lock:
-            version = self.data_version()
-            if self._current is None or self._current.version != version:
+            if not self._fresh_locked():
                 self._swap_locked(self._fork_pool())
-            self._current.pins += 1
-            return self._current
+            pool = self._current
+            self._pins[pool] = self._pins.get(pool, 0) + 1
+            return pool
 
-    def unpin(self, pool: SnapshotPool) -> None:
+    def unpin(self, pool: WorkerPool) -> None:
         with self._lock:
-            pool.pins -= 1
+            self._pins[pool] -= 1
+            if not self._pins[pool]:
+                del self._pins[pool]
             self._reap_locked()
 
-    def _swap_locked(self, pool: SnapshotPool) -> None:
+    def _swap_locked(self, pool: WorkerPool) -> None:
         old = self._current
         self._current = pool
         if old is not None:
@@ -293,7 +167,7 @@ class SnapshotManager:
     def _reap_locked(self) -> None:
         keep = []
         for pool in self._retired:
-            if pool.pins > 0:
+            if pool in self._pins:
                 keep.append(pool)
             else:
                 pool.terminate()
@@ -304,12 +178,11 @@ class SnapshotManager:
 
     def refresh(self, force: bool = False) -> bool:
         """One synchronous freshness check: re-fork the current pool if
-        the data version moved (or ``force``).  Returns True when a new
-        pool was installed.  Tests call this instead of waiting out the
-        refresh timer."""
+        the data version moved or a worker died (or ``force``).  Returns
+        True when a new pool was installed.  Tests call this instead of
+        waiting out the refresh timer."""
         with self._lock:
-            if (not force and self._current is not None
-                    and self._current.version == self.data_version()):
+            if not force and self._fresh_locked():
                 return False
             self._swap_locked(self._fork_pool())
             return True
@@ -349,8 +222,7 @@ class SnapshotManager:
             return {
                 "current_version": (self._current.version
                                     if self._current else None),
-                "data_version": self.data_version(),
+                "data_version": data_version(self.db),
                 "retired": len(self._retired),
-                "workers": (len(self._current)
-                            if self._current else 0),
+                "workers": self._current.size if self._current else 0,
             }

@@ -18,6 +18,7 @@ import pytest
 from repro import CompileOptions, Database
 from repro.errors import DivisionByZeroError
 from repro.executor import parallel
+from repro.executor.workerpool import data_version
 
 
 @pytest.fixture(scope="module")
@@ -202,14 +203,31 @@ class TestPoolLifecycle:
         options = _options(db, parallelism="on", dop=2)
         try:
             before = db.execute("SELECT sum(v) FROM t", options=options)
-            runtime = db.parallel_runtime()
-            version = runtime.data_version()
+            version = data_version(db)
+            assert db.parallel_runtime()._pool.version == version
             db.execute("UPDATE t SET v = v + 1 WHERE id < 2000")
-            assert runtime.data_version() != version
+            assert data_version(db) != version
             after = db.execute("SELECT sum(v) FROM t", options=options)
             assert after.scalar() == before.scalar() + 2000
         finally:
             db.close()
+
+    def test_pool_with_a_dead_worker_is_replaced(self, par_db):
+        """The snapshot manager's rule, applied by the other pool owner:
+        an unhealthy pool is re-forked like a stale one."""
+        options = _options(par_db, parallelism="on", dop=2)
+        sql = "SELECT count(*), sum(v) FROM t WHERE g <> 3"
+        expected = par_db.execute(sql, options=options).rows
+        runtime = par_db.parallel_runtime()
+        pool = runtime._pool
+        victim = pool._workers[0].process
+        victim.kill()
+        victim.join(timeout=5.0)
+        result = par_db.execute(sql, options=options)
+        assert result.rows == expected
+        assert result.stats.parallel_fallbacks == 0
+        assert runtime._pool is not pool and runtime._pool.healthy
+        assert pool.closed  # nobody was inside it: stopped at the swap
 
     def test_close_is_idempotent(self):
         db = Database()
@@ -287,7 +305,7 @@ class TestPoolClamp:
             result = db.execute("SELECT sum(v) FROM t", options=options)
             assert result.scalar() == sum(i % 10 for i in range(4000))
             runtime = db.parallel_runtime()
-            assert runtime._pool_dop == 2
+            assert runtime._pool.size == 2
             note = "requested dop=16 exceeds 2 available core(s)"
             assert any(note in reason
                        for reason in result.stats.parallel_reasons)

@@ -309,12 +309,12 @@ class TestByteIdentity:
         assert par.stats.exchange_bytes == 0
 
     def test_two_runtimes_interleaved(self, shard_db):
-        """Regression: two Databases in one process share the worker
-        module globals; a second runtime forking its own pool used to
-        re-point the shuffle-queue global, leaving the first runtime's
-        coordinator draining queues its (reused) pool's children had
-        never seen — a deadlock.  Each runtime must drain the queue
-        list its own children inherited."""
+        """Regression: two Databases in one process used to share the
+        shuffle-queue module global; a second runtime forking its own
+        pool re-pointed it and the first runtime's coordinator drained
+        queues its (reused) pool's children had never seen — a deadlock.
+        A pool now belongs to one Database and the shuffle rides its
+        task replies; the exchange-level interleaving stays pinned."""
         other = Database()
         other.execute("CREATE TABLE t (a INTEGER, b INTEGER)"
                       " PARTITION BY HASH(a) PARTITIONS 3")
@@ -344,8 +344,9 @@ class TestByteIdentity:
             other.close()
 
     def test_determinism_20_runs(self, shard_db):
-        """The shuffle's queue arrival order is nondeterministic; the
-        sequence-tag merge must hide that completely."""
+        """Which worker runs which producer or partition is
+        nondeterministic; the sequence-tag merge must hide that
+        completely."""
         options = _options(shard_db, parallelism="on", dop=3)
         first = shard_db.execute(SELF_JOIN_SQL, options=options).rows
         for _ in range(19):

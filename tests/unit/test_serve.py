@@ -19,6 +19,7 @@ from repro.errors import (
     SessionClosed,
 )
 from repro.executor import parallel
+from repro.executor.workerpool import WorkerPoolError
 from repro.serve import ServeSettings, Server
 from repro.serve.server import ReadGate, classify
 from repro.serve.wire import encode_result, escape_value, unescape_value
@@ -739,10 +740,10 @@ class TestTracedSession:
             pool = srv.snapshots.current_pool()
             assert pool is not None
 
-            def dying(sql, params, options, trace_on=False):
-                raise ServeError("snapshot worker died: test")
+            def dying(function, payload):
+                raise WorkerPoolError("worker died: test")
 
-            monkeypatch.setattr(pool, "execute", dying)
+            monkeypatch.setattr(pool, "call", dying)
             with srv.session() as session:
                 result = session.execute("SELECT count(*) FROM t")
             assert result.scalar() == 50  # live fallback, no hang
@@ -774,6 +775,33 @@ class TestTracedSession:
             degraded = trace.root.find("snapshot.execute").attrs.get(
                 "degraded")
             assert degraded and "died" in degraded
+        finally:
+            srv.close()
+            srv.db.close()
+
+    @fork_only
+    def test_pool_with_a_dead_worker_heals_on_refresh(self):
+        """One rule for every pool user: an unhealthy pool is replaced
+        like a stale one.  No write ever moves the version here."""
+        srv = self._server()
+        try:
+            pool = srv.snapshots.current_pool()
+            victim = pool._workers[0].process
+            victim.kill()
+            victim.join(timeout=5.0)
+            assert srv.refresh_snapshots() is True
+            assert srv.snapshots.current_pool() is not pool
+            before = srv.db.metrics.snapshot()
+            with srv.session() as session:
+                for _ in range(20):
+                    assert session.execute(
+                        "SELECT count(*) FROM t").scalar() == 50
+            after = srv.db.metrics.snapshot()
+            assert after["serve_snapshot_reads_total"] == \
+                before["serve_snapshot_reads_total"] + 20
+            assert after["serve_live_reads_total"] == \
+                before["serve_live_reads_total"]
+            assert after["serve_snapshot_forks_total"] == 2
         finally:
             srv.close()
             srv.db.close()
@@ -848,7 +876,7 @@ class TestParallelWorkerFragments:
         try:
             runtime = db.parallel_runtime()
 
-            def broken(dop, queue_count=0):
+            def broken(dop):
                 raise OSError("no forks today")
 
             monkeypatch.setattr(runtime, "_ensure_pool", broken)

@@ -256,3 +256,64 @@ class TestDatabaseUnderThreads:
             db.close()
         assert catalog.stats_epoch == start_stats + THREADS * PER_THREAD
         assert catalog.dml_clock == start_clock + THREADS * PER_THREAD
+
+
+class TestParallelRuntimeUnderThreads:
+    def test_readers_finish_while_a_writer_forces_reforks(self):
+        """4 readers run parallel scans while a writer keeps moving the
+        data version, so every other statement swaps the worker pool.
+        The swap is locked and the old pool's terminate() waits for the
+        statements still inside it; before that, a reader could block
+        forever in a pool another thread had just torn down."""
+        from repro import CompileOptions
+        from repro.executor import parallel
+
+        if not parallel.fork_available():
+            return
+        initial = 20000
+        db = Database(pool_capacity=512)
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        txn = db.begin()
+        for i in range(initial):
+            db.engine.insert(txn, "t", (i, 3))
+        db.commit(txn)
+        db.analyze()
+        assert db.engine.table_page_count("t") >= 2
+        options = CompileOptions.from_settings(db.settings).replace(
+            parallelism="on", dop=2)
+        results = [[] for _ in range(4)]
+        stop = threading.Event()
+
+        def reader(index):
+            for _ in range(30):
+                results[index].append(db.execute(
+                    "SELECT a, b FROM t WHERE b = 3", options=options))
+
+        def writer():
+            extra = initial
+            while not stop.wait(0.02):
+                db.execute("INSERT INTO t VALUES (?, 3)", (extra,))
+                extra += 1
+
+        threads = [threading.Thread(target=reader, args=(i,), daemon=True)
+                   for i in range(4)]
+        writing = threading.Thread(target=writer, daemon=True)
+        try:
+            writing.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            hung = [t.name for t in threads if t.is_alive()]
+        finally:
+            stop.set()
+            writing.join(timeout=30)
+            db.close()
+        assert not hung, "readers stuck in a torn-down pool: %s" % hung
+        for per_reader in results:
+            assert len(per_reader) == 30
+            for result in per_reader:
+                assert len(result.rows) >= initial
+                for reason in result.stats.parallel_reasons:
+                    assert "NoneType" not in reason
+                    assert "Pool is still running" not in reason
