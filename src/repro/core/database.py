@@ -41,6 +41,7 @@ from repro.functions.registry import (
 from repro.language import ast
 from repro.language.parser import parse_statement
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import RequestTrace
 from repro.optimizer.boxopt import OptimizerSettings
 from repro.optimizer.stars import STAR, Alternative, default_star_array
 from repro.core.options import CompileOptions
@@ -357,30 +358,22 @@ class Database:
                 trace=None) -> CompiledStatement:
         """Compile without executing (compilation is storable/reusable).
 
-        ``trace`` is an optional :class:`repro.obs.Trace` that collects
-        rewrite firings and optimizer decisions during this compile.
+        ``trace`` is an optional :class:`repro.obs.RequestTrace`; the
+        compile records a ``compile`` span in it whose children are the
+        phases, each carrying the rewrite firings and optimizer decisions
+        it made as events.
         """
-        return self._timed_compile(sql.strip(), options, trace=trace)
+        return self._timed_compile(sql.strip(), options, tracer=trace)
 
     def _timed_compile(self, sql: str,
                        options: Optional[CompileOptions],
-                       trace=None, tracer=None) -> CompiledStatement:
+                       tracer=None) -> CompiledStatement:
         if tracer is not None:
-            # Record a compile span whose children are the Figure-1
-            # phases, bridged from the pipeline's TraceEvent phase
-            # events (a Trace is supplied just for the bridge when the
-            # caller didn't ask for one).
-            from repro.obs.spans import bridge_phase_events
-            from repro.obs.trace import Trace
-
-            bridge = trace if trace is not None else Trace()
-            with tracer.span("compile") as span:
+            with tracer.span("compile"):
                 compiled = compile_statement(self, sql, options=options,
-                                             trace=bridge)
-            bridge_phase_events(span, bridge, compiled.timings)
+                                             trace=tracer)
         else:
-            compiled = compile_statement(self, sql, options=options,
-                                         trace=trace)
+            compiled = compile_statement(self, sql, options=options)
         self._m_compile_ms.observe(compiled.timings.compile_total() * 1e3)
         return compiled
 
@@ -505,12 +498,8 @@ class Database:
             return self._explain_analyze(sql, options, trace,
                                          tracer=tracer)
 
-        trace_obj = None
-        if trace:
-            from repro.obs.trace import Trace
-
-            trace_obj = Trace()
-        compiled = self.compile(sql, options=options, trace=trace_obj)
+        tree = RequestTrace("explain", name="explain") if trace else None
+        compiled = self.compile(sql, options=options, trace=tree)
         parts = []
         if compiled.qgm_before_rewrite:
             parts.append("=== QGM (before rewrite) ===")
@@ -523,9 +512,8 @@ class Database:
         parts.append(compiled.plan.explain())
         parts.append(self._cache_status_line(sql.strip(),
                                              compiled.options))
-        if trace_obj is not None:
-            parts.append("=== trace (%d event(s)) ===" % len(trace_obj))
-            parts.append(trace_obj.render_text())
+        if tree is not None:
+            parts.append(_trace_section(tree))
         return "\n".join(parts) + "\n"
 
     def _explain_analyze(self, sql: str,
@@ -539,15 +527,15 @@ class Database:
         run_options = options if options.analyze \
             else options.replace(analyze=True)
 
-        trace_obj = None
+        tree = None
         if trace:
-            from repro.obs.trace import Trace
-
-            trace_obj = Trace()
-            compiled = self.compile(sql, options=run_options,
-                                    trace=trace_obj)
+            # One tree: the compile's events and the execute span land in
+            # it, and the profile's trace: line names it.
+            tree = tracer if tracer is not None \
+                else RequestTrace("explain", name="explain")
+            compiled = self.compile(sql, options=run_options, trace=tree)
             result = self.run_compiled(compiled, options=run_options,
-                                       tracer=tracer)
+                                       tracer=tree)
         else:
             # The normal execute path: cache-aware, so EXPLAIN ANALYZE of
             # a cached statement reports this run's actuals.
@@ -558,9 +546,8 @@ class Database:
                 "EXPLAIN ANALYZE needs a plan-producing statement")
         text = render_analyze(result.profile, result.timings, result.stats,
                               options=run_options, cores=available_cores())
-        if trace_obj is not None:
-            text += "\n=== trace (%d event(s)) ===\n" % len(trace_obj)
-            text += trace_obj.render_text()
+        if tree is not None:
+            text += "\n" + _trace_section(tree)
         return text + "\n"
 
     def _cache_status_line(self, sql: str, options: CompileOptions) -> str:
@@ -770,3 +757,10 @@ class Database:
             return
         for table in self.catalog.tables():
             self.engine.recompute_statistics(table.name)
+
+
+def _trace_section(tree: RequestTrace) -> str:
+    """EXPLAIN's ``=== trace ===`` section: the span tree, its compile
+    phases carrying their events."""
+    return "=== trace (%d event(s)) ===\n%s" % (tree.events,
+                                               tree.render_text())

@@ -13,7 +13,7 @@ benchmark F1 can regenerate the figure as a measured table.
 
 from __future__ import annotations
 
-import time
+from time import monotonic_ns
 from typing import List, Optional
 
 from repro.core.options import CompileOptions
@@ -112,8 +112,9 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
     ``options`` carries the whole pipeline configuration; when omitted it
     is snapshotted from ``db.settings``.  ``validate`` (kept for backward
     compatibility) overrides ``options.validate_qgm`` when given.
-    ``trace`` is an optional :class:`repro.obs.Trace` collecting rewrite
-    firings and optimizer decisions as structured events.
+    ``trace`` is an optional :class:`repro.obs.RequestTrace`: each phase
+    then records a span under its current span, and the rewrite firings
+    and optimizer decisions the phase makes nest under it as events.
     """
     from repro.qgm.display import render_qgm
 
@@ -124,12 +125,12 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
 
     timings = PhaseTimings()
 
-    started = time.perf_counter()
+    started = _begin(trace, "parse")
     statement = parse_statement(text)
     if isinstance(statement, ast.ExplainStmt):
         raise SemanticError("EXPLAIN must be handled by Database.execute")
     if _is_ddl(statement):
-        timings.parse = time.perf_counter() - started
+        timings.parse = _end(trace, started)
         return CompiledStatement(text, statement, None, None, timings)
     qgm = translate(statement, db)
     if options.validate_qgm:
@@ -138,11 +139,11 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
     # range edges, and a superset of the post-rewrite dependencies is the
     # conservative (correct) invalidation set.
     dependencies = _qgm_dependencies(qgm)
-    timings.parse = time.perf_counter() - started
+    timings.parse = _end(trace, started)
 
     qgm_before = None
     rewrite_report = None
-    started = time.perf_counter()
+    started = _begin(trace, "rewrite")
     if options.rewrite_enabled and db.rewrite_engine is not None:
         qgm_before = render_qgm(qgm)
         rewrite_report = db.rewrite_engine.run(
@@ -152,28 +153,23 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
             optimizer_settings=options.optimizer_settings())
         if options.validate_qgm:
             validate_qgm(qgm)
-    timings.rewrite = time.perf_counter() - started
-    if trace is not None:
-        trace.event("phase", name="rewrite", seconds=timings.rewrite,
-                    fired=(rewrite_report.fired
-                           if rewrite_report is not None else 0))
+    timings.rewrite = _end(trace, started, fired=(
+        rewrite_report.fired if rewrite_report is not None else 0))
 
-    started = time.perf_counter()
+    started = _begin(trace, "optimize")
     optimizer = Optimizer(db.catalog, engine=db.engine,
                           settings=options.optimizer_settings(),
                           functions=db.functions,
                           stars=db.stars,
                           trace=trace)
     plan = optimizer.optimize(qgm)
-    timings.optimize = time.perf_counter() - started
-    if trace is not None:
-        trace.event("phase", name="optimize", seconds=timings.optimize)
+    timings.optimize = _end(trace, started)
 
     # Plan refinement (QEP → executable QEP): verify every operator has an
     # interpreter, settle backends and parallel glue, then compile every
     # expression of the final tree to closures (the [FREY86] compilation
     # the paper points at).
-    started = time.perf_counter()
+    started = _begin(trace, "refine")
     _refine_check(plan)
     if options.execution_mode != "tuple":
         # Backend selection is a refinement too: the ExecBackend STAR
@@ -191,9 +187,7 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
 
         plan = parallelize_plan(plan, optimizer.generator, options)
     refiner = refine_plan(plan, db.functions)
-    timings.refine = time.perf_counter() - started
-    if trace is not None:
-        trace.event("phase", name="refine", seconds=timings.refine)
+    timings.refine = _end(trace, started)
 
     if options.execution_mode != "tuple" and plan is not None:
         # Code generation runs after the parallel glue: exchange splices
@@ -201,13 +195,10 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
         # batch engine here rather than fusing a stale shape.
         from repro.executor.codegen import generate_programs
 
-        started = time.perf_counter()
+        started = _begin(trace, "codegen")
         pipelines = generate_programs(plan, db.functions, options,
                                       trace=trace)
-        timings.codegen = time.perf_counter() - started
-        if trace is not None:
-            trace.event("phase", name="codegen", seconds=timings.codegen,
-                        pipelines=pipelines)
+        timings.codegen = _end(trace, started, pipelines=pipelines)
 
     compiled = CompiledStatement(text, statement, qgm, plan, timings,
                                  qgm_before, rewrite_report)
@@ -216,6 +207,27 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
     compiled.refiner = refiner
     compiled.dependencies = dependencies
     return compiled
+
+
+def _begin(trace, name: str) -> int:
+    """The start of compile phase ``name`` in monotonic ns.  Traced, the
+    phase's span opens at that instant and becomes the current span, so
+    every event the phase emits nests under it."""
+    if trace is None:
+        return monotonic_ns()
+    return trace.begin(name).start_ns
+
+
+def _end(trace, started: int, **attrs) -> float:
+    """Seconds since ``started``.  Traced, the same clock read closes the
+    phase's span (carrying ``attrs``), so the span and the
+    :class:`PhaseTimings` field cannot disagree."""
+    ended = monotonic_ns()
+    if trace is not None:
+        span = trace.current()
+        span.end_ns = ended
+        trace.end(span.set(**attrs))
+    return (ended - started) / 1e9
 
 
 def _qgm_dependencies(qgm: QGM) -> frozenset:

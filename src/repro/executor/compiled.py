@@ -113,13 +113,14 @@ class ExprCompiler:
         """``expr`` in a boolean position: AND/OR/NOT recurse into their
         operands, any other node is a boolean leaf, and a leaf that
         references existential/universal/DBC quantifiers is folded over
-        their rows."""
+        their rows.  A CASE's WHEN conditions are boolean positions of
+        their own (``_c_caseop``), so only its result arms fold here."""
         leaf = self._compile(expr)
         if isinstance(expr, qe.Not) or (
                 isinstance(expr, qe.BinOp) and expr.op in ("and", "or")):
             return leaf
         quantified = sorted(
-            (q for q in qe.quantifiers_in(expr)
+            (q for q in qe.fold_scope(expr)
              if not q.is_setformer and q.qtype != "S"),
             key=lambda q: q.uid)
         if not quantified:

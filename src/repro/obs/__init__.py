@@ -1,22 +1,22 @@
-"""Observability: runtime profiles, compile traces, process metrics.
+"""Observability: one trace tree, runtime profiles, process metrics.
 
-Three independent pieces, all opt-in and all zero-cost when unused:
+Every piece is opt-in and costs nothing when unused:
 
+- :mod:`repro.obs.spans` — the one trace model: a request's span tree,
+  from the wire through the compile phases (each carrying its rewrite
+  firings, STAR expansions and optimizer decisions as zero-length event
+  spans) to execution and the forked workers' fragments; sampled, and
+  allocation-free when off,
 - :mod:`repro.obs.profile` — per-operator runtime instrumentation behind
   ``CompileOptions.analyze`` (rows, batches, wall time per LOLEPOP on the
-  tuple, batch and parallel execution paths),
-- :mod:`repro.obs.trace` — structured compile-phase tracing (rewrite rule
-  firings, STAR expansions, optimizer pruning and winner decisions),
+  tuple, batch and parallel execution paths), rendered as ``EXPLAIN
+  ANALYZE`` text by :mod:`repro.obs.render`,
 - :mod:`repro.obs.metrics` — a process-level metrics registry (counters,
   gauges, latency histograms) with Prometheus-style text exposition,
-- :mod:`repro.obs.spans` — request-scoped span trees for the serving
-  layer (sampled, zero-allocation when off, fork-mergeable fragments),
 - :mod:`repro.obs.statstats` — per-fingerprint statement aggregates
   (``SHOW STATEMENTS`` / ``GET /statements``),
 - :mod:`repro.obs.slowlog` — the slow-query log (one JSON line per slow
   statement, literal-free text, attached span tree when traced).
-
-:mod:`repro.obs.render` turns a profile into ``EXPLAIN ANALYZE`` text.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -25,7 +25,6 @@ from repro.obs.render import render_analyze
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.spans import RequestTrace, Span, SpanRecorder
 from repro.obs.statstats import StatementStat, StatementStats
-from repro.obs.trace import Trace, TraceEvent
 
 __all__ = [
     "Counter",
@@ -40,7 +39,5 @@ __all__ = [
     "SpanRecorder",
     "StatementStat",
     "StatementStats",
-    "Trace",
-    "TraceEvent",
     "render_analyze",
 ]

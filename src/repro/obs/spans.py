@@ -20,6 +20,37 @@ Sampling is deterministic (a modular counter, not ``random``): ``"off"``
 never traces, ``"always"`` traces every request, a ratio ``0 < r < 1``
 traces every ``round(1/r)``-th request — reproducible in tests and free
 of RNG state that would differ across forks.
+
+The same tree carries a compile.  ``compile_statement`` opens one span
+per Figure-1 phase (``parse``, ``rewrite``, ``optimize``, ``refine``,
+``codegen``), and each decision a phase makes is an *event*
+(:meth:`RequestTrace.event`): a zero-length child of the current span
+whose name is the event's kind and whose attrs are its fields.  Kinds in
+use (extensible — DBC code may emit its own):
+
+- ``rewrite.fire``     — a rule fired: ``rule``, ``rule_class``, ``box``,
+  ``budget_spent``,
+- ``rewrite.budget``   — the rewrite budget ran out: ``budget``,
+- ``rewrite.search``   — search-mode progress, by ``phase``: ``baseline``
+  (sequential fixpoint costed), ``explore`` (one alternative firing
+  tried on a snapshot), ``fire`` (a firing of the adopted sequence) or
+  ``done`` (summary: chosen variant, cost),
+- ``star``             — a STAR expansion produced plans: ``star``,
+  ``alternatives``, ``produced``, ``plans`` (the first three),
+- ``optimizer.prune``  — plans pruned for a quantifier ``subset``:
+  ``considered``, ``kept``, ``losing_costs``,
+- ``optimizer.winner`` — a box's winning ``plan``, ``cost``, ``card``,
+  ``considered``,
+- ``optimizer.plan``   — the final plan's ``cost``, ``card`` and per-node
+  ``breakdown``,
+- ``glue.parallel``    — the parallel glue looked at a scan: ``node``,
+  ``scan``, ``eligible``, ``spliced`` (the Exchange, or None), ``dop``,
+- ``codegen.pipeline`` — the codegen backend emitted one fused pipeline:
+  ``region``, ``pipeline``, ``table``, ``role``, ``shared`` (code object
+  reused from the cross-statement cache), ``source_lines``.
+
+Every emit site guards on ``trace is not None``, so an untraced compile
+allocates no span.
 """
 
 from __future__ import annotations
@@ -68,6 +99,14 @@ class Span:
         span = Span(name)
         self.children.append(span)
         return span
+
+    def find_all(self, name: str) -> List["Span"]:
+        """Every span with ``name`` in this subtree, depth-first — for
+        events, the order they were emitted in."""
+        found = [self] if self.name == name else []
+        for sub in self.children:
+            found.extend(sub.find_all(name))
+        return found
 
     def find(self, name: str) -> Optional["Span"]:
         """First span with ``name`` in this subtree (depth-first)."""
@@ -141,11 +180,13 @@ class RequestTrace:
     so exactly one thread drives a trace at a time.
     """
 
-    __slots__ = ("trace_id", "root", "_stack")
+    __slots__ = ("trace_id", "root", "events", "_stack")
 
     def __init__(self, trace_id: str, name: str = "request"):
         self.trace_id = trace_id
         self.root = Span(name)
+        #: Events recorded through :meth:`event`.
+        self.events = 0
         self._stack: List[Span] = [self.root]
 
     def current(self) -> Span:
@@ -169,6 +210,16 @@ class RequestTrace:
             if top is span:
                 return
             top.finish().set(abandoned=True)
+
+    def event(self, kind: str, **data: Any) -> Span:
+        """Record one decision as a zero-length child of the current span,
+        named ``kind`` with ``data`` as its attrs."""
+        span = Span(kind)
+        span.end_ns = span.start_ns
+        span.attrs = data
+        self._stack[-1].children.append(span)
+        self.events += 1
+        return span
 
     @contextmanager
     def span(self, name: str, **attrs: Any):
@@ -312,31 +363,3 @@ class SpanRecorder:
     def clear(self) -> None:
         with self._lock:
             self._completed.clear()
-
-
-def bridge_phase_events(span: Span, trace, timings=None) -> None:
-    """Turn a compile :class:`repro.obs.trace.Trace`'s ``phase`` events
-    into child spans of ``span`` (the ``compile`` span).
-
-    Phase events record durations, not timestamps; the children are laid
-    end to end from ``span.start_ns`` (a ``parse`` phase synthesized
-    from ``timings`` first — the pipeline emits no event for it), which
-    preserves durations and order exactly and positions within a
-    microsecond of truth.
-    """
-    cursor = span.start_ns
-    phases = []
-    if timings is not None and getattr(timings, "parse", 0.0):
-        phases.append(("parse", timings.parse, {}))
-    for event in trace.of_kind("phase"):
-        data = dict(event.data)
-        name = data.pop("name", "?")
-        seconds = data.pop("seconds", 0.0)
-        phases.append((name, seconds, data))
-    for name, seconds, attrs in phases:
-        child = Span(name, start_ns=cursor)
-        cursor += int(seconds * 1e9)
-        child.end_ns = cursor
-        if attrs:
-            child.attrs.update(attrs)
-        span.children.append(child)

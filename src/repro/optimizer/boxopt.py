@@ -126,7 +126,7 @@ class Optimizer:
         self.cm = CostModel(catalog)
         context = _PlannerContext(self.cm, engine, self.settings)
         self.generator = PlanGenerator(stars or default_star_array(), context)
-        #: Optional :class:`repro.obs.Trace` for optimizer decisions;
+        #: Optional :class:`repro.obs.RequestTrace` for optimizer decisions;
         #: shared with the generator (STAR expansions) and enumerators.
         self.trace = trace
         self.generator.trace = trace
@@ -397,9 +397,9 @@ class Optimizer:
                                   ) -> bool:
         """Kind-based subquery joins fold the *whole* predicate inside the
         quantifier combination, which is only correct when no subquery
-        reference sits beneath a NOT or OR — otherwise the OR operator's
-        general evaluator (which combines at the smallest containing
-        boolean subexpression) must run the predicate."""
+        reference sits beneath a NOT, OR or CASE — otherwise the OR
+        operator's general evaluator (which combines at the smallest
+        containing boolean subexpression) must run the predicate."""
 
         def visit(expr: qe.QExpr, guarded: bool) -> bool:
             if guarded and any(
@@ -408,8 +408,9 @@ class Optimizer:
                 return True
             if isinstance(expr, qe.Not):
                 return visit(expr.operand, True)
-            if isinstance(expr, qe.BinOp) and expr.op == "or":
-                return visit(expr.left, True) or visit(expr.right, True)
+            if isinstance(expr, qe.CaseOp) or (
+                    isinstance(expr, qe.BinOp) and expr.op == "or"):
+                return any(visit(child, True) for child in expr.children())
             return any(visit(child, guarded) for child in expr.children())
 
         return visit(predicate.expr, False)

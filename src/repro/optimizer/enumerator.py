@@ -71,7 +71,7 @@ class JoinEnumerator:
             raise OptimizerError(
                 "unknown join enumeration strategy %r" % (strategy,))
         self.generator = generator
-        #: Optional :class:`repro.obs.Trace`; pruning decisions emit
+        #: Optional :class:`repro.obs.RequestTrace`; pruning decisions emit
         #: ``optimizer.prune`` events with the losing plans' costs.
         self.trace = trace
         self.allow_bushy = allow_bushy

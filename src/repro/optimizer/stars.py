@@ -115,7 +115,7 @@ class PlanGenerator:
                       for name, star in stars.items()}
         self.context = context
         self.stats = GeneratorStats()
-        #: Optional :class:`repro.obs.Trace`; when set, every expansion
+        #: Optional :class:`repro.obs.RequestTrace`; when set, every expansion
         #: that produces plans emits a ``star`` event.
         self.trace = None
 

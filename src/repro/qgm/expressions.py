@@ -334,6 +334,17 @@ def quantifiers_in(expr: QExpr):
     return result
 
 
+def fold_scope(expr: QExpr):
+    """The quantifiers a boolean position over ``expr`` folds at its root:
+    all of them, except that a CASE's WHEN conditions are boolean
+    positions of their own, so a CASE folds only its result arms'."""
+    if not isinstance(expr, CaseOp):
+        return quantifiers_in(expr)
+    arms = [value for _condition, value in expr.whens] + [expr.else_value]
+    return set().union(*(quantifiers_in(arm) for arm in arms
+                         if arm is not None))
+
+
 def transform(expr: QExpr, fn: Callable[[QExpr], Optional[QExpr]]) -> QExpr:
     """Bottom-up rewrite: ``fn`` may return a replacement for any node.
 

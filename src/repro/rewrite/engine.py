@@ -246,7 +246,7 @@ class RewriteEngine:
             optimizer_settings=None) -> RewriteReport:
         """Fire rules to fixpoint (or until the budget runs out).
 
-        ``trace`` is an optional :class:`repro.obs.Trace`; every firing
+        ``trace`` is an optional :class:`repro.obs.RequestTrace`; every firing
         emits a ``rewrite.fire`` event (rule name, rule class, box label,
         budget spent so far).  ``only_rules`` restricts the run to the
         named rules (forced-fire mode).  ``strategy="search"`` dispatches

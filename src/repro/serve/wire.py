@@ -80,6 +80,17 @@ def encode_error(exc: BaseException) -> str:
     return "ERR %s %s\n" % (type(exc).__name__, message)
 
 
+def _hang_up(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it.  ``close()`` alone does not wake
+    a thread blocked in ``accept()`` or ``recv()`` on it on Linux;
+    ``shutdown()`` makes that call return at once."""
+    for release in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            release()
+        except OSError:
+            pass
+
+
 class TCPServer:
     """Thread-per-connection line-protocol front end for a
     :class:`repro.serve.server.Server`."""
@@ -217,21 +228,11 @@ class TCPServer:
     def stop(self) -> None:
         self._stopping.set()
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            _hang_up(self._sock)
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _hang_up(conn)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
 

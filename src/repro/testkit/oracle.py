@@ -507,11 +507,14 @@ class ReferenceOracle:
             return False
         if isinstance(expr, qe.Not):
             return _kleene_not(self._eval_bool(expr.operand, env))
-        unbound = sorted(
-            (q for q in qe.quantifiers_in(expr)
-             if q.qtype not in _SETFORMER_TYPES and q.qtype != "S"
-             and q not in env),
-            key=lambda q: q.uid)
+        # A CASE folds only its result arms here; each WHEN condition
+        # is a boolean position of its own (``_eval`` folds it).
+        scope = [q for q in qe.fold_scope(expr)
+                 if q.qtype not in _SETFORMER_TYPES and q.qtype != "S"]
+        if not scope and isinstance(expr, qe.CaseOp):
+            return self._eval(expr, env)
+        unbound = sorted((q for q in scope if q not in env),
+                         key=lambda q: q.uid)
         if unbound:
             quantifier = unbound[0]
             rows = self._box_rows(quantifier.input, env)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CompileOptions
-from repro.errors import ConstraintError, DataTypeError, ExecutionError
+from repro.errors import ConstraintError, DataTypeError
 
 
 def q(db, sql, params=()):
@@ -130,17 +130,17 @@ class TestUpdateDelete:
 
     def test_head_over_a_quantified_case_is_not_silently_boolean(self, db):
         # A head that mentions a quantified subquery is a boolean
-        # position (SELECT b IN (...)); one that is not a truth value
-        # raises instead of returning a combinator's False.
+        # position (SELECT b IN (...)); a CASE whose WHEN condition holds
+        # the subquery folds at that condition and yields its value.
         db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
         db.execute("CREATE TABLE u (c INTEGER)")
         db.execute("INSERT INTO t VALUES (1, 1), (2, 2)")
         db.execute("INSERT INTO u VALUES (1)")
         assert sorted(q(db, "SELECT a, b IN (SELECT c FROM u) FROM t")) == [
             (1, True), (2, False)]
-        with pytest.raises(ExecutionError, match="non-boolean"):
-            db.execute("SELECT a, CASE WHEN b IN (SELECT c FROM u) "
-                       "THEN 10 ELSE 20 END FROM t")
+        assert sorted(q(db, "SELECT a, CASE WHEN b IN (SELECT c FROM u) "
+                            "THEN 10 ELSE 20 END FROM t")) == [
+            (1, 10), (2, 20)]
 
     def test_update_maintains_index(self, emp_db):
         emp_db.execute("CREATE INDEX isal ON emp (salary)")

@@ -171,3 +171,27 @@ class TestOverloadOverTheWire:
             tcp.stop()
             server.close()
             db.close()
+
+
+class TestShutdown:
+    def test_stop_wakes_the_accept_thread_at_once(self):
+        """Closing a listening socket does not wake a thread blocked in
+        accept() on Linux; stop() shuts the socket down first, so it
+        returns without waiting out its join timeout."""
+        import time
+
+        db = Database()
+        settings = ServeSettings()
+        settings.snapshots_enabled = False
+        server = Server(db, settings)
+        tcp = TCPServer(server, port=0)
+        tcp.start()
+        try:
+            time.sleep(0.1)  # let the accept thread block in accept()
+            started = time.perf_counter()
+            tcp.stop()
+            assert time.perf_counter() - started < 0.5
+            assert not tcp._accept_thread.is_alive()
+        finally:
+            server.close()
+            db.close()

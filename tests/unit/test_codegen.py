@@ -13,7 +13,7 @@ import pytest
 from repro import CompileOptions, Database
 from repro.errors import SubqueryError
 from repro.executor.codegen import codegen_cache_stats
-from repro.obs.trace import Trace
+from repro.obs.spans import RequestTrace
 
 
 @pytest.fixture(scope="module")
@@ -202,13 +202,13 @@ class TestExplainAndTrace:
         assert "fused=2" in text
 
     def test_trace_emits_one_event_per_pipeline(self, cg_db):
-        trace = Trace()
+        trace = RequestTrace("t-codegen")
         cg_db.compile("SELECT t.a, s.v FROM t, s WHERE t.b = s.k",
                       options=_options(cg_db, execution_mode="compiled"),
                       trace=trace)
-        events = trace.of_kind("codegen.pipeline")
+        events = trace.root.find("codegen").find_all("codegen.pipeline")
         assert len(events) == 2
-        roles = sorted(event.data["role"] for event in events)
+        roles = sorted(event.attrs["role"] for event in events)
         assert roles == ["build", "sink"]
 
     def test_codegen_phase_is_timed(self, cg_db):

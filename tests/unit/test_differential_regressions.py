@@ -239,3 +239,34 @@ def test_null_left_operand_skips_the_right_one_everywhere(sql):
     for mode in ('tuple', 'batch', 'compiled'):
         options = CompileOptions(execution_mode=mode)
         assert db.execute(sql, options=options).rows == [], mode
+
+
+_QUANTIFIED_CASE_STATEMENTS = [
+    ('SELECT a FROM t WHERE CASE WHEN b IN (SELECT c FROM u) '
+     'THEN FALSE ELSE TRUE END', [(1,)]),
+    ('SELECT a, CASE WHEN b IN (SELECT c FROM u) THEN 10 ELSE 20 END '
+     'FROM t', [(1, 20), (2, 10), (3, 10)]),
+]
+
+
+@pytest.mark.parametrize("sql, rows", _QUANTIFIED_CASE_STATEMENTS)
+def test_quantified_case_folds_at_its_condition(sql, rows):
+    """A quantified subquery in a CASE's WHEN condition folds at that
+    condition, which is a boolean position of its own.  Before the fix
+    the whole CASE was folded again over the same quantifier's rows: the
+    predicate kept every row (each row of ``u`` alone fails the IN for
+    some ``b``, so ANY over the negated CASE was TRUE), and the head
+    raised ``predicate produced non-boolean 20`` — in the oracle and all
+    three backends alike."""
+    from repro.testkit.oracle import ReferenceOracle
+
+    db = Database()
+    db.execute('CREATE TABLE t (a INTEGER, b INTEGER)')
+    db.execute('CREATE TABLE u (c INTEGER)')
+    db.execute('INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)')
+    db.execute('INSERT INTO u VALUES (2), (3)')
+    db.analyze()
+    assert sorted(ReferenceOracle(db).execute(sql).rows) == rows
+    for mode in ('tuple', 'batch', 'compiled'):
+        options = CompileOptions(execution_mode=mode)
+        assert sorted(db.execute(sql, options=options).rows) == rows, mode

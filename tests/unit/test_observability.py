@@ -24,7 +24,8 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     PlanProfile,
-    Trace,
+    RequestTrace,
+    Span,
 )
 
 
@@ -309,42 +310,43 @@ class TestAnalyzeWithPlanCache:
 
 class TestTrace:
     def test_rewrite_and_optimizer_events(self, obs_db):
-        trace = Trace()
+        trace = RequestTrace("t-events")
         obs_db.compile(
             "SELECT t.id FROM t, names WHERE t.g = names.g AND t.v IN "
             "(SELECT v FROM t WHERE id < 10)",
             trace=trace)
-        kinds = {event.kind for event in trace}
-        assert "rewrite.fire" in kinds
-        assert "optimizer.winner" in kinds
-        assert "optimizer.prune" in kinds
-        assert "star" in kinds
-        assert "optimizer.plan" in kinds
-        fire = trace.of_kind("rewrite.fire")[0]
-        assert fire.data["rule"]
-        assert fire.data["rule_class"]
-        assert fire.data["budget_spent"] >= 1
-        prune = trace.of_kind("optimizer.prune")[0]
-        assert prune.data["considered"] > prune.data["kept"]
-        assert prune.data["losing_costs"]
-        winner = trace.of_kind("optimizer.winner")[0]
-        assert winner.data["cost"] > 0
+        for kind in ("rewrite.fire", "optimizer.winner", "optimizer.prune",
+                     "star", "optimizer.plan"):
+            assert trace.root.find_all(kind), kind
+        fire = trace.root.find_all("rewrite.fire")[0]
+        assert fire.attrs["rule"]
+        assert fire.attrs["rule_class"]
+        assert fire.attrs["budget_spent"] >= 1
+        prune = trace.root.find_all("optimizer.prune")[0]
+        assert prune.attrs["considered"] > prune.attrs["kept"]
+        assert prune.attrs["losing_costs"]
+        winner = trace.root.find_all("optimizer.winner")[0]
+        assert winner.attrs["cost"] > 0
 
     def test_glue_event_under_parallelism(self, obs_db):
-        trace = Trace()
+        trace = RequestTrace("t-glue")
         obs_db.compile("SELECT id FROM t WHERE v < 3",
                        options=_options(obs_db, parallelism="on", dop=4),
                        trace=trace)
-        glue = trace.of_kind("glue.parallel")
-        assert glue and glue[0].data["spliced"] is not None
+        glue = trace.root.find_all("glue.parallel")
+        assert glue and glue[0].attrs["spliced"] is not None
 
     def test_render_text_and_json(self, obs_db):
-        trace = Trace()
+        trace = RequestTrace("t-render")
         obs_db.compile("SELECT id FROM t WHERE v < 3", trace=trace)
-        text = trace.render_text()
-        assert "optimizer.plan" in text
-        events = json.loads(trace.to_json())
-        assert events and all("kind" in event for event in events)
+        assert "optimizer.plan" in trace.render_text()
+        tree = json.loads(trace.to_json())
+        assert tree["trace_id"] == "t-render"
+        compile_span = tree["spans"]["children"][0]
+        assert compile_span["name"] == "compile"
+        events = [event for phase in compile_span["children"]
+                  for event in phase.get("children", ())]
+        assert events and all(event["ms"] == 0 for event in events)
 
     def test_untraced_compile_emits_nothing(self, obs_db):
         compiled = obs_db.compile("SELECT id FROM t WHERE v < 3")
@@ -354,6 +356,62 @@ class TestTrace:
         text = obs_db.explain("SELECT id FROM t WHERE v < 3", trace=True)
         assert "=== trace (" in text
         assert "optimizer.winner" in text
+
+    def test_compile_events_nest_under_their_phase(self, monkeypatch):
+        """One tree per compile: every event sits under the phase that
+        emitted it, the phases are real, contiguous spans in Figure-1
+        order, and each one's duration is its PhaseTimings field."""
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER, v INTEGER, g INTEGER)")
+        db.execute("CREATE TABLE names (g INTEGER, label VARCHAR(10))")
+        for i in range(50):
+            db.execute("INSERT INTO t VALUES (%d, %d, %d)"
+                       % (i, i % 97, i % 7))
+        for i in range(7):
+            db.execute("INSERT INTO names VALUES (%d, 'g%d')" % (i, i))
+        db.analyze()
+        sql = ("SELECT t.id FROM t, names WHERE t.g = names.g AND t.v IN "
+               "(SELECT v FROM t WHERE id < 11)")
+        trace = RequestTrace("t-tree")
+        compiled = db.compile(sql, trace=trace)
+
+        counts = {"star": 64, "optimizer.prune": 3, "rewrite.fire": 2,
+                  "optimizer.winner": 2, "optimizer.plan": 1}
+        for kind, count in counts.items():
+            assert len(trace.root.find_all(kind)) == count, kind
+        assert trace.events == sum(counts.values())
+        assert trace.root.find("phase") is None
+
+        compile_span = trace.root.find("compile")
+        phases = compile_span.children
+        expected = ["parse", "rewrite", "optimize", "refine"]
+        if compiled.options.execution_mode != "tuple":
+            expected.append("codegen")
+        assert [phase.name for phase in phases] == expected
+        rewrite, optimize = phases[1], phases[2]
+        assert len(rewrite.find_all("rewrite.fire")) == 2
+        for kind in ("star", "optimizer.prune", "optimizer.winner",
+                     "optimizer.plan"):
+            assert len(optimize.find_all(kind)) == counts[kind], kind
+        cursor = compile_span.start_ns
+        for phase in phases:
+            assert phase.start_ns >= cursor
+            cursor = phase.end_ns
+            assert phase.duration_ns / 1e9 == getattr(compiled.timings,
+                                                      phase.name)
+        assert cursor <= compile_span.end_ns
+
+        allocated = []
+        original = Span.__init__
+
+        def counting(self, *args, **kwargs):
+            allocated.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting)
+        db.compile(sql, options=CompileOptions(plan_cache=False))
+        assert allocated == []
+        db.close()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from repro import CompileOptions, Database
 from repro.language.parser import parse_statement
 from repro.language.translator import translate
-from repro.obs.trace import Trace
+from repro.obs.spans import RequestTrace
 from repro.qgm import validate_qgm
 from repro.rewrite.engine import RewriteEngine, Rule
 
@@ -111,10 +111,10 @@ class TestBudget:
     def test_budget_event_traced(self, db):
         engine = RewriteEngine(db, budget=0)
         engine.add_rule(one_shot_rule("once", []), rule_class="test")
-        trace = Trace()
+        trace = RequestTrace("t-budget")
         report = engine.run(graph_for(db, "SELECT a FROM t"), trace=trace)
         assert report.fired == 0 and report.budget_exhausted
-        assert any(e.kind == "rewrite.budget" for e in trace.events)
+        assert trace.root.find_all("rewrite.budget")
 
 
 class TestRuleIndex:
@@ -193,7 +193,7 @@ class TestSearchStrategy:
             db.rewrite_engine.budget = 1000
 
     def test_search_explores_and_traces(self, db):
-        trace = Trace()
+        trace = RequestTrace("t-search")
         compiled = db.compile(
             self.SQL,
             options=CompileOptions(rewrite_strategy="search",
@@ -203,13 +203,13 @@ class TestSearchStrategy:
         assert report.strategy == "search"
         assert report.base_cost is not None
         assert report.best_cost is not None
-        events = [e for e in trace.events if e.kind == "rewrite.search"]
-        phases = [e.data["phase"] for e in events]
+        events = trace.root.find("rewrite").find_all("rewrite.search")
+        phases = [e.attrs["phase"] for e in events]
         assert "baseline" in phases and "done" in phases
         # The adopted firing sequence is visible step by step.
-        fires = [e for e in events if e.data["phase"] == "fire"]
+        fires = [e for e in events if e.attrs["phase"] == "fire"]
         assert len(fires) == report.fired
-        explored = [e for e in events if e.data["phase"] == "explore"]
+        explored = [e for e in events if e.attrs["phase"] == "explore"]
         assert len(explored) == report.explored
         # Exploration firings are charged against the engine budget.
         assert report.fired + report.explored <= db.rewrite_engine.budget

@@ -676,7 +676,7 @@ class TestTracedSession:
             srv.close()
             srv.db.close()
 
-    def test_compile_phases_bridged(self):
+    def test_compile_phases_are_spans(self):
         srv = self._server(snapshots_enabled=False)
         try:
             with srv.session() as session:
@@ -688,6 +688,9 @@ class TestTracedSession:
             phases = [span.name for span in compile_span.children]
             assert phases[0] == "parse"
             assert "optimize" in phases
+            # The sampled request's compile carries its decisions.
+            assert compile_span.find("optimize").find_all(
+                "optimizer.winner")
         finally:
             srv.close()
             srv.db.close()

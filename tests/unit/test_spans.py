@@ -11,7 +11,6 @@ from repro.obs.spans import (
     RequestTrace,
     Span,
     SpanRecorder,
-    bridge_phase_events,
     import_fragment,
 )
 from repro.obs.statstats import StatementStats
@@ -64,6 +63,20 @@ class TestSpan:
                         ("n", 1, 2, "notadict", ()), "just a string"):
             with pytest.raises(ValueError):
                 import_fragment(garbage)
+
+    def test_events_are_zero_length_children(self):
+        trace = RequestTrace("t-ev")
+        with trace.span("rewrite") as phase:
+            trace.event("rewrite.fire", rule="r1")
+            trace.event("rewrite.fire", rule="r2")
+        trace.event("optimizer.plan", cost=1.5)
+        assert trace.events == 3
+        assert [s.attrs["rule"] for s in trace.root.find_all(
+            "rewrite.fire")] == ["r1", "r2"]
+        assert phase.children[0].duration_ns == 0
+        assert trace.root.children[-1].name == "optimizer.plan"
+        rebuilt = import_fragment(trace.root.export())
+        assert rebuilt.find("optimizer.plan").attrs == {"cost": 1.5}
 
     def test_as_dict_and_render(self):
         trace = RequestTrace("t-4")
@@ -161,29 +174,6 @@ class TestSpanRecorder:
         assert recorder.find(third.trace_id) is third
         recorder.clear()
         assert recorder.completed() == []
-
-
-class TestBridgePhaseEvents:
-    def test_phases_laid_end_to_end(self):
-        from repro.obs.trace import Trace
-
-        trace = Trace()
-        trace.event("phase", name="rewrite", seconds=0.001)
-        trace.event("phase", name="optimize", seconds=0.002)
-
-        class Timings:
-            parse = 0.0005
-
-        span = Span("compile")
-        bridge_phase_events(span, trace, Timings())
-        span.finish()
-        names = [child.name for child in span.children]
-        assert names == ["parse", "rewrite", "optimize"]
-        cursor = span.start_ns
-        for child in span.children:
-            assert child.start_ns == cursor
-            cursor = child.end_ns
-        assert span.children[1].duration_ns == 1_000_000
 
 
 class TestHistogramQuantile:
