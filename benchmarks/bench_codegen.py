@@ -79,7 +79,8 @@ def _time(db: Database, sql: str, options: CompileOptions):
 
 
 def _measure(db: Database, sql: str, force_join=None):
-    base = CompileOptions.from_settings(db.settings)
+    base = CompileOptions.from_settings(db.settings).replace(
+        execution_mode="tuple")
     if force_join is not None:
         base = base.replace(forced_join_method=force_join)
     tuple_s, tuple_rows, _ = _time(db, sql, base)

@@ -74,7 +74,7 @@ class Settings:
         #: (vectorized where supported), "compiled" (pipeline-fusion
         #: codegen where fusable), or "auto" (refinement decides per
         #: subtree).
-        self.execution_mode = "tuple"
+        self.execution_mode = "auto"
         #: Rows per batch for the vectorized backend.
         self.batch_size = 1024
         #: Serve repeated statements from the plan cache ("the result of

@@ -64,7 +64,7 @@ class CompileOptions:
                  naive_recursion: bool = False,
                  forced_join_method: Optional[str] = None,
                  join_enumeration: str = "dp",
-                 execution_mode: str = "tuple",
+                 execution_mode: str = "auto",
                  batch_size: int = 1024,
                  parallelism: str = "off",
                  dop: int = 4,

@@ -70,6 +70,7 @@ from repro.executor.exprgen import (
     materialize,
     reject_reason,
 )
+from repro.executor.run import scan_partition
 from repro.optimizer import plans as pl
 from repro.qgm import expressions as qe
 
@@ -542,7 +543,8 @@ def _emit_pipeline(chain_top, sink_kind, sink_node, payload, keys,
 
     source = _assemble(scan, scan_positions, consumes, gen, prologue,
                        morsel_prologue, body, morsel_epilogue, epilogue)
-    fn, shared = materialize(source, Source=vectorized._RecordSource)
+    fn, shared = materialize(source, Source=vectorized._RecordSource,
+                             scan_partition=scan_partition)
     rt = _Runtime(scan, tuple(gen.hoisted),
                   agg_functions if sink_kind == "groupby" else ())
     index = len(pipelines)
@@ -598,8 +600,10 @@ def _assemble(scan, scan_positions, consumes, gen, prologue,
         out("    " + line)
     out("    _scan = rt.scan")
     out("    _pr = ctx.morsel_range if _scan is ctx.morsel_scan else None")
+    # Fused regions are uncorrelated: the scan's shard needs no outer env.
     out("    for _mk, _recs in _engine.scan_batches("
-        "ctx.txn, %r, ctx.batch_size, _pr):" % scan.table.name)
+        "ctx.txn, %r, ctx.batch_size, _pr, "
+        "partition=scan_partition(_scan, ctx, {})):" % scan.table.name)
     out("        _n = len(_recs)")
     out("        stats.rows_scanned += _n")
     if scan_positions:

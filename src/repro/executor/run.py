@@ -344,18 +344,25 @@ def _pruned_partition(plan: pl.TableScan, env: Env,
     return None
 
 
+def scan_partition(plan: pl.TableScan, ctx: ExecutionContext,
+                   env: Env) -> Optional[int]:
+    """The one shard a table scan reads, or None for all of them: the
+    partition-wise task's assignment, else equality pruning.  The tuple,
+    batch and fused scans all open through here."""
+    if ctx.partition_map is not None:
+        return ctx.partition_map.get(id(plan))
+    if plan.prune_exprs:
+        return _pruned_partition(plan, env, ctx)
+    return None
+
+
 def _run_table_scan(plan: pl.TableScan, ctx: ExecutionContext,
                     env: Env) -> Iterator[Env]:
     preds = closures(plan.preds, ctx.functions)
     quantifier = plan.quantifier
     page_range = ctx.morsel_range if plan is ctx.morsel_scan else None
-    partition = None
-    if ctx.partition_map is not None:
-        partition = ctx.partition_map.get(id(plan))
-    elif plan.prune_exprs:
-        partition = _pruned_partition(plan, env, ctx)
     for rid, row in ctx.engine.scan(ctx.txn, plan.table.name, page_range,
-                                    partition=partition):
+                                    partition=scan_partition(plan, ctx, env)):
         ctx.stats.rows_scanned += 1
         out = dict(env)
         out[quantifier] = row

@@ -54,6 +54,7 @@ from repro.executor.run import (
     env_iter,
     index_rids,
     rows_iter,
+    scan_partition,
 )
 from repro.optimizer import plans as pl
 from repro.qgm import expressions as qe
@@ -363,7 +364,8 @@ def _b_table_scan(plan: pl.TableScan, ctx: ExecutionContext,
     params = ctx.params
     page_range = ctx.morsel_range if plan is ctx.morsel_scan else None
     for make_rids, records in ctx.engine.scan_batches(
-            ctx.txn, table_name, ctx.batch_size, page_range):
+            ctx.txn, table_name, ctx.batch_size, page_range,
+            partition=scan_partition(plan, ctx, env)):
         n = len(records)
         ctx.stats.rows_scanned += n
         source = _RecordSource(records, serializer)

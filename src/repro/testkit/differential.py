@@ -73,8 +73,12 @@ class Config:
 def default_matrix() -> List[Config]:
     """Every engine configuration a query must agree with the oracle on."""
     base = CompileOptions()
+    tuple_mode = base.replace(execution_mode="tuple")
     return [
+        # The shipped default runs ``auto``; the tuple interpreter, the
+        # reference of the byte-identical backend configs, is its own.
         Config("default", base),
+        Config("tuple", tuple_mode),
         Config("no-rewrite", base.replace(rewrite_enabled=False)),
         # Cost-driven rewrite search must compute the same bag of rows
         # as the sequential pass, but not necessarily in the same order:
@@ -105,8 +109,8 @@ def default_matrix() -> List[Config]:
         # Morsel-parallel execution must be byte-identical — in row
         # order, not just as a bag — to the serial dop=1 run, both on
         # the tuple interpreter and combined with the batch backend.
-        Config("parallel", base.replace(parallelism="on", dop=4),
-               byte_identical=True, reference=base),
+        Config("parallel", tuple_mode.replace(parallelism="on", dop=4),
+               byte_identical=True, reference=tuple_mode),
         Config("parallel-batch",
                base.replace(parallelism="on", dop=4,
                             execution_mode="batch"),
@@ -126,7 +130,7 @@ def default_matrix() -> List[Config]:
         # byte-identical — in row order — to the tuple interpreter, and
         # under the parallel glue to the serial compiled run.
         Config("compiled", base.replace(execution_mode="compiled"),
-               byte_identical=True, reference=base),
+               byte_identical=True, reference=tuple_mode),
         Config("compiled-parallel",
                base.replace(execution_mode="compiled",
                             parallelism="on", dop=4),
@@ -140,8 +144,8 @@ def default_matrix() -> List[Config]:
         # byte-identical to a serial run on the same sharded twin.
         Config("sharded", base, sharded=True),
         Config("sharded-parallel",
-               base.replace(parallelism="on", dop=3),
-               byte_identical=True, reference=base, sharded=True),
+               tuple_mode.replace(parallelism="on", dop=3),
+               byte_identical=True, reference=tuple_mode, sharded=True),
     ]
 
 

@@ -57,7 +57,8 @@ def _options(db, **overrides) -> CompileOptions:
 class TestPlanProfile:
     def test_tuple_path_counts_rows_and_time(self, obs_db):
         result = obs_db.execute("SELECT id FROM t WHERE v < 3",
-                                options=_options(obs_db, analyze=True))
+                                options=_options(obs_db, analyze=True,
+                                                 execution_mode="tuple"))
         profile = result.profile
         assert profile is not None
         scan = next(n for n in profile.plan.walk()
@@ -124,7 +125,7 @@ class TestParallelMerge:
         result = obs_db.execute(
             "SELECT id, v + g FROM t WHERE v < 30",
             options=_options(obs_db, parallelism="on", dop=4,
-                             analyze=True))
+                             analyze=True, execution_mode="tuple"))
         profile = result.profile
         exchange = next(n for n in profile.plan.walk()
                         if n.op_name.startswith("GATHER"))
@@ -373,7 +374,8 @@ class TestTrace:
         sql = ("SELECT t.id FROM t, names WHERE t.g = names.g AND t.v IN "
                "(SELECT v FROM t WHERE id < 11)")
         trace = RequestTrace("t-tree")
-        compiled = db.compile(sql, trace=trace)
+        compiled = db.compile(
+            sql, options=CompileOptions(execution_mode="tuple"), trace=trace)
 
         counts = {"star": 64, "optimizer.prune": 3, "rewrite.fire": 2,
                   "optimizer.winner": 2, "optimizer.plan": 1}

@@ -212,18 +212,25 @@ class TestShardedDML:
 
 
 class TestPartitionPruning:
-    def test_equality_predicate_prunes(self, shard_db):
-        result = shard_db.execute("SELECT id FROM orders WHERE cust = 17")
+    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    def test_equality_predicate_prunes(self, shard_db, mode):
+        result = shard_db.execute(
+            "SELECT id FROM orders WHERE cust = 17",
+            options=_options(shard_db, execution_mode=mode))
         # 2 of 3 partitions skipped, and the answer is still right.
         assert result.stats.partitions_pruned == 2
         reference = [(i,) for i in range(3000) if (i * 7) % 200 == 17]
         assert result.rows == reference
 
-    def test_pruned_scan_preserves_serial_order(self, shard_db):
+    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    def test_pruned_scan_preserves_serial_order(self, shard_db, mode):
         pruned = shard_db.execute(
-            "SELECT id, amt FROM orders WHERE cust = 42").rows
+            "SELECT id, amt FROM orders WHERE cust = 42",
+            options=_options(shard_db, execution_mode=mode)).rows
+        serial = _options(shard_db, execution_mode="tuple")
         full = [row for row in
-                shard_db.execute("SELECT id, amt, cust FROM orders").rows
+                shard_db.execute("SELECT id, amt, cust FROM orders",
+                                 options=serial).rows
                 if row[2] == 42]
         assert pruned == [(r[0], r[1]) for r in full]
 
@@ -369,7 +376,8 @@ class TestDegradationHonesty:
         from repro.executor.run import rows_iter
         from repro.optimizer import plans as pl
 
-        options = _options(shard_db, parallelism="on", dop=3)
+        options = _options(shard_db, parallelism="on", dop=3,
+                           execution_mode="tuple")
         compiled = shard_db.compile(SELF_JOIN_SQL, options=options)
         repartition = next(node for node in compiled.plan.walk()
                            if isinstance(node, pl.Repartition))

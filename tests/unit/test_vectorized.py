@@ -140,7 +140,8 @@ def test_auto_mode_small_table_stays_tuple(batch_db):
 
 def test_explain_shows_backend_marks(batch_db):
     sql = "SELECT a FROM t WHERE b = 1"
-    plain = batch_db.explain(sql)
+    plain = batch_db.explain(
+        sql, options=_options(batch_db, execution_mode="tuple"))
     marked = batch_db.explain(
         sql, options=_options(batch_db, execution_mode="batch"))
     assert "backend=batch" not in plain
