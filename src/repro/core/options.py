@@ -123,7 +123,7 @@ class CompileOptions:
         #: Target degree of parallelism for spliced Exchanges.
         self.dop = dop
         #: Allow the glue phase to splice Repartition/PartitionGather
-        #: exchanges (partition-wise joins and group-bys).  Off restricts
+        #: exchanges (partition-wise hash joins).  Off restricts
         #: parallelism to the Gather family — used to benchmark the
         #: shuffle against the gather-merge baseline.
         self.repartition = repartition

@@ -18,13 +18,17 @@ module supplies the machinery that runs them:
   signature,
 - **small results** — partial aggregation (GATHER merge-partial-aggs)
   and local top-K (MERGEGATHER) run inside the workers, so only merged
-  group rows or dop·K sorted rows cross the exchange,
+  group rows or dop·K sorted rows cross the exchange; a GROUP BY with
+  non-mergeable aggregates (AVG, float SUM) runs in the coordinator
+  over a plain GATHER,
 - **real data movement** — REPARTITION producers hash-route wire-encoded
   row batches, one blob per destination partition, back to the
   coordinator in their task reply; the coordinator hands each
-  partition's feed to a consumer task (PARTITIONGATHER), and SHIP runs
-  its child in a worker standing in for the remote site, returning the
-  stream wire-encoded.
+  partition's feed to a consumer task that runs the partition-wise hash
+  join (PARTITIONGATHER), and SHIP runs its child in a worker standing
+  in for the remote site, returning the stream wire-encoded,
+- **counters** — every task ships its ExecutionStats counters back, so
+  a parallel run reports the rows its workers scanned.
 
 Every failure path — no fork on this platform, pool creation failure, a
 worker error, an open explicit transaction, a plan-shape mismatch —
@@ -43,6 +47,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.executor.workerpool import WorkerPool, data_version
+from repro.obs.profile import export_stats, merge_stats
 
 #: Morsels carved per worker: small enough to balance skew, large enough
 #: that per-task pickle overhead stays negligible.
@@ -148,15 +153,15 @@ def _tuple_only(node) -> None:
 
 def _worker_run(db, payload):
     """Execute one morsel of a Gather/MergeGather and return ``(rows,
-    extra, elapsed, worker_id, fragment)``.
+    stats, probes, elapsed, worker_id, fragment)``.
 
     ``payload`` is ``(head, page_lo, page_hi, trace_on)``: the
     Exchange's child runs with the scan restricted to the page range.
 
-    ``extra`` is None normally; under ``options.analyze`` it is
-    ``(profile_export, stats_export)`` — the worker's per-operator probes
-    keyed by walk index plus its ExecutionStats counters, for the
-    coordinator to merge (EXPLAIN ANALYZE through a Gather).
+    ``stats`` is the worker's exported ExecutionStats counters, which the
+    coordinator adds to its own on every run.  ``probes`` is None unless
+    ``options.analyze`` is on; then it is the worker's per-operator
+    probes keyed by walk index (EXPLAIN ANALYZE through a Gather).
     ``elapsed`` is the task's wall seconds and ``worker_id`` the worker
     process's pid, for the per-task and per-worker skew views.
 
@@ -189,11 +194,7 @@ def _worker_run(db, payload):
         sort_rows(rows, node.positions)
         if node.limit_hint is not None:
             del rows[node.limit_hint:]
-    extra = None
-    if ctx.profile is not None:
-        from repro.obs.profile import export_stats
-
-        extra = (ctx.profile.export(), export_stats(ctx.stats))
+    probes = ctx.profile.export() if ctx.profile is not None else None
     fragment = None
     if trace_on:
         from repro.obs.spans import Span
@@ -202,7 +203,8 @@ def _worker_run(db, payload):
         span.finish()
         span.set(pid=os.getpid(), pages=[lo, hi], rows=len(rows))
         fragment = span.export()
-    return rows, extra, perf_counter() - started, os.getpid(), fragment
+    return (rows, export_stats(ctx.stats), probes,
+            perf_counter() - started, os.getpid(), fragment)
 
 
 def _worker_shuffle(db, payload):
@@ -210,8 +212,9 @@ def _worker_shuffle(db, payload):
 
     Runs the Repartition's child chain over one page-range morsel,
     routes every binding by the stable hash of its key column, and
-    returns each destination partition's buffer wire-encoded — always
-    exactly ``dop`` blobs, in partition order.
+    returns ``(blobs, stats)``: each destination partition's buffer
+    wire-encoded — always exactly ``dop`` blobs, in partition order —
+    and the worker's exported ExecutionStats counters.
 
     Rows cross the wire as ``(seq_page, seq_slot, *row)``; the sequence
     pair restores serial scan order on the consumer side.  ``seq_page``
@@ -245,7 +248,7 @@ def _worker_shuffle(db, payload):
         row = env[quantifier]
         buffers[stable_partition_hash(row[key_pos]) % n].append(
             (page_index, rid.slot) + tuple(row))
-    return [pack_rows(rows) for rows in buffers]
+    return [pack_rows(rows) for rows in buffers], export_stats(ctx.stats)
 
 
 def _seq_getter(side):
@@ -274,21 +277,21 @@ def _seq_getter(side):
 
 
 def _worker_partition(db, payload):
-    """Consumer half of a partition-wise plan: rebuild this partition's
-    shuffled feeds, restrict co-located scans to the partition, execute
-    the PartitionGather's child, and tag every output row with its
-    serial sequence so the coordinator's merge reproduces dop=1 order.
+    """Consumer half of a partition-wise hash join: rebuild this
+    partition's shuffled feeds, restrict co-located scans to the
+    partition, execute the PartitionGather's child, and tag every output
+    row with its serial sequence so the coordinator's merge reproduces
+    dop=1 order.
 
     ``payload`` is ``(head, partition, source_blobs)`` with
     ``source_blobs`` aligned to ``gather.sources`` — each entry the wire
-    blobs routed to this partition.  Returns ``(tagged_rows, elapsed,
-    worker_id)``.
+    blobs routed to this partition.  Returns ``(tagged_rows, stats,
+    elapsed, worker_id)``.
     """
     from time import perf_counter
 
     from repro.executor.compiled import closures
-    from repro.executor.run import env_iter, rows_iter
-    from repro.optimizer import plans as pl
+    from repro.executor.run import env_iter
     from repro.storage.record import unpack_rows
 
     head, partition, source_blobs = payload
@@ -310,47 +313,27 @@ def _worker_partition(db, payload):
                              for seq, row in entries]
     ctx.repartition_feeds = feeds
 
-    child = node.children[0]
+    # Serial output order is lexicographic in (outer seq, inner seq),
+    # and each partition's stream already comes out in exactly that
+    # order (the feed is seq-sorted; the build dict preserves feed order).
+    project = node.children[0]
+    join = project.children[0]
+    outer_seq = _seq_getter(join.children[0])
+    inner_seq = _seq_getter(join.children[1])
+    exprs = closures(project.exprs, ctx.functions, True)
+    pad = (-1, -1)
     tagged = []
-    if node.tag_exprs is not None:
-        # Partition-wise GROUP BY: every row of a group lands in this
-        # partition, so a key's local first-seen sequence IS its global
-        # first-seen sequence — the group's serial output position.
-        groupby = child
-        feed_root = groupby.children[0]
-        if isinstance(feed_root, pl.DerivedScan):
-            feed_root = feed_root.children[0].children[0]
-        seq_of = _seq_getter(feed_root)
-        first_seen = {}
-        tags = closures(node.tag_exprs, ctx.functions)
-        for env in env_iter(feed_root, ctx, {}):
-            key = tuple([fn(env, ctx) for fn in tags])
-            if key not in first_seen:
-                first_seen[key] = seq_of(env)
-        nkeys = len(groupby.group_exprs)
-        for row in rows_iter(groupby, ctx, {}):
-            tagged.append((first_seen[row[:nkeys]], row))
-    else:
-        # Partition-wise HASHJOIN under a PROJECT head: serial output
-        # order is lexicographic in (outer seq, inner seq), and each
-        # partition's stream already comes out in exactly that order
-        # (the feed is seq-sorted; the build dict preserves feed order).
-        project = child
-        join = project.children[0]
-        outer_seq = _seq_getter(join.children[0])
-        inner_seq = _seq_getter(join.children[1])
-        exprs = closures(project.exprs, ctx.functions, True)
-        pad = (-1, -1)
-        for env in env_iter(join, ctx, {}):
-            row = tuple([fn(env, ctx) for fn in exprs])
-            tagged.append(((outer_seq(env), inner_seq(env) or pad), row))
-    return tagged, perf_counter() - started, os.getpid()
+    for env in env_iter(join, ctx, {}):
+        row = tuple([fn(env, ctx) for fn in exprs])
+        tagged.append(((outer_seq(env), inner_seq(env) or pad), row))
+    return (tagged, export_stats(ctx.stats), perf_counter() - started,
+            os.getpid())
 
 
 def _worker_ship(db, head):
     """Run a SHIP's child in a worker — the stand-in for the remote
-    site — and return the result stream wire-encoded, plus elapsed
-    seconds and the worker pid."""
+    site — and return the result stream wire-encoded, plus the worker's
+    exported ExecutionStats counters, elapsed seconds and its pid."""
     from time import perf_counter
 
     from repro.executor.run import rows_iter
@@ -359,7 +342,8 @@ def _worker_ship(db, head):
     started = perf_counter()
     _compiled, node, ctx = _open_task(db, head)
     rows = list(rows_iter(node.children[0], ctx, {}))
-    return pack_rows(rows), perf_counter() - started, os.getpid()
+    return (pack_rows(rows), export_stats(ctx.stats),
+            perf_counter() - started, os.getpid())
 
 
 def _signature(node) -> str:
@@ -575,18 +559,15 @@ class ParallelRuntime:
         times = []
         worker_ids = []
         fragments = []
-        for part_rows, extra, elapsed, worker_id, fragment in results:
+        for part_rows, stats, probes, elapsed, worker_id, fragment in results:
             parts.append(part_rows)
+            merge_stats(ctx.stats, stats)
             times.append(elapsed)
             worker_ids.append(worker_id)
             if fragment is not None:
                 fragments.append(fragment)
-            if extra is not None and ctx.profile is not None:
-                from repro.obs.profile import merge_stats
-
-                exported_probes, exported_stats = extra
-                ctx.profile.merge_worker(exported_probes)
-                merge_stats(ctx.stats, exported_stats)
+            if probes is not None and ctx.profile is not None:
+                ctx.profile.merge_worker(probes)
         if trace is not None and fragments:
             trace.attach_worker_fragments(trace.current(), fragments)
         if ctx.profile is not None:
@@ -627,26 +608,25 @@ class ParallelRuntime:
         pool = self._ensure_pool(n)
         feeds = [[[] for _slot in gather.sources] for _p in range(n)]
         moved = 0
-        for slot, blobs in zip(slots,
-                               pool.map(_worker_shuffle, producers)):
+        for slot, (blobs, stats) in zip(
+                slots, pool.map(_worker_shuffle, producers)):
+            merge_stats(ctx.stats, stats)
             for p, blob in enumerate(blobs):
                 feeds[p][slot].append(blob)
                 moved += len(blob)
-        results = pool.map(_worker_partition,
-                           [(heads[0], p, feeds[p]) for p in range(n)])
+        tagged_parts, worker_stats, times, worker_ids = zip(*pool.map(
+            _worker_partition, [(heads[0], p, feeds[p]) for p in range(n)]))
+        for stats in worker_stats:
+            merge_stats(ctx.stats, stats)
         ctx.stats.morsels += len(producers)
         ctx.stats.exchange_bytes += moved
         if ctx.profile is not None:
             ctx.profile.note_exchange(
                 gather, morsels=len(producers) or n,
                 workers=pool_size(n),
-                worker_times=[elapsed
-                              for _tagged, elapsed, _pid in results],
-                worker_ids=[pid for _tagged, _elapsed, pid in results],
+                worker_times=list(times), worker_ids=list(worker_ids),
                 wire_bytes=moved)
-        merged = heapq.merge(*(tagged for tagged, _elapsed, _pid
-                               in results),
-                             key=lambda entry: entry[0])
+        merged = heapq.merge(*tagged_parts, key=lambda entry: entry[0])
         return [row for _tag, row in merged]
 
     def _ship(self, ship, ctx, head):
@@ -655,8 +635,9 @@ class ParallelRuntime:
         comes back wire-encoded over the result pipe."""
         from repro.storage.record import unpack_rows
 
-        blob, elapsed, worker_id = self._ensure_pool(1).map(
+        blob, stats, elapsed, worker_id = self._ensure_pool(1).map(
             _worker_ship, [head])[0]
+        merge_stats(ctx.stats, stats)
         ctx.stats.parallel_exchanges += 1
         ctx.stats.exchange_bytes += len(blob)
         if ctx.profile is not None:

@@ -764,9 +764,8 @@ class PartitionGather(Exchange):
     """PARTITIONGATHER: run one consumer stream per hash partition and
     merge the per-partition results back into serial order.
 
-    The child is a PROJECT over a partition-wise HASHJOIN (whose inputs
-    are REPARTITION nodes, or co-located sharded scans) or a
-    partition-wise GROUPBY over a repartitioned stream.  Each worker
+    The child is a PROJECT over a partition-wise HASHJOIN whose inputs
+    are REPARTITION nodes or co-located sharded scans.  Each worker
     executes the child restricted to one partition; output rows carry
     serial sequence tags so the final merge reproduces dop=1 output
     byte-for-byte.  ``colocated`` marks plans where every input is
@@ -789,10 +788,6 @@ class PartitionGather(Exchange):
         #: instead of shuffling.
         self.colocated_scans = list(colocated_scans)
         self.colocated = not self.sources
-        #: For the partition-wise GROUPBY shape: the grouping key
-        #: expressions resolved to the scan quantifier, used by workers
-        #: to tag each output group with its serial first-seen sequence.
-        self.tag_exprs = None
         super().__init__(cm, child, dop, morsel_scan)
         self.est_wire_bytes = sum(s.est_wire_bytes for s in self.sources)
 

@@ -783,62 +783,6 @@ def _partition_join_candidate(node: PlanOp):
     return join, outer_scan, inner_scan, okey, ikey
 
 
-def _partition_groupby_candidate(node: PlanOp):
-    """``node`` is a GROUPBY whose first grouping key is a plain column
-    of the scanned table — partition-wise aggregation keeps every group
-    whole inside one partition, so it needs no merge step and handles
-    the aggregates :func:`_aggregates_mergeable` rejects (AVG, float
-    SUM, DISTINCT).  Returns ``(scan, key, resolved_group_exprs,
-    splice)`` where ``splice(new_chain)`` re-parents the chain, or None.
-    """
-    if not isinstance(node, GroupBy) or not node.group_exprs:
-        return None
-    child = node.children[0]
-    allowed = set()
-    inner_exprs: List[qe.QExpr] = []
-    resolve = lambda expr: expr  # noqa: E731 - mirrors _groupby_candidate
-    owner, slot = node, 0
-    if isinstance(child, DerivedScan):
-        project = child.children[0]
-        if not isinstance(project, Project) or project.subplans:
-            return None
-        names, derived = project.names, project.exprs
-        quantifier = child.quantifier
-
-        def resolve(expr):
-            if (isinstance(expr, qe.ColRef) and expr.quantifier is quantifier
-                    and expr.column in names):
-                return derived[names.index(expr.column)]
-            return expr
-
-        allowed.add(quantifier)
-        inner_exprs = list(derived) + [p.expr for p in child.preds]
-        owner, slot = project, 0
-        child = project.children[0]
-    scan = _chain_scan(child)
-    if scan is None:
-        return None
-    resolved = [resolve(expr) for expr in node.group_exprs]
-    key = resolved[0]
-    if not (isinstance(key, qe.ColRef) and key.quantifier is scan.quantifier):
-        return None
-    exprs = (resolved
-             + [a.arg for a in node.aggregates]
-             + inner_exprs
-             + [p.expr for p in _chain_preds(child)])
-    allowed.add(scan.quantifier)
-    if not _self_contained(exprs, allowed):
-        return None
-    chain = owner.children[slot]
-
-    def splice(new_chain: PlanOp) -> None:
-        children = list(owner.children)
-        children[slot] = new_chain
-        owner.children = tuple(children)
-
-    return scan, key, resolved, chain, splice
-
-
 def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
                      options) -> PlanOp:
     """Parallel glue phase: splice Exchange LOLEPOPs where eligible.
@@ -855,9 +799,11 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
       the ORDERBY, sorting (and top-K truncating) inside the workers,
     - ``PROJECT`` over ``HASHJOIN`` of two chains → PARTITIONGATHER with
       a REPARTITION shuffle per side (skipped for sides already sharded
-      on the join key — the co-located case),
-    - ``GROUPBY`` (non-mergeable aggregates, grouped on a column) →
-      PARTITIONGATHER over a REPARTITION on the grouping key.
+      on the join key — the co-located case).
+
+    Any other GROUPBY (AVG, float SUM, DISTINCT) stays serial above the
+    GATHER its input pyramid gets on the way down, so workers scan,
+    filter and project and the coordinator groups.
 
     Ineligible subtrees are simply left at dop=1 — degradation is per
     subtree, never per query.  Returns the (possibly new) plan root.
@@ -954,33 +900,6 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
                             gen.cm, node, n, outer_scan, sources=sources,
                             colocated_scans=colocated)
                     return ask(node, outer_scan, build_join)
-            group_hit = _partition_groupby_candidate(node)
-            if group_hit is not None \
-                    and _groupby_candidate(node, cm.catalog) is None:
-                # Mergeable aggregates take the cheaper partial-aggregate
-                # GATHER below; partition-wise handles the rest.
-                scan, key, resolved, chain, splice = group_hit
-                n = _shard_partitions(scan, key) or dop
-                if n > 1:
-                    def build_group(gen, node=node, scan=scan, key=key,
-                                    resolved=resolved, chain=chain,
-                                    splice=splice, n=n):
-                        part = gen.cheapest(
-                            "RequirePartitioning", plan=chain,
-                            key=key, n=n, scan=scan)
-                        sources = []
-                        colocated = []
-                        if isinstance(part, Repartition):
-                            sources.append(part)
-                            splice(part)
-                        else:
-                            colocated.append(scan)
-                        gather = PartitionGather(
-                            gen.cm, node, n, scan, sources=sources,
-                            colocated_scans=colocated)
-                        gather.tag_exprs = resolved
-                        return gather
-                    return ask(node, scan, build_group)
 
         scan = _project_candidate(node)
         if scan is not None:

@@ -117,39 +117,26 @@ class HeapTableStorage(TableStorage):
         lo, hi = page_range
         return range(max(0, lo), min(hi, len(self._page_ids)))
 
+    def read_page(self, page_no: int) -> List[Tuple[int, bytes]]:
+        """One page's live ``(slot, record)`` pairs, read under one pin."""
+        page_id = self._page_ids[page_no]
+        page = self.pool.fetch(page_id)
+        try:
+            return list(page.records())
+        finally:
+            self.pool.unpin(page_id)
+
     def scan(self, page_range=None) -> Iterator[Tuple[RID, bytes]]:
         for page_no in self._page_range(page_range):
-            page_id = self._page_ids[page_no]
-            page = self.pool.fetch(page_id)
-            try:
-                records = list(page.records())
-            finally:
-                self.pool.unpin(page_id)
-            for slot, record in records:
+            for slot, record in self.read_page(page_no):
                 yield RID(page_no, slot), record
 
     def scan_batches(self, batch_size, page_range=None):
         """Page-at-a-time scan: collects whole pages of record bytes and
         defers RID construction to the lazy ``make_rids`` callable."""
-        chunks: List[Tuple[int, tuple]] = []  # (page_no, slots)
-        records: List[bytes] = []
-        for page_no in self._page_range(page_range):
-            page_id = self._page_ids[page_no]
-            page = self.pool.fetch(page_id)
-            try:
-                page_records = list(page.records())
-            finally:
-                self.pool.unpin(page_id)
-            if not page_records:
-                continue
-            slots, recs = zip(*page_records)
-            chunks.append((page_no, slots))
-            records.extend(recs)
-            if len(records) >= batch_size:
-                yield _rid_maker(chunks), records
-                chunks, records = [], []
-        if records:
-            yield _rid_maker(chunks), records
+        yield from _batches(((page_no, self.read_page(page_no))
+                             for page_no in self._page_range(page_range)),
+                            batch_size)
 
     @property
     def page_count(self) -> int:
@@ -162,6 +149,25 @@ class HeapTableStorage(TableStorage):
             self.pool.disk.deallocate(page_id)
         self._page_ids = []
         self._free_pages = set()
+
+
+def _batches(pages, batch_size):
+    """Group ``(page_no, [(slot, record), ...])`` pages into
+    ``(make_rids, records)`` batches of at least ``batch_size`` records
+    (the last may be short), keeping whole pages together."""
+    chunks: List[Tuple[int, tuple]] = []  # (page_no, slots)
+    records: List[bytes] = []
+    for page_no, page_records in pages:
+        if not page_records:
+            continue
+        slots, recs = zip(*page_records)
+        chunks.append((page_no, slots))
+        records.extend(recs)
+        if len(records) >= batch_size:
+            yield _rid_maker(chunks), records
+            chunks, records = [], []
+    if records:
+        yield _rid_maker(chunks), records
 
 
 def _rid_maker(chunks):
@@ -333,27 +339,16 @@ class ShardedHeapStorage(TableStorage):
     def scan(self, page_range=None,
              partition: Optional[int] = None) -> Iterator[Tuple[RID, bytes]]:
         for page_no, owner, local in self._global_pages(page_range, partition):
-            for local_rid, record in self._segments[owner].scan((local, local + 1)):
-                yield RID(page_no, local_rid.slot), record
+            for slot, record in self._segments[owner].read_page(local):
+                yield RID(page_no, slot), record
 
     def scan_batches(self, batch_size, page_range=None,
                      partition: Optional[int] = None):
-        chunks: List[Tuple[int, tuple]] = []
-        records: List[bytes] = []
-        for page_no, owner, local in self._global_pages(page_range, partition):
-            page_records = [
-                (rid.slot, record)
-                for rid, record in self._segments[owner].scan((local, local + 1))]
-            if not page_records:
-                continue
-            slots, recs = zip(*page_records)
-            chunks.append((page_no, slots))
-            records.extend(recs)
-            if len(records) >= batch_size:
-                yield _rid_maker(chunks), records
-                chunks, records = [], []
-        if records:
-            yield _rid_maker(chunks), records
+        yield from _batches(
+            ((page_no, self._segments[owner].read_page(local))
+             for page_no, owner, local
+             in self._global_pages(page_range, partition)),
+            batch_size)
 
     @property
     def page_count(self) -> int:

@@ -360,7 +360,6 @@ def _evaluated_expressions(node):
     for attr in ("exprs", "group_exprs", "outer_keys", "inner_keys",
                  "eq_exprs", "scalar_args", "prune_exprs"):
         yield from getattr(node, attr, ())
-    yield from getattr(node, "tag_exprs", None) or ()
     for agg in getattr(node, "aggregates", ()):
         if agg.arg is not None:
             yield agg.arg

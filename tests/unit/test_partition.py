@@ -9,10 +9,11 @@ Three layers under test:
   the partition column prune the other shards,
 - wire: ``pack_rows``/``unpack_rows`` round-trip every supported value
   shape (the codec REPARTITION and SHIP move bytes with),
-- runtime: partitioned hash joins and partition-wise GROUP BY through a
-  PARTITIONGATHER are byte-identical to serial execution, co-location
-  skips the shuffle, and every degradation is recorded honestly —
-  the old silent inline stub for REPARTITION is gone.
+- runtime: partitioned hash joins through a PARTITIONGATHER are
+  byte-identical to serial execution, co-location skips the shuffle,
+  a GROUP BY with non-mergeable aggregates runs over a plain GATHER,
+  and every degradation is recorded honestly — the old silent inline
+  stub for REPARTITION is gone.
 """
 
 from __future__ import annotations
@@ -136,6 +137,17 @@ class TestShardedDDL:
                           engine.scan(None, "orders", partition=partition))
         assert sorted(pieces) == full
         assert len(pieces) == 3000
+
+    @pytest.mark.parametrize("restrict", [
+        {}, {"page_range": (2, 7)}, {"partition": 1}])
+    def test_scan_batches_match_scan(self, shard_db, restrict):
+        storage = shard_db.engine.storage("orders")
+        expected = list(storage.scan(**restrict))
+        batched = []
+        for make_rids, records in storage.scan_batches(64, **restrict):
+            batched.extend(zip(make_rids(), records))
+        assert batched == expected
+        assert expected
 
     def test_partitions_requires_clause_pair(self, shard_db):
         with pytest.raises(ReproError):
@@ -267,13 +279,22 @@ class TestPlanShape:
                                 options=_options(shard_db))
         assert "partitioned=hash:3" in text
 
-    def test_partition_wise_groupby_plan(self, shard_db):
-        # AVG is not order-safe mergeable, so the Gather partial-agg
-        # path cannot take it — only partition-wise execution can.
-        text = shard_db.explain(
-            AVG_SQL, options=_options(shard_db, parallelism="on", dop=3))
-        assert "PARTITIONGATHER(dop=3 colocated)" in text
-        assert "REPARTITION" not in text
+    def test_non_mergeable_groupby_groups_over_gather(self, shard_db):
+        # AVG does not merge across morsels: workers scan and project,
+        # and the coordinator groups the rows a plain GATHER brings back.
+        from repro.optimizer import plans as pl
+
+        plan = shard_db.compile(
+            AVG_SQL,
+            options=_options(shard_db, parallelism="on", dop=3)).plan
+        groupby = next(node for node in plan.walk()
+                       if isinstance(node, pl.GroupBy))
+        gathers = [node for node in groupby.walk()
+                   if isinstance(node, pl.Gather)]
+        assert len(gathers) == 1 and gathers[0].merge_groups is None
+        assert not any(isinstance(node, (pl.PartitionGather,
+                                         pl.Repartition))
+                       for node in plan.walk())
 
     def test_repartition_off_keeps_gather_family(self, shard_db):
         text = shard_db.explain(
@@ -311,9 +332,22 @@ class TestByteIdentity:
         _serial, par = _serial_vs_partitioned(shard_db, SELF_JOIN_SQL)
         assert par.stats.exchange_bytes > 0
 
-    def test_colocated_groupby_moves_nothing(self, shard_db):
-        _serial, par = _serial_vs_partitioned(shard_db, AVG_SQL)
+    def test_colocated_join_moves_nothing(self, shard_db):
+        sql = ("SELECT p.id, q.id FROM orders p, orders q"
+               " WHERE p.cust = q.cust AND p.id < 40")
+        serial, par = _serial_vs_partitioned(shard_db, sql)
+        assert "PARTITIONGATHER(dop=3 colocated)" in shard_db.explain(
+            sql, options=_options(shard_db, parallelism="on", dop=3))
+        assert par.rows == serial.rows
+        assert par.stats.parallel_fallbacks == 0
         assert par.stats.exchange_bytes == 0
+
+    def test_gather_reports_worker_rows_scanned(self, shard_db):
+        sql = "SELECT id, amt FROM orders WHERE amt > 3.0"
+        serial, par = _serial_vs_partitioned(shard_db, sql)
+        assert par.stats.morsels > 1
+        assert par.rows == serial.rows
+        assert par.stats.rows_scanned == serial.stats.rows_scanned == 3000
 
     def test_two_runtimes_interleaved(self, shard_db):
         """Regression: two Databases in one process used to share the
@@ -359,6 +393,41 @@ class TestByteIdentity:
         for _ in range(19):
             assert shard_db.execute(SELF_JOIN_SQL,
                                     options=options).rows == first
+
+
+class TestAutoGroupBy:
+    """The ``analytic_parallel`` shape: a float SUM grouped on the shard
+    key under ``parallelism="auto"``, large enough for the cost model to
+    splice a GATHER under the coordinator's GROUPBY."""
+
+    SQL = ("SELECT g, COUNT(*), SUM(x) FROM events WHERE a % 3 <> 0"
+           " GROUP BY g")
+
+    @pytest.fixture(scope="class")
+    def events_db(self) -> Database:
+        db = Database()
+        db.execute("CREATE TABLE events (a INTEGER, g INTEGER, x DOUBLE)"
+                   " PARTITION BY HASH(g) PARTITIONS 4")
+        txn = db.begin()
+        for j in range(12000):
+            # Sevenths are inexact, so any change in summation order
+            # shows up in the result bytes.
+            db.engine.insert(txn, "events",
+                             (j, (j * 31) % 500, (j % 997) / 7.0))
+        db.commit(txn)
+        db.analyze()
+        yield db
+        db.close()
+
+    def test_auto_equals_serial(self, events_db):
+        serial = events_db.execute(self.SQL, options=_options(events_db))
+        par = events_db.execute(
+            self.SQL, options=_options(events_db, parallelism="auto",
+                                       dop=2))
+        assert par.stats.parallel_exchanges >= 1
+        assert par.stats.parallel_fallbacks == 0, par.stats.parallel_reasons
+        assert repr(par.rows) == repr(serial.rows)
+        assert par.stats.rows_scanned == serial.stats.rows_scanned
 
 
 # ---------------------------------------------------------------------------
