@@ -49,7 +49,7 @@ class CompileOptions:
                  "allow_bushy", "allow_cartesian", "rank_cutoff",
                  "sort_by_rank", "naive_recursion", "forced_join_method",
                  "join_enumeration", "execution_mode", "batch_size",
-                 "parallelism", "dop", "repartition", "analyze",
+                 "parallelism", "dop", "analyze",
                  "plan_cache", "constant_parameterization", "label")
 
     def __init__(self,
@@ -68,7 +68,6 @@ class CompileOptions:
                  batch_size: int = 1024,
                  parallelism: str = "off",
                  dop: int = 4,
-                 repartition: bool = True,
                  analyze: bool = False,
                  plan_cache: bool = True,
                  constant_parameterization: bool = False,
@@ -122,11 +121,6 @@ class CompileOptions:
         self.parallelism = parallelism
         #: Target degree of parallelism for spliced Exchanges.
         self.dop = dop
-        #: Allow the glue phase to splice Repartition/PartitionGather
-        #: exchanges (partition-wise hash joins).  Off restricts
-        #: parallelism to the Gather family — used to benchmark the
-        #: shuffle against the gather-merge baseline.
-        self.repartition = repartition
         #: Collect per-operator runtime probes (EXPLAIN ANALYZE).  A pure
         #: execution-time switch: the compiled plan is identical, so it is
         #: excluded from :meth:`cache_key` and analyzed runs share cached
@@ -209,8 +203,6 @@ class CompileOptions:
             parts.append("parallel" if self.parallelism == "on"
                          else "parallel-auto")
             parts.append("dop%d" % self.dop)
-            if not self.repartition:
-                parts.append("no-repartition")
         if self.analyze:
             parts.append("analyze")
         if not self.plan_cache:

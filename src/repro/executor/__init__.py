@@ -21,14 +21,12 @@ Reproduced design points:
 """
 
 from repro.executor.context import ExecutionContext, ExecutionStats
-from repro.executor.evaluator import Evaluator
 from repro.executor.run import execute_plan
 from repro.executor.kinds import JoinKindRegistry, default_join_kinds
 
 __all__ = [
     "ExecutionContext",
     "ExecutionStats",
-    "Evaluator",
     "execute_plan",
     "JoinKindRegistry",
     "default_join_kinds",

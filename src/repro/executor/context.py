@@ -39,7 +39,7 @@ class ExecutionStats:
         self.parallel_fallbacks = 0
         #: Human-readable reasons for each parallel fallback.
         self.parallel_reasons: list = []
-        #: Bytes moved between processes by Repartition/Ship exchanges
+        #: Bytes moved between processes by SHIP exchanges
         #: (measured wire-format bytes, not pickle overhead).
         self.exchange_bytes = 0
         #: Partitions skipped by equality-predicate partition pruning on
@@ -96,14 +96,6 @@ class ExecutionContext:
         self.morsel_range: Optional[Tuple[int, int]] = None
         #: The SCAN node the morsel restriction applies to (identity).
         self.morsel_scan = None
-        #: Inside partition-wise workers: ``id(scan node) → partition``
-        #: restricting co-located sharded scans to one partition.
-        self.partition_map: Optional[Dict[int, int]] = None
-        #: Inside partition-wise workers: ``id(repartition node) → list
-        #: of (seq, env)`` — the shuffled feed replacing the node's
-        #: child stream.  None during serial execution (the node is a
-        #: pass-through then).
-        self.repartition_feeds: Optional[Dict[int, Any]] = None
         #: The owning Database's parallel runtime (worker-pool manager);
         #: None means Exchange operators execute their child inline.
         self.parallel = None

@@ -21,12 +21,12 @@ module supplies the machinery that runs them:
   group rows or dop·K sorted rows cross the exchange; a GROUP BY with
   non-mergeable aggregates (AVG, float SUM) runs in the coordinator
   over a plain GATHER,
-- **real data movement** — REPARTITION producers hash-route wire-encoded
-  row batches, one blob per destination partition, back to the
-  coordinator in their task reply; the coordinator hands each
-  partition's feed to a consumer task that runs the partition-wise hash
-  join (PARTITIONGATHER), and SHIP runs its child in a worker standing
-  in for the remote site, returning the stream wire-encoded,
+- **broadcast joins** — a GATHER over a hash join morsels only the
+  probe scan (the one ``ctx.morsel_scan`` points to, by node identity);
+  every task builds the inner side in full, so a probe morsel's
+  output is exactly its share of the serial stream,
+- **real data movement** — SHIP runs its child in a worker standing in
+  for the remote site, returning the stream wire-encoded,
 - **counters** — every task ships its ExecutionStats counters back, so
   a parallel run reports the rows its workers scanned.
 
@@ -144,13 +144,6 @@ def _open_task(db, head):
     return compiled, node, ctx
 
 
-def _tuple_only(node) -> None:
-    # Shuffle feeds and sequence tags live in tuple-interpreter envs;
-    # the batch/compiled backends would bypass both.
-    for sub in node.walk():
-        sub.exec_backend = "tuple"
-
-
 def _worker_run(db, payload):
     """Execute one morsel of a Gather/MergeGather and return ``(rows,
     stats, probes, elapsed, worker_id, fragment)``.
@@ -205,129 +198,6 @@ def _worker_run(db, payload):
         fragment = span.export()
     return (rows, export_stats(ctx.stats), probes,
             perf_counter() - started, os.getpid(), fragment)
-
-
-def _worker_shuffle(db, payload):
-    """Producer half of a REPARTITION shuffle.
-
-    Runs the Repartition's child chain over one page-range morsel,
-    routes every binding by the stable hash of its key column, and
-    returns ``(blobs, stats)``: each destination partition's buffer
-    wire-encoded — always exactly ``dop`` blobs, in partition order —
-    and the worker's exported ExecutionStats counters.
-
-    Rows cross the wire as ``(seq_page, seq_slot, *row)``; the sequence
-    pair restores serial scan order on the consumer side.  ``seq_page``
-    counts page *transitions* from the morsel's low page rather than
-    trusting raw page numbers, which keeps tags order-isomorphic to scan
-    order even when predicates skip whole pages.
-
-    ``payload`` is ``(head, page_lo, page_hi)``.
-    """
-    from repro.executor.run import env_iter
-    from repro.storage.heap import stable_partition_hash
-    from repro.storage.record import pack_rows
-
-    head, lo, hi = payload
-    _compiled, node, ctx = _open_task(db, head)
-    _tuple_only(node)
-    n = node.dop
-    ctx.morsel_range = (lo, hi)
-    ctx.morsel_scan = node.morsel_scan
-    quantifier = node.morsel_scan.quantifier
-    key_pos = node.morsel_scan.table.column_index(node.keys[0].column)
-    rid_key = ("rid", quantifier)
-    buffers: List[list] = [[] for _ in range(n)]
-    page_index = lo - 1
-    last_page = None
-    for env in env_iter(node.children[0], ctx, {}):
-        rid = env[rid_key]
-        if rid.page_no != last_page:
-            last_page = rid.page_no
-            page_index += 1
-        row = env[quantifier]
-        buffers[stable_partition_hash(row[key_pos]) % n].append(
-            (page_index, rid.slot) + tuple(row))
-    return [pack_rows(rows) for rows in buffers], export_stats(ctx.stats)
-
-
-def _seq_getter(side):
-    """Build a reader for a binding's serial-order tag on one input side
-    of a partition-wise plan: the shuffle sequence for a REPARTITION
-    feed, the global ``(page, slot)`` RID for a co-located sharded scan
-    (its global page number is its scan-order position).  The reader
-    returns None for pad rows (outer-join padding)."""
-    from repro.optimizer import plans as pl
-
-    if isinstance(side, pl.Repartition):
-        key = ("#exchange-seq", id(side))
-    else:
-        node = side
-        while isinstance(node, pl.Filter):
-            node = node.children[0]
-        key = ("rid", node.quantifier)
-
-    def seq_of(env, _key=key):
-        value = env.get(_key)
-        if value is None:
-            return None
-        return (value[0], value[1])
-
-    return seq_of
-
-
-def _worker_partition(db, payload):
-    """Consumer half of a partition-wise hash join: rebuild this
-    partition's shuffled feeds, restrict co-located scans to the
-    partition, execute the PartitionGather's child, and tag every output
-    row with its serial sequence so the coordinator's merge reproduces
-    dop=1 order.
-
-    ``payload`` is ``(head, partition, source_blobs)`` with
-    ``source_blobs`` aligned to ``gather.sources`` — each entry the wire
-    blobs routed to this partition.  Returns ``(tagged_rows, stats,
-    elapsed, worker_id)``.
-    """
-    from time import perf_counter
-
-    from repro.executor.compiled import closures
-    from repro.executor.run import env_iter
-    from repro.storage.record import unpack_rows
-
-    head, partition, source_blobs = payload
-    started = perf_counter()
-    _compiled, node, ctx = _open_task(db, head)
-    _tuple_only(node)
-    ctx.partition_map = {id(scan): partition
-                         for scan in node.colocated_scans}
-    feeds = {}
-    for source, blobs in zip(node.sources, source_blobs):
-        entries = []
-        for blob in blobs:
-            for decoded in unpack_rows(blob):
-                entries.append(((decoded[0], decoded[1]), decoded[2:]))
-        entries.sort(key=lambda entry: entry[0])
-        quantifier = source.morsel_scan.quantifier
-        seq_key = ("#exchange-seq", id(source))
-        feeds[id(source)] = [{quantifier: row, seq_key: seq}
-                             for seq, row in entries]
-    ctx.repartition_feeds = feeds
-
-    # Serial output order is lexicographic in (outer seq, inner seq),
-    # and each partition's stream already comes out in exactly that
-    # order (the feed is seq-sorted; the build dict preserves feed order).
-    project = node.children[0]
-    join = project.children[0]
-    outer_seq = _seq_getter(join.children[0])
-    inner_seq = _seq_getter(join.children[1])
-    exprs = closures(project.exprs, ctx.functions, True)
-    pad = (-1, -1)
-    tagged = []
-    for env in env_iter(join, ctx, {}):
-        row = tuple([fn(env, ctx) for fn in exprs])
-        tagged.append(((outer_seq(env), inner_seq(env) or pad), row))
-    return (tagged, export_stats(ctx.stats), perf_counter() - started,
-            os.getpid())
 
 
 def _worker_ship(db, head):
@@ -466,18 +336,13 @@ class ParallelRuntime:
         return rows_iter(node.children[0], ctx, env)
 
     def _preflight(self, node, ctx, env, ship: bool):
-        """Can ``node`` run in workers?  Returns ``(heads, None)`` — the
-        task head ``(text, options, walk_index, signature, params)`` for
-        the node and then for each of its REPARTITION sources — or
-        ``(None, reason)``."""
+        """Can ``node`` run in workers?  Returns ``(head, None)`` — the
+        task head ``(text, options, walk_index, signature, params)`` —
+        or ``(None, reason)``."""
         if env:
             # Opened with outer bindings (e.g. as a re-opened join
             # inner): workers start from an empty environment.
             return None, "%s opened with outer bindings" % node.op_name
-        if getattr(node, "mode", None) == "repartition":
-            # A bare REPARTITION (DBC-built) has no PARTITIONGATHER
-            # consumer to drive the shuffle.
-            return None, "REPARTITION without a PARTITIONGATHER consumer"
         if not ship:  # a SHIP counts as an exchange once it has moved rows
             ctx.stats.parallel_exchanges += 1
         if ctx.txn is not None:
@@ -496,39 +361,30 @@ class ParallelRuntime:
         options = compiled.options
         if options.analyze != (ctx.profile is not None):
             options = options.replace(analyze=ctx.profile is not None)
-        index_of = {id(candidate): index for index, candidate
-                    in enumerate(compiled.plan.walk())}
-        params = tuple(ctx.params)
-        heads = []
-        for target in (node, *getattr(node, "sources", ())):
-            index = index_of.get(id(target))
-            if index is None:
-                return None, (
-                    "exchange not found in the compiled plan"
-                    if target is node else
-                    "repartition source missing from the compiled plan")
-            heads.append((compiled.text, options, index,
-                          _signature(target), params))
-        return heads, None
+        index = next((index for index, candidate
+                      in enumerate(compiled.plan.walk())
+                      if candidate is node), None)
+        if index is None:
+            return None, "exchange not found in the compiled plan"
+        return (compiled.text, options, index, _signature(node),
+                tuple(ctx.params)), None
 
     def run(self, node, ctx, env) -> Iterator[Tuple[Any, ...]]:
-        """Run an Exchange, PARTITIONGATHER or SHIP through the worker
-        pool, or degrade to its child inline at dop=1."""
+        """Run an Exchange or SHIP through the worker pool, or degrade
+        to its child inline at dop=1."""
         from repro.optimizer import plans as pl
 
         ship = isinstance(node, pl.Ship)
-        heads, reason = self._preflight(node, ctx, env, ship)
-        if heads is None:
+        head, reason = self._preflight(node, ctx, env, ship)
+        if head is None:
             # SHIP is the serial plan's operator too: where it cannot
             # move to a worker it is a pass-through, not a degradation.
             return self._inline(node, ctx, env, None if ship else reason)
         try:
             if ship:
-                rows = self._ship(node, ctx, heads[0])
-            elif node.mode == "partition":
-                rows = self._partitioned(node, ctx, heads)
+                rows = self._ship(node, ctx, head)
             else:
-                rows = self._exchange(node, ctx, heads[0])
+                rows = self._exchange(node, ctx, head)
         except Exception as exc:
             # Pool breakage and genuine query errors both land here; the
             # inline rerun either succeeds serially or raises the same
@@ -585,49 +441,6 @@ class ParallelRuntime:
                 and exchange.merge_groups is not None):
             return _merge_partial_groups(exchange.merge_groups, parts)
         return [row for part in parts for row in part]
-
-    def _partitioned(self, gather, ctx, heads):
-        """PartitionGather: shuffle (or partition-restrict) the inputs,
-        execute the child once per partition, and merge the per-partition
-        streams by their serial sequence tags — output is byte-identical
-        to dop=1 execution by construction."""
-        n = gather.dop
-        if n <= 1:
-            return None
-        # Producers answer with one blob per destination; grouping the
-        # replies by (source slot, partition) in task order gives every
-        # consumer a deterministic feed.
-        slots = []
-        producers = []
-        for slot, source in enumerate(gather.sources):
-            pages = self.db.engine.table_page_count(
-                source.morsel_scan.table.name)
-            for lo, hi in _carve(pages, n):
-                slots.append(slot)
-                producers.append((heads[1 + slot], lo, hi))
-        pool = self._ensure_pool(n)
-        feeds = [[[] for _slot in gather.sources] for _p in range(n)]
-        moved = 0
-        for slot, (blobs, stats) in zip(
-                slots, pool.map(_worker_shuffle, producers)):
-            merge_stats(ctx.stats, stats)
-            for p, blob in enumerate(blobs):
-                feeds[p][slot].append(blob)
-                moved += len(blob)
-        tagged_parts, worker_stats, times, worker_ids = zip(*pool.map(
-            _worker_partition, [(heads[0], p, feeds[p]) for p in range(n)]))
-        for stats in worker_stats:
-            merge_stats(ctx.stats, stats)
-        ctx.stats.morsels += len(producers)
-        ctx.stats.exchange_bytes += moved
-        if ctx.profile is not None:
-            ctx.profile.note_exchange(
-                gather, morsels=len(producers) or n,
-                workers=pool_size(n),
-                worker_times=list(times), worker_ids=list(worker_ids),
-                wire_bytes=moved)
-        merged = heapq.merge(*tagged_parts, key=lambda entry: entry[0])
-        return [row for _tag, row in merged]
 
     def _ship(self, ship, ctx, head):
         """SHIP as real inter-process movement: the child runs in a

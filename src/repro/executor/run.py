@@ -346,11 +346,9 @@ def _pruned_partition(plan: pl.TableScan, env: Env,
 
 def scan_partition(plan: pl.TableScan, ctx: ExecutionContext,
                    env: Env) -> Optional[int]:
-    """The one shard a table scan reads, or None for all of them: the
-    partition-wise task's assignment, else equality pruning.  The tuple,
-    batch and fused scans all open through here."""
-    if ctx.partition_map is not None:
-        return ctx.partition_map.get(id(plan))
+    """The one shard a table scan reads under equality pruning, or None
+    for all of them.  The tuple, batch and fused scans all open through
+    here."""
     if plan.prune_exprs:
         return _pruned_partition(plan, env, ctx)
     return None
@@ -635,12 +633,11 @@ def _run_temp_env(plan: pl.Temp, ctx: ExecutionContext,
 
 def _run_exchange_rows(plan, ctx: ExecutionContext,
                        env: Env) -> Iterator[Tuple[Any, ...]]:
-    """Run an Exchange, PARTITIONGATHER or row-position SHIP through the
-    database's parallel runtime: morsels fanned out, partitions shuffled,
-    or the child run at the remote "site" with its rows travelling back
-    wire-encoded.  The runtime degrades to the child inline at dop=1 —
-    always byte-identical to the parallel path — and records why in
-    ``stats.parallel_reasons``.
+    """Run an Exchange or row-position SHIP through the database's
+    parallel runtime: morsels fanned out, or the child run at the remote
+    "site" with its rows travelling back wire-encoded.  The runtime
+    degrades to the child inline at dop=1 — always byte-identical to the
+    parallel path — and records why in ``stats.parallel_reasons``.
     """
     runtime = ctx.parallel
     if runtime is None:
@@ -652,15 +649,8 @@ def _run_exchange_rows(plan, ctx: ExecutionContext,
 
 def _run_exchange_env(plan: pl.Exchange, ctx: ExecutionContext,
                       env: Env) -> Iterator[Env]:
-    """Binding-stream Exchange or SHIP: inside a partition-wise worker a
-    REPARTITION node's stream is the shuffled feed for this worker's
-    partition; everywhere else (serial execution, fallbacks, DBC-built
-    plans) the node is a transparent pass-through of its child."""
-    feeds = ctx.repartition_feeds
-    if feeds is not None:
-        feed = feeds.get(id(plan))
-        if feed is not None:
-            return iter(feed)
+    """Binding-stream SHIP (or a DBC-built binding Exchange): a
+    transparent pass-through of its child."""
     return env_iter(plan.children[0], ctx, env)
 
 
@@ -687,8 +677,6 @@ _ROW_OPS = {
     pl.Exchange: _run_exchange_rows,
     pl.Gather: _run_exchange_rows,
     pl.MergeGather: _run_exchange_rows,
-    pl.Repartition: _run_exchange_rows,
-    pl.PartitionGather: _run_exchange_rows,
 }
 
 _ENV_OPS = {
@@ -708,8 +696,6 @@ _ENV_OPS = {
     pl.Exchange: _run_exchange_env,
     pl.Gather: _run_exchange_env,
     pl.MergeGather: _run_exchange_env,
-    pl.Repartition: _run_exchange_env,
-    pl.PartitionGather: _run_exchange_env,
     _SingletonPlan: _run_singleton,
 }
 

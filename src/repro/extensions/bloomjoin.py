@@ -23,8 +23,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterator, List, Sequence
 
+from repro.executor.compiled import closures
 from repro.executor.context import ExecutionContext
-from repro.executor.evaluator import Evaluator
 from repro.executor.run import env_iter, register_env_operator
 from repro.optimizer.cost import CPU_WEIGHT, CostModel
 from repro.optimizer.plans import PlanOp, _join_props
@@ -110,27 +110,29 @@ class BloomJoin(PlanOp):
 
 def _run_bloom_join(plan: BloomJoin, ctx: ExecutionContext,
                     env) -> Iterator:
-    # The DBC-facing handle: each expression's closure is what refinement
-    # compiled, or is compiled on first use and kept.
-    evaluator = Evaluator(ctx)
+    # Each expression's closure is what refinement compiled, or is
+    # compiled now (this operator is one refinement never saw) and kept.
+    outer_fns = closures(plan.outer_keys, ctx.functions)
+    inner_fns = closures(plan.inner_keys, ctx.functions)
+    residual = closures(plan.residual, ctx.functions)
     outer_plan, inner_plan = plan.children
 
-    def join_key(exprs, binding_env):
-        values = tuple([evaluator.eval(e, binding_env) for e in exprs])
+    def join_key(fns, binding_env):
+        values = tuple([fn(binding_env, ctx) for fn in fns])
         return None if None in values else values
 
     # Build side: hash table + Bloom filter over the inner keys.
     bloom = BloomFilter()
     table = {}
     for inner_env in env_iter(inner_plan, ctx, env):
-        key = join_key(plan.inner_keys, inner_env)
+        key = join_key(inner_fns, inner_env)
         if key is not None:
             bloom.add(key)
             table.setdefault(key, []).append(inner_env)
 
     filtered = 0
     for outer_env in env_iter(outer_plan, ctx, env):
-        key = join_key(plan.outer_keys, outer_env)
+        key = join_key(outer_fns, outer_env)
         if key is None:
             continue
         if not bloom.might_contain(key):
@@ -138,8 +140,7 @@ def _run_bloom_join(plan: BloomJoin, ctx: ExecutionContext,
             continue
         for inner_env in table.get(key, ()):
             merged = {**outer_env, **inner_env}
-            if all(evaluator.eval_predicate(p.expr, merged)
-                   for p in plan.residual):
+            if all(fn(merged, ctx) is True for fn in residual):
                 yield merged
     ctx.stats.__dict__.setdefault("bloom_filtered", 0)
     ctx.stats.__dict__["bloom_filtered"] += filtered

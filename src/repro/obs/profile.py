@@ -146,8 +146,8 @@ class PlanProfile:
         ANALYZE skew view (min/median/max); ``worker_ids`` — the worker
         process that ran each task, aligned with ``worker_times``, for
         the per-worker wall-time view (several tasks can land on one
-        worker); ``wire_bytes`` — measured inter-process bytes for
-        Repartition/Ship exchanges.
+        worker); ``wire_bytes`` — measured inter-process bytes for a
+        SHIP.
         """
         key = id(exchange)
         detail = self.exchanges.get(key)

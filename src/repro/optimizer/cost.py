@@ -34,18 +34,8 @@ EQUALITY_FALLBACK = 0.1
 PARALLEL_STARTUP_COST = 50.0
 #: Per-row cost of moving a row through an Exchange (pickle + pipe).
 EXCHANGE_ROW_COST = CPU_WEIGHT * 0.5
-#: Per-byte cost of moving data through a Repartition or Ship exchange
-#: (encode + queue + decode).  Calibrated so that shuffling ~1MB costs
-#: about as much as scanning 100 pages; the repartition benchmark checks
-#: the *byte estimate* against measured wire bytes (within 2x), the weight
-#: only ranks alternatives.
-EXCHANGE_BYTE_COST = IO_WEIGHT / 8192.0
-
-#: Wire-format overhead per row: 4-byte value count plus two tagged int64
-#: sequence values (1 + 8 each) used to restore serial order.
-WIRE_ROW_OVERHEAD = 4 + 2 * 9
-#: Per-value overhead: one tag byte.
-WIRE_VALUE_TAG = 1
+#: A hash-table build row relative to a probe row (one CPU_WEIGHT).
+HASH_BUILD_WEIGHT = 1.2
 
 
 class CostModel:
@@ -168,7 +158,12 @@ class CostModel:
         return rows * math.log(rows + 1.0, 2) * CPU_WEIGHT
 
     def hash_cost(self, build_rows: float, probe_rows: float) -> float:
-        return (build_rows + probe_rows) * CPU_WEIGHT * 1.2
+        """Build a hash table on ``build_rows`` rows, probe it with
+        ``probe_rows``.  A build row (hash, allocate, insert) costs more
+        than a probe row (hash, look up), so of a join's two
+        orientations the one building on the smaller side is cheaper;
+        ``hash_cost(n, 0)`` prices GROUP BY and DISTINCT tables."""
+        return (HASH_BUILD_WEIGHT * build_rows + probe_rows) * CPU_WEIGHT
 
     def ship_cost(self, rows: float, to_site: str) -> float:
         return rows * self.catalog.ship_cost(to_site) + 0.5 * IO_WEIGHT
@@ -186,52 +181,23 @@ class CostModel:
         """Cost of gathering ``rows`` rows through an Exchange."""
         return max(rows, 0.0) * EXCHANGE_ROW_COST
 
-    def estimate_wire_bytes(self, rows: float, types) -> float:
-        """Estimated bytes a Repartition/Ship moves for ``rows`` rows.
-
-        ``types`` are the column DataTypes of the shipped stream.  Uses
-        the exchange wire format: a per-row header, one tag byte per
-        value, then the value payload (8 bytes for fixed numerics, the
-        tag alone for booleans/NULLs, length prefix + ~12 bytes assumed
-        for varchars).  The repartition benchmark validates this against
-        measured wire bytes.
-        """
-        per_row = float(WIRE_ROW_OVERHEAD)
-        for dtype in types:
-            per_row += WIRE_VALUE_TAG
-            size = getattr(dtype, "size", None)
-            name = type(dtype).__name__
-            if name == "BooleanType":
-                continue  # tag byte carries the value
-            if size:
-                per_row += 8.0  # int64 / double payload
-            else:
-                per_row += 4.0 + 12.0  # length prefix + assumed avg chars
-        return max(rows, 0.0) * per_row
-
-    def repartition_cost(self, rows: float, wire_bytes: float,
-                         dop: int) -> float:
-        """Cost of hash-shuffling ``rows`` rows (``wire_bytes`` on the
-        wire) across ``dop`` workers: per-row hash/route CPU plus
-        per-byte encode/queue/decode, divided across the workers that do
-        it in parallel."""
-        dop = max(1, dop)
-        work = (max(rows, 0.0) * EXCHANGE_ROW_COST
-                + max(wire_bytes, 0.0) * EXCHANGE_BYTE_COST)
-        return work / float(dop)
-
-    def should_parallelize(self, input_rows: float, dop: int) -> bool:
+    def should_parallelize(self, input_rows: float, dop: int,
+                           replicated_rows: float = 0.0) -> bool:
         """Do ``input_rows`` rows of scan work amortize ``dop`` workers?
 
         The subtree's serial work is roughly ``input_rows * CPU_WEIGHT``
         (plus I/O, but forked workers share the page cache); parallel
         execution saves the (dop-1)/dop share of it and pays startup plus
-        the exchange.  Used by ``parallelism="auto"``; ``"on"`` bypasses
-        this gate so tests can force small-table parallelism.
+        the exchange.  ``replicated_rows`` is work the workers repeat in
+        full — a broadcast hash join's build side — charged once per
+        worker, so a join whose build side is about the size of its
+        probe stays serial.  Used by ``parallelism="auto"``; ``"on"``
+        bypasses this gate so tests can force small-table parallelism.
         """
         if dop <= 1:
             return False
-        serial_work = max(input_rows, 0.0) * (CPU_WEIGHT + IO_WEIGHT * 0.02)
-        saved = serial_work * (dop - 1) / float(dop)
-        return saved > self.parallel_startup(dop) + self.exchange_cost(
-            input_rows / float(dop))
+        per_row = CPU_WEIGHT + IO_WEIGHT * 0.02
+        saved = max(input_rows, 0.0) * per_row * (dop - 1) / float(dop)
+        return saved > (self.parallel_startup(dop)
+                        + self.exchange_cost(input_rows / float(dop))
+                        + max(replicated_rows, 0.0) * per_row * dop)

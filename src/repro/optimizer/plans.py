@@ -84,9 +84,10 @@ class PlanOp:
             if self.exec_backend != "tuple" else "",
             " fused=%d" % program.n_pipelines if program is not None else "",
             " dop=%d" % self.props.dop if self.props.dop > 1 else "",
-            " partitioned=%s:%d" % (self.props.partitioning[0],
-                                    self.props.partitioning[2])
-            if self.props.partitioning else "",
+            # A scan of a hash-sharded table reads the catalog's layout.
+            " partitioned=hash:%d" % self.table.partitions
+            if isinstance(self, TableScan) and self.table.partitions
+            else "",
             " fallback=%s" % self.fallback_mark
             if getattr(self, "fallback_mark", None) else "",
         )]
@@ -144,22 +145,11 @@ class TableScan(PlanOp):
         selectivity = 1.0
         for predicate in self.preds:
             selectivity *= cm.selectivity(predicate)
-        partitioning = None
-        if table.partition_by and table.partitions:
-            # The stored table is hash-sharded: its scan stream is born
-            # partitioned, which is what lets a co-located join skip the
-            # Repartition glue entirely.
-            partitioning = (
-                "hash",
-                (order_key(qe.ColRef(quantifier, table.partition_by)),),
-                table.partitions,
-            )
         props = PlanProperties(
             quantifiers=frozenset([quantifier]),
             preds_applied=frozenset(p.uid for p in self.preds),
             order=(),
             site=table.site,
-            partitioning=partitioning,
             cost=cm.scan_cost(cm.table_pages(table.name), rows),
             card=max(0.1, rows * selectivity),
         )
@@ -595,7 +585,6 @@ class Ship(PlanOp):
         self.to_site = to_site
         props = child.props.evolve(
             site=to_site,
-            partitioning=None,
             cost=child.props.cost + cm.ship_cost(child.props.card, to_site),
         )
         super().__init__((child,), props)
@@ -641,8 +630,6 @@ class Exchange(PlanOp):
     """
 
     op_name = "EXCHANGE"
-    #: "gather" | "merge" | "repartition" — how worker streams recombine.
-    mode = "gather"
 
     def __init__(self, cm: CostModel, child: PlanOp, dop: int,
                  morsel_scan: TableScan):
@@ -650,7 +637,6 @@ class Exchange(PlanOp):
         self.morsel_scan = morsel_scan
         props = child.props.evolve(
             dop=1,
-            partitioning=None,
             cost=(child.props.cost / float(max(1, dop))
                   + cm.parallel_startup(dop)
                   + cm.exchange_cost(child.props.card)),
@@ -675,7 +661,6 @@ class Gather(Exchange):
     """
 
     op_name = "GATHER"
-    mode = "gather"
 
     def __init__(self, cm: CostModel, child: PlanOp, dop: int,
                  morsel_scan: TableScan,
@@ -698,7 +683,6 @@ class MergeGather(Exchange):
     """
 
     op_name = "MERGEGATHER"
-    mode = "merge"
 
     def __init__(self, cm: CostModel, child: PlanOp, dop: int,
                  morsel_scan: TableScan,
@@ -715,87 +699,6 @@ class MergeGather(Exchange):
         if self.limit_hint is not None:
             base += " top-%d" % self.limit_hint
         return base
-
-
-class Repartition(Exchange):
-    """REPARTITION: hash-shuffle a binding stream on key expressions so
-    each of ``dop`` consumer workers sees exactly the rows whose keys
-    hash to its partition — the glue that *establishes* the partitioning
-    property, the way SHIP establishes site.
-
-    Executed as real inter-process data movement: producer workers scan
-    page-range morsels of ``morsel_scan``, evaluate ``keys`` per binding
-    and ship the row (wire-encoded, batched, sequence-tagged) to the
-    destination partition's queue.  Spliced only under a PartitionGather;
-    at runtime a consumer worker resolves its partition's feed through
-    the execution context, and when no feed is present (serial or
-    fallback execution) the operator is a transparent pass-through of
-    its child.
-    """
-
-    op_name = "REPARTITION"
-    mode = "repartition"
-
-    def __init__(self, cm: CostModel, child: PlanOp, dop: int,
-                 morsel_scan: TableScan, keys: Sequence[qe.QExpr]):
-        self.keys = list(keys)
-        super().__init__(cm, child, dop, morsel_scan)
-        #: Estimated bytes this shuffle puts on the wire; the benchmark
-        #: checks it against the measured transfer (within 2x).
-        self.est_wire_bytes = cm.estimate_wire_bytes(
-            child.props.card,
-            [column.dtype for column in morsel_scan.table.columns])
-        self.props = self.props.evolve(
-            dop=dop,
-            partitioning=("hash",
-                          tuple(order_key(k) for k in self.keys), dop),
-            cost=(child.props.cost / float(max(1, dop))
-                  + cm.repartition_cost(child.props.card,
-                                        self.est_wire_bytes, dop)),
-        )
-
-    def describe(self) -> str:
-        return "%s(dop=%d on %s)" % (
-            self.op_name, self.dop,
-            ", ".join(repr(k) for k in self.keys) or "<no keys>")
-
-
-class PartitionGather(Exchange):
-    """PARTITIONGATHER: run one consumer stream per hash partition and
-    merge the per-partition results back into serial order.
-
-    The child is a PROJECT over a partition-wise HASHJOIN whose inputs
-    are REPARTITION nodes or co-located sharded scans.  Each worker
-    executes the child restricted to one partition; output rows carry
-    serial sequence tags so the final merge reproduces dop=1 output
-    byte-for-byte.  ``colocated`` marks plans where every input is
-    already sharded on the join keys with matching partition counts —
-    no data moves at all.
-    """
-
-    op_name = "PARTITIONGATHER"
-    mode = "partition"
-
-    def __init__(self, cm: CostModel, child: PlanOp, dop: int,
-                 morsel_scan: TableScan,
-                 sources: Sequence["Repartition"] = (),
-                 colocated_scans: Sequence[TableScan] = ()):
-        #: The Repartition nodes inside ``child`` (empty when fully
-        #: co-located).
-        self.sources = list(sources)
-        #: SCANs of sharded tables already partitioned on the routing
-        #: key: each consumer restricts them to its own partition
-        #: instead of shuffling.
-        self.colocated_scans = list(colocated_scans)
-        self.colocated = not self.sources
-        super().__init__(cm, child, dop, morsel_scan)
-        self.est_wire_bytes = sum(s.est_wire_bytes for s in self.sources)
-
-    def describe(self) -> str:
-        return "%s(dop=%d%s)" % (
-            self.op_name, self.dop,
-            " colocated" if self.colocated else
-            " sources=%d" % len(self.sources))
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +729,6 @@ class Project(PlanOp):
                 break
         props = child.props.evolve(
             order=tuple(positional),
-            partitioning=None,
             cost=child.props.cost + cm.per_row_cpu(child.props.card),
         )
         super().__init__((child,), props)
@@ -884,7 +786,6 @@ class GroupBy(PlanOp):
             groups = 1.0
         props = child.props.evolve(
             order=(),
-            partitioning=None,
             cost=child.props.cost + cm.hash_cost(child.props.card, 0.0),
             card=groups,
         )

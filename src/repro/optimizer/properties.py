@@ -33,13 +33,12 @@ class PlanProperties:
     """Immutable property bundle attached to every plan operator."""
 
     __slots__ = ("quantifiers", "preds_applied", "order", "site", "dop",
-                 "partitioning", "cost", "card", "extras")
+                 "cost", "card", "extras")
 
     def __init__(self, quantifiers: FrozenSet = frozenset(),
                  preds_applied: FrozenSet[int] = frozenset(),
                  order: OrderSpec = (), site: str = "local",
                  dop: int = 1,
-                 partitioning: Optional[Tuple] = None,
                  cost: float = 0.0, card: float = 1.0,
                  extras: Optional[Dict[str, Any]] = None):
         self.quantifiers = quantifiers
@@ -51,13 +50,6 @@ class PlanProperties:
         #: the glue that re-establishes ``dop == 1`` for consumers that
         #: need a single stream (the paper's parallelism extension).
         self.dop = dop
-        #: How the stream is split across workers/shards, or None for an
-        #: unpartitioned stream.  ``("hash", (key expr keys...), n)`` —
-        #: rows with equal key values land in the same one of ``n``
-        #: partitions.  Mirrors ``site``: a Repartition LOLEPOP is the
-        #: glue that establishes it, and the RequirePartitioning STAR is
-        #: the glue rule that finds the cheapest way to satisfy it.
-        self.partitioning = partitioning
         self.cost = cost
         self.card = card
         self.extras = dict(extras) if extras else {}
@@ -70,7 +62,6 @@ class PlanProperties:
             "order": self.order,
             "site": self.site,
             "dop": self.dop,
-            "partitioning": self.partitioning,
             "cost": self.cost,
             "card": self.card,
             "extras": self.extras,
@@ -89,7 +80,7 @@ class PlanProperties:
     def interesting_key(self) -> Tuple:
         """Dedup key for the DP memo: plans with the same key compete."""
         return (self.quantifiers, self.preds_applied, self.order, self.site,
-                self.dop, self.partitioning)
+                self.dop)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return ("<Props n=%d cost=%.2f card=%.1f order=%s site=%s dop=%d>"

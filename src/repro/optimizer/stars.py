@@ -34,10 +34,8 @@ from repro.optimizer.plans import (
     MergeGather,
     MergeJoin,
     NLJoin,
-    PartitionGather,
     PlanOp,
     Project,
-    Repartition,
     Ship,
     Sort,
     SubplanBinding,
@@ -491,32 +489,6 @@ def default_star_array() -> Dict[str, STAR]:
         Alternative("AddShip", add_ship, rank=1.0),
     ])
 
-    def partitioning_satisfied(gen: PlanGenerator, args: Args) -> bool:
-        required = ("hash", (order_key(args["key"]),), args["n"])
-        return args["plan"].props.partitioning == required
-
-    def partitioning_unsatisfied(gen: PlanGenerator, args: Args) -> bool:
-        return not partitioning_satisfied(gen, args)
-
-    def add_repartition(gen: PlanGenerator, args: Args) -> List[PlanOp]:
-        return [Repartition(gen.cm, args["plan"], args["n"], args["scan"],
-                            [args["key"]])]
-
-    # Glue mirroring RequireSite: a stream already hash-partitioned on
-    # the required key (a SCAN of a sharded table) is kept as-is — the
-    # co-located case, no data moves — otherwise a REPARTITION shuffle
-    # establishes the property.  The alternatives are mutually exclusive
-    # rather than cost-compared: a satisfied plan's cost is its serial
-    # cost (each partition worker scans 1/n of it), and shuffling an
-    # already-correctly-partitioned stream can never win — it reads the
-    # same data and adds wire traffic.
-    require_partitioning = STAR("RequirePartitioning", [
-        Alternative("AlreadyPartitioned", keep_plan,
-                    condition=partitioning_satisfied, rank=0.5),
-        Alternative("AddRepartition", add_repartition,
-                    condition=partitioning_unsatisfied, rank=1.0),
-    ])
-
     # ---- execution backend (refinement-phase glue) --------------------------
     #
     # Evaluated per plan node during refinement (not plan search) by
@@ -602,7 +574,7 @@ def default_star_array() -> Dict[str, STAR]:
         star.name: star
         for star in (access_root, join_root, nl_star, merge_star, hash_star,
                      subquery_root, require_order, require_site,
-                     require_partitioning, exec_backend, parallelism)
+                     exec_backend, parallelism)
     }
 
 
@@ -732,25 +704,15 @@ def _groupby_candidate(node: PlanOp, catalog) -> Optional[TableScan]:
     return scan
 
 
-def _shard_partitions(scan: TableScan, key: qe.ColRef) -> int:
-    """Partition count when ``scan``'s table is hash-sharded on exactly
-    the routing key column, else 0."""
-    table = scan.table
-    if (table.partition_by and table.partitions
-            and key.column == table.partition_by):
-        return table.partitions
-    return 0
+def _join_candidate(node: PlanOp):
+    """``node`` is a broadcast-joinable pyramid: PROJECT over a
+    ``regular`` or ``left_outer`` HASHJOIN of two Filter*/SCAN chains,
+    no subquery streams, self-contained.
 
-
-def _partition_join_candidate(node: PlanOp):
-    """``node`` is a partition-wise-joinable pyramid: PROJECT over a
-    HASHJOIN of two Filter*/SCAN chains on distinct local heap tables.
-
-    Routing uses the first equi-join key pair, which must be plain
-    column references on each side's own scan quantifier (rows with
-    equal first keys co-locate, and equal rows have equal first keys, so
-    joining each partition independently is exhaustive).  Returns
-    ``(join, outer_scan, inner_scan, outer_key, inner_key)`` or None.
+    The probe (outer) chain is morselled; every morsel task builds the
+    inner side in full, so each probe row meets the whole build table and the
+    gathered stream is the serial one.  Returns ``(probe_scan,
+    build_scan)`` or None.
     """
     if not isinstance(node, Project) or node.subplans:
         return None
@@ -758,29 +720,21 @@ def _partition_join_candidate(node: PlanOp):
     if not isinstance(join, HashJoin) \
             or join.kind not in ("regular", "left_outer"):
         return None
-    if not join.outer_keys:
+    probe, build = join.children
+    probe_scan = _chain_scan(probe)
+    build_scan = _chain_scan(build)
+    if probe_scan is None or build_scan is None:
         return None
-    outer_scan = _chain_scan(join.children[0])
-    inner_scan = _chain_scan(join.children[1])
-    if outer_scan is None or inner_scan is None or outer_scan is inner_scan:
-        return None
-    okey, ikey = join.outer_keys[0], join.inner_keys[0]
-    if not (isinstance(okey, qe.ColRef)
-            and okey.quantifier is outer_scan.quantifier):
-        return None
-    if not (isinstance(ikey, qe.ColRef)
-            and ikey.quantifier is inner_scan.quantifier):
-        return None
-    allowed = {outer_scan.quantifier, inner_scan.quantifier}
     exprs = (list(node.exprs)
              + list(join.outer_keys) + list(join.inner_keys)
              + [p.expr for p in join.preds]
              + [p.expr for p in join.residual]
-             + [p.expr for p in _chain_preds(join.children[0])]
-             + [p.expr for p in _chain_preds(join.children[1])])
-    if not _self_contained(exprs, allowed):
+             + [p.expr for p in _chain_preds(probe)]
+             + [p.expr for p in _chain_preds(build)])
+    if not _self_contained(exprs, {probe_scan.quantifier,
+                                   build_scan.quantifier}):
         return None
-    return join, outer_scan, inner_scan, okey, ikey
+    return probe_scan, build_scan
 
 
 def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
@@ -797,9 +751,9 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
       per-morsel aggregates,
     - ``ORDERBY`` [under LIMIT] over such a PROJECT → MERGEGATHER below
       the ORDERBY, sorting (and top-K truncating) inside the workers,
-    - ``PROJECT`` over ``HASHJOIN`` of two chains → PARTITIONGATHER with
-      a REPARTITION shuffle per side (skipped for sides already sharded
-      on the join key — the co-located case).
+    - ``PROJECT`` over ``HASHJOIN`` of two chains → GATHER morselling the
+      probe scan, every task building the inner side in full (a
+      broadcast hash join; ``auto`` charges that build once per worker).
 
     Any other GROUPBY (AVG, float SUM, DISTINCT) stays serial above the
     GATHER its input pyramid gets on the way down, so workers scan,
@@ -824,15 +778,17 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
         for node in subtree.walk():
             node.props = node.props.evolve(dop=dop)
 
-    def eligible(scan: TableScan) -> bool:
+    def eligible(scan: TableScan, replicated: float) -> bool:
         pages = cm.catalog.statistics(scan.table.name).page_count
-        return pages >= 2 and cm.should_parallelize(scan.input_rows, dop)
+        return pages >= 2 and cm.should_parallelize(
+            scan.input_rows, dop, replicated)
 
-    def ask(node: PlanOp, scan: TableScan, build) -> PlanOp:
+    def ask(node: PlanOp, scan: TableScan, build,
+            replicated: float = 0.0) -> PlanOp:
+        worth = eligible(scan, replicated)
         plans = generator.evaluate(
             "Parallelism", plan=node, capable=True,
-            mode=options.parallelism, eligible=eligible(scan),
-            build=build)
+            mode=options.parallelism, eligible=worth, build=build)
         chosen = plans[0] if plans else node
         if isinstance(chosen, Exchange):
             mark_dop(chosen.children[0])
@@ -844,7 +800,7 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
         if generator.trace is not None:
             generator.trace.event(
                 "glue.parallel", node=node.describe(),
-                scan=scan.table.name, eligible=eligible(scan),
+                scan=scan.table.name, eligible=worth,
                 spliced=(chosen.describe() if isinstance(chosen, Exchange)
                          else None), dop=dop)
         return chosen
@@ -871,35 +827,12 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
                     node.children = (built,)
                 return node
 
-        if options.repartition:
-            join_hit = _partition_join_candidate(node)
-            if join_hit is not None:
-                join, outer_scan, inner_scan, okey, ikey = join_hit
-                n = (_shard_partitions(outer_scan, okey)
-                     or _shard_partitions(inner_scan, ikey)
-                     or dop)
-                if n > 1:
-                    def build_join(gen, node=node, join=join, n=n,
-                                   outer_scan=outer_scan,
-                                   inner_scan=inner_scan,
-                                   okey=okey, ikey=ikey):
-                        outer = gen.cheapest(
-                            "RequirePartitioning", plan=join.children[0],
-                            key=okey, n=n, scan=outer_scan)
-                        inner = gen.cheapest(
-                            "RequirePartitioning", plan=join.children[1],
-                            key=ikey, n=n, scan=inner_scan)
-                        sources = [p for p in (outer, inner)
-                                   if isinstance(p, Repartition)]
-                        colocated = [
-                            s for p, s in ((outer, outer_scan),
-                                           (inner, inner_scan))
-                            if not isinstance(p, Repartition)]
-                        join.children = (outer, inner)
-                        return PartitionGather(
-                            gen.cm, node, n, outer_scan, sources=sources,
-                            colocated_scans=colocated)
-                    return ask(node, outer_scan, build_join)
+        join_hit = _join_candidate(node)
+        if join_hit is not None:
+            probe_scan, build_scan = join_hit
+            return ask(node, probe_scan,
+                       lambda gen: Gather(gen.cm, node, dop, probe_scan),
+                       replicated=build_scan.input_rows)
 
         scan = _project_candidate(node)
         if scan is not None:

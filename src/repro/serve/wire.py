@@ -161,11 +161,13 @@ class TCPServer:
                     with trace.span("wire.write",
                                     bytes=len(payload)):
                         writer.write(payload)
-                        writer.flush()
+                    # Publish before the flush: once the client holds
+                    # the reply, its trace id must already find the
+                    # trace in the ring.
                     self.server.tracing.finish(trace)
                 else:
                     writer.write(payload)
-                    writer.flush()
+                writer.flush()
                 self.server.maybe_slowlog(
                     statement=line,
                     latency_ms=(time.perf_counter() - started) * 1e3,

@@ -268,10 +268,10 @@ class RecordSerializer:
 # ---------------------------------------------------------------------------
 # Exchange wire format — self-describing tagged rows.
 #
-# Rows crossing a Repartition/Ship exchange are not table records: they are
-# computed tuples whose shape depends on the plan (join keys, residual
-# columns, sequence tags), so they carry their own type tags instead of a
-# per-table RecordSerializer layout.  A message is
+# Rows crossing a SHIP exchange are not table records: they are computed
+# tuples whose shape depends on the plan (projected, joined or aggregated
+# columns), so they carry their own type tags instead of a per-table
+# RecordSerializer layout.  A message is
 #
 #     [4-byte LE row count] then per row:
 #         [4-byte LE value count][tagged value]...

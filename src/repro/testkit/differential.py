@@ -138,10 +138,10 @@ def default_matrix() -> List[Config]:
                reference=base.replace(execution_mode="compiled")),
         # Hash-sharded storage: same rows in partitioned heap segments.
         # Scan order is partition-grouped, so only the oracle bag (and
-        # ORDER BY sequences) must match.  The parallel run uses dop=3
-        # — the twin's partition count — so partition-wise joins run
-        # co-located where possible, and must be byte-identical to a
-        # serial run on the same sharded twin.
+        # ORDER BY sequences) must match.  The parallel run gathers
+        # scans, group-bys and broadcast hash joins over the sharded
+        # twin's morsels, and must be byte-identical to a serial run on
+        # the same twin.
         Config("sharded", base, sharded=True),
         Config("sharded-parallel",
                tuple_mode.replace(parallelism="on", dop=3),

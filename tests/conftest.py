@@ -8,6 +8,26 @@ from repro import Database
 from repro.catalog import Catalog, ColumnDef, IndexDef, TableDef
 from repro.datatypes import DOUBLE, INTEGER, VARCHAR
 from repro.storage.engine import StorageEngine
+from tests.stacks import STACKS
+
+
+@pytest.fixture(autouse=True)
+def _execution_stack(request, monkeypatch):
+    """Inside a :func:`tests.stacks.stack_variants` class, every
+    Database the test builds starts on that class's stack."""
+    stack = getattr(request.cls, "stack", None)
+    if stack is None:
+        return
+    from repro.core.database import Settings
+
+    shipped = Settings.__init__
+
+    def on_stack(self):
+        shipped(self)
+        for name, value in STACKS[stack].items():
+            setattr(self, name, value)
+
+    monkeypatch.setattr(Settings, "__init__", on_stack)
 
 
 @pytest.fixture

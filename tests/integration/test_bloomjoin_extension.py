@@ -7,6 +7,7 @@ from repro.extensions.bloomjoin import (
     BloomJoin,
     install_bloom_join,
 )
+from tests.stacks import stack_variants
 
 
 class TestBloomFilter:
@@ -84,3 +85,8 @@ class TestBloomJoinExtension:
             "SELECT e.name, d.budget FROM emp e LEFT OUTER JOIN dept d "
             "ON e.dept = d.dname AND d.budget > 600").rows
         assert len(rows) == 8  # all employees preserved
+
+
+# The same cases on the fused codegen backend and under forced
+# parallelism: the extensions must hold on every shipped stack.
+globals().update(stack_variants(globals()))

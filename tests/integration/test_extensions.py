@@ -11,6 +11,7 @@ import pytest
 
 from repro.datatypes.types import DataType
 from repro.errors import ExtensionError
+from tests.stacks import stack_variants
 
 
 def q(db, sql, params=()):
@@ -271,3 +272,8 @@ class TestDistributedSites:
         scan = [n for n in compiled.plan.walk()
                 if type(n).__name__ == "TableScan"][0]
         assert scan.props.site == "remote1"
+
+
+# The same cases on the fused codegen backend and under forced
+# parallelism: the extensions must hold on every shipped stack.
+globals().update(stack_variants(globals()))

@@ -8,6 +8,8 @@ table-consuming position.
 
 import pytest
 
+from tests.stacks import stack_variants
+
 
 def q(db, sql, params=()):
     return sorted(db.execute(sql, params).rows)
@@ -105,3 +107,8 @@ class TestExpressionOrthogonality:
         rows = q(emp_db, "SELECT name FROM emp WHERE salary * ? > ? + 100",
                  (2, 100))
         assert rows == [("alice",)]  # only 120 * 2 > 200
+
+
+# The same cases on the fused codegen backend and under forced
+# parallelism: the extensions must hold on every shipped stack.
+globals().update(stack_variants(globals()))

@@ -10,6 +10,7 @@ join kind.  These tests exercise each of those touch points.
 import pytest
 
 from repro.errors import SemanticError
+from tests.stacks import stack_variants
 
 
 def q(db, sql, params=()):
@@ -169,3 +170,8 @@ class TestJoinKindAcrossMethods:
         hash_rows = self.run_with_only(oj_db, "Hash")
         assert nl == merge == hash_rows
         assert len(nl) == 9
+
+
+# The same cases on the fused codegen backend and under forced
+# parallelism: the extensions must hold on every shipped stack.
+globals().update(stack_variants(globals()))

@@ -115,9 +115,10 @@ class TestTraceLatencyAccounting:
             root = trace.root
             server_ms = root.duration_ms
             # The root opens after the server reads the line and closes
-            # after the response flush, so the client's window encloses
-            # it; the difference is loopback turnaround.  10% relative
-            # plus a small absolute slack for sub-ms statements.
+            # once the response is written, just before the flush, so
+            # the client's window encloses it; the difference is the
+            # flush plus loopback turnaround.  10% relative plus a small
+            # absolute slack for sub-ms statements.
             assert server_ms <= client_ms + 5.0
             assert client_ms - server_ms <= max(0.10 * client_ms, 20.0)
             child_names = {span.name for span in root.children}
@@ -126,6 +127,38 @@ class TestTraceLatencyAccounting:
             for span in root.children:
                 assert span.start_ns >= root.start_ns
                 assert span.end_ns <= root.end_ns
+
+    def test_trace_is_in_the_ring_when_the_reply_arrives(self, traced):
+        """The wire loop publishes a request's trace before it flushes
+        the reply, so a reader that looks the id up the moment the reply
+        lands always finds it — even while another connection keeps the
+        server (and the GIL) busy."""
+        stop = threading.Event()
+        errors = []
+
+        def load():
+            try:
+                with WireClient(*traced.address()) as client:
+                    while not stop.is_set():
+                        client.execute("SELECT sum(v) FROM t")
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        loader = threading.Thread(target=load)
+        loader.start()
+        missing = []
+        try:
+            with WireClient(*traced.address()) as client:
+                for _ in range(200):
+                    trace_id = client.execute(
+                        "SELECT count(*) FROM t").trace_id
+                    if traced.server.tracing.find(trace_id) is None:
+                        missing.append(trace_id)
+        finally:
+            stop.set()
+            loader.join(timeout=30.0)
+        assert errors == []
+        assert missing == []
 
     def test_ratio_sampling_traces_a_deterministic_subset(self):
         tcp = _serving(trace_sample=0.5)

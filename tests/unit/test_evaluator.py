@@ -1,17 +1,22 @@
-"""Unit tests for expression evaluation: 3VL, LIKE, CASE, functions."""
+"""Unit tests for expression evaluation: 3VL, LIKE, CASE, functions.
+
+Every operator — built-in or registered by a DBC — evaluates an
+expression through its closure (``repro.executor.compiled.closure``),
+so these cases pin the engine's one scalar evaluator directly.
+"""
 
 import pytest
 
 from repro.catalog import Catalog, ColumnDef, TableDef
 from repro.datatypes import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 from repro.errors import ExecutionError
-from repro.executor.context import ExecutionContext
-from repro.executor.evaluator import (
-    Evaluator,
+from repro.executor.compiled import (
+    closure,
     kleene_and,
     kleene_not,
     kleene_or,
 )
+from repro.executor.context import ExecutionContext
 from repro.functions import FunctionRegistry, register_builtins
 from repro.qgm import expressions as qe
 from repro.qgm.model import QGM
@@ -27,7 +32,16 @@ def setup():
     functions = register_builtins(FunctionRegistry())
     ctx = ExecutionContext(engine=None, functions=functions,
                            params=(41, "hello"))
-    return Evaluator(ctx), quantifier
+    return ctx, quantifier
+
+
+def value(ctx, expr, env):
+    return closure(expr, ctx.functions)(env, ctx)
+
+
+def truth(ctx, expr, env):
+    """Three-valued evaluation in a boolean (predicate) position."""
+    return closure(expr, ctx.functions, True)(env, ctx)
 
 
 def col(quantifier, name, dtype=INTEGER):
@@ -53,81 +67,81 @@ class TestKleene:
 
 class TestEval:
     def test_colref(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         env = {q: (7, "x", 1.5)}
-        assert evaluator.eval(col(q, "a"), env) == 7
-        assert evaluator.eval(col(q, "c", DOUBLE), env) == 1.5
+        assert value(ctx, col(q, "a"), env) == 7
+        assert value(ctx, col(q, "c", DOUBLE), env) == 1.5
 
     def test_null_padded_row(self, setup):
-        evaluator, q = setup
-        assert evaluator.eval(col(q, "a"), {q: None}) is None
+        ctx, q = setup
+        assert value(ctx, col(q, "a"), {q: None}) is None
 
     def test_unbound_raises(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         with pytest.raises(ExecutionError):
-            evaluator.eval(col(q, "a"), {})
+            value(ctx, col(q, "a"), {})
 
     def test_arithmetic(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         env = {q: (10, "x", 4.0)}
         expr = qe.BinOp("+", col(q, "a"), qe.Const(5, INTEGER), INTEGER)
-        assert evaluator.eval(expr, env) == 15
-        assert evaluator.eval(
-            qe.BinOp("/", col(q, "a"), qe.Const(4, INTEGER), DOUBLE),
+        assert value(ctx, expr, env) == 15
+        assert value(
+            ctx, qe.BinOp("/", col(q, "a"), qe.Const(4, INTEGER), DOUBLE),
             env) == 2.5
-        assert evaluator.eval(
-            qe.BinOp("%", col(q, "a"), qe.Const(3, INTEGER), INTEGER),
+        assert value(
+            ctx, qe.BinOp("%", col(q, "a"), qe.Const(3, INTEGER), INTEGER),
             env) == 1
 
     def test_null_propagation(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         env = {q: (None, None, None)}
         plus = qe.BinOp("+", col(q, "a"), qe.Const(1, INTEGER), INTEGER)
-        assert evaluator.eval(plus, env) is None
+        assert value(ctx, plus, env) is None
         compare = qe.BinOp("=", col(q, "a"), qe.Const(1, INTEGER), BOOLEAN)
-        assert evaluator.eval(compare, env) is None
+        assert value(ctx, compare, env) is None
 
     def test_division_by_zero(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         expr = qe.BinOp("/", qe.Const(1, INTEGER), qe.Const(0, INTEGER),
                         DOUBLE)
         with pytest.raises(ExecutionError):
-            evaluator.eval(expr, {})
+            value(ctx, expr, {})
 
     def test_comparisons(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         env = {q: (10, "abc", 1.0)}
         for op, expected in [("=", False), ("<>", True), ("<", True),
                              ("<=", True), (">", False), (">=", False)]:
             expr = qe.BinOp(op, col(q, "a"), qe.Const(20, INTEGER), BOOLEAN)
-            assert evaluator.eval(expr, env) is expected
+            assert value(ctx, expr, env) is expected
 
     def test_concat(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         expr = qe.BinOp("||", qe.Const("a", VARCHAR), qe.Const("b", VARCHAR),
                         VARCHAR)
-        assert evaluator.eval(expr, {}) == "ab"
+        assert value(ctx, expr, {}) == "ab"
 
     def test_params(self, setup):
-        evaluator, _q = setup
-        assert evaluator.eval(qe.ParamRef(0, None, INTEGER), {}) == 41
-        assert evaluator.eval(qe.ParamRef(1, None, VARCHAR), {}) == "hello"
+        ctx, _q = setup
+        assert value(ctx, qe.ParamRef(0, None, INTEGER), {}) == 41
+        assert value(ctx, qe.ParamRef(1, None, VARCHAR), {}) == "hello"
         with pytest.raises(ExecutionError):
-            evaluator.eval(qe.ParamRef(5, None, None), {})
+            value(ctx, qe.ParamRef(5, None, None), {})
 
     def test_is_null(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         env = {q: (None, "x", 1.0)}
-        assert evaluator.eval(qe.IsNullTest(col(q, "a")), env) is True
-        assert evaluator.eval(qe.IsNullTest(col(q, "a"), negated=True),
-                              env) is False
+        assert value(ctx, qe.IsNullTest(col(q, "a")), env) is True
+        assert value(ctx, qe.IsNullTest(col(q, "a"), negated=True),
+                     env) is False
 
     def test_like(self, setup):
-        evaluator, _q = setup
+        ctx, _q = setup
 
-        def like(value, pattern, negated=False):
-            return evaluator.eval(qe.LikeOp(
-                qe.Const(value, VARCHAR), qe.Const(pattern, VARCHAR),
+        def like(text, pattern, negated=False):
+            return value(ctx, qe.LikeOp(
+                qe.Const(text, VARCHAR), qe.Const(pattern, VARCHAR),
                 negated), {})
 
         assert like("hello", "h%") is True
@@ -142,64 +156,64 @@ class TestEval:
         assert like(None, "%") is None
 
     def test_case(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         expr = qe.CaseOp(
             whens=[(qe.BinOp(">", col(q, "a"), qe.Const(0, INTEGER), BOOLEAN),
                     qe.Const("pos", VARCHAR)),
                    (qe.BinOp("<", col(q, "a"), qe.Const(0, INTEGER), BOOLEAN),
                     qe.Const("neg", VARCHAR))],
             else_value=qe.Const("zero", VARCHAR), dtype=VARCHAR)
-        assert evaluator.eval(expr, {q: (5, "", 0.0)}) == "pos"
-        assert evaluator.eval(expr, {q: (-5, "", 0.0)}) == "neg"
-        assert evaluator.eval(expr, {q: (0, "", 0.0)}) == "zero"
+        assert value(ctx, expr, {q: (5, "", 0.0)}) == "pos"
+        assert value(ctx, expr, {q: (-5, "", 0.0)}) == "neg"
+        assert value(ctx, expr, {q: (0, "", 0.0)}) == "zero"
         no_else = qe.CaseOp(whens=expr.whens, else_value=None, dtype=VARCHAR)
-        assert evaluator.eval(no_else, {q: (0, "", 0.0)}) is None
+        assert value(ctx, no_else, {q: (0, "", 0.0)}) is None
 
     def test_cast(self, setup):
-        evaluator, _q = setup
-        assert evaluator.eval(qe.Cast(qe.Const("12", VARCHAR), INTEGER),
-                              {}) == 12
-        assert evaluator.eval(qe.Cast(qe.Const(3, INTEGER), VARCHAR),
-                              {}) == "3"
-        assert evaluator.eval(qe.Cast(qe.Const(None, None), INTEGER),
-                              {}) is None
+        ctx, _q = setup
+        assert value(ctx, qe.Cast(qe.Const("12", VARCHAR), INTEGER),
+                     {}) == 12
+        assert value(ctx, qe.Cast(qe.Const(3, INTEGER), VARCHAR),
+                     {}) == "3"
+        assert value(ctx, qe.Cast(qe.Const(None, None), INTEGER),
+                     {}) is None
         with pytest.raises(ExecutionError):
-            evaluator.eval(qe.Cast(qe.Const("nope", VARCHAR), INTEGER), {})
+            value(ctx, qe.Cast(qe.Const("nope", VARCHAR), INTEGER), {})
 
     def test_scalar_functions(self, setup):
-        evaluator, _q = setup
+        ctx, _q = setup
         expr = qe.FuncCall("upper", [qe.Const("abc", VARCHAR)], VARCHAR)
-        assert evaluator.eval(expr, {}) == "ABC"
+        assert value(ctx, expr, {}) == "ABC"
         with pytest.raises(ExecutionError):
-            evaluator.eval(qe.FuncCall("nope", [], None), {})
+            value(ctx, qe.FuncCall("nope", [], None), {})
 
     def test_neg(self, setup):
-        evaluator, q = setup
-        assert evaluator.eval(qe.Neg(qe.Const(5, INTEGER), INTEGER), {}) == -5
-        assert evaluator.eval(qe.Neg(col(q, "a"), INTEGER),
-                              {q: (None, "", 0.0)}) is None
+        ctx, q = setup
+        assert value(ctx, qe.Neg(qe.Const(5, INTEGER), INTEGER), {}) == -5
+        assert value(ctx, qe.Neg(col(q, "a"), INTEGER),
+                     {q: (None, "", 0.0)}) is None
 
 
 class TestEvalBool:
     def test_short_circuit_and(self, setup):
-        evaluator, _q = setup
+        ctx, _q = setup
         # right side would divide by zero; AND must short-circuit on False
         bad = qe.BinOp("=", qe.BinOp("/", qe.Const(1, INTEGER),
                                      qe.Const(0, INTEGER), DOUBLE),
                        qe.Const(1, INTEGER), BOOLEAN)
         expr = qe.BinOp("and", qe.Const(False, BOOLEAN), bad, BOOLEAN)
-        assert evaluator.eval_bool(expr, {}) is False
+        assert truth(ctx, expr, {}) is False
 
     def test_short_circuit_or(self, setup):
-        evaluator, _q = setup
+        ctx, _q = setup
         bad = qe.BinOp("=", qe.BinOp("/", qe.Const(1, INTEGER),
                                      qe.Const(0, INTEGER), DOUBLE),
                        qe.Const(1, INTEGER), BOOLEAN)
         expr = qe.BinOp("or", qe.Const(True, BOOLEAN), bad, BOOLEAN)
-        assert evaluator.eval_bool(expr, {}) is True
-        assert evaluator.ctx.stats.or_branch_shortcuts == 1
+        assert truth(ctx, expr, {}) is True
+        assert ctx.stats.or_branch_shortcuts == 1
 
     def test_predicate_requires_true(self, setup):
-        evaluator, q = setup
+        ctx, q = setup
         unknown = qe.BinOp("=", col(q, "a"), qe.Const(1, INTEGER), BOOLEAN)
-        assert evaluator.eval_predicate(unknown, {q: (None, "", 0.0)}) is False
+        assert truth(ctx, unknown, {q: (None, "", 0.0)}) is not True

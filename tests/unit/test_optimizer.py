@@ -8,7 +8,7 @@ from repro.datatypes import BOOLEAN, INTEGER
 from repro.language.parser import parse_statement
 from repro.language.translator import translate
 from repro.optimizer.boxopt import Optimizer, OptimizerSettings
-from repro.optimizer.cost import CostModel
+from repro.optimizer.cost import CPU_WEIGHT, CostModel
 from repro.optimizer.enumerator import JoinEnumerator, prune_plans
 from repro.optimizer.plans import (
     HashJoin,
@@ -83,6 +83,16 @@ class TestCostModel:
         graph = translate(parse_statement(
             "SELECT k FROM small WHERE name LIKE 'n%'"), db)
         assert cm.selectivity(graph.root.predicates[0]) == pytest.approx(0.1)
+
+    def test_hash_build_row_costs_more_than_a_probe_row(self, db):
+        # The join enumerator costs both orientations; this is what
+        # makes it build on the small side whatever the FROM order.
+        cm = CostModel(db.catalog)
+        assert cm.hash_cost(10.0, 5000.0) < cm.hash_cost(5000.0, 10.0)
+        # GROUP BY / DISTINCT tables (no probe side) price as before.
+        for rows in (0.0, 1.0, 250.0, 1e6):
+            assert cm.hash_cost(rows, 0.0) == pytest.approx(
+                rows * CPU_WEIGHT * 1.2)
 
 
 class TestStarEngine:

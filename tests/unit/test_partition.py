@@ -1,5 +1,5 @@
-"""Hash-sharded tables, the REPARTITION exchange, and partition-wise
-parallel execution.
+"""Hash-sharded tables, partition pruning, the SHIP wire codec, and
+parallel joins as a GATHER over a broadcast hash join.
 
 Three layers under test:
 
@@ -8,12 +8,12 @@ Three layers under test:
   UPDATE moves and rollback) stays correct, and equality predicates on
   the partition column prune the other shards,
 - wire: ``pack_rows``/``unpack_rows`` round-trip every supported value
-  shape (the codec REPARTITION and SHIP move bytes with),
-- runtime: partitioned hash joins through a PARTITIONGATHER are
-  byte-identical to serial execution, co-location skips the shuffle,
-  a GROUP BY with non-mergeable aggregates runs over a plain GATHER,
-  and every degradation is recorded honestly — the old silent inline
-  stub for REPARTITION is gone.
+  shape (the codec SHIP moves bytes with),
+- runtime: a hash join over sharded or plain tables gathers by
+  morselling its probe scan while every worker builds the inner side in
+  full, byte-identical to serial execution on every backend; the
+  optimizer probes with the big side whatever the FROM order; a GROUP BY
+  with non-mergeable aggregates runs over a plain GATHER.
 """
 
 from __future__ import annotations
@@ -267,13 +267,6 @@ AVG_SQL = "SELECT cust, avg(amt) FROM orders GROUP BY cust"
 
 
 class TestPlanShape:
-    def test_partitioned_join_plan(self, shard_db):
-        text = shard_db.explain(
-            JOIN_SQL, options=_options(shard_db, parallelism="on", dop=3))
-        assert "PARTITIONGATHER(dop=3 sources=1)" in text
-        assert "REPARTITION(dop=3" in text
-        assert "partitioned=hash:3" in text
-
     def test_scan_shows_partitioning_property(self, shard_db):
         text = shard_db.explain("SELECT id FROM orders",
                                 options=_options(shard_db))
@@ -292,17 +285,6 @@ class TestPlanShape:
         gathers = [node for node in groupby.walk()
                    if isinstance(node, pl.Gather)]
         assert len(gathers) == 1 and gathers[0].merge_groups is None
-        assert not any(isinstance(node, (pl.PartitionGather,
-                                         pl.Repartition))
-                       for node in plan.walk())
-
-    def test_repartition_off_keeps_gather_family(self, shard_db):
-        text = shard_db.explain(
-            SELF_JOIN_SQL,
-            options=_options(shard_db, parallelism="on", dop=3,
-                             repartition=False))
-        assert "PARTITIONGATHER" not in text
-        assert "REPARTITION" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +310,6 @@ class TestByteIdentity:
         assert par.stats.parallel_fallbacks == 0
         assert par.stats.parallel_exchanges >= 1
 
-    def test_repartition_moves_bytes(self, shard_db):
-        _serial, par = _serial_vs_partitioned(shard_db, SELF_JOIN_SQL)
-        assert par.stats.exchange_bytes > 0
-
-    def test_colocated_join_moves_nothing(self, shard_db):
-        sql = ("SELECT p.id, q.id FROM orders p, orders q"
-               " WHERE p.cust = q.cust AND p.id < 40")
-        serial, par = _serial_vs_partitioned(shard_db, sql)
-        assert "PARTITIONGATHER(dop=3 colocated)" in shard_db.explain(
-            sql, options=_options(shard_db, parallelism="on", dop=3))
-        assert par.rows == serial.rows
-        assert par.stats.parallel_fallbacks == 0
-        assert par.stats.exchange_bytes == 0
-
     def test_gather_reports_worker_rows_scanned(self, shard_db):
         sql = "SELECT id, amt FROM orders WHERE amt > 3.0"
         serial, par = _serial_vs_partitioned(shard_db, sql)
@@ -350,12 +318,12 @@ class TestByteIdentity:
         assert par.stats.rows_scanned == serial.stats.rows_scanned == 3000
 
     def test_two_runtimes_interleaved(self, shard_db):
-        """Regression: two Databases in one process used to share the
-        shuffle-queue module global; a second runtime forking its own
+        """Regression: two Databases in one process used to share a
+        module-global exchange queue; a second runtime forking its own
         pool re-pointed it and the first runtime's coordinator drained
         queues its (reused) pool's children had never seen — a deadlock.
-        A pool now belongs to one Database and the shuffle rides its
-        task replies; the exchange-level interleaving stays pinned."""
+        A pool now belongs to one Database and results ride its task
+        replies; the exchange-level interleaving stays pinned."""
         other = Database()
         other.execute("CREATE TABLE t (a INTEGER, b INTEGER)"
                       " PARTITION BY HASH(a) PARTITIONS 3")
@@ -385,9 +353,8 @@ class TestByteIdentity:
             other.close()
 
     def test_determinism_20_runs(self, shard_db):
-        """Which worker runs which producer or partition is
-        nondeterministic; the sequence-tag merge must hide that
-        completely."""
+        """Which worker runs which morsel is nondeterministic; the
+        morsel-order gather must hide that completely."""
         options = _options(shard_db, parallelism="on", dop=3)
         first = shard_db.execute(SELF_JOIN_SQL, options=options).rows
         for _ in range(19):
@@ -431,53 +398,226 @@ class TestAutoGroupBy:
 
 
 # ---------------------------------------------------------------------------
-# Degradation honesty
+# Broadcast hash join under a GATHER
 # ---------------------------------------------------------------------------
 
 
-class TestDegradationHonesty:
-    def test_bare_repartition_records_fallback(self, shard_db):
-        """Regression: REPARTITION without a PARTITIONGATHER consumer
-        used to execute its child inline *silently*; it must count a
-        fallback with a reason now."""
-        from repro.errors import ExecutionError
-        from repro.executor.context import ExecutionContext
-        from repro.executor.run import rows_iter
+#: The ``analytic_parallel`` join, in both FROM orders.
+EVENTS_JOIN_SQL = [
+    "SELECT e.a, e.x, g.label FROM events e, groups g"
+    " WHERE e.g = g.k AND g.k < 180",
+    "SELECT e.a, e.x, g.label FROM groups g, events e"
+    " WHERE e.g = g.k AND g.k < 180",
+]
+LEFT_JOIN_SQL = ("SELECT c.cid, o.id FROM cust c LEFT JOIN orders o"
+                 " ON c.cid = o.cust AND o.amt > 8.9 WHERE c.region = 2")
+
+
+def _gathered_join(plan):
+    """The plan's GATHER over a PROJECT over a HASHJOIN, and that join,
+    or (None, None) when no join was gathered."""
+    from repro.optimizer import plans as pl
+
+    for node in plan.walk():
+        if isinstance(node, pl.Gather):
+            below = node.children[0].children
+            if below and isinstance(below[0], pl.HashJoin):
+                return node, below[0]
+    return None, None
+
+
+def _chain_scan(node):
+    from repro.optimizer import plans as pl
+
+    while isinstance(node, pl.Filter):
+        node = node.children[0]
+    return node if isinstance(node, pl.TableScan) else None
+
+
+@pytest.fixture(scope="module")
+def events_db() -> Database:
+    db = Database()
+    db.execute("CREATE TABLE events (a INTEGER, b INTEGER, g INTEGER,"
+               " x DOUBLE, tag VARCHAR(24))"
+               " PARTITION BY HASH(g) PARTITIONS 4")
+    db.execute("CREATE TABLE groups (k INTEGER PRIMARY KEY,"
+               " label VARCHAR(12))")
+    txn = db.begin()
+    for j in range(6000):
+        db.engine.insert(txn, "events", (j, j % 100, (j * 7) % 200,
+                                         (j % 997) / 7.0, "tag-%d" % j))
+    for k in range(200):
+        db.engine.insert(txn, "groups", (k, "grp_%d" % k))
+    db.commit(txn)
+    db.analyze()
+    yield db
+    db.close()
+
+
+class TestBroadcastJoin:
+    def test_both_from_orders_plan_the_same_gather(self, events_db):
+        """The build side is costed, so the optimizer probes with
+        ``events`` whatever the FROM order, and the glue gathers it."""
+        options = _options(events_db, parallelism="on", dop=2)
+        plans = [events_db.compile(sql, options=options).plan
+                 for sql in EVENTS_JOIN_SQL]
+        for plan in plans:
+            gather, join = _gathered_join(plan)
+            assert join is not None, plan.explain()
+            probe = _chain_scan(join.children[0])
+            assert probe.table.name == "events"
+            assert gather.morsel_scan is probe
+            assert _chain_scan(join.children[1]).table.name == "groups"
+        assert plans[0].explain() == plans[1].explain()
+
+    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_equals_serial(self, events_db, mode, order):
+        sql = EVENTS_JOIN_SQL[order]
+        serial = events_db.execute(
+            sql, options=_options(events_db, execution_mode=mode))
+        par = events_db.execute(
+            sql, options=_options(events_db, execution_mode=mode,
+                                  parallelism="on", dop=2))
+        assert repr(par.rows) == repr(serial.rows)
+        assert par.stats.parallel_exchanges == 1
+        assert par.stats.morsels > 1
+        assert par.stats.parallel_fallbacks == 0, par.stats.parallel_reasons
+
+    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    def test_self_join_morsels_only_the_probe_scan(self, shard_db, mode):
+        """Both sides scan ``plain``; the runtime restricts the scan the
+        GATHER names by node identity, so the build side stays whole."""
+        options = _options(shard_db, execution_mode=mode)
+        plan = shard_db.compile(
+            SELF_JOIN_SQL,
+            options=options.replace(parallelism="on", dop=3)).plan
+        gather, join = _gathered_join(plan)
+        assert join is not None, plan.explain()
+        probe = _chain_scan(join.children[0])
+        build = _chain_scan(join.children[1])
+        assert probe.table is build.table and probe is not build
+        assert gather.morsel_scan is probe
+        serial = shard_db.execute(SELF_JOIN_SQL, options=options)
+        par = shard_db.execute(
+            SELF_JOIN_SQL, options=options.replace(parallelism="on", dop=3))
+        assert par.rows == serial.rows
+        assert par.stats.morsels > 1
+        assert par.stats.parallel_fallbacks == 0, par.stats.parallel_reasons
+
+    def test_left_outer_join_probes_with_the_preserved_side(self, shard_db):
+        options = _options(shard_db, parallelism="on", dop=3)
+        plan = shard_db.compile(LEFT_JOIN_SQL, options=options).plan
+        gather, join = _gathered_join(plan)
+        assert join is not None, plan.explain()
+        assert join.kind == "left_outer"
+        assert gather.morsel_scan is _chain_scan(join.children[0])
+        assert gather.morsel_scan.table.name == "cust"
+        serial = shard_db.execute(LEFT_JOIN_SQL,
+                                  options=_options(shard_db))
+        par = shard_db.execute(LEFT_JOIN_SQL, options=options)
+        assert par.rows == serial.rows
+        assert any(row[1] is None for row in serial.rows)
+        assert par.stats.parallel_fallbacks == 0, par.stats.parallel_reasons
+
+    def test_derived_build_side_stays_serial(self, shard_db):
+        # The build side is a grouped derived table, not a Filter*/SCAN
+        # chain: the join is not gathered (its GROUP BY input may be).
         from repro.optimizer import plans as pl
 
+        sql = ("SELECT o.id, s.n FROM orders o,"
+               " (SELECT k, count(*) AS n FROM plain GROUP BY k) s"
+               " WHERE o.cust = s.k")
+        options = _options(shard_db, parallelism="on", dop=3)
+        plan = shard_db.compile(sql, options=options).plan
+        join = next(node for node in plan.walk()
+                    if isinstance(node, pl.HashJoin))
+        assert _chain_scan(join.children[1]) is None
+        assert not any(join in list(node.walk()) for node in plan.walk()
+                       if isinstance(node, pl.Exchange))
+        serial = shard_db.execute(sql, options=_options(shard_db))
+        assert shard_db.execute(sql, options=options).rows == serial.rows
+
+    def test_correlated_build_side_stays_serial(self, shard_db):
+        # Inside a correlated subquery the build side's predicate reads
+        # the outer row, which forked workers do not have: the glue
+        # refuses the join pyramid; uncorrelated, it accepts it.
+        from repro.optimizer import plans as pl
+        from repro.optimizer.stars import _join_candidate
+
+        sql = ("SELECT c.cid FROM cust c WHERE c.region = 1 AND EXISTS"
+               " (SELECT 1 FROM orders o, plain p"
+               "  WHERE o.id = p.id AND p.v = %s)")
         options = _options(shard_db, parallelism="on", dop=3,
-                           execution_mode="tuple")
-        compiled = shard_db.compile(SELF_JOIN_SQL, options=options)
-        repartition = next(node for node in compiled.plan.walk()
-                           if isinstance(node, pl.Repartition))
-        gather = next(node for node in compiled.plan.walk()
-                      if isinstance(node, pl.PartitionGather))
+                           forced_join_method="hash")
+        for outer_ref, joinable in (("c.cid * 3", False), ("3", True)):
+            plan = shard_db.compile(sql % outer_ref, options=options).plan
+            project = next(node for node in plan.walk()
+                           if isinstance(node, pl.Project)
+                           and isinstance(node.children[0], pl.HashJoin))
+            assert (_join_candidate(project) is not None) is joinable
+            serial = shard_db.execute(sql % outer_ref,
+                                      options=_options(shard_db))
+            par = shard_db.execute(sql % outer_ref, options=options)
+            assert par.rows == serial.rows
+
+    def test_auto_keeps_a_join_of_equal_sides_serial(self):
+        """``auto`` charges the build once per worker: probing a table
+        with one of its own size saves nothing, so it stays serial,
+        while the same probe against a small table gathers."""
+        db = Database()
+        for name, rows in (("big", 12000), ("twin", 12000),
+                           ("small", 100)):
+            db.execute("CREATE TABLE %s (id INTEGER, k INTEGER)" % name)
+            txn = db.begin()
+            for i in range(rows):
+                db.engine.insert(txn, name, (i, i % 97))
+            db.commit(txn)
+        db.analyze()
+        try:
+            options = _options(db, parallelism="auto", dop=2)
+            equal = db.compile("SELECT b.id, t.id FROM big b, twin t"
+                               " WHERE b.id = t.id", options=options)
+            small = db.compile("SELECT b.id, s.id FROM big b, small s"
+                               " WHERE b.id = s.id", options=options)
+            assert _gathered_join(equal.plan) == (None, None), \
+                equal.plan.explain()
+            assert _gathered_join(small.plan)[1] is not None, \
+                small.plan.explain()
+        finally:
+            db.close()
+
+
+# ---------------------------------------------------------------------------
+# Degradation honesty and measured movement
+# ---------------------------------------------------------------------------
+
+
+class TestExchangeHonesty:
+    def test_gathered_join_opened_with_bindings_records_fallback(
+            self, shard_db):
+        """A GATHER re-opened with outer bindings cannot hand them to
+        forked workers: it runs inline and says why."""
+        from repro.executor.context import ExecutionContext
+        from repro.executor.run import rows_iter
+
+        options = _options(shard_db, parallelism="on", dop=3)
+        gather, _join = _gathered_join(
+            shard_db.compile(SELF_JOIN_SQL, options=options).plan)
         ctx = ExecutionContext(shard_db.engine, shard_db.functions)
         ctx.join_kinds = shard_db.join_kinds
         ctx.parallel = shard_db.parallel_runtime()
-        # The reason is recorded *before* the inline degradation touches
-        # the child (which is an env-op here, so the inline run raises —
-        # incidental to what this regression guards).
-        with pytest.raises(ExecutionError):
-            rows_iter(repartition, ctx, {})
+        rows = list(rows_iter(gather, ctx, {"outer": (1,)}))
+        assert rows == shard_db.execute(SELF_JOIN_SQL).rows
         assert ctx.stats.parallel_fallbacks == 1
-        assert ctx.stats.parallel_reasons == \
-            ["REPARTITION without a PARTITIONGATHER consumer"]
-        # ... and a PARTITIONGATHER opened with outer bindings degrades
-        # with its own reason instead of going silent.
-        ctx2 = ExecutionContext(shard_db.engine, shard_db.functions)
-        ctx2.join_kinds = shard_db.join_kinds
-        ctx2.parallel = shard_db.parallel_runtime()
-        list(rows_iter(gather, ctx2, {"outer": (1,)}))
-        assert ctx2.stats.parallel_fallbacks == 1
-        assert "outer bindings" in ctx2.stats.parallel_reasons[0]
+        assert "outer bindings" in ctx.stats.parallel_reasons[0]
 
-    def test_fallback_mark_in_explain_analyze(self, shard_db):
+    def test_gathered_join_in_explain_analyze(self, shard_db):
         options = _options(shard_db, parallelism="on", dop=3)
         text = "\n".join(
             row[0] for row in shard_db.execute(
                 "EXPLAIN ANALYZE " + SELF_JOIN_SQL, options=options).rows)
-        # Real movement is visible: wire bytes plus per-task skew.
-        assert "wire=" in text
+        # The probe morsels and their per-task skew are visible.
+        assert "GATHER(dop=3 over plain)" in text
         assert "skew(min=" in text
-        assert "exchange_bytes=" in text
+        assert "parallel_fallbacks=0" in text

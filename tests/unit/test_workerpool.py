@@ -1,6 +1,6 @@
 """The forked worker pool, driven directly.
 
-Morsels, the REPARTITION shuffle, SHIP and snapshot reads all run on
+Morsels, SHIP and snapshot reads all run on
 ``repro.executor.workerpool.WorkerPool``; what has to be right about a
 fork pool exactly once — reply order, error replies, leases, deferred
 terminate, death, post-fork locks — is pinned here rather than once per
