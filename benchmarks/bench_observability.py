@@ -3,17 +3,18 @@
 PR 5's instrumentation wraps every LOLEPOP iterator with a timing probe,
 but only when ``CompileOptions.analyze`` is set; with it off the executor
 takes a single ``ctx.profile is not None`` branch per dispatch and
-allocates nothing.  Two checks on the E17 workloads (100k-row scan →
-filter → project, and the hash join), both in batch mode:
+allocates nothing.  Two checks on the E22 workloads (100k-row scan →
+filter → project, and the hash join), both on fused pipelines:
 
 - analyze OFF runs within noise of the pre-PR baseline (asserted as a
   generous <1.25x bound on min-of-N wall time against the same binary
   with the profile branch exercised zero times — i.e. plain execution),
-- analyze ON stays under 2x the analyze-off time (probes fire once per
-  batch on the batch path, so the relative cost is small).
+- analyze ON stays under 2x the analyze-off time (a fused region is
+  timed once as a whole; its analyze variant adds one counter increment
+  per pipeline step, so the relative cost is small).
 
 Tuple-mode analyze overhead is reported for information only (a per-row
-``perf_counter_ns`` pair is inherently heavier than a per-batch one).
+``perf_counter_ns`` pair is inherently heavier than a per-region one).
 
 Results go to ``benchmarks/latest_results.txt`` (via ``print_table``)
 and ``BENCH_observability.json`` at the repo root; the perf-smoke CI job
@@ -93,8 +94,8 @@ def _measure(db: Database, sql: str, mode: str, force_join=None):
 
 def test_observability_overhead(obs_bench_db, benchmark):
     db = obs_bench_db
-    scan = _measure(db, SCAN_SQL, "batch")
-    join = _measure(db, JOIN_SQL, "batch", force_join="hash")
+    scan = _measure(db, SCAN_SQL, "compiled")
+    join = _measure(db, JOIN_SQL, "compiled", force_join="hash")
     # Tuple-mode per-row probes: informational, no assertion.
     scan_tuple = _measure(db, SCAN_SQL, "tuple")
     # analyze-off vs baseline: same compiled plan run without the analyze
@@ -103,7 +104,7 @@ def test_observability_overhead(obs_bench_db, benchmark):
     # independent off runs agree within noise instead of trusting a stale
     # recorded number.
     base = CompileOptions.from_settings(db.settings).replace(
-        execution_mode="batch")
+        execution_mode="compiled")
     recheck_s, _ = _time(db, SCAN_SQL, base)
     off_ratio = max(recheck_s, scan["analyze_off_s"]) / max(
         min(recheck_s, scan["analyze_off_s"]), 1e-9)
@@ -111,8 +112,8 @@ def test_observability_overhead(obs_bench_db, benchmark):
     report = {
         "rows": ROWS,
         "cores": affinity_cores(),
-        "scan_filter_project_batch": scan,
-        "hash_join_batch": join,
+        "scan_filter_project_fused": scan,
+        "hash_join_fused": join,
         "scan_filter_project_tuple": scan_tuple,
         "analyze_off_noise_ratio": round(off_ratio, 3),
     }
@@ -120,7 +121,7 @@ def test_observability_overhead(obs_bench_db, benchmark):
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print_table(
-        "E20: analyze instrumentation overhead (%d rows, batch)" % ROWS,
+        "E20: analyze instrumentation overhead (%d rows, fused)" % ROWS,
         ["workload", "off (s)", "on (s)", "overhead", "rows out"],
         [("scan-filter-project", "%.4f" % scan["analyze_off_s"],
           "%.4f" % scan["analyze_on_s"], "%.2fx" % scan["overhead"],
@@ -133,7 +134,7 @@ def test_observability_overhead(obs_bench_db, benchmark):
           "%.2fx" % scan_tuple["overhead"], scan_tuple["rows_out"])])
     # analyze off is the production path: repeated off runs within noise.
     assert off_ratio < 1.25, report
-    # analyze on: <2x on the batch workloads (per-batch probes).
+    # analyze on: <2x on the fused workloads (per-step row counters).
     assert scan["overhead"] < 2.0, scan
     assert join["overhead"] < 2.0, join
 

@@ -70,12 +70,12 @@ class Settings:
         self.optimizer = OptimizerSettings()
         #: Validate QGM after parse and rewrite (debug aid; cheap).
         self.validate_qgm = True
-        #: Execution backend: "tuple" (stream interpreter), "batch"
-        #: (vectorized where supported), "compiled" (pipeline-fusion
-        #: codegen where fusable), or "auto" (refinement decides per
-        #: subtree).
+        #: Execution backend: "tuple" (stream interpreter), "compiled"
+        #: (pipeline-fusion codegen wherever fusable), or "auto" (fused
+        #: where a subtree processes enough rows, tuple elsewhere).
         self.execution_mode = "auto"
-        #: Rows per batch for the vectorized backend.
+        #: Rows per fused-pipeline morsel (scan record batches, and the
+        #: chunks a pipeline pulls from a tuple leaf).
         self.batch_size = 1024
         #: Serve repeated statements from the plan cache ("the result of
         #: the compilation stage can be stored for future use").
@@ -341,11 +341,10 @@ class Database:
         """Plan-cache counters plus per-entry hit/invalidation detail.
 
         Includes the cross-statement generated-code cache under
-        ``codegen``: generated functions (fused pipelines and batch
-        expression functions) are keyed by their source text (a
-        structural fingerprint), so ``hits`` counts functions that
-        reused a code object compiled for structurally identical code —
-        possibly from a different statement.
+        ``codegen``: generated fused-pipeline functions are keyed by
+        their source text (a structural fingerprint), so ``hits`` counts
+        functions that reused a code object compiled for structurally
+        identical code — possibly from a different statement.
         """
         stats = self.plan_cache.stats(self.catalog)
         from repro.executor.exprgen import codegen_cache_stats

@@ -23,10 +23,10 @@ JOIN_METHODS = ("nl", "merge", "hash")
 ENUMERATION_STRATEGIES = ("dp", "greedy")
 
 #: Legal values for :attr:`CompileOptions.execution_mode`.  ``compiled``
-#: selects the pipeline-fusion codegen backend where fusable (falling
-#: back per subtree to batch, then tuple); ``auto`` lets refinement pick
-#: per subtree, escalating large fusable plans to codegen.
-EXECUTION_MODES = ("tuple", "batch", "compiled", "auto")
+#: runs every fusable subtree on the pipeline-fusion codegen backend
+#: (the rest on the tuple interpreter); ``auto`` does the same for
+#: subtrees over enough rows.
+EXECUTION_MODES = ("tuple", "compiled", "auto")
 
 #: Legal values for :attr:`CompileOptions.parallelism`.  ``off`` never
 #: splices Exchanges; ``auto`` parallelizes only when the cost model says
@@ -115,6 +115,9 @@ class CompileOptions:
         self.forced_join_method = forced_join_method
         self.join_enumeration = join_enumeration
         self.execution_mode = execution_mode
+        #: Rows per fused-pipeline morsel: the record batches a fused
+        #: scan decodes at a time, and the chunks a pipeline pulls from
+        #: a tuple leaf.
         self.batch_size = batch_size
         #: Intra-query parallelism mode ("off" / "auto" / "on"); the glue
         #: phase splices Exchange LOLEPOPs when not "off".

@@ -40,8 +40,8 @@ class PhaseTimings:
         self.optimize = 0.0
         self.refine = 0.0
         #: Code generation (every execution_mode but "tuple"): emitting
-        #: and ``compile()``ing the fused per-pipeline functions and the
-        #: batch expression functions.  Paid once per cached plan.
+        #: and ``compile()``ing the fused per-pipeline functions.  Paid
+        #: once per cached plan.
         self.codegen = 0.0
         self.execute = 0.0
         #: How the plan reached the executor: "compiled" for a fresh run
@@ -173,7 +173,7 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
     _refine_check(plan)
     if options.execution_mode != "tuple":
         # Backend selection is a refinement too: the ExecBackend STAR
-        # marks each subtree tuple, batch or compiled (fused) from
+        # marks each node tuple or compiled (fused) from
         # structural checks alone; code is generated below, once the
         # parallel glue has settled the plan's shape.
         from repro.executor.selection import select_backends
@@ -191,13 +191,14 @@ def compile_statement(db, text: str, validate: Optional[bool] = None,
 
     if options.execution_mode != "tuple" and plan is not None:
         # Code generation runs after the parallel glue: exchange splices
-        # reshape the tree, and fused regions they break demote to the
-        # batch engine here rather than fusing a stale shape.
+        # reshape the tree, and a region root they leave unparseable
+        # demotes to the tuple interpreter here rather than fusing a
+        # stale shape.
         from repro.executor.codegen import generate_programs
 
         started = _begin(trace, "codegen")
         pipelines = generate_programs(plan, db.functions, options,
-                                      trace=trace)
+                                      db.join_kinds, trace=trace)
         timings.codegen = _end(trace, started, pipelines=pipelines)
 
     compiled = CompiledStatement(text, statement, qgm, plan, timings,

@@ -1,23 +1,19 @@
-"""Pipeline-fusion code generation: the third execution backend.
+"""Pipeline-fusion code generation: the fast execution backend.
 
 Section 7 of the paper notes the algebraic QEP interface "can also serve
 as the input specification to a component that compiles QEPs into
-iterative programs [FREY86]".  :mod:`repro.executor.vectorized`
-amortizes operator dispatch per batch — but the batch engine still walks
-an operator tree and re-resolves columns for every batch.  This module
-goes the rest of
-the way, the way raco emits one specialized template per pipeline: it
-splits the plan at pipeline breakers (hash build, group-by, sort,
-exchanges, Temp), and for each pipeline emits **one specialized Python
-function** — the whole scan→filter→probe→sink chain fused into a single
-loop with pre-resolved column offsets and the predicates, join keys and
-head expressions inlined as Python source.  The generated function is
+iterative programs [FREY86]".  This module is that component, the way
+raco emits one specialized template per pipeline: it splits the plan at
+pipeline breakers (hash build, group-by, sort, exchanges, Temp), and for
+each pipeline emits **one specialized Python function** — the whole
+source→filter→probe→sink chain fused into a single loop with
+pre-resolved column offsets and the predicates, join keys and head
+expressions inlined as Python source.  The generated function is
 ``compile()``d once (and cached by its source text, so structurally
-identical pipelines in *different* statements share one code object) and
-driven by the storage layer's ``scan_batches``/``page_range`` morsels.
+identical pipelines in *different* statements share one code object).
 
-**Region grammar.**  A fusable *region* is a maximal ``compiled``-marked
-subtree of this shape::
+**Region grammar.**  A fusable *region* is a ``compiled``-marked subtree
+of this shape::
 
     region := postop* core
     postop := DISTINCT | LIMIT | ORDERBY        (run by the driver)
@@ -25,43 +21,65 @@ subtree of this shape::
             | GROUPBY(chain)
             | PROJECT(ACCESS(GROUPBY(chain)))   (grouped: driver-level
                                                  HAVING + head project)
-    chain  := SCAN | FILTER(chain) | HASHJOIN(chain, chain)
+            | SORT(chain)                       (keys generated, sorted
+                                                 by the driver)
+            | chain                             (hands bindings to its
+                                                 tuple parent)
+    chain  := source | FILTER(chain) | HASHJOIN(chain, chain)
             | ACCESS(PROJECT(chain))            (folded by substitution)
+    source := SCAN                              (records, decoded inline)
+            | ISCAN                             (fetched rows of its probe
+                                                 or range)
+            | any non-fused binding node        (its bindings, pulled
+                                                 from the interpreter)
+            | ACCESS(any other row node)        (its rows, likewise)
 
 ``ACCESS(PROJECT(...))`` pairs — how the optimizer binds a derived box's
 rows to a quantifier — are *folded away*: references to the access
 quantifier are substituted with the project's head expressions, so the
 indirection costs nothing at run time.  Every HASHJOIN inner input
 becomes its own *build* pipeline (emitting a key → payload-rows hash
-table); the final pipeline runs the probe chain and the sink.  Nested
-joins nest naturally: a build chain may itself contain probes.
+table); the final pipeline runs the probe chain and the sink.  A
+preserving (left outer) probe pads unmatched outer rows with NULLs in
+the probe step itself.
 
-**Fallback contract.**  The selection pass
-(:mod:`repro.executor.selection`) offers ``compiled`` only to nodes that
-are batch-capable *and* fusable (:func:`fuse_reason`), so a ``compiled``
-mark can always be demoted to ``batch``.  Regions that fail validation —
-including regions broken up *after* selection by the parallel glue's
-exchange splices — demote wholesale to the batch engine, recorded per
-node in ``plan.codegen_fallbacks`` and counted at runtime in
-``stats.fallbacks`` exactly like the batch→tuple boundaries.
-:func:`generate_programs` runs last and generates code only for what
-was selected: a :class:`Program` per fused region, the batch functions
-of every batch-marked node, nothing for tuple nodes.
+**Leaves.**  A non-fused source is a *leaf*: the driver pulls it through
+:func:`~repro.executor.run.env_iter` / :func:`~repro.executor.run.
+rows_iter` with the region's own environment, so correlation below it
+still resolves, and ``ctx.batch_size`` rows at a time become one
+morsel.  A leaf may itself be a fused region (an ACCESS over a grouped
+region); it is generated as a region of its own.
+
+**Selection and demotion.**  :mod:`repro.executor.selection` marks nodes
+``compiled`` from :func:`fuse_reason` alone.  :func:`generate_programs`
+runs after the parallel glue and generates a :class:`Program` for every
+region root; a root whose region does not parse — the glue's exchange
+splices reshape the tree — goes to ``tuple`` (reason recorded in
+``plan.codegen_fallbacks``) and its children are tried as regions of
+their own.  An adapter sits on every tuple boundary, counted at run time
+in ``stats.fallbacks``.
 
 **Semantics.**  Predicates, join keys and head expressions are emitted
-by :class:`~repro.executor.exprgen.ExprGen` — the same generator the
-batch engine uses — so a fused pipeline is row-for-row and
-error-for-error identical to the other backends; the driver-level
-post-operators and the group-by tail are the shared ones in
-:mod:`repro.executor.rowops`.
+by :class:`~repro.executor.exprgen.ExprGen`, which reproduces the tuple
+interpreter's scalar closures operator for operator, so a fused
+pipeline is row-for-row and error-for-error identical to the tuple
+backend; the driver-level post-operators and the group-by tail are the
+shared ones in :mod:`repro.executor.rowops`.
+
+**EXPLAIN ANALYZE.**  Under ``ctx.profile`` each region runs its
+*analyze variant*: the same pipelines generated with one row counter per
+step (source, filter, probe, sink), credited to the plan nodes that step
+stands for.  Time is measured for the region as a whole.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.executor import rowops, vectorized
-from repro.executor.compiled import closures
+from repro.errors import SubqueryError
+from repro.executor import rowops
+from repro.executor.compiled import closures, plan_expressions
 from repro.executor.context import ExecutionContext
 from repro.executor.exprgen import (
     ExprGen,
@@ -70,29 +88,170 @@ from repro.executor.exprgen import (
     materialize,
     reject_reason,
 )
-from repro.executor.run import scan_partition
+from repro.executor.run import (
+    env_iter,
+    index_rids,
+    rows_iter,
+    scan_partition,
+)
 from repro.optimizer import plans as pl
 from repro.qgm import expressions as qe
 
 
 # ---------------------------------------------------------------------------
-# Region parsing and validation
+# Pipeline inputs
+# ---------------------------------------------------------------------------
+
+
+class _RecordSource:
+    """Per-column lazy decoding of one scan morsel: one NULL-bitmap
+    screening pass (and at most one whole-row decode when a column has
+    no static offset).  The fused scan falls back to this when the
+    serializer offers no combined one-pass decoder."""
+
+    __slots__ = ("records", "serializer", "_dirty", "_rows")
+
+    def __init__(self, records, serializer):
+        self.records = records
+        self.serializer = serializer
+        self._dirty: Optional[List[int]] = None
+        self._rows: Optional[List[Tuple[Any, ...]]] = None
+
+    def column(self, position: int) -> List[Any]:
+        serializer = self.serializer
+        decoder = serializer.column_decoder(position)
+        if decoder is None:
+            if self._rows is None:
+                deserialize = serializer.deserialize
+                self._rows = [deserialize(rec) for rec in self.records]
+            return [row[position] for row in self._rows]
+        col = decoder(self.records)
+        if self._dirty is None:
+            self._dirty = serializer.null_rows(self.records)
+        if self._dirty:
+            byte, bit = position // 8, 1 << (position % 8)
+            records = self.records
+            for i in self._dirty:
+                if records[i][byte] & bit:
+                    col[i] = None
+        return col
+
+
+def _index_chunks(plan: pl.IndexScan, ctx: ExecutionContext,
+                  env) -> Iterator[list]:
+    """A fused ISCAN's rows, ``ctx.batch_size`` fetches at a time.  The
+    probe or range expressions evaluate once, against the region's
+    (possibly correlated) environment."""
+    fetch = ctx.engine.fetch
+    txn = ctx.txn
+    name = plan.table.name
+    size = ctx.batch_size
+    pairs = iter(index_rids(plan, ctx, env))
+    while True:
+        chunk = list(itertools.islice(pairs, size))
+        if not chunk:
+            return
+        ctx.stats.rows_scanned += len(chunk)
+        yield [fetch(txn, name, rid) for _key, rid in chunk]
+
+
+def _chunks(stream, ctx: ExecutionContext) -> Iterator[list]:
+    """A leaf's interpreter stream as ``ctx.batch_size``-item morsels
+    (one tuple→fused boundary crossing)."""
+    ctx.stats.fallbacks += 1
+    size = ctx.batch_size
+    while True:
+        chunk = list(itertools.islice(stream, size))
+        if not chunk:
+            return
+        yield chunk
+
+
+# ---------------------------------------------------------------------------
+# Fusability (selection-time structural check)
 # ---------------------------------------------------------------------------
 
 _POSTOP_TYPES = (pl.Distinct, pl.LimitOp, pl.TopSort)
+_SCAN_TYPES = (pl.TableScan, pl.IndexScan, pl.DerivedScan)
+_CHAIN_TYPES = _SCAN_TYPES + (pl.Filter, pl.HashJoin)
+
+
+def fuse_reason(node: pl.PlanOp, kinds, functions) -> Optional[str]:
+    """None when this node can take part in a fused pipeline, otherwise
+    why it cannot.  Expressions must be generatable and self-contained:
+    every quantifier they reference is bound inside the node's subtree
+    (correlated fragments stay on the interpreter)."""
+    if getattr(node, "subplans", None):
+        return "subquery expressions"
+    node_type = type(node)
+    if node_type in _SCAN_TYPES:
+        # An index scan's probe or range expressions stay closures: they
+        # evaluate once per open, against the outer environment.
+        exprs = [p.expr for p in node.preds]
+        scope = {node.quantifier}
+    elif node_type in (pl.Filter, pl.Project, pl.GroupBy, pl.Sort):
+        scope = node.children[0].props.quantifiers
+        if node_type is pl.Filter:
+            exprs = [p.expr for p in node.preds]
+        elif node_type is pl.Project:
+            exprs = node.exprs
+        elif node_type is pl.Sort:
+            exprs = [expr for expr, _ascending in node.keys]
+        else:
+            for agg in node.aggregates:
+                if functions.aggregate(agg.name) is None:
+                    # The interpreter raises at run time; staying on it
+                    # preserves that error exactly.
+                    return "unknown aggregate %s" % agg.name
+            exprs = list(node.group_exprs) + [
+                agg.arg for agg in node.aggregates if agg.arg is not None]
+    elif node_type is pl.HashJoin:
+        try:
+            kind = kinds.get(node.kind, functions)
+        except SubqueryError:
+            return "unknown join kind %s" % node.kind
+        # The probe step implements the binding kinds (regular, and
+        # left-outer padding); semijoin and scalar kinds keep the
+        # interpreter.
+        if not kind.binds_inner or kind.scalar or kind.combine is not None:
+            return "join kind %s" % node.kind
+        exprs = (list(node.outer_keys) + list(node.inner_keys)
+                 + [p.expr for p in node.residual])
+        scope = (node.children[0].props.quantifiers
+                 | node.children[1].props.quantifiers)
+    elif node_type in _POSTOP_TYPES:
+        return None
+    else:
+        return "unsupported operator %s" % node.op_name
+    for expr in exprs:
+        if not qe.quantifiers_in(expr) <= scope:
+            return "correlated expression"
+        reason = reject_reason(expr, functions)
+        if reason is not None:
+            return reason
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Region parsing
+# ---------------------------------------------------------------------------
+
+
+def _compiled(node: pl.PlanOp) -> bool:
+    return node.exec_backend == "compiled"
 
 
 def _parse_region(root: pl.PlanOp):
-    """Split a compiled-marked region into driver-level post-operators,
-    an optional grouped wrap ``(project, access)`` over the core, and the
-    pipeline core; raises :class:`Unsupported` on any shape the generator
-    does not fuse."""
+    """Split a region into driver-level post-operators, an optional
+    grouped wrap ``(project, access)``, the core, the sink kind
+    (``project``, ``groupby`` or ``envs``) and the top of the input
+    chain; raises :class:`Unsupported` on any other shape."""
     postops: List[pl.PlanOp] = []
     node = root
     while isinstance(node, _POSTOP_TYPES):
         postops.append(node)
         node = node.children[0]
-        if node.exec_backend != "compiled":
+        if not _compiled(node):
             raise Unsupported("%s over non-fused input"
                               % postops[-1].op_name)
     wrap = None
@@ -100,86 +259,95 @@ def _parse_region(root: pl.PlanOp):
         if node.subplans:
             raise Unsupported("subquery expressions")
         child = node.children[0]
-        if isinstance(child, pl.DerivedScan) \
-                and isinstance(child.children[0], pl.GroupBy):
+        if isinstance(child, pl.DerivedScan) and _compiled(child) \
+                and isinstance(child.children[0], pl.GroupBy) \
+                and _compiled(child.children[0]):
             # The grouped shape: the head PROJECT (and any HAVING preds
             # on the ACCESS) evaluates per *group*, driver-side.
-            if child.exec_backend != "compiled" \
-                    or child.children[0].exec_backend != "compiled":
-                raise Unsupported("grouped core not fused")
             wrap = (node, child)
             node = child.children[0]
-    elif not isinstance(node, pl.GroupBy):
+            sink = "groupby"
+        else:
+            sink = "project"
+        chain = node.children[0]
+    elif isinstance(node, (pl.GroupBy, pl.Sort)):
+        sink = "groupby" if isinstance(node, pl.GroupBy) else "sort"
+        chain = node.children[0]
+    elif isinstance(node, _CHAIN_TYPES):
+        sink = "envs"
+        chain = node
+    else:
         raise Unsupported("region root %s is not a pipeline sink"
                           % node.op_name)
-    _check_chain(node.children[0])
-    return postops, wrap, node
+    return postops, wrap, node, sink, chain
 
 
-def _check_chain(node: pl.PlanOp) -> None:
-    if node.exec_backend != "compiled":
-        raise Unsupported("pipeline input %s not fused" % node.op_name)
-    if isinstance(node, pl.TableScan):
-        return
-    if isinstance(node, pl.Filter):
-        _check_chain(node.children[0])
-        return
-    if isinstance(node, pl.HashJoin):
-        _check_chain(node.children[1])
-        _check_chain(node.children[0])
-        return
-    if isinstance(node, pl.DerivedScan):
-        inner = node.children[0]
-        if not isinstance(inner, pl.Project) or inner.subplans:
-            raise Unsupported("ACCESS over %s" % inner.op_name)
-        if inner.exec_backend != "compiled":
-            raise Unsupported("pipeline input %s not fused" % inner.op_name)
-        _check_chain(inner.children[0])
-        return
-    raise Unsupported("unsupported operator %s in pipeline" % node.op_name)
+class _Chain:
+    """One pipeline's input chain, in execution order.
 
+    ``kind`` is the source's: ``scan`` (a fused SCAN's records),
+    ``iscan`` (a fused ISCAN's fetched rows), ``envs`` (a non-fused
+    binding node, pulled from the interpreter) or ``rows`` (an ACCESS
+    over a non-fused row node).  ``steps`` are
+    ``("filter", node)`` and ``("probe", node)``; ``credits[0]`` lists
+    the plan nodes whose output the source stands for and
+    ``credits[i + 1]`` those of step ``i`` — the rows a step passes are
+    the rows those nodes produce (EXPLAIN ANALYZE).  ``mapping`` folds
+    each spine ``ACCESS(PROJECT(...))`` pair away (access quantifier →
+    the project's head expressions)."""
 
-def _demote_region(node: pl.PlanOp) -> None:
-    """Downgrade a contiguous compiled region to the batch engine.
+    __slots__ = ("kind", "source", "steps", "credits", "mapping")
 
-    Always safe: the selection pass only offers ``compiled`` to nodes the
-    batch engine is capable of."""
-    if node.exec_backend != "compiled":
-        return
-    node.exec_backend = "batch"
-    for child in node.children:
-        _demote_region(child)
-
-
-def _linearize(chain_top: pl.PlanOp):
-    """The chain's SCAN leaf, its steps in execution (bottom-up) order —
-    ``("filter", node)`` (Filter or a predicated ACCESS) or
-    ``("probe", node)`` — and the substitution mapping that folds each
-    spine ``ACCESS(PROJECT(...))`` pair away (access quantifier → the
-    project's head expressions)."""
-    steps: List[Tuple] = []
-    mapping: Dict[Any, list] = {}
-    node = chain_top
-    while True:
-        if isinstance(node, pl.TableScan):
-            return node, list(reversed(steps)), mapping
-        if isinstance(node, pl.Filter):
-            steps.append(("filter", node))
-            node = node.children[0]
-        elif isinstance(node, pl.HashJoin):
-            steps.append(("probe", node))
-            node = node.children[0]
-        elif isinstance(node, pl.DerivedScan):
-            inner = node.children[0]
-            if not isinstance(inner, pl.Project) or inner.subplans:
-                raise Unsupported("ACCESS over %s" % inner.op_name)
-            mapping[node.quantifier] = inner.exprs
+    def __init__(self, top: pl.PlanOp):
+        entries: List[Tuple] = []  # top-down
+        self.mapping: Dict[Any, list] = {}
+        node = top
+        while True:
+            if not (_compiled(node) and isinstance(node, _CHAIN_TYPES)):
+                # A tuple node, or the root of a region of its own.
+                self.kind = "envs"
+                break
+            if isinstance(node, pl.TableScan):
+                self.kind = "scan"
+                break
+            if isinstance(node, pl.IndexScan):
+                self.kind = "iscan"
+                break
+            if isinstance(node, (pl.Filter, pl.HashJoin)):
+                entries.append(("filter" if isinstance(node, pl.Filter)
+                                else "probe", node))
+                node = node.children[0]
+                continue
             if node.preds:
-                steps.append(("filter", node))
+                entries.append(("filter", node))
+            inner = node.children[0]
+            if not (isinstance(inner, pl.Project) and _compiled(inner)):
+                self.kind = "rows"
+                break
+            self.mapping[node.quantifier] = inner.exprs
+            entries.append(("fold", inner) if node.preds
+                           else ("fold", inner, node))
             node = inner.children[0]
-        else:
-            raise Unsupported("unsupported operator %s in pipeline"
-                              % node.op_name)
+        self.source = node
+        passes = self.kind in ("scan", "iscan") or (self.kind == "rows"
+                                                    and not node.preds)
+        self.credits: List[List[pl.PlanOp]] = [[node] if passes else []]
+        self.steps: List[Tuple[str, pl.PlanOp]] = []
+        for entry in reversed(entries):
+            if entry[0] == "fold":
+                self.credits[-1].extend(entry[1:])
+            else:
+                self.steps.append(entry)
+                self.credits.append([entry[1]])
+
+    @property
+    def leaf(self) -> Optional[pl.PlanOp]:
+        """The node the driver pulls through the interpreter, if any."""
+        if self.kind == "envs":
+            return self.source
+        if self.kind == "rows":
+            return self.source.children[0]
+        return None
 
 
 def _subst(expr: qe.QExpr, mapping: Dict[Any, list]) -> qe.QExpr:
@@ -198,43 +366,17 @@ def _subst(expr: qe.QExpr, mapping: Dict[Any, list]) -> qe.QExpr:
     return qe.substitute_colrefs(expr, visit)
 
 
-# ---------------------------------------------------------------------------
-# Fusability (selection-time structural check)
-# ---------------------------------------------------------------------------
+def _tuple_source(items) -> str:
+    items = list(items)
+    return "(%s%s)" % (", ".join(items), "," if items else "")
 
 
-def fuse_reason(node: pl.PlanOp, kinds, functions) -> Optional[str]:
-    """None when this (batch-capable) node can take part in a fused
-    pipeline, otherwise why it cannot."""
-    node_type = type(node)
-    if node_type in (pl.TableScan, pl.Filter, pl.DerivedScan):
-        exprs = [p.expr for p in node.preds]
-    elif node_type is pl.HashJoin:
-        if kinds.get(node.kind, functions).preserves_outer:
-            return "outer-join padding"
-        exprs = (list(node.outer_keys) + list(node.inner_keys)
-                 + [p.expr for p in node.residual])
-    elif node_type is pl.Project:
-        if node.subplans:
-            return "subquery expressions"
-        exprs = node.exprs
-    elif node_type is pl.GroupBy:
-        for agg in node.aggregates:
-            if functions.aggregate(agg.name) is None:
-                # The interpreters raise at runtime; demoting to batch
-                # preserves that error exactly.
-                return "unknown aggregate %s" % agg.name
-        exprs = list(node.group_exprs) + [
-            agg.arg for agg in node.aggregates if agg.arg is not None]
-    elif node_type in _POSTOP_TYPES:
-        exprs = []
-    else:
-        return "unsupported operator %s" % node.op_name
-    for expr in exprs:
-        reason = reject_reason(expr, functions)
-        if reason is not None:
-            return reason
-    return None
+def _arity(quantifier) -> int:
+    return len(quantifier.input.head.columns)
+
+
+def _by_uid(quantifiers) -> list:
+    return sorted(quantifiers, key=lambda q: q.uid)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +388,11 @@ class _Runtime:
     """Identity-bearing values one generated pipeline needs at run time
     (everything structural is baked into its source)."""
 
-    __slots__ = ("scan", "hoisted", "aggs")
+    __slots__ = ("source", "hoisted", "aggs")
 
-    def __init__(self, scan, hoisted, aggs):
-        self.scan = scan
+    def __init__(self, source, hoisted, aggs):
+        #: The chain's source node (a SCAN, a leaf, or a leaf's ACCESS).
+        self.source = source
         #: The expression generator's hoisted values (``_hN``).
         self.hoisted = hoisted
         self.aggs = aggs
@@ -267,6 +410,7 @@ class _Pipeline:
         #: True when the code object came from the cross-statement cache.
         self.shared = shared
         self.source = source
+        #: What the pipeline reads: a table name, or the leaf's operator.
         self.table = table
 
 
@@ -276,79 +420,165 @@ class Program:
     per-group HAVING predicates and head projection (scalar closures;
     they run once per group, not per row)."""
 
-    __slots__ = ("pipelines", "final_kind", "core", "postops",
+    __slots__ = ("root", "pipelines", "final_kind", "core", "postops",
                  "n_pipelines", "agg_functions", "source",
-                 "wrap_quantifier", "wrap_preds", "wrap_exprs")
+                 "wrap_quantifier", "wrap_preds", "wrap_exprs", "leaves",
+                 "counter_nodes", "stages", "functions", "kinds",
+                 "needed", "_analyzed")
 
-    def __init__(self, pipelines, final_kind, core, postops, agg_functions,
-                 wrap_quantifier=None, wrap_preds=(), wrap_exprs=None):
-        self.pipelines = pipelines
+    def __init__(self, root, emitter, final_kind, core, postops,
+                 agg_functions, wrap_quantifier=None, wrap_preds=(),
+                 wrap_exprs=None):
+        self.root = root
+        self.pipelines = emitter.pipelines
         self.final_kind = final_kind
         self.core = core
         self.postops = postops
-        self.n_pipelines = len(pipelines)
+        self.n_pipelines = len(self.pipelines)
         self.agg_functions = agg_functions
-        self.source = "\n\n".join(p.source for p in pipelines)
+        self.source = "\n\n".join(p.source for p in self.pipelines)
         self.wrap_quantifier = wrap_quantifier
         self.wrap_preds = wrap_preds
         self.wrap_exprs = wrap_exprs
+        #: The nodes the driver pulls through the interpreter.
+        self.leaves = emitter.leaves
+        #: Analyze variant only: the plan nodes each row counter credits,
+        #: and the counter of each driver-level stage.
+        self.counter_nodes = emitter.counter_nodes
+        self.stages: Dict[Any, int] = {}
+        self.functions = emitter.functions
+        self.kinds = emitter.kinds
+        self.needed = emitter.needed
+        self._analyzed: Optional[Program] = None
+
+    def analyzed(self) -> "Program":
+        """This region with one row counter per step (generated on first
+        use: EXPLAIN ANALYZE may run a plan compiled without it)."""
+        if self._analyzed is None:
+            self._analyzed = _generate(self.root, self.functions,
+                                       self.kinds, self.needed,
+                                       analyze=True)
+        return self._analyzed
 
 
-def generate_programs(plan: pl.PlanOp, functions, options,
+def generate_programs(plan: pl.PlanOp, functions, options, kinds,
                       trace=None) -> int:
-    """Generate code for what the selection pass chose: a
-    :class:`Program` on every valid compiled region root — regions
-    invalidated since selection (exchange splices reshape the tree)
-    demote to batch — then the batch functions of every batch-marked
-    node.  Returns the total pipeline count."""
+    """Generate a :class:`Program` on every compiled region root, top
+    down; a root whose region does not parse goes to ``tuple`` and its
+    children become region roots.  Under ``auto`` a region that is a
+    lone predicate-free source under a tuple operator also goes to
+    ``tuple``: with nothing to evaluate the adapter is pure overhead,
+    paid again on every re-open when it is a join inner.  Tuple nodes a
+    region pulls from are marked ``fallback=tuple`` for EXPLAIN.
+    Returns the total pipeline count."""
     if plan is None:
         return 0
+    # Set by the selection pass, unless the parallel glue has since put
+    # an Exchange at the root.
     fallbacks = getattr(plan, "codegen_fallbacks", None)
     if fallbacks is None:
         fallbacks = plan.codegen_fallbacks = []
+    auto = options.execution_mode == "auto"
+    needed = _NeededColumns(plan)
     total = 0
 
-    def visit(node: pl.PlanOp, parent_backend: str) -> None:
+    def visit(node: pl.PlanOp, parent: str) -> None:
         nonlocal total
-        if node.exec_backend == "compiled" and parent_backend != "compiled":
-            try:
-                program = _generate(node, functions)
-            except Unsupported as exc:
-                fallbacks.append((node.op_name, str(exc)))
-                _demote_region(node)
+        if _compiled(node):
+            if auto and parent == "tuple" and _idle(node):
+                node.exec_backend = "tuple"
             else:
-                node.codegen_program = program
-                total += program.n_pipelines
-                if trace is not None:
-                    for index, pipe in enumerate(program.pipelines):
-                        trace.event(
-                            "codegen.pipeline", region=node.describe(),
-                            pipeline=index, table=pipe.table,
-                            role=("sink" if pipe is program.pipelines[-1]
-                                  else "build"),
-                            shared=pipe.shared,
-                            source_lines=pipe.source.count("\n") + 1)
+                try:
+                    program = _generate(node, functions, kinds, needed)
+                except Unsupported as exc:
+                    fallbacks.append((node.op_name, str(exc)))
+                    node.exec_backend = "tuple"
+                else:
+                    node.codegen_program = program
+                    total += program.n_pipelines
+                    if trace is not None:
+                        _trace_program(trace, node, program)
+                    for leaf in program.leaves:
+                        visit(leaf, "compiled")
+                    return
+        if parent == "compiled" and not getattr(node, "fallback_mark", None):
+            node.fallback_mark = "tuple"
         for child in node.children:
-            visit(child, node.exec_backend)
+            visit(child, "tuple")
         for binding in getattr(node, "subplans", []):
             visit(binding.plan, "tuple")
 
     visit(plan, "tuple")
-    for node in plan.walk():
-        if node.exec_backend == "batch":
-            vectorized.attach_functions(node, functions)
     return total
 
 
-def _generate(root: pl.PlanOp, functions) -> Program:
-    postops, wrap, core = _parse_region(root)
-    if isinstance(core, pl.GroupBy):
-        final_kind = "groupby"
+#: Where the built-in LOLEPOPs live; a plan with any other node type (a
+#: DBC-built operator) may read whole rows, so bindings keep them.
+_BUILTIN_PLAN_MODULES = (pl.__name__, "repro.optimizer.boxopt")
+
+
+class _NeededColumns:
+    """Per quantifier, the column positions any expression of the plan
+    (subquery plans and correlation references included) reads.  A
+    region handing bindings to the interpreter decodes and fills only
+    those, None elsewhere; when the plan holds a DBC-built operator,
+    every binding carries its whole row.  Computed on first use: most
+    regions hand over no bindings."""
+
+    def __init__(self, plan: pl.PlanOp):
+        self.plan = plan
+        self._needed: Optional[Dict[Any, set]] = None
+        self._whole = False
+
+    def kept(self, quantifier) -> List[int]:
+        if self._needed is None:
+            self._collect()
+        if self._whole:
+            return list(range(_arity(quantifier)))
+        return sorted(self._needed.get(quantifier, ()))
+
+    def _collect(self) -> None:
+        self._needed = {}
+        for node in self.plan.walk():
+            if type(node).__module__ not in _BUILTIN_PLAN_MODULES:
+                self._whole = True
+                return
+            for expr, _boolean in plan_expressions(node):
+                for ref in qe.walk(expr):
+                    if isinstance(ref, qe.ColRef):
+                        self._needed.setdefault(ref.quantifier, set()).add(
+                            ref.quantifier.input.head.index_of(ref.column))
+
+
+def _idle(node: pl.PlanOp) -> bool:
+    """A predicate-free SCAN, ISCAN or ACCESS that would only turn its
+    input into bindings (no project to fold)."""
+    if not isinstance(node, _SCAN_TYPES) or node.preds:
+        return False
+    return not any(isinstance(child, pl.Project) and _compiled(child)
+                   for child in node.children)
+
+
+def _trace_program(trace, node: pl.PlanOp, program: Program) -> None:
+    for index, pipe in enumerate(program.pipelines):
+        trace.event(
+            "codegen.pipeline", region=node.describe(), pipeline=index,
+            table=pipe.table,
+            role="sink" if pipe is program.pipelines[-1] else "build",
+            shared=pipe.shared, source_lines=pipe.source.count("\n") + 1)
+
+
+def _generate(root: pl.PlanOp, functions, kinds, needed,
+              analyze: bool = False) -> Program:
+    postops, wrap, core, sink, chain = _parse_region(root)
+    if sink == "groupby":
         agg_functions = tuple(
             rowops.aggregate_functions(core.aggregates, functions))
     else:
-        final_kind = "project"
         agg_functions = ()
+
+    emitter = _Emitter(functions, kinds, needed, analyze, agg_functions)
+    emitter.pipeline(chain, sink, core)
 
     wrap_quantifier = None
     wrap_preds: list = []
@@ -360,201 +590,364 @@ def _generate(root: pl.PlanOp, functions) -> Program:
         wrap_quantifier = access.quantifier
         wrap_preds = closures(access.preds, functions)
         wrap_exprs = closures(project.exprs, functions, True)
+    program = Program(root, emitter, sink, core, postops, agg_functions,
+                      wrap_quantifier, tuple(wrap_preds), wrap_exprs)
+    if analyze:
+        # Driver-level stages count the rows they pass on, too.
+        stages = [(postop, [postop]) for postop in postops]
+        if sink == "groupby":
+            stages.append((core, [core]))
+            if wrap is not None:
+                stages.append(("wrap", [wrap[1], wrap[0]]))
+        for key, credited in stages:
+            program.stages[key] = len(program.counter_nodes)
+            program.counter_nodes.append(credited)
+    return program
 
-    pipelines: List[_Pipeline] = []
-    _emit_pipeline(core.children[0], final_kind, core, None, None,
-                   pipelines, agg_functions, functions)
-    return Program(pipelines, final_kind, core, postops, agg_functions,
-                   wrap_quantifier, tuple(wrap_preds), wrap_exprs)
 
+class _Emitter:
+    """The pipelines of one region, emitted post-order (builds before
+    the pipelines probing them)."""
 
-def _emit_pipeline(chain_top, sink_kind, sink_node, payload, keys,
-                   pipelines, agg_functions, functions) -> int:
-    """Emit one pipeline (recursively emitting its builds first); appends
-    a :class:`_Pipeline` and returns its program-level index."""
-    scan, steps, mapping = _linearize(chain_top)
+    def __init__(self, functions, kinds, needed, analyze: bool,
+                 agg_functions):
+        self.functions = functions
+        self.kinds = kinds
+        self.needed = needed
+        self.analyze = analyze
+        self.agg_functions = agg_functions
+        self.pipelines: List[_Pipeline] = []
+        self.leaves: List[pl.PlanOp] = []
+        self.counter_nodes: List[List[pl.PlanOp]] = []
 
-    # Fold the spine's ACCESS(PROJECT(...)) indirections away up front:
-    # every expression the pipeline evaluates is substituted down to the
-    # scan's and the probes' quantifiers.
-    scan_preds = [_subst(p.expr, mapping) for p in scan.preds]
-    step_exprs = []
-    for step_kind, node in steps:
-        if step_kind == "filter":
-            step_exprs.append([_subst(p.expr, mapping)
-                               for p in node.preds])
-        else:
-            step_exprs.append((
-                [_subst(e, mapping) for e in node.outer_keys],
-                [_subst(p.expr, mapping) for p in node.residual]))
-    if sink_kind == "project":
-        sink_exprs = [_subst(e, mapping) for e in sink_node.exprs]
-        agg_args: list = []
-    elif sink_kind == "groupby":
-        sink_exprs = [_subst(e, mapping) for e in sink_node.group_exprs]
-        agg_args = [None if agg.arg is None else _subst(agg.arg, mapping)
-                    for agg in sink_node.aggregates]
-    else:  # build: the inner keys plus the consumer's payload refs —
-        # refs to a folded quantifier become the defining expressions.
-        sink_exprs = [_subst(e, mapping) for e in keys]
-        agg_args = []
-        payload_exprs = [
-            _subst(mapping[q][position], mapping) if q in mapping else None
-            for (q, position) in payload]
+    def pipeline(self, chain_top, sink_kind, sink_node, payload=None,
+                 keys=None) -> int:
+        """Emit one pipeline (recursively emitting its builds first);
+        appends a :class:`_Pipeline` and returns its index."""
+        chain = _Chain(chain_top)
+        if chain.leaf is not None:
+            self.leaves.append(chain.leaf)
+        mapping = chain.mapping
+        source = chain.source
+        kind = chain.kind
 
-    # Every (quantifier, position) the pipeline touches, in
-    # first-encounter order over a fixed structural traversal — the
-    # order is part of the structural fingerprint, so it must not depend
-    # on object identities.
-    refs: Dict[Tuple[Any, int], None] = {}
+        def sub(expr):
+            return _subst(expr, mapping)
 
-    def note(expr):
-        for node in qe.walk(expr):
-            if isinstance(node, qe.ColRef):
-                position = node.quantifier.input.head.index_of(node.column)
-                refs.setdefault((node.quantifier, position))
-
-    for expr in scan_preds:
-        note(expr)
-    for (step_kind, _node), exprs in zip(steps, step_exprs):
-        if step_kind == "filter":
-            for expr in exprs:
-                note(expr)
-        else:
-            for expr in exprs[0]:
-                note(expr)
-            for expr in exprs[1]:
-                note(expr)
-    for expr in sink_exprs:
-        note(expr)
-    for expr in agg_args:
-        if expr is not None:
-            note(expr)
-    if sink_kind == "build":
-        for ref, expr in zip(payload, payload_exprs):
-            if expr is None:
-                refs.setdefault(ref)
+        # Fold the spine's ACCESS(PROJECT(...)) indirections away up
+        # front: every expression the pipeline evaluates is substituted
+        # down to the source's and the probes' quantifiers.
+        source_preds = ([sub(p.expr) for p in source.preds]
+                        if kind in ("scan", "iscan") else [])
+        step_exprs = []
+        for step_kind, node in chain.steps:
+            if step_kind == "filter":
+                step_exprs.append([sub(p.expr) for p in node.preds])
             else:
+                step_exprs.append((
+                    [sub(e) for e in node.outer_keys],
+                    [sub(p.expr) for p in node.residual]))
+        agg_args: list = []
+        whole: List[Any] = []  # quantifiers whose row is output
+        if sink_kind == "project":
+            sink_exprs = [sub(e) for e in sink_node.exprs]
+            chain.credits[-1].append(sink_node)
+        elif sink_kind == "groupby":
+            sink_exprs = [sub(e) for e in sink_node.group_exprs]
+            agg_args = [None if agg.arg is None else sub(agg.arg)
+                        for agg in sink_node.aggregates]
+        elif sink_kind == "build":
+            sink_exprs = [sub(e) for e in keys]
+        else:  # envs/sort: every quantifier the leaf's bindings lack
+            sink_exprs = ([sub(e) for e, _ascending in sink_node.keys]
+                          if sink_kind == "sort" else [])
+            own = (source.props.quantifiers if kind == "envs"
+                   else frozenset())
+            whole = [q for q in _by_uid(sink_node.props.quantifiers)
+                     if q not in own]
+
+        # Every (quantifier, position) the pipeline touches — position
+        # None for a whole row — in first-encounter order over a fixed
+        # structural traversal: the order is part of the structural
+        # fingerprint, so it must not depend on object identities.
+        refs: Dict[Tuple[Any, Optional[int]], None] = {}
+        pruned = False  # the scan's row is rebuilt from kept columns
+
+        def note(expr):
+            for node in qe.walk(expr):
+                if isinstance(node, qe.ColRef):
+                    position = node.quantifier.input.head.index_of(
+                        node.column)
+                    refs.setdefault((node.quantifier, position))
+
+        def note_ref(ref):
+            nonlocal pruned
+            quantifier, position = ref
+            if position is not None:
+                if quantifier in mapping:
+                    note(sub(mapping[quantifier][position]))
+                else:
+                    refs.setdefault(ref)
+            elif quantifier in mapping:
+                for pos in self.needed.kept(quantifier):
+                    note(sub(mapping[quantifier][pos]))
+            elif kind == "scan" and quantifier is source.quantifier:
+                kept = self.needed.kept(quantifier)
+                if len(kept) < _arity(quantifier):
+                    pruned = True
+                    for pos in kept:
+                        refs.setdefault((quantifier, pos))
+                else:
+                    refs.setdefault(ref)
+            else:
+                refs.setdefault(ref)
+
+        for expr in source_preds:
+            note(expr)
+        for (step_kind, _node), exprs in zip(chain.steps, step_exprs):
+            for expr in (exprs if step_kind == "filter"
+                         else exprs[0] + exprs[1]):
                 note(expr)
+        for expr in sink_exprs:
+            note(expr)
+        for expr in agg_args:
+            if expr is not None:
+                note(expr)
+        for ref in payload or ():
+            note_ref(ref)
+        for quantifier in whole:
+            note_ref((quantifier, None))
 
-    # Resolve every reference to a source: the scan's decoded columns, or
-    # a slot of some probe's payload rows.
-    colmap: Dict[Tuple[Any, int], str] = {}
-    scan_positions = sorted(
-        {pos for (q, pos) in refs if q is scan.quantifier})
-    for position in scan_positions:
-        colmap[(scan.quantifier, position)] = "_x%d" % position
+        gen = ExprGen(lambda q, position: colmap[(q, position)],
+                      self.functions)
+        colmap: Dict[Tuple[Any, Optional[int]], str] = {}
+        head: List[str] = []  # per-row lines ahead of the body
+        prologue: List[str] = []
+        positions: Tuple[int, ...] = ()
+        whole_scan = False
+        if kind == "scan":
+            quantifier = source.quantifier
+            whole_scan = (quantifier, None) in refs
+            if whole_scan:
+                positions = tuple(range(source.table.arity))
+            else:
+                positions = tuple(sorted(
+                    {pos for (q, pos) in refs if q is quantifier}))
+            for pos in positions:
+                colmap[(quantifier, pos)] = ("_row[%d]" % pos if whole_scan
+                                             else "_x%d" % pos)
+            colmap[(quantifier, None)] = "_row"
+            if pruned:
+                kept = self.needed.kept(quantifier)
+                colmap[(quantifier, None)] = _tuple_source(
+                    "_x%d" % pos if pos in kept else "None"
+                    for pos in range(_arity(quantifier)))
+        elif kind in ("iscan", "rows"):
+            quantifier = source.quantifier
+            for pos in range(_arity(quantifier)):
+                colmap[(quantifier, pos)] = "_row[%d]" % pos
+            colmap[(quantifier, None)] = "_row"
+        else:
+            for k, quantifier in enumerate(
+                    _by_uid(source.props.quantifiers)):
+                hoisted = gen.hoist(quantifier)
+                colmap[(quantifier, None)] = "_e[%s]" % hoisted
+                used = [pos for (q, pos) in refs
+                        if q is quantifier and pos is not None]
+                if not used:
+                    continue
+                # A NULL-padded binding reads as a row of NULLs.
+                prologue.append("_N%d = (None,) * %d"
+                                % (k, _arity(quantifier)))
+                head.append("_l%d = _e[%s]" % (k, hoisted))
+                head.append("if _l%d is None: _l%d = _N%d" % (k, k, k))
+                for pos in used:
+                    colmap[(quantifier, pos)] = "_l%d[%d]" % (k, pos)
 
-    probes = [node for step_kind, node in steps if step_kind == "probe"]
-    probe_payloads: List[List[Tuple[Any, int]]] = []
-    for k, probe in enumerate(probes):
-        inner_q = probe.children[1].props.quantifiers
-        pay = [ref for ref in refs if ref[0] in inner_q]
-        for slot, ref in enumerate(pay):
-            colmap[ref] = "_r%d[%d]" % (k, slot)
-        probe_payloads.append(pay)
-    for ref in refs:
-        if ref not in colmap:
-            raise Unsupported("column %s.%s not produced in this pipeline"
-                            % (ref[0].name, ref[1]))
+        probes = [node for step_kind, node in chain.steps
+                  if step_kind == "probe"]
+        probe_payloads: List[List[Tuple[Any, Optional[int]]]] = []
+        for k, probe in enumerate(probes):
+            inner = probe.children[1].props.quantifiers
+            pay = [ref for ref in refs if ref[0] in inner]
+            for slot, ref in enumerate(pay):
+                colmap[ref] = "_r%d[%d]" % (k, slot)
+            probe_payloads.append(pay)
+        for ref in refs:
+            if ref not in colmap:
+                raise Unsupported("column %s.%s not produced in this "
+                                  "pipeline" % (ref[0].name, ref[1]))
 
-    # Builds first (post-order): their tables must exist before the probe
-    # pipeline runs; ``consumes`` records their program-level indices.
-    consumes = [
-        _emit_pipeline(probe.children[1], "build", probe,
-                       probe_payloads[k], probe.inner_keys,
-                       pipelines, agg_functions, functions)
-        for k, probe in enumerate(probes)]
+        # Builds first (post-order): their tables must exist before the
+        # probe pipeline runs; ``consumes`` records their indices.
+        consumes = [
+            self.pipeline(probe.children[1], "build", probe,
+                          probe_payloads[k], probe.inner_keys)
+            for k, probe in enumerate(probes)]
 
-    def column(quantifier, position: int) -> str:
-        return colmap[(quantifier, position)]  # every ref was resolved
+        def ref_value(ref) -> str:
+            quantifier, position = ref
+            if quantifier not in mapping:
+                return colmap[ref]
+            exprs = mapping[quantifier]
+            if position is None:
+                kept = self.needed.kept(quantifier)
+                return _tuple_source(
+                    gen.value(sub(exprs[pos])) if pos in kept else "None"
+                    for pos in range(len(exprs)))
+            return gen.value(sub(exprs[position]))
 
-    gen = ExprGen(column, functions)
-    body: List[Tuple[int, str]] = []
-    indent = 0
-    for expr in scan_preds:
-        body.append((indent, "if not %s: continue" % gen.cond(expr)))
-    probe_no = 0
-    for (step_kind, _node), exprs in zip(steps, step_exprs):
-        if step_kind == "filter":
-            for expr in exprs:
-                body.append((indent, "if not %s: continue"
-                             % gen.cond(expr)))
-            continue
-        k = probe_no
-        probe_no += 1
-        comps = []
-        for m, expr in enumerate(exprs[0]):
-            name = "_k%d_%d" % (k, m)
-            body.append((indent, "%s = %s" % (name, gen.value(expr))))
-            comps.append(name)
-        if comps:
-            body.append((indent, "if %s: continue"
-                         % " or ".join("%s is None" % c for c in comps)))
-        body.append((indent, "for _r%d in _ht%d((%s%s), _E):"
-                     % (k, k, ", ".join(comps), "," if comps else "")))
-        indent += 1
-        for expr in exprs[1]:
+        body: List[Tuple[int, str]] = [(0, line) for line in head]
+        indent = 0
+
+        def count(index: int) -> None:
+            credited = chain.credits[index]
+            if self.analyze and credited:
+                body.append((indent, "cn[%d] += 1"
+                             % len(self.counter_nodes)))
+                self.counter_nodes.append(credited)
+
+        for expr in source_preds:
             body.append((indent, "if not %s: continue" % gen.cond(expr)))
+        count(0)
+        probe_no = 0
+        for index, ((step_kind, node), exprs) in enumerate(
+                zip(chain.steps, step_exprs)):
+            if step_kind == "filter":
+                for expr in exprs:
+                    body.append((indent, "if not %s: continue"
+                                 % gen.cond(expr)))
+                count(index + 1)
+                continue
+            k = probe_no
+            probe_no += 1
+            comps = []
+            for m, expr in enumerate(exprs[0]):
+                name = "_k%d_%d" % (k, m)
+                body.append((indent, "%s = %s" % (name, gen.value(expr))))
+                comps.append(name)
+            key = _tuple_source(comps)
+            null_key = " or ".join("%s is None" % c for c in comps)
+            residual = [gen.cond(expr) for expr in exprs[1]]
+            join_kind = self.kinds.get(node.kind, self.functions)
+            if not join_kind.binds_inner or join_kind.scalar \
+                    or join_kind.combine is not None:
+                raise Unsupported("join kind %s" % node.kind)
+            if join_kind.preserves_outer:
+                # Left outer: the candidates surviving the residual, or
+                # one all-NULL payload row when none does.
+                prologue.append("_P%d = ((None,) * %d,)"
+                                % (k, len(probe_payloads[k])))
+                lookup = "_c%d = _ht%d(%s, ())" % (k, k, key)
+                if comps:
+                    body.append((indent, "if %s: _c%d = _P%d"
+                                 % (null_key, k, k)))
+                    body.append((indent, "else:"))
+                    body.append((indent + 1, lookup))
+                else:
+                    body.append((indent, lookup))
+                if residual:
+                    body.append((indent, "_c%d = [_r%d for _r%d in _c%d "
+                                 "if %s]" % (k, k, k, k,
+                                             " and ".join(residual))))
+                body.append((indent, "if not _c%d: _c%d = _P%d"
+                             % (k, k, k)))
+                body.append((indent, "for _r%d in _c%d:" % (k, k)))
+                indent += 1
+            else:
+                if comps:
+                    body.append((indent, "if %s: continue" % null_key))
+                body.append((indent, "for _r%d in _ht%d(%s, ()):"
+                             % (k, k, key)))
+                indent += 1
+                for cond in residual:
+                    body.append((indent, "if not %s: continue" % cond))
+            count(index + 1)
 
-    prologue: List[str] = []
-    morsel_prologue: List[str] = []
-    morsel_epilogue: List[str] = []
-    epilogue: List[str] = []
-    if sink_kind == "project":
-        morsel_prologue = ["_out = []", "_oapp = _out.append"]
-        body.append((indent, "_oapp(%s)" % gen.tuple_of(sink_exprs)))
-        morsel_epilogue = ["stats.rows_emitted += len(_out)", "yield _out"]
-    elif sink_kind == "build":
-        prologue = ["_tab = {}", "_tget = _tab.get"]
-        comps = []
-        for m, expr in enumerate(sink_exprs):
-            name = "_bk%d" % m
-            body.append((indent, "%s = %s" % (name, gen.value(expr))))
-            comps.append(name)
-        if comps:
-            body.append((indent, "if %s: continue"
-                         % " or ".join("%s is None" % c for c in comps)))
-        body.append((indent, "_kt = (%s%s)"
-                     % (", ".join(comps), "," if comps else "")))
-        body.append((indent, "_lst = _tget(_kt)"))
-        body.append((indent, "if _lst is None:"))
-        body.append((indent + 1, "_lst = []"))
-        body.append((indent + 1, "_tab[_kt] = _lst"))
-        pay_values = [colmap[ref] if expr is None else gen.value(expr)
-                      for ref, expr in zip(payload, payload_exprs)]
-        body.append((indent, "_lst.append((%s%s))"
-                     % (", ".join(pay_values), "," if pay_values else "")))
-        epilogue = ["return _tab"]
-    else:  # groupby
-        prologue = ["_groups = {}", "_gget = _groups.get",
-                    "_afs = rt.aggs"]
-        if any(agg.distinct for agg in sink_node.aggregates):
-            prologue.append("_dseen = {}")
-        body.append((indent, "_kt = %s" % gen.tuple_of(sink_exprs)))
-        body.append((indent, "_accs = _gget(_kt)"))
-        body.append((indent, "if _accs is None:"))
-        body.append((indent + 1, "_accs = [_f.factory() for _f in _afs]"))
-        body.append((indent + 1, "_groups[_kt] = _accs"))
-        for i, agg in enumerate(sink_node.aggregates):
-            _emit_agg_step(body, indent, gen, i, agg, agg_args[i],
-                           agg_functions[i])
-        epilogue = ["return _groups"]
+        morsel_prologue: List[str] = []
+        morsel_epilogue: List[str] = []
+        epilogue: List[str] = []
+        if sink_kind in ("project", "envs", "sort"):
+            morsel_prologue = ["_out = []", "_oapp = _out.append"]
+            if sink_kind == "project":
+                body.append((indent, "_oapp(%s)" % gen.tuple_of(sink_exprs)))
+                morsel_epilogue = ["stats.rows_emitted += len(_out)"]
+            else:
+                # The binding: the region's environment (or the leaf's,
+                # which includes it) plus every row the chain produced.
+                base = "_e" if kind == "envs" else "env"
+                items = ", ".join(
+                    "%s: %s" % (gen.hoist(q), ref_value((q, None)))
+                    for q in whole)
+                binding = "{**%s, %s}" % (base, items) if items else base
+                if sink_kind == "sort":
+                    binding = "(%s, %s)" % (gen.tuple_of(sink_exprs),
+                                            binding)
+                body.append((indent, "_oapp(%s)" % binding))
+            morsel_epilogue.append("yield _out")
+        elif sink_kind == "build":
+            prologue += ["_tab = {}", "_tget = _tab.get"]
+            comps = []
+            for m, expr in enumerate(sink_exprs):
+                name = "_bk%d" % m
+                body.append((indent, "%s = %s" % (name, gen.value(expr))))
+                comps.append(name)
+            if comps:
+                body.append((indent, "if %s: continue"
+                             % " or ".join("%s is None" % c for c in comps)))
+            body.append((indent, "_kt = %s" % _tuple_source(comps)))
+            body.append((indent, "_lst = _tget(_kt)"))
+            body.append((indent, "if _lst is None:"))
+            body.append((indent + 1, "_lst = []"))
+            body.append((indent + 1, "_tab[_kt] = _lst"))
+            body.append((indent, "_lst.append(%s)" % _tuple_source(
+                ref_value(ref) for ref in payload)))
+            epilogue = ["return _tab"]
+        else:  # groupby
+            prologue += ["_groups = {}", "_gget = _groups.get",
+                         "_afs = rt.aggs"]
+            if any(agg.distinct for agg in sink_node.aggregates):
+                prologue.append("_dseen = {}")
+            body.append((indent, "_kt = %s" % gen.tuple_of(sink_exprs)))
+            body.append((indent, "_accs = _gget(_kt)"))
+            body.append((indent, "if _accs is None:"))
+            body.append((indent + 1, "_accs = [_f.factory() for _f in _afs]"))
+            body.append((indent + 1, "_groups[_kt] = _accs"))
+            for i, agg in enumerate(sink_node.aggregates):
+                _emit_agg_step(body, indent, gen, i, agg, agg_args[i],
+                               self.agg_functions[i])
+            epilogue = ["return _groups"]
 
-    source = _assemble(scan, scan_positions, consumes, gen, prologue,
-                       morsel_prologue, body, morsel_epilogue, epilogue)
-    fn, shared = materialize(source, Source=vectorized._RecordSource,
-                             scan_partition=scan_partition)
-    rt = _Runtime(scan, tuple(gen.hoisted),
-                  agg_functions if sink_kind == "groupby" else ())
-    index = len(pipelines)
-    pipelines.append(_Pipeline(fn, rt, consumes, shared, source,
-                               scan.table.name))
-    return index
+        if kind == "scan":
+            loop = _scan_loop(source, positions, whole_scan)
+        elif kind == "iscan":
+            loop = ["for _rows in index_chunks(rt.source, ctx, env):",
+                    "for _row in _rows:"]
+        elif kind == "envs":
+            loop = ["for _rows in chunks(env_iter(rt.source, ctx, env), "
+                    "ctx):", "for _e in _rows:"]
+        else:
+            loop = ["for _rows in chunks(rows_iter(rt.source.children[0], "
+                    "ctx, env), ctx):", "for _row in _rows:"]
+        source_text = _assemble(source if kind == "scan" else None,
+                                positions, consumes, gen, prologue, loop,
+                                morsel_prologue, body, morsel_epilogue,
+                                epilogue)
+        fn, shared = materialize(source_text, Source=_RecordSource,
+                                 scan_partition=scan_partition,
+                                 env_iter=env_iter, rows_iter=rows_iter,
+                                 chunks=_chunks, index_chunks=_index_chunks)
+        rt = _Runtime(source, tuple(gen.hoisted),
+                      self.agg_functions if sink_kind == "groupby" else ())
+        table = (source.table.name if kind in ("scan", "iscan")
+                 else chain.leaf.op_name)
+        self.pipelines.append(_Pipeline(fn, rt, consumes, shared,
+                                        source_text, table))
+        return len(self.pipelines) - 1
 
 
 def _emit_agg_step(body, indent, gen, i, agg, arg, function) -> None:
-    """One aggregate's per-row accumulation, mirroring the batch
+    """One aggregate's per-row accumulation, mirroring the tuple
     group-by: COUNT(*) steps 1, NULL args skip unless the function
     handles them, DISTINCT dedups per (group, aggregate).  The
     handles_null shape is baked into the source — a registry whose
@@ -581,48 +974,60 @@ def _emit_agg_step(body, indent, gen, i, agg, arg, function) -> None:
         body.append((indent, "_accs[%d].step(%s)" % (i, value)))
 
 
-def _assemble(scan, scan_positions, consumes, gen, prologue,
+def _scan_loop(scan: pl.TableScan, positions, whole_scan: bool) -> List[str]:
+    """The morsel loop of a fused SCAN: storage-order record batches,
+    decoded in one pass when the layout allows (a single pre-resolved
+    struct unpack per record), else per column."""
+    lines = [
+        "_scan = rt.source",
+        "_pr = ctx.morsel_range if _scan is ctx.morsel_scan else None",
+        "for _mk, _recs in _engine.scan_batches(ctx.txn, %r, "
+        "ctx.batch_size, _pr, partition=scan_partition(_scan, ctx, env)):"
+        % scan.table.name,
+        "    _n = len(_recs)",
+        "    stats.rows_scanned += _n"]
+    if positions:
+        lines += [
+            "    if _dec is not None:",
+            "        _rows = _dec(_recs)",
+            "    else:",
+            "        _src = Source(_recs, _ser)",
+            "        _rows = zip(%s)" % ", ".join(
+                "_src.column(%d)" % p for p in positions)]
+    if whole_scan:
+        lines.append("for _row in _rows:")
+    elif positions:
+        lines.append("for %s%s in _rows:" % (
+            ", ".join("_x%d" % p for p in positions),
+            "," if len(positions) == 1 else ""))
+    else:
+        lines.append("for _i in range(_n):")
+    return lines
+
+
+def _assemble(scan, positions, consumes, gen, prologue, loop,
               morsel_prologue, body, morsel_epilogue, epilogue) -> str:
     lines: List[str] = []
     out = lines.append
-    out("def _p(ctx, params, rt, tables):")
+    out("def _p(ctx, params, rt, tables, env, cn):")
     out("    stats = ctx.stats")
-    out("    _engine = ctx.engine")
-    out("    _ser = _engine.serializer(%r)" % scan.table.name)
-    if scan_positions:
-        out("    _dec = _ser.combined_decoder((%s,))"
-            % ", ".join(str(p) for p in scan_positions))
+    if scan is not None:
+        out("    _engine = ctx.engine")
+        out("    _ser = _engine.serializer(%r)" % scan.table.name)
+        if positions:
+            out("    _dec = _ser.combined_decoder((%s,))"
+                % ", ".join(str(p) for p in positions))
     for k in range(len(consumes)):
         out("    _ht%d = tables[%d].get" % (k, k))
     for line in gen.bind_params() + gen.bind_hoisted("rt.hoisted"):
         out("    " + line)
     for line in prologue:
         out("    " + line)
-    out("    _scan = rt.scan")
-    out("    _pr = ctx.morsel_range if _scan is ctx.morsel_scan else None")
-    # Fused regions are uncorrelated: the scan's shard needs no outer env.
-    out("    for _mk, _recs in _engine.scan_batches("
-        "ctx.txn, %r, ctx.batch_size, _pr, "
-        "partition=scan_partition(_scan, ctx, {})):" % scan.table.name)
-    out("        _n = len(_recs)")
-    out("        stats.rows_scanned += _n")
-    if scan_positions:
-        # One pass over the records when the layout allows (a single
-        # pre-resolved struct unpack per record), else per-column decode.
-        out("        if _dec is not None:")
-        out("            _rows = _dec(_recs)")
-        out("        else:")
-        out("            _src = Source(_recs, _ser)")
-        out("            _rows = zip(%s)"
-            % ", ".join("_src.column(%d)" % p for p in scan_positions))
+    for line in loop[:-1]:
+        out("    " + line)
     for line in morsel_prologue:
         out("        " + line)
-    if scan_positions:
-        names = ", ".join("_x%d" % p for p in scan_positions)
-        out("        for %s%s in _rows:"
-            % (names, "," if len(scan_positions) == 1 else ""))
-    else:
-        out("        for _i in range(_n):")
+    out("        " + loop[-1])
     for depth, line in body:
         out("    " * (3 + depth) + line)
     for line in morsel_epilogue:
@@ -638,11 +1043,11 @@ def _assemble(scan, scan_positions, consumes, gen, prologue,
 # ---------------------------------------------------------------------------
 
 
-def rows_from_compiled(plan: pl.PlanOp, ctx: ExecutionContext, env,
-                       count_fallback: bool = True
-                       ) -> Iterator[Tuple[Any, ...]]:
-    """Row stream of a compiled region root (``rows_iter`` and the
-    plan-root boundary route here)."""
+def stream_compiled(plan: pl.PlanOp, ctx: ExecutionContext, env,
+                    count_fallback: bool = True) -> Iterator[Any]:
+    """The output of a region root — rows, or bindings for a chain
+    root.  ``rows_iter``/``env_iter`` and the plan-root boundary route
+    here."""
     if count_fallback:
         ctx.stats.fallbacks += 1
     if ctx.profile is not None:
@@ -651,10 +1056,14 @@ def rows_from_compiled(plan: pl.PlanOp, ctx: ExecutionContext, env,
 
 
 def _run_program(plan: pl.PlanOp, ctx: ExecutionContext,
-                 env) -> Iterator[Tuple[Any, ...]]:
+                 env) -> Iterator[Any]:
     program = plan.codegen_program
+    cn = None
+    if ctx.profile is not None:
+        program = program.analyzed()
+        cn = [0] * len(program.counter_nodes)
     ctx.stats.codegen_pipelines += program.n_pipelines
-    rows = _sink_rows(program, ctx)
+    rows = _sink_rows(program, ctx, env, cn)
     for node in reversed(program.postops):
         if isinstance(node, pl.Distinct):
             rows = rowops.distinct_rows(rows)
@@ -662,24 +1071,30 @@ def _run_program(plan: pl.PlanOp, ctx: ExecutionContext,
             rows = rowops.limit_rows(rows, node.limit)
         else:
             rows = _topsort_rows(node, rows, ctx)
+        if cn is not None:
+            rows = _tally(rows, cn, program.stages[node])
+    if cn is not None:
+        rows = _credit(rows, program, ctx.profile, cn)
     return rows
 
 
-def _sink_rows(program: Program,
-               ctx: ExecutionContext) -> Iterator[Tuple[Any, ...]]:
+def _sink_rows(program: Program, ctx: ExecutionContext, env,
+               cn) -> Iterator[Any]:
     # A generator so the builds run lazily on first pull — the same
-    # open-time laziness as the interpreters (LIMIT 0 never builds).
+    # open-time laziness as the interpreter (LIMIT 0 never builds).
     params = ctx.params
     results: List[Any] = []
     for pipe in program.pipelines[:-1]:
         tables = tuple(results[i] for i in pipe.consumes)
-        results.append(pipe.fn(ctx, params, pipe.rt, tables))
+        results.append(pipe.fn(ctx, params, pipe.rt, tables, env, cn))
     final = program.pipelines[-1]
     tables = tuple(results[i] for i in final.consumes)
     if program.final_kind == "groupby":
         rows = rowops.finish_groups(
-            final.fn(ctx, params, final.rt, tables),
+            final.fn(ctx, params, final.rt, tables, env, cn),
             bool(program.core.group_exprs), lambda: program.agg_functions)
+        if cn is not None:
+            rows = _tally(rows, cn, program.stages[program.core])
         if program.wrap_exprs is None:
             yield from rows
             return
@@ -688,15 +1103,51 @@ def _sink_rows(program: Program,
         preds = program.wrap_preds
         exprs = program.wrap_exprs
         for row in rows:
-            env = {quantifier: row}
-            if any(fn(env, ctx) is not True for fn in preds):
+            group_env = {quantifier: row}
+            if any(fn(group_env, ctx) is not True for fn in preds):
                 continue
+            if cn is not None:
+                cn[program.stages["wrap"]] += 1
             ctx.stats.rows_emitted += 1
-            yield tuple(fn(env, ctx) for fn in exprs)
+            yield tuple(fn(group_env, ctx) for fn in exprs)
         return
-    for out in final.fn(ctx, params, final.rt, tables):
-        if out:
-            yield from out
+    if program.final_kind == "sort":
+        # Keys were generated in the pipeline; the sort itself is the
+        # interpreter's (stable, NULLs last).
+        keyed = []
+        for out in final.fn(ctx, params, final.rt, tables, env, cn):
+            keyed.extend(out)
+        ctx.stats.sorts += 1
+        positions = [(index, ascending) for index, (_expr, ascending)
+                     in enumerate(program.core.keys)]
+        keyed.sort(key=lambda pair: rowops.null_last_key(pair[0],
+                                                         positions))
+        for _key, binding in keyed:
+            yield binding
+        return
+    for out in final.fn(ctx, params, final.rt, tables, env, cn):
+        yield from out
+
+
+def _tally(rows, cn: List[int], index: int) -> Iterator[Any]:
+    for row in rows:
+        cn[index] += 1
+        yield row
+
+
+def _credit(rows, program: Program, profile, cn: List[int]
+            ) -> Iterator[Any]:
+    """Hand the region's row counters to the profile once it is done
+    (the root's own probe counts what the region yields)."""
+    try:
+        yield from rows
+    finally:
+        for credited, count in zip(program.counter_nodes, cn):
+            for node in credited:
+                if node is not program.root:
+                    probe = profile.probe(node)
+                    probe.rows += count
+                    probe.loops += 1
 
 
 def _topsort_rows(node: pl.TopSort, rows,

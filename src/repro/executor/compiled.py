@@ -10,7 +10,7 @@ to their current rows; the execution context carries parameters, counters
 and subquery bindings, and is passed rather than captured because a
 compiled plan is cached and shared across sessions and forked workers.
 The closures are the engine's only scalar evaluator besides the source
-:mod:`repro.executor.exprgen` generates for the batch and fused backends.
+:mod:`repro.executor.exprgen` generates for the fused backend.
 
 A subquery quantifier that is not bound in ``env`` is evaluated on
 demand (one that is — a SubqueryJoin binds one inner row at a time —

@@ -18,14 +18,11 @@ class ExecutionStats:
         self.sorts = 0
         #: One increment each time an OR's left arm is TRUE, so its right
         #: arm (often a subquery) is not evaluated.  The scalar closures
-        #: count; source generated for batch and fused code does not.
+        #: count; source generated for fused pipelines does not.
         self.or_branch_shortcuts = 0
-        #: Number of RowBatch/EnvBatch objects the vectorized engine
-        #: produced (0 under pure tuple execution).
-        self.batches = 0
-        #: Number of batch/tuple boundary crossings: plan fragments that
-        #: fell back to the tuple interpreter under a batch-mode plan
-        #: (and compiled→batch demotions consumed mid-plan).
+        #: Number of fused/tuple boundary crossings: a tuple operator
+        #: consuming a fused region, or a fused pipeline pulling from a
+        #: tuple leaf.
         self.fallbacks = 0
         #: Number of fused pipeline functions the codegen backend ran
         #: (0 unless execution_mode is "compiled"/"auto").
@@ -88,8 +85,8 @@ class ExecutionContext:
         self.rowcount: Optional[int] = None
         #: When False, correlation caching is disabled (benchmark E8).
         self.cache_subqueries = True
-        #: Rows per batch for plan subtrees running on the vectorized
-        #: backend (set from ``CompileOptions.batch_size`` by the caller).
+        #: Rows per fused-pipeline morsel (set from
+        #: ``CompileOptions.batch_size`` by the caller).
         self.batch_size = 1024
         #: (lo, hi) heap page-number morsel restricting the SCAN marked as
         #: the partitioned source; set inside parallel workers only.

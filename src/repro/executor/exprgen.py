@@ -1,13 +1,10 @@
 """The expression code generator: QGM expressions → Python source.
 
-One generator serves both source-emitting backends.  The fused-pipeline
-backend (:mod:`~repro.executor.codegen`) inlines the emitted source into
-its per-pipeline loops; the batch engine
-(:mod:`~repro.executor.vectorized`) wraps it into ``f(batch, idx,
-params) -> list`` functions, one comprehension per expression list.
-Everything generated goes through :func:`materialize`, a cache keyed by
-the source text, so structurally identical code — in *different*
-statements, on either backend — shares one code object.
+The fused-pipeline backend (:mod:`~repro.executor.codegen`) inlines the
+emitted source into its per-pipeline loops.  Everything generated goes
+through :func:`materialize`, a cache keyed by the source text, so
+structurally identical code — in *different* statements — shares one
+code object.
 
 **Semantics.**  The emitted source reproduces the scalar closures of
 :class:`~repro.executor.compiled.ExprCompiler` operator for operator:
@@ -59,8 +56,7 @@ def _np(index):
     raise ExecutionError("no value bound for parameter %d" % (index + 1))
 
 
-_HELPERS = {"_dz": _dz, "_np": _np, "_MISS": _MISS, "_E": (),
-            "_like": _like_regex}
+_HELPERS = {"_dz": _dz, "_np": _np, "_MISS": _MISS, "_like": _like_regex}
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +122,16 @@ _PLAIN_NODES = (qe.Const, qe.ParamRef, qe.Not, qe.Neg, qe.IsNullTest,
                 qe.LikeOp, qe.CaseOp, qe.Cast)
 
 
-def reject_reason(expr: qe.QExpr, functions, cells=()) -> Optional[str]:
+def reject_reason(expr: qe.QExpr, functions) -> Optional[str]:
     """None when :class:`ExprGen` can emit ``expr``, otherwise why not.
 
     Subquery quantifiers need the closures' evaluate-on-demand
-    machinery, except those in ``cells`` (uncorrelated scalar subqueries
-    the batch engine reads through a result cell).
+    machinery.
     """
     for node in qe.walk(expr):
         if isinstance(node, qe.ColRef):
             quantifier = node.quantifier
-            if not quantifier.is_setformer and quantifier not in cells:
+            if not quantifier.is_setformer:
                 return "subquery reference %s" % quantifier.name
         elif isinstance(node, qe.BinOp):
             if node.op not in _BINOPS:
@@ -173,16 +168,13 @@ class ExprGen:
 
     ``column(quantifier, position)`` resolves a column reference to its
     source (raising :class:`Unsupported` when the caller cannot produce
-    it); references to a quantifier in ``volatile`` can raise when read.
-    The caller places :meth:`bind_hoisted` and :meth:`bind_params` ahead
-    of the emitted source.
+    it).  The caller places :meth:`bind_hoisted` and :meth:`bind_params`
+    ahead of the emitted source.
     """
 
-    def __init__(self, column: Callable[[Any, int], str], functions,
-                 volatile=()):
+    def __init__(self, column: Callable[[Any, int], str], functions):
         self.column = column
         self.functions = functions
-        self.volatile = volatile
         self.hoisted: List[Any] = []
         self.used_params: set = set()
         self._literals: Dict[int, Tuple[str, qe.Const]] = {}
@@ -231,9 +223,6 @@ class ExprGen:
             if isinstance(node, qe.BinOp) and node.op in ("/", "%"):
                 return True
             if isinstance(node, (qe.FuncCall, qe.Cast, qe.ParamRef)):
-                return True
-            if isinstance(node, qe.ColRef) \
-                    and node.quantifier in self.volatile:
                 return True
         return False
 

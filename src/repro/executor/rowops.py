@@ -2,9 +2,8 @@
 
 DISTINCT, LIMIT, ORDER BY, the set operators and the tail of a GROUP BY
 consume plain row streams and do not care which backend produced them.
-The tuple interpreter (:mod:`~repro.executor.run`), the batch engine
-(:mod:`~repro.executor.vectorized`), the fused-pipeline driver
-(:mod:`~repro.executor.codegen`) and the parallel workers
+The tuple interpreter (:mod:`~repro.executor.run`), the fused-pipeline
+driver (:mod:`~repro.executor.codegen`) and the parallel workers
 (:mod:`~repro.executor.parallel`) all call the functions below, so SQL's
 NULL ordering, bag arithmetic and empty-input aggregate row are each
 stated in exactly one place.

@@ -40,18 +40,12 @@ def _kinds(ctx: ExecutionContext) -> JoinKindRegistry:
 def execute_plan(plan: pl.PlanOp, ctx: ExecutionContext
                  ) -> Iterator[Tuple[Any, ...]]:
     """Run a complete (row-producing) plan."""
-    if plan.exec_backend == "batch":
-        from repro.executor import vectorized
-
-        # The plan root always hands rows to the caller, so this
-        # adaptation is the contract, not a fallback.
-        return vectorized.rows_from_batches(plan, ctx, {},
-                                            count_fallback=False)
     if plan.exec_backend == "compiled":
         from repro.executor import codegen
 
-        return codegen.rows_from_compiled(plan, ctx, {},
-                                          count_fallback=False)
+        # The plan root always hands rows to the caller, so this
+        # adaptation is the contract, not a fallback.
+        return codegen.stream_compiled(plan, ctx, {}, count_fallback=False)
     return rows_iter(plan, ctx, {})
 
 
@@ -62,14 +56,10 @@ def execute_plan(plan: pl.PlanOp, ctx: ExecutionContext
 
 def rows_iter(plan: pl.PlanOp, ctx: ExecutionContext,
               env: Env) -> Iterator[Tuple[Any, ...]]:
-    if plan.exec_backend == "batch":
-        from repro.executor import vectorized
-
-        return vectorized.rows_from_batches(plan, ctx, env)
     if plan.exec_backend == "compiled":
         from repro.executor import codegen
 
-        return codegen.rows_from_compiled(plan, ctx, env)
+        return codegen.stream_compiled(plan, ctx, env)
     handler = _ROW_OPS.get(type(plan))
     if handler is None:
         raise ExecutionError("no interpreter for %s" % plan.op_name)
@@ -303,12 +293,11 @@ def _run_delete(plan: pl.DeletePlan, ctx: ExecutionContext,
 
 def env_iter(plan: pl.PlanOp, ctx: ExecutionContext,
              env: Env) -> Iterator[Env]:
-    if plan.exec_backend == "batch":
-        from repro.executor import vectorized
+    if plan.exec_backend == "compiled":
+        from repro.executor import codegen
 
-        return vectorized.envs_from_batches(plan, ctx, env)
-    # Fused regions only produce rows; their binding-stream operators
-    # run inside the generated pipelines, never through here.
+        # A fused region rooted at a chain hands its bindings over.
+        return codegen.stream_compiled(plan, ctx, env)
     handler = _ENV_OPS.get(type(plan))
     if handler is None:
         raise ExecutionError("no binding interpreter for %s" % plan.op_name)
@@ -347,7 +336,7 @@ def _pruned_partition(plan: pl.TableScan, env: Env,
 def scan_partition(plan: pl.TableScan, ctx: ExecutionContext,
                    env: Env) -> Optional[int]:
     """The one shard a table scan reads under equality pruning, or None
-    for all of them.  The tuple, batch and fused scans all open through
+    for all of them.  The tuple and fused scans both open through
     here."""
     if plan.prune_exprs:
         return _pruned_partition(plan, env, ctx)

@@ -8,8 +8,8 @@ Every piece is opt-in and costs nothing when unused:
   spans) to execution and the forked workers' fragments; sampled, and
   allocation-free when off,
 - :mod:`repro.obs.profile` — per-operator runtime instrumentation behind
-  ``CompileOptions.analyze`` (rows, batches, wall time per LOLEPOP on the
-  tuple, batch and parallel execution paths), rendered as ``EXPLAIN
+  ``CompileOptions.analyze`` (rows and wall time per LOLEPOP on the
+  tuple, fused and parallel execution paths), rendered as ``EXPLAIN
   ANALYZE`` text by :mod:`repro.obs.render`,
 - :mod:`repro.obs.metrics` — a process-level metrics registry (counters,
   gauges, latency histograms) with Prometheus-style text exposition,

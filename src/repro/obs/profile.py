@@ -3,10 +3,11 @@
 A :class:`PlanProfile` is attached to the :class:`ExecutionContext` as
 ``ctx.profile`` only when ``CompileOptions.analyze`` is set; every
 dispatch site (``rows_iter``/``env_iter`` in the tuple interpreter, the
-batch-stream adapters in the vectorized engine) checks ``ctx.profile is
-not None`` and only then routes the operator's stream through a timing
-wrapper — with analyze off, no wrapper generators or probe objects are
-ever constructed.
+fused-region driver) checks ``ctx.profile is not None`` and only then
+routes the operator's stream through a timing wrapper — with analyze
+off, no wrapper generators or probe objects are ever constructed.  A
+fused region is timed as a whole; the nodes inside it get actual rows
+from the row counters of the region's analyze variant.
 
 Timing is inclusive (a node's time contains its children's, the
 PostgreSQL EXPLAIN ANALYZE convention) and measured with
@@ -31,15 +32,13 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 class OpProbe:
     """One operator's runtime counters."""
 
-    __slots__ = ("rows", "batches", "loops", "time_ns",
-                 "worker_rows", "worker_batches", "worker_time_ns",
-                 "worker_tasks")
+    __slots__ = ("rows", "loops", "time_ns",
+                 "worker_rows", "worker_time_ns", "worker_tasks")
 
     def __init__(self):
         #: Items the operator yielded on the coordinator: rows for row
-        #: streams, bindings for binding streams, live rows for batches.
+        #: streams, bindings for binding streams.
         self.rows = 0
-        self.batches = 0
         #: Times the operator was opened (a re-opened join inner counts
         #: once per outer binding).
         self.loops = 0
@@ -47,7 +46,6 @@ class OpProbe:
         self.time_ns = 0
         #: The same counters accumulated across parallel worker tasks.
         self.worker_rows = 0
-        self.worker_batches = 0
         self.worker_time_ns = 0
         self.worker_tasks = 0
 
@@ -112,29 +110,6 @@ class PlanProfile:
         finally:
             probe.time_ns += spent
 
-    def iter_batches(self, plan, stream) -> Iterator[Any]:
-        """Wrap an already-created batch stream (EnvBatch/RowBatch),
-        counting batches and live rows per batch."""
-        probe = self.probe(plan)
-        probe.loops += 1
-        spent = 0
-        t0 = perf_counter_ns()
-        try:
-            while True:
-                try:
-                    batch = next(stream)
-                except StopIteration:
-                    spent += perf_counter_ns() - t0
-                    break
-                spent += perf_counter_ns() - t0
-                probe.batches += 1
-                probe.rows += (len(batch.sel) if batch.sel is not None
-                               else batch.n)
-                yield batch
-                t0 = perf_counter_ns()
-        finally:
-            probe.time_ns += spent
-
     # -- parallel-worker merge ----------------------------------------------
 
     def note_exchange(self, exchange, morsels: int, workers: int,
@@ -168,29 +143,27 @@ class PlanProfile:
             detail["worker_ids"].extend(ids)
         detail["wire_bytes"] += int(wire_bytes)
 
-    def export(self) -> Dict[int, Tuple[int, int, int, int]]:
+    def export(self) -> Dict[int, Tuple[int, int, int]]:
         """Flatten probes to ``plan.walk()`` indices for the trip back
         across the fork boundary (worker → coordinator)."""
         index_of = {id(node): index
                     for index, node in enumerate(self.plan.walk())}
-        out: Dict[int, Tuple[int, int, int, int]] = {}
+        out: Dict[int, Tuple[int, int, int]] = {}
         for key, probe in self._probes.items():
             index = index_of.get(key)
             if index is not None:
-                out[index] = (probe.rows, probe.batches, probe.loops,
-                              probe.time_ns)
+                out[index] = (probe.rows, probe.loops, probe.time_ns)
         return out
 
-    def merge_worker(self, exported: Dict[int, Tuple[int, int, int, int]]
+    def merge_worker(self, exported: Dict[int, Tuple[int, int, int]]
                      ) -> None:
         """Fold one worker task's exported probes into this profile,
         mapping walk indices back onto the coordinator's plan nodes."""
         nodes = list(self.plan.walk())
-        for index, (rows, batches, loops, time_ns) in exported.items():
+        for index, (rows, loops, time_ns) in exported.items():
             if 0 <= index < len(nodes):
                 probe = self.probe(nodes[index])
                 probe.worker_rows += rows
-                probe.worker_batches += batches
                 probe.worker_time_ns += time_ns
                 probe.worker_tasks += 1 if loops else 0
 

@@ -3,7 +3,7 @@
 The layout mirrors ``PlanOp.explain`` (same indentation, same static
 marks for order/backend/dop/fallback) with each operator line extended by
 its runtime: actual rows vs the optimizer's estimate, inclusive wall time
-and its share of total execution, loop and batch counts, and — below an
+and its share of total execution, loop counts, and — below an
 Exchange — the rows/time the parallel workers spent producing the subtree
 in other processes.  A trailing summary reports worker-pool capacity,
 Figure-1 phase timings, and the execution-stats counters.
@@ -54,20 +54,18 @@ def _node_line(node, profile, total_ns: int, depth: int) -> str:
         actual = "(never executed)"
     else:
         pieces = ["rows=%d" % probe.rows]
-        if probe.batches:
-            pieces.append("batches=%d" % probe.batches)
         if probe.loops > 1:
             pieces.append("loops=%d" % probe.loops)
-        pieces.append("time=%sms" % _ms(probe.time_ns))
-        if total_ns > 0:
-            pieces.append("%.1f%%" % (100.0 * probe.time_ns / total_ns))
+        # Inside a fused region only the root is timed: its time covers
+        # the whole region.
+        if node.exec_backend != "compiled" or program is not None:
+            pieces.append("time=%sms" % _ms(probe.time_ns))
+            if total_ns > 0:
+                pieces.append("%.1f%%" % (100.0 * probe.time_ns / total_ns))
         if probe.worker_tasks:
-            worker = "workers(rows=%d time=%sms tasks=%d" % (
+            pieces.append("workers(rows=%d time=%sms tasks=%d)" % (
                 probe.worker_rows, _ms(probe.worker_time_ns),
-                probe.worker_tasks)
-            if probe.worker_batches:
-                worker += " batches=%d" % probe.worker_batches
-            pieces.append(worker + ")")
+                probe.worker_tasks))
         actual = "actual " + " ".join(pieces)
 
     detail = profile.exchanges.get(id(node))
@@ -163,11 +161,11 @@ def render_analyze(profile, timings=None, stats=None, options=None,
         if getattr(stats, "partitions_pruned", 0):
             movement += " partitions_pruned=%d" % stats.partitions_pruned
         lines.append(
-            "execution: scanned=%d emitted=%d batches=%d fallbacks=%d%s "
+            "execution: scanned=%d emitted=%d fallbacks=%d%s "
             "exchanges=%d morsels=%d parallel_fallbacks=%d%s"
-            % (stats.rows_scanned, stats.rows_emitted, stats.batches,
-               stats.fallbacks, pipelines, stats.parallel_exchanges,
-               stats.morsels, stats.parallel_fallbacks, movement))
+            % (stats.rows_scanned, stats.rows_emitted, stats.fallbacks,
+               pipelines, stats.parallel_exchanges, stats.morsels,
+               stats.parallel_fallbacks, movement))
         for reason in stats.parallel_reasons:
             lines.append("parallel note: %s" % reason)
 

@@ -60,9 +60,9 @@ class PlanOp:
     #: True when the operator emits plain tuples rather than bindings.
     produces_rows = False
     #: Which executor backend runs this node: "tuple" (the stream
-    #: interpreter), "batch" (the vectorized engine) or "compiled" (the
-    #: pipeline-fusion codegen backend).  The refinement phase flips this
-    #: per subtree via the ExecBackend STAR.
+    #: interpreter) or "compiled" (the pipeline-fusion codegen backend).
+    #: The refinement phase flips this per node via the ExecBackend
+    #: STAR.
     exec_backend = "tuple"
 
     def __init__(self, children: Sequence["PlanOp"],

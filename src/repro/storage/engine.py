@@ -295,7 +295,7 @@ class StorageEngine:
                      batch_size: int,
                      page_range: Optional[Tuple[int, int]] = None,
                      partition: Optional[int] = None):
-        """Batched full scan for the vectorized executor.
+        """Batched full scan for the fused pipelines' scans.
 
         Yields ``(make_rids, records)`` pairs of encoded record batches
         plus a lazy RID factory (see ``TableStorage.scan_batches``);

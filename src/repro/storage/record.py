@@ -123,7 +123,7 @@ class RecordSerializer:
         return tuple(values)
 
     # ------------------------------------------------------------------
-    # Columnar (batch) decoding — used by the vectorized executor.
+    # Columnar (batch) decoding — used by the fused scans.
     # ------------------------------------------------------------------
 
     def _static_offsets(self) -> List[Optional[int]]:

@@ -63,7 +63,7 @@ class TableStorage:
 
         ``records`` is a list of serialized record bytes; ``make_rids``
         lazily materializes the matching RID list, so scans that never
-        look at RIDs (the vectorized executor's common case) skip RID
+        look at RIDs (the fused scans' common case) skip RID
         construction entirely.  The default chunks :meth:`scan`; storage
         managers can override it with a page-at-a-time fast path.
         """

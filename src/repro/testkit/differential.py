@@ -94,11 +94,6 @@ def default_matrix() -> List[Config]:
         Config("greedy", base.replace(join_enumeration="greedy")),
         Config("bushy-cartesian",
                base.replace(allow_bushy=True, allow_cartesian=True)),
-        # Vectorized backend: a big batch (whole tables in one batch) and
-        # batch_size=1 (every adapter/selection edge case, per row).
-        Config("batch", base.replace(execution_mode="batch")),
-        Config("batch-1", base.replace(execution_mode="batch",
-                                       batch_size=1)),
         # Plan-cache serving path: run twice through the shared
         # database; the second execution must be a cache hit and must
         # return byte-for-byte what a cache-off compile returns.
@@ -107,29 +102,29 @@ def default_matrix() -> List[Config]:
         Config("constparam",
                base.replace(constant_parameterization=True), repeat=2),
         # Morsel-parallel execution must be byte-identical — in row
-        # order, not just as a bag — to the serial dop=1 run, both on
-        # the tuple interpreter and combined with the batch backend.
+        # order, not just as a bag — to the serial dop=1 run.
         Config("parallel", tuple_mode.replace(parallelism="on", dop=4),
                byte_identical=True, reference=tuple_mode),
-        Config("parallel-batch",
-               base.replace(parallelism="on", dop=4,
-                            execution_mode="batch"),
-               byte_identical=True,
-               reference=base.replace(execution_mode="batch")),
         # Observability must never change answers: run with per-operator
-        # instrumentation on, over the heaviest config (parallel + batch,
-        # so every wrapper including the worker-profile merge is live),
-        # and require byte-identical rows vs the uninstrumented run.
+        # instrumentation on, over the heaviest config (parallel +
+        # compiled, so every wrapper, the fused regions' analyze
+        # variants and the worker-profile merge are live), and require
+        # byte-identical rows vs the uninstrumented run.
         Config("analyze",
                base.replace(analyze=True, parallelism="on", dop=4,
-                            execution_mode="batch"),
+                            execution_mode="compiled"),
                byte_identical=True,
                reference=base.replace(parallelism="on", dop=4,
-                                      execution_mode="batch")),
+                                      execution_mode="compiled")),
         # Pipeline-fusion codegen backend: fused regions must be
-        # byte-identical — in row order — to the tuple interpreter, and
+        # byte-identical — in row order — to the tuple interpreter, at
+        # the default morsel size and at batch_size=1 (one-row morsels:
+        # every per-morsel edge and tuple<->fused adapter, per row), and
         # under the parallel glue to the serial compiled run.
         Config("compiled", base.replace(execution_mode="compiled"),
+               byte_identical=True, reference=tuple_mode),
+        Config("compiled-1", base.replace(execution_mode="compiled",
+                                          batch_size=1),
                byte_identical=True, reference=tuple_mode),
         Config("compiled-parallel",
                base.replace(execution_mode="compiled",

@@ -113,7 +113,7 @@ class TestUpdateDelete:
         assert q(emp_db, "SELECT salary FROM emp WHERE name = 'frank'") == [
             (120.0,)]
 
-    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
     def test_update_assigns_a_case_over_an_in_subquery(self, db, mode):
         # An assignment is a value: the IN folds at the CASE condition
         # and the CASE's 10/20 are never combined as truth values.

@@ -1,6 +1,6 @@
 """Unit tests for the pipeline-fusion codegen backend.
 
-Everything is driven through SQL: the three-way ExecBackend STAR, region
+Everything is driven through SQL: the ExecBackend STAR, region
 validation, pipeline splitting at breakers, source generation, the
 cross-statement code-object cache, and the runtime drivers are exercised
 exactly as a user would hit them with ``execution_mode="compiled"``.
@@ -127,17 +127,19 @@ class TestPipelineSplitting:
 
 
 class TestFallbacks:
-    def test_outer_join_region_demotes_to_batch(self, cg_db):
-        sql = ("SELECT t.a, s.v FROM t LEFT OUTER JOIN s ON t.b = s.k "
-               "WHERE t.a < 50")
-        compiled = _compiled(cg_db, sql)
-        reasons = [reason for _op, reason in compiled.plan.codegen_fallbacks]
-        assert "outer-join padding" in reasons
-        # The demoted region still runs — on the batch backend.
-        backends = {node.exec_backend for node in compiled.plan.walk()}
-        assert "compiled" not in backends
-        assert "batch" in backends
-        _check_rows(cg_db, sql)
+    def test_outer_join_region_fuses(self, cg_db):
+        # The probe step pads unmatched outer rows itself: the left outer
+        # join is part of the fused region, not a fallback.
+        sql = ("SELECT t.a, s.v FROM t LEFT OUTER JOIN s "
+               "ON t.b = s.k AND s.k > 4 WHERE t.a < 50")
+        compiled = _compiled(cg_db, sql, forced_join_method="hash")
+        joins = [node for node in compiled.plan.walk()
+                 if node.op_name == "HASHJOIN"]
+        assert joins and joins[0].kind == "left_outer"
+        assert joins[0].exec_backend == "compiled"
+        assert compiled.plan.codegen_fallbacks == []
+        result = _check_rows(cg_db, sql, forced_join_method="hash")
+        assert any(row[1] is None for row in result.rows)
 
     def test_scalar_subquery_project_reports_reason(self, cg_db):
         sql = "SELECT a, (SELECT MAX(v) FROM s) FROM t WHERE a < 10"
@@ -155,13 +157,34 @@ class TestFallbacks:
         _check_rows(cg_db, sql)
 
     def test_demoted_region_runs_no_pipelines(self, cg_db):
-        # Selection-time demotion: the whole region falls to batch, so
-        # no fused pipeline ever runs for this statement.
-        sql = ("SELECT t.a, s.v FROM t LEFT OUTER JOIN s ON t.b = s.k "
-               "WHERE t.a < 50")
-        result = cg_db.execute(sql, options=_options(
-            cg_db, execution_mode="compiled"))
-        assert result.stats.codegen_pipelines == 0
+        # A DBC's ExecBackend STAR marks every node compiled, SETOP
+        # included.  The SETOP region does not parse, so it demotes
+        # straight to tuple with its reason kept, runs no pipeline of its
+        # own, and its arms become regions of their own.
+        from repro.optimizer.stars import STAR, Alternative
+
+        db = Database()
+        db.execute("CREATE TABLE t (b INTEGER)")
+        db.execute("CREATE TABLE s (k INTEGER)")
+        db.execute("INSERT INTO t VALUES (1), (2), (2)")
+        db.execute("INSERT INTO s VALUES (2), (3)")
+
+        def mark(gen, args):
+            args["plan"].exec_backend = "compiled"
+            return [args["plan"]]
+
+        db.register_star(STAR("ExecBackend", [Alternative("All", mark)]),
+                         replace=True)
+        sql = "SELECT b FROM t UNION SELECT k FROM s"
+        compiled = _compiled(db, sql)
+        setop = next(node for node in compiled.plan.walk()
+                     if node.op_name == "SETOP")
+        assert setop.exec_backend == "tuple"
+        assert getattr(setop, "codegen_program", None) is None
+        assert any("not a pipeline sink" in reason
+                   for _op, reason in compiled.plan.codegen_fallbacks)
+        result = _check_rows(db, sql)
+        assert result.stats.codegen_pipelines == 2
 
 
 class TestCodeObjectCache:
@@ -218,8 +241,9 @@ class TestExplainAndTrace:
 
 
 class TestBatchScalarSubqueries:
-    """Uncorrelated scalar subqueries under the batch backend
-    (evaluate-on-demand through a result cell)."""
+    """Uncorrelated scalar subqueries under the compiled mode: the
+    PROJECT stays on the interpreter (evaluate-on-demand), over a fused
+    scan."""
 
     SQL = "SELECT a, b + (SELECT MAX(v) FROM s) FROM t WHERE a < 20"
 
@@ -227,7 +251,7 @@ class TestBatchScalarSubqueries:
         ref = cg_db.execute(self.SQL, options=_options(
             cg_db, execution_mode="tuple"))
         got = cg_db.execute(self.SQL, options=_options(
-            cg_db, execution_mode="batch"))
+            cg_db, execution_mode="compiled"))
         assert got.rows == ref.rows
         assert got.stats.subquery_evaluations >= 1
 
@@ -235,19 +259,19 @@ class TestBatchScalarSubqueries:
         sql = "SELECT a, (SELECT MAX(v) FROM s WHERE v > 999) FROM t " \
               "WHERE a < 3"
         got = cg_db.execute(sql, options=_options(
-            cg_db, execution_mode="batch"))
+            cg_db, execution_mode="compiled"))
         assert got.rows == [(0, None), (1, None), (2, None)]
 
     def test_multi_row_subquery_raises_in_both_backends(self, cg_db):
         sql = "SELECT a, (SELECT v FROM s) FROM t"
-        for mode in ("tuple", "batch"):
+        for mode in ("tuple", "compiled"):
             with pytest.raises(SubqueryError):
                 cg_db.execute(sql, options=_options(
                     cg_db, execution_mode=mode))
 
     def test_subquery_not_run_when_outer_is_empty(self, cg_db):
         sql = "SELECT a, (SELECT v FROM s) FROM t WHERE a < -1"
-        for mode in ("tuple", "batch"):
+        for mode in ("tuple", "compiled"):
             got = cg_db.execute(sql, options=_options(
                 cg_db, execution_mode=mode))
             assert got.rows == []
@@ -259,5 +283,5 @@ class TestBatchScalarSubqueries:
         ref = cg_db.execute(sql, options=_options(
             cg_db, execution_mode="tuple"))
         got = cg_db.execute(sql, options=_options(
-            cg_db, execution_mode="batch"))
+            cg_db, execution_mode="compiled"))
         assert got.rows == ref.rows

@@ -20,9 +20,9 @@ from repro import CompileOptions, Database
 from repro.catalog import Catalog, ColumnDef, TableDef
 from repro.datatypes import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 from repro.errors import ExecutionError, SemanticError, SubqueryError
-from repro.executor import vectorized
 from repro.executor.compiled import ExprCompiler
 from repro.executor.context import ExecutionContext
+from repro.executor.exprgen import ExprGen, materialize
 from repro.executor.run import register_row_operator
 from repro.functions import FunctionRegistry, register_builtins
 from repro.functions.registry import ScalarFunction, SetPredicateFunction
@@ -440,7 +440,7 @@ class TestRefinementIsTotal:
 
 
 # ---------------------------------------------------------------------------
-# Scalar closures vs generated source (the batch and fused backends' form)
+# Scalar closures vs generated source (the fused backend's form)
 # ---------------------------------------------------------------------------
 
 _GRAPH = QGM()
@@ -551,16 +551,31 @@ def _outcome(thunk):
     return result, list(_LOG)
 
 
-def _one_row_batch(row):
-    batch = vectorized.EnvBatch(1)
-    for position, value in enumerate(row):
-        batch.cols[(_Q, position)] = [value]
-    return batch
+def _generate(shape, exprs):
+    """``f(row, params)`` over ``_Q``'s row, generated the way a fused
+    pipeline inlines expressions: ``"rows"`` returns ``[values]``,
+    ``"select"`` returns ``[0]`` when every predicate is True, else
+    ``[]``."""
+    gen = ExprGen(lambda quantifier, position: "row[%d]" % position,
+                  _FUNCTIONS)
+    if shape == "select":
+        result = "[0] if %s else []" % " and ".join(
+            gen.cond(expr) for expr in exprs)
+    else:
+        result = "[%s]" % gen.tuple_of(exprs)
+    lines = ["def _p(H):"]
+    lines.extend("    " + line for line in gen.bind_hoisted("H"))
+    lines.append("    def f(row, params):")
+    lines.extend("        " + line for line in gen.bind_params())
+    lines.append("        return " + result)
+    lines.append("    return f")
+    factory, _shared = materialize("\n".join(lines) + "\n")
+    return factory(tuple(gen.hoisted))
 
 
 class TestGeneratedSourceAgreesWithClosures:
-    """The scalar closure (tuple backend) and the generated source (batch
-    and fused backends) must agree on the value, on the class of a raised
+    """The scalar closure (tuple backend) and the generated source (fused
+    backend) must agree on the value, on the class of a raised
     error, and on which operands were *not* evaluated — the right sides
     of AND/OR, untaken CASE branches, operands behind a NULL."""
 
@@ -568,22 +583,22 @@ class TestGeneratedSourceAgreesWithClosures:
     @settings(max_examples=300, deadline=None)
     def test_value_form(self, expr, row, params):
         closure = ExprCompiler(_FUNCTIONS).compile(expr)
-        generated = vectorized._generate("rows", [expr], _FUNCTIONS, {})
+        generated = _generate("rows", [expr])
         ctx = make_ctx(_FUNCTIONS, params)
         expected = _outcome(lambda: closure({_Q: row}, ctx))
         got = _outcome(
-            lambda: generated(_one_row_batch(row), [0], params)[0][0])
+            lambda: generated(row, params)[0][0])
         assert got == expected
 
     @given(expr=_boolean(), row=_rows, params=_params)
     @settings(max_examples=300, deadline=None)
     def test_predicate_form(self, expr, row, params):
         closure = ExprCompiler(_FUNCTIONS).compile(expr)
-        select = vectorized._generate("select", [expr], _FUNCTIONS, {})
+        select = _generate("select", [expr])
         ctx = make_ctx(_FUNCTIONS, params)
         expected = _outcome(lambda: closure({_Q: row}, ctx) is True)
         got = _outcome(
-            lambda: select(_one_row_batch(row), [0], params) == [0])
+            lambda: select(row, params) == [0])
         assert got == expected
 
     def test_unevaluated_right_side_pinned(self):
@@ -595,14 +610,14 @@ class TestGeneratedSourceAgreesWithClosures:
         unknown = qe.BinOp("=", col(_Q, "a"), qe.Const(1, INTEGER), BOOLEAN)
         unlucky = qe.FuncCall("probe", [qe.Const(2, INTEGER),
                                         qe.Const(13, INTEGER)], BOOLEAN)
-        batch = _one_row_batch((None, 0, None, None))
-        guarded = vectorized._generate("rows", [qe.BinOp(
-            "and", qe.Const(False, BOOLEAN), boom, BOOLEAN)], _FUNCTIONS, {})
-        assert _outcome(lambda: guarded(batch, [0], ())) == (
+        row = (None, 0, None, None)
+        guarded = _generate("rows", [qe.BinOp(
+            "and", qe.Const(False, BOOLEAN), boom, BOOLEAN)])
+        assert _outcome(lambda: guarded(row, ())) == (
             (list, [(False,)]), [])
-        exposed = vectorized._generate("select", [qe.BinOp(
-            "and", unknown, unlucky, BOOLEAN)], _FUNCTIONS, {})
-        assert _outcome(lambda: exposed(batch, [0], ())) == (
+        exposed = _generate("select", [qe.BinOp(
+            "and", unknown, unlucky, BOOLEAN)])
+        assert _outcome(lambda: exposed(row, ())) == (
             ExecutionError, [2])
 
 

@@ -141,7 +141,10 @@ def test_differential_seed_228_batch_outer_join_empty_inner():
     mask set but no inner value columns at all, so the parent PROJECT
     raised "batch has no column" instead of emitting NULL-padded rows.
     (Latent in the hash join; exposed when NL joins became
-    batch-capable, since the optimizer prefers NL over empty inners.)"""
+    batch-capable, since the optimizer prefers NL over empty inners.)
+    The batch engine is gone; the statement now holds the fused
+    backend, whose probe step pads outer rows itself, to the same
+    answer."""
     db = Database()
     db.enable_operation('left_outer_join')
     db.execute('CREATE TABLE t0 (c0 INTEGER, c1 VARCHAR(8), '
@@ -156,9 +159,9 @@ def test_differential_seed_228_batch_outer_join_empty_inner():
     sql = ('SELECT a7.c2 AS c0 FROM t1 a6 '
            'LEFT OUTER JOIN v0 a7 ON a6.c0 = a7.c2')
     expected = [(None,), (None,)]
-    # Every forced join method must NULL-pad identically in batch mode.
+    # Every forced join method must NULL-pad identically when fused.
     for forced in (None, 'nl', 'hash', 'merge'):
-        options = CompileOptions(execution_mode='batch',
+        options = CompileOptions(execution_mode='compiled',
                                  forced_join_method=forced)
         result = db.execute(sql, options=options)
         assert sorted(map(repr, result.rows)) == \
@@ -222,7 +225,7 @@ _NULL_LEFT_STATEMENTS = [
 def test_null_left_operand_skips_the_right_one_everywhere(sql):
     """A comparison or arithmetic operator whose left operand is NULL is
     NULL without evaluating its right operand — in the oracle, in the
-    closures (tuple) and in generated source (batch, fused) alike — so
+    closures (tuple) and in generated source (fused) alike — so
     over the row (NULL, 0) the division by ``b`` never runs.  Before the
     one-evaluator change the oracle and the tree-walking interpreter
     evaluated both operands and raised, and the default raised too as
@@ -236,7 +239,7 @@ def test_null_left_operand_skips_the_right_one_everywhere(sql):
     db.execute('INSERT INTO u VALUES (7)')
     db.analyze()
     assert ReferenceOracle(db).execute(sql).rows == []
-    for mode in ('tuple', 'batch', 'compiled'):
+    for mode in ('tuple', 'compiled'):
         options = CompileOptions(execution_mode=mode)
         assert db.execute(sql, options=options).rows == [], mode
 
@@ -256,8 +259,8 @@ def test_quantified_case_folds_at_its_condition(sql, rows):
     the whole CASE was folded again over the same quantifier's rows: the
     predicate kept every row (each row of ``u`` alone fails the IN for
     some ``b``, so ANY over the negated CASE was TRUE), and the head
-    raised ``predicate produced non-boolean 20`` — in the oracle and all
-    three backends alike."""
+    raised ``predicate produced non-boolean 20`` — in the oracle and
+    every backend alike."""
     from repro.testkit.oracle import ReferenceOracle
 
     db = Database()
@@ -267,6 +270,6 @@ def test_quantified_case_folds_at_its_condition(sql, rows):
     db.execute('INSERT INTO u VALUES (2), (3)')
     db.analyze()
     assert sorted(ReferenceOracle(db).execute(sql).rows) == rows
-    for mode in ('tuple', 'batch', 'compiled'):
+    for mode in ('tuple', 'compiled'):
         options = CompileOptions(execution_mode=mode)
         assert sorted(db.execute(sql, options=options).rows) == rows, mode

@@ -79,17 +79,38 @@ class TestPlanProfile:
         assert analyzed.columns == plain.columns
 
     def test_batch_path_counts_batches(self, obs_db):
+        """The fused path: the SCAN inside the region is counted by the
+        analyze variant's row counter — the rows passing its predicates,
+        not the rows read."""
         result = obs_db.execute(
             "SELECT id, v FROM t WHERE v < 50",
-            options=_options(obs_db, execution_mode="batch",
+            options=_options(obs_db, execution_mode="compiled",
                              analyze=True))
         scan = next(n for n in result.profile.plan.walk()
                     if n.op_name == "SCAN")
+        assert scan.exec_backend == "compiled"
         probe = result.profile.probe_for(scan)
-        assert probe.batches > 0
-        # Batch probes count live (selected) rows, not batch capacity.
         assert probe.rows == len(result.rows)
         assert probe.rows < 20000
+        assert probe.loops == 1
+
+    def test_fused_region_reports_actual_rows_per_node(self, obs_db):
+        """Under the shipped auto, a grouped scan over 4 096 rows runs
+        fused: every node of the region shows actual rows, none shows
+        "(never executed)"."""
+        sql = "SELECT g, count(*), sum(v) FROM t WHERE v < 50 GROUP BY g"
+        text = obs_db.explain(sql, options=_options(obs_db), analyze=True)
+        plan_lines = [line for line in text.splitlines()
+                      if "cost=" in line]
+        assert any("fused=" in line for line in plan_lines)
+        assert plan_lines and all("actual rows=" in line
+                                  for line in plan_lines), text
+        result = obs_db.execute(sql, options=_options(obs_db, analyze=True))
+        by_op = {node.op_name: result.profile.probe_for(node)
+                 for node in result.profile.plan.walk()}
+        expected = sum(1 for i in range(20000) if i % 97 < 50)
+        assert by_op["SCAN"].rows == expected
+        assert by_op["GROUPBY"].rows == 7
 
     def test_analyze_off_allocates_no_wrappers(self, obs_db, monkeypatch):
         """With analyze off, no PlanProfile (and hence no probe or
@@ -102,7 +123,7 @@ class TestPlanProfile:
         monkeypatch.setattr(profile_module, "PlanProfile", boom)
         result = obs_db.execute(
             "SELECT id FROM t WHERE v < 3",
-            options=_options(obs_db, execution_mode="batch"))
+            options=_options(obs_db, execution_mode="compiled"))
         assert result.profile is None
         assert len(result.rows) > 0
 
@@ -146,7 +167,7 @@ class TestParallelMerge:
         serial = obs_db.execute(sql, options=_options(obs_db))
         par = obs_db.execute(
             sql, options=_options(obs_db, parallelism="on", dop=4,
-                                  execution_mode="batch", analyze=True))
+                                  execution_mode="compiled", analyze=True))
         assert par.rows == serial.rows
 
 
@@ -157,19 +178,21 @@ class TestParallelMerge:
 
 class TestExplainAnalyze:
     def test_parallel_batch_rendering(self, obs_db):
-        """The acceptance-criteria query: parallel + batch EXPLAIN
-        ANALYZE shows actual rows, time, est-vs-actual, worker stats."""
+        """The acceptance-criteria query, on the fused path: parallel +
+        compiled EXPLAIN ANALYZE shows actual rows, time, est-vs-actual,
+        worker stats."""
         text = obs_db.explain(
             "SELECT id, v + g FROM t WHERE v < 30",
             options=_options(obs_db, parallelism="on", dop=4,
-                             execution_mode="batch"),
+                             execution_mode="compiled"),
             analyze=True)
         assert "EXPLAIN ANALYZE" in text
         assert "est=" in text and "actual rows=" in text
         assert "time=" in text and "%" in text
         assert "workers(rows=" in text
         assert "exchange(morsels=" in text
-        assert "backend=batch" in text
+        assert "backend=compiled" in text
+        assert "(never executed)" not in text
         assert "phases:" in text and "execute=" in text
         assert "worker pool:" in text
 

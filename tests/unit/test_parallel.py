@@ -74,7 +74,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_dop4_batch_equals_serial(self, par_db, sql):
         serial, par = _serial_vs_parallel(par_db, sql,
-                                          execution_mode="batch")
+                                          execution_mode="compiled")
         assert par.rows == serial.rows
         assert par.stats.parallel_exchanges >= 1
 
@@ -119,11 +119,13 @@ class TestPlanShape:
         assert "merge-partial-aggs" in text
 
     def test_exchange_marks_batch_boundary(self, par_db):
+        # The exchange consumes its fused child's rows: the fused→tuple
+        # boundary is marked on it.
         text = par_db.explain(
             "SELECT id FROM t WHERE v < 5",
             options=_options(par_db, parallelism="on", dop=4,
-                             execution_mode="batch"))
-        assert "fallback=batch-below" in text
+                             execution_mode="compiled"))
+        assert "fallback=compiled-below" in text
 
     def test_auto_mode_skips_tiny_tables(self, par_db):
         options = _options(par_db, parallelism="auto", dop=4)

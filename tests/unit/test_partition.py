@@ -224,7 +224,7 @@ class TestShardedDML:
 
 
 class TestPartitionPruning:
-    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
     def test_equality_predicate_prunes(self, shard_db, mode):
         result = shard_db.execute(
             "SELECT id FROM orders WHERE cust = 17",
@@ -234,7 +234,7 @@ class TestPartitionPruning:
         reference = [(i,) for i in range(3000) if (i * 7) % 200 == 17]
         assert result.rows == reference
 
-    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
     def test_pruned_scan_preserves_serial_order(self, shard_db, mode):
         pruned = shard_db.execute(
             "SELECT id, amt FROM orders WHERE cust = 42",
@@ -470,7 +470,7 @@ class TestBroadcastJoin:
             assert _chain_scan(join.children[1]).table.name == "groups"
         assert plans[0].explain() == plans[1].explain()
 
-    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
     @pytest.mark.parametrize("order", [0, 1])
     def test_equals_serial(self, events_db, mode, order):
         sql = EVENTS_JOIN_SQL[order]
@@ -484,7 +484,7 @@ class TestBroadcastJoin:
         assert par.stats.morsels > 1
         assert par.stats.parallel_fallbacks == 0, par.stats.parallel_reasons
 
-    @pytest.mark.parametrize("mode", ["tuple", "batch", "compiled"])
+    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
     def test_self_join_morsels_only_the_probe_scan(self, shard_db, mode):
         """Both sides scan ``plain``; the runtime restricts the scan the
         GATHER names by node identity, so the build side stays whole."""
