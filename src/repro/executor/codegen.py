@@ -27,7 +27,7 @@ of this shape::
                                                  tuple parent)
     chain  := source | FILTER(chain) | HASHJOIN(chain, chain)
             | ACCESS(PROJECT(chain))            (folded by substitution)
-    source := SCAN                              (records, decoded inline)
+    source := SCAN                              (page spans, decoded in place)
             | ISCAN                             (fetched rows of its probe
                                                  or range)
             | any non-fused binding node        (its bindings, pulled
@@ -101,40 +101,6 @@ from repro.qgm import expressions as qe
 # ---------------------------------------------------------------------------
 # Pipeline inputs
 # ---------------------------------------------------------------------------
-
-
-class _RecordSource:
-    """Per-column lazy decoding of one scan morsel: one NULL-bitmap
-    screening pass (and at most one whole-row decode when a column has
-    no static offset).  The fused scan falls back to this when the
-    serializer offers no combined one-pass decoder."""
-
-    __slots__ = ("records", "serializer", "_dirty", "_rows")
-
-    def __init__(self, records, serializer):
-        self.records = records
-        self.serializer = serializer
-        self._dirty: Optional[List[int]] = None
-        self._rows: Optional[List[Tuple[Any, ...]]] = None
-
-    def column(self, position: int) -> List[Any]:
-        serializer = self.serializer
-        decoder = serializer.column_decoder(position)
-        if decoder is None:
-            if self._rows is None:
-                deserialize = serializer.deserialize
-                self._rows = [deserialize(rec) for rec in self.records]
-            return [row[position] for row in self._rows]
-        col = decoder(self.records)
-        if self._dirty is None:
-            self._dirty = serializer.null_rows(self.records)
-        if self._dirty:
-            byte, bit = position // 8, 1 << (position % 8)
-            records = self.records
-            for i in self._dirty:
-                if records[i][byte] & bit:
-                    col[i] = None
-        return col
 
 
 def _index_chunks(plan: pl.IndexScan, ctx: ExecutionContext,
@@ -933,8 +899,7 @@ class _Emitter:
                                 positions, consumes, gen, prologue, loop,
                                 morsel_prologue, body, morsel_epilogue,
                                 epilogue)
-        fn, shared = materialize(source_text, Source=_RecordSource,
-                                 scan_partition=scan_partition,
+        fn, shared = materialize(source_text, scan_partition=scan_partition,
                                  env_iter=env_iter, rows_iter=rows_iter,
                                  chunks=_chunks, index_chunks=_index_chunks)
         rt = _Runtime(source, tuple(gen.hoisted),
@@ -975,25 +940,17 @@ def _emit_agg_step(body, indent, gen, i, agg, arg, function) -> None:
 
 
 def _scan_loop(scan: pl.TableScan, positions, whole_scan: bool) -> List[str]:
-    """The morsel loop of a fused SCAN: storage-order record batches,
-    decoded in one pass when the layout allows (a single pre-resolved
-    struct unpack per record), else per column."""
+    """The morsel loop of a fused SCAN: storage-order page spans, their
+    records decoded in place in one pass (``combined_decoder``)."""
     lines = [
         "_scan = rt.source",
         "_pr = ctx.morsel_range if _scan is ctx.morsel_scan else None",
-        "for _mk, _recs in _engine.scan_batches(ctx.txn, %r, "
+        "for _n, _spans in _engine.scan_batches(ctx.txn, %r, "
         "ctx.batch_size, _pr, partition=scan_partition(_scan, ctx, env)):"
         % scan.table.name,
-        "    _n = len(_recs)",
         "    stats.rows_scanned += _n"]
     if positions:
-        lines += [
-            "    if _dec is not None:",
-            "        _rows = _dec(_recs)",
-            "    else:",
-            "        _src = Source(_recs, _ser)",
-            "        _rows = zip(%s)" % ", ".join(
-                "_src.column(%d)" % p for p in positions)]
+        lines.append("    _rows = _dec(_spans)")
     if whole_scan:
         lines.append("for _row in _rows:")
     elif positions:

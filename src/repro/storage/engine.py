@@ -297,10 +297,10 @@ class StorageEngine:
                      partition: Optional[int] = None):
         """Batched full scan for the fused pipelines' scans.
 
-        Yields ``(make_rids, records)`` pairs of encoded record batches
-        plus a lazy RID factory (see ``TableStorage.scan_batches``);
-        callers decode the columns they need via the table's
-        ``RecordSerializer.decode_columns``.  Takes the same shared table
+        Yields ``(count, spans)`` morsels — page images plus their
+        live-record offsets (see ``TableStorage.scan_batches``); callers
+        decode the columns they need in place via the table's
+        ``RecordSerializer.combined_decoder``.  Takes the same shared table
         lock as :meth:`scan`; ``page_range`` restricts heap tables to a
         page-number morsel, ``partition`` sharded tables to one shard.
         """

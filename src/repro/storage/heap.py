@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.schema import TableDef
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
-from repro.storage.record import RID, RecordSerializer
+from repro.storage.record import RID, RecordSerializer, Span
 from repro.storage.storage_manager import TableStorage
 
 
@@ -51,18 +51,17 @@ class HeapTableStorage(TableStorage):
         page_id = self._disk_page_id(page_no)
         page = self.pool.fetch(page_id)
         try:
-            if not page.can_insert(len(record)) \
-                    and page.can_insert_after_compaction(len(record)):
+            if not page.can_insert(len(record)):
+                if not page.can_insert_after_compaction(len(record)):
+                    self.pool.unpin(page_id)
+                    return None
                 page.compact()
-            if page.can_insert(len(record)):
-                slot = page.insert(record)
-                self.pool.unpin(page_id, dirty=True)
-                return RID(page_no, slot)
+            slot = page.insert(record)
         except Exception:
             self.pool.unpin(page_id)
             raise
-        self.pool.unpin(page_id)
-        return None
+        self.pool.unpin(page_id, dirty=True)
+        return RID(page_no, slot)
 
     # -- TableStorage interface -----------------------------------------------------
 
@@ -117,26 +116,29 @@ class HeapTableStorage(TableStorage):
         lo, hi = page_range
         return range(max(0, lo), min(hi, len(self._page_ids)))
 
-    def read_page(self, page_no: int) -> List[Tuple[int, bytes]]:
-        """One page's live ``(slot, record)`` pairs, read under one pin."""
+    def read_page(self, page_no: int) -> Tuple[Sequence[int], Span]:
+        """One page's live records, read under one pin: ``(slots, span)``,
+        the span an immutable copy of the page image plus the records'
+        offsets and lengths in it (see :meth:`Page.directory`)."""
         page_id = self._page_ids[page_no]
         page = self.pool.fetch(page_id)
         try:
-            return list(page.records())
+            slots, offsets, lengths = page.directory()
+            image = bytes(page.data) if slots else b""
         finally:
             self.pool.unpin(page_id)
+        return slots, (image, offsets, lengths)
 
     def scan(self, page_range=None) -> Iterator[Tuple[RID, bytes]]:
         for page_no in self._page_range(page_range):
-            for slot, record in self.read_page(page_no):
-                yield RID(page_no, slot), record
+            yield from _page_records(page_no, *self.read_page(page_no))
 
     def scan_batches(self, batch_size, page_range=None):
-        """Page-at-a-time scan: collects whole pages of record bytes and
-        defers RID construction to the lazy ``make_rids`` callable."""
-        yield from _batches(((page_no, self.read_page(page_no))
-                             for page_no in self._page_range(page_range)),
-                            batch_size)
+        """Page-at-a-time scan: whole pages' spans, at least
+        ``batch_size`` records a morsel."""
+        return _morsels((self.read_page(page_no)[1]
+                         for page_no in self._page_range(page_range)),
+                        batch_size)
 
     @property
     def page_count(self) -> int:
@@ -151,33 +153,28 @@ class HeapTableStorage(TableStorage):
         self._free_pages = set()
 
 
-def _batches(pages, batch_size):
-    """Group ``(page_no, [(slot, record), ...])`` pages into
-    ``(make_rids, records)`` batches of at least ``batch_size`` records
-    (the last may be short), keeping whole pages together."""
-    chunks: List[Tuple[int, tuple]] = []  # (page_no, slots)
-    records: List[bytes] = []
-    for page_no, page_records in pages:
-        if not page_records:
-            continue
-        slots, recs = zip(*page_records)
-        chunks.append((page_no, slots))
-        records.extend(recs)
-        if len(records) >= batch_size:
-            yield _rid_maker(chunks), records
-            chunks, records = [], []
-    if records:
-        yield _rid_maker(chunks), records
+def _page_records(page_no: int, slots, span) -> Iterator[Tuple[RID, bytes]]:
+    """A read page as ``(RID, record bytes)`` pairs."""
+    image, offsets, lengths = span
+    for slot, offset, length in zip(slots, offsets, lengths):
+        yield RID(page_no, slot), image[offset: offset + length]
 
 
-def _rid_maker(chunks):
-    """Lazy RID factory over (page_no, slots) page chunks."""
-    def make() -> List[RID]:
-        rids: List[RID] = []
-        for page_no, slots in chunks:
-            rids.extend(RID(page_no, slot) for slot in slots)
-        return rids
-    return make
+def _morsels(spans, batch_size) -> Iterator[Tuple[int, List[Span]]]:
+    """Group page spans into ``(count, spans)`` morsels of at least
+    ``batch_size`` records (the last may be short), keeping whole pages
+    together and skipping empty ones."""
+    morsel: List[Span] = []
+    count = 0
+    for span in spans:
+        if span[1]:
+            morsel.append(span)
+            count += len(span[1])
+            if count >= batch_size:
+                yield count, morsel
+                morsel, count = [], 0
+    if morsel:
+        yield count, morsel
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +336,15 @@ class ShardedHeapStorage(TableStorage):
     def scan(self, page_range=None,
              partition: Optional[int] = None) -> Iterator[Tuple[RID, bytes]]:
         for page_no, owner, local in self._global_pages(page_range, partition):
-            for slot, record in self._segments[owner].read_page(local):
-                yield RID(page_no, slot), record
+            yield from _page_records(
+                page_no, *self._segments[owner].read_page(local))
 
     def scan_batches(self, batch_size, page_range=None,
                      partition: Optional[int] = None):
-        yield from _batches(
-            ((page_no, self._segments[owner].read_page(local))
-             for page_no, owner, local
-             in self._global_pages(page_range, partition)),
-            batch_size)
+        return _morsels((self._segments[owner].read_page(local)[1]
+                         for _page_no, owner, local
+                         in self._global_pages(page_range, partition)),
+                        batch_size)
 
     @property
     def page_count(self) -> int:

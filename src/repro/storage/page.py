@@ -19,7 +19,7 @@ the storage manager (delete + insert elsewhere).
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import PageError
 
@@ -75,12 +75,19 @@ class Page:
         directory_end = _HEADER_SIZE + self.slot_count * _SLOT_SIZE
         return self.free_space_offset - directory_end
 
+    def _entries(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The whole slot directory in one unpack: ``(offsets, lengths)``
+        of every slot, a deleted one reading ``(0, 0)``."""
+        data = self.data
+        count = _HEADER.unpack_from(data, 0)[0]
+        entries = struct.unpack_from("<%dH" % (2 * count), data, _HEADER_SIZE)
+        return entries[0::2], entries[1::2]
+
     def _find_free_slot(self) -> Optional[int]:
-        for slot in range(self.slot_count):
-            offset, length = self._slot(slot)
-            if offset == 0 and length == 0:
-                return slot
-        return None
+        # A live record never sits at offset 0 (the header is there), so
+        # offset 0 alone marks a deleted slot.
+        offsets = self._entries()[0]
+        return offsets.index(0) if 0 in offsets else None
 
     def can_insert(self, record_length: int) -> bool:
         """True when ``insert`` with a record of this size will succeed."""
@@ -97,16 +104,17 @@ class Page:
         """Insert a record, returning its slot number."""
         length = len(record)
         stored = record if length > 0 else b"\x00"
-        if not self.can_insert(length):
+        slot = self._find_free_slot()
+        needed = len(stored) + (_SLOT_SIZE if slot is None else 0)
+        if self.free_space() < needed:
             raise PageError(
                 "page %d cannot fit a %d-byte record" % (self.page_id, length)
             )
-        slot = self._find_free_slot()
-        slot_count = self.slot_count
+        slot_count, free_offset = _HEADER.unpack_from(self.data, 0)
         if slot is None:
             slot = slot_count
             slot_count += 1
-        new_offset = self.free_space_offset - len(stored)
+        new_offset = free_offset - len(stored)
         self.data[new_offset: new_offset + len(stored)] = stored
         self._set_header(slot_count, new_offset)
         self._set_slot(slot, new_offset, length)
@@ -149,11 +157,8 @@ class Page:
 
     def reclaimable_space(self) -> int:
         """Bytes occupied by deleted records (freed by :meth:`compact`)."""
-        live = 0
-        for slot in range(self.slot_count):
-            offset, length = self._slot(slot)
-            if offset != 0 or length != 0:
-                live += max(length, 1)
+        _slots, _offsets, lengths = self.directory()
+        live = sum(max(length, 1) for length in lengths)
         return (PAGE_SIZE - self.free_space_offset) - live
 
     def can_insert_after_compaction(self, record_length: int) -> bool:
@@ -168,34 +173,36 @@ class Page:
         """Rewrite live records contiguously at the page tail, reclaiming
         the space of deleted records.  Slot numbers (and thus RIDs) are
         unchanged."""
-        live: list = []
-        for slot in range(self.slot_count):
-            offset, length = self._slot(slot)
-            if offset == 0 and length == 0:
-                continue
-            stored = max(length, 1)
-            live.append((slot, length, bytes(self.data[offset: offset + stored])))
+        image = bytes(self.data)
         write_at = PAGE_SIZE
-        for slot, length, payload in live:
-            write_at -= len(payload)
-            self.data[write_at: write_at + len(payload)] = payload
+        for slot, offset, length in zip(*self.directory()):
+            stored = max(length, 1)
+            write_at -= stored
+            self.data[write_at: write_at + stored] = \
+                image[offset: offset + stored]
             self._set_slot(slot, write_at, length)
         self._set_header(self.slot_count, write_at)
 
-    def records(self) -> Iterator[Tuple[int, bytes]]:
-        """Yield (slot, record bytes) for every live record.
+    def directory(self) -> Tuple[Sequence[int], Sequence[int],
+                                 Sequence[int]]:
+        """``(slots, offsets, lengths)`` of the live records, in slot order.
 
-        Hot path of every table scan: the header is unpacked once and
-        the slot directory is read inline rather than through
-        :meth:`_slot` (which re-reads the header to bounds-check each
-        call — a third of scan time on large tables)."""
+        The page-read primitive every scan is built on: one unpack of the
+        slot directory, filtered only when some slot is deleted.  Offsets
+        index :attr:`data` (or any copy of it)."""
+        offsets, lengths = self._entries()
+        if 0 not in offsets:
+            return range(len(offsets)), offsets, lengths
+        slots = [slot for slot, offset in enumerate(offsets) if offset]
+        return (slots, [offsets[slot] for slot in slots],
+                [lengths[slot] for slot in slots])
+
+    def records(self) -> List[Tuple[int, bytes]]:
+        """``(slot, record bytes)`` for every live record, read through
+        :meth:`directory`."""
         data = self.data
-        unpack = _SLOT.unpack_from
-        for slot in range(_HEADER.unpack_from(data, 0)[0]):
-            offset, length = unpack(data, _HEADER_SIZE + slot * _SLOT_SIZE)
-            if offset == 0 and length == 0:
-                continue
-            yield slot, bytes(data[offset: offset + length])
+        return [(slot, bytes(data[offset: offset + length]))
+                for slot, offset, length in zip(*self.directory())]
 
     def live_count(self) -> int:
-        return sum(1 for _ in self.records())
+        return len(self.directory()[0])

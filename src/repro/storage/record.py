@@ -14,6 +14,7 @@ The serializer is built once per table from its column types.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -28,6 +29,10 @@ from repro.errors import RecordError
 _LEN = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+
+
+#: ``(image, offsets, lengths)`` — see "Span decoding" below.
+Span = Tuple[bytes, Sequence[int], Sequence[int]]
 
 
 class RID(NamedTuple):
@@ -47,7 +52,6 @@ class RecordSerializer:
         self.dtypes: Tuple[DataType, ...] = tuple(dtypes)
         self._bitmap_bytes = (len(self.dtypes) + 7) // 8
         self._offsets = self._static_offsets()
-        self._decoders: dict = {}
         self._combined: dict = {}
 
     @property
@@ -123,7 +127,13 @@ class RecordSerializer:
         return tuple(values)
 
     # ------------------------------------------------------------------
-    # Columnar (batch) decoding — used by the fused scans.
+    # Span decoding — used by the fused scans.
+    #
+    # A *span* is ``(image, offsets, lengths)``: an immutable byte image
+    # (a heap page, or records joined end to end) and the offsets and
+    # lengths of the live records in it.  Records of stock fixed-width
+    # columns are decoded where they lie in the image, with no per-record
+    # copy.
     # ------------------------------------------------------------------
 
     def _static_offsets(self) -> List[Optional[int]]:
@@ -142,127 +152,78 @@ class RecordSerializer:
                 offset += dtype.fixed_width
         return offsets
 
-    def column_decoder(self, index: int):
-        """A batch decoder ``f(records) -> List[value]`` for one column,
-        ignoring NULL bits (callers patch those via :meth:`null_rows`),
-        or None when the column has no static offset."""
-        if index in self._decoders:
-            return self._decoders[index]
-        offset = self._offsets[index]
-        dtype = self.dtypes[index]
-        decoder = None
-        if offset is not None:
-            # Exact-class checks: a DataType subclass may override
-            # deserialize, so only the stock types get struct fast paths.
-            if type(dtype) is IntegerType:
-                unpack = _I64.unpack_from
-
-                def decoder(records, _u=unpack, _o=offset):
-                    return [_u(rec, _o)[0] for rec in records]
-            elif type(dtype) is DoubleType:
-                unpack = _F64.unpack_from
-
-                def decoder(records, _u=unpack, _o=offset):
-                    return [_u(rec, _o)[0] for rec in records]
-            elif type(dtype) is BooleanType:
-                def decoder(records, _o=offset):
-                    return [rec[_o] != 0 for rec in records]
-            else:
-                width = dtype.fixed_width
-
-                def decoder(records, _d=dtype.deserialize, _o=offset,
-                            _w=width):
-                    return [_d(rec[_o:_o + _w]) for rec in records]
-        self._decoders[index] = decoder
-        return decoder
+    def _struct_unpack(self, positions: Tuple[int, ...]):
+        """``unpack_from`` of one pre-resolved struct reading the given
+        columns of a record in place, or None unless every one is a stock
+        fixed-width type at a static offset (in ascending order)."""
+        parts = ["<"]
+        cursor = 0
+        codes = {IntegerType: "q", DoubleType: "d", BooleanType: "?"}
+        for pos in positions:
+            offset = self._offsets[pos]
+            # Exact-class lookup: a DataType subclass may override
+            # deserialize, so only the stock types are read by struct.
+            code = codes.get(type(self.dtypes[pos]))
+            if offset is None or code is None or offset < cursor:
+                return None
+            if offset > cursor:
+                parts.append("%dx" % (offset - cursor))
+            parts.append(code)
+            cursor = offset + self.dtypes[pos].fixed_width
+        return struct.Struct("".join(parts)).unpack_from
 
     def combined_decoder(self, positions: Tuple[int, ...]):
-        """A one-pass decoder ``f(records) -> List[tuple]`` for several
-        columns together — a single pre-resolved ``struct`` unpack per
-        record, with NULL bits applied inline.  The codegen backend's
-        fused scans use this to touch each record exactly once.
+        """A decoder ``f(spans) -> List[tuple]`` of the given columns of
+        every record in a list of spans, in order.
 
-        None unless every requested column is a stock fixed-width type
-        at a static offset and the NULL bitmap is one byte (at most 8
-        columns) — callers then fall back to per-column decoding.
+        When the columns allow it (:meth:`_struct_unpack`) each page is
+        one list comprehension of a single struct unpack per record, and
+        NULLs are found by one C-level screen of the records' one-byte
+        bitmaps per page before any per-row patching (wider bitmaps are
+        read record by record).  Otherwise the records are sliced out and
+        deserialized whole.
         """
         if positions in self._combined:
             return self._combined[positions]
-        decoder = None
-        if self._bitmap_bytes == 1 and positions:
-            parts = ["<"]
-            cursor = 0
-            codes = {IntegerType: "q", DoubleType: "d", BooleanType: "?"}
-            for pos in positions:
-                offset = self._offsets[pos]
-                code = codes.get(type(self.dtypes[pos]))
-                if offset is None or code is None or offset < cursor:
-                    parts = None
-                    break
-                if offset > cursor:
-                    parts.append("%dx" % (offset - cursor))
-                parts.append(code)
-                cursor = offset + self.dtypes[pos].fixed_width
-            if parts is not None:
-                unpack = struct.Struct("".join(parts)).unpack_from
-                masks = tuple(1 << pos for pos in positions)
+        unpack = self._struct_unpack(positions)
+        if unpack is not None:
+            nb = self._bitmap_bytes
+            masks = tuple(1 << pos for pos in positions)
 
-                def decoder(records, _u=unpack, _masks=masks):
-                    out = []
-                    append = out.append
-                    for rec in records:
-                        values = _u(rec)
-                        bits = rec[0]
-                        if bits:
-                            values = tuple(
-                                None if bits & mask else value
-                                for value, mask in zip(values, _masks))
-                        append(values)
-                    return out
+            def decoder(spans, _u=unpack, _masks=masks, _nb=nb):
+                out: List[tuple] = []
+                for image, offsets, _lengths in spans:
+                    rows = [_u(image, o) for o in offsets]
+                    if _nb > 1 or any(map(image.__getitem__, offsets)):
+                        for i, o in enumerate(offsets):
+                            bits = int.from_bytes(image[o:o + _nb], "little")
+                            if bits:
+                                rows[i] = tuple(
+                                    None if bits & mask else value
+                                    for value, mask in zip(rows[i], _masks))
+                    out += rows
+                return out
+        else:
+            whole = positions == tuple(range(self.arity))
+
+            def decoder(spans, _d=self.deserialize, _p=positions):
+                rows = [_d(image[o:o + n])
+                        for image, offsets, lengths in spans
+                        for o, n in zip(offsets, lengths)]
+                if whole:
+                    return rows
+                return [tuple([row[p] for p in _p]) for row in rows]
 
         self._combined[positions] = decoder
         return decoder
 
-    def null_rows(self, records: Sequence[bytes]) -> List[int]:
-        """Indices of records whose null bitmap has any bit set.
 
-        One screening pass shared by every column of a batch; the common
-        all-NOT-NULL record is rejected with a single bytes compare.
-        """
-        zero = bytes(self._bitmap_bytes)
-        bitmap_bytes = self._bitmap_bytes
-        return [i for i, rec in enumerate(records)
-                if rec[:bitmap_bytes] != zero]
-
-    def decode_columns(self, records: Sequence[bytes],
-                       positions: Sequence[int]) -> dict:
-        """Decode only the given column positions from a batch of records.
-
-        Returns ``{position: list}`` with each list aligned to ``records``.
-        Columns with static offsets decode via per-column struct loops;
-        if any requested column lacks one, the whole batch falls back to
-        row-at-a-time decoding.
-        """
-        decoders = {}
-        for pos in positions:
-            decoder = self.column_decoder(pos)
-            if decoder is None:
-                rows = [self.deserialize(rec) for rec in records]
-                return {p: [row[p] for row in rows] for p in positions}
-            decoders[pos] = decoder
-        cols = {pos: decoder(records) for pos, decoder in decoders.items()}
-        # Patch NULLs: screen each record's bitmap against all-zero first
-        # (the common case), then set None per set bit.
-        zero = bytes(self._bitmap_bytes)
-        bitmap_bytes = self._bitmap_bytes
-        masks = [(pos, pos // 8, 1 << (pos % 8)) for pos in positions]
-        for row, rec in enumerate(records):
-            if rec[:bitmap_bytes] == zero:
-                continue
-            for pos, byte, bit in masks:
-                if rec[byte] & bit:
-                    cols[pos][row] = None
-        return cols
+def record_span(records: Sequence[bytes]) -> Span:
+    """Records joined end to end into one span (cumulative offsets)."""
+    lengths = [len(record) for record in records]
+    offsets = list(itertools.accumulate(lengths, initial=0))
+    offsets.pop()
+    return b"".join(records), offsets, lengths
 
 
 # ---------------------------------------------------------------------------

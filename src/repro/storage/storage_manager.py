@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterator, List, Tuple
 from repro.catalog.schema import TableDef
 from repro.errors import ExtensionError, StorageError
 from repro.storage.buffer import BufferPool
-from repro.storage.record import RID, RecordSerializer
+from repro.storage.record import RID, RecordSerializer, Span, record_span
 
 
 class TableStorage:
@@ -56,27 +56,22 @@ class TableStorage:
         """Yield every live (RID, record bytes) pair in storage order."""
         raise NotImplementedError
 
-    def scan_batches(
-        self, batch_size: int,
-    ) -> Iterator[Tuple[Callable[[], List[RID]], List[bytes]]]:
-        """Yield ``(make_rids, records)`` batches in storage order.
-
-        ``records`` is a list of serialized record bytes; ``make_rids``
-        lazily materializes the matching RID list, so scans that never
-        look at RIDs (the fused scans' common case) skip RID
-        construction entirely.  The default chunks :meth:`scan`; storage
-        managers can override it with a page-at-a-time fast path.
+    def scan_batches(self, batch_size: int
+                     ) -> Iterator[Tuple[int, List[Span]]]:
+        """Yield ``(count, spans)`` morsels of ``count`` records in
+        storage order, ``batch_size`` at a time (see ``Span`` in
+        :mod:`repro.storage.record`).  The default joins each chunk of
+        :meth:`scan` into one span; storage managers with pages override
+        it to hand out page images instead.
         """
-        rids: List[RID] = []
         records: List[bytes] = []
-        for rid, record in self.scan():
-            rids.append(rid)
+        for _rid, record in self.scan():
             records.append(record)
             if len(records) >= batch_size:
-                yield (lambda out=rids: out), records
-                rids, records = [], []
+                yield len(records), [record_span(records)]
+                records = []
         if records:
-            yield (lambda out=rids: out), records
+            yield len(records), [record_span(records)]
 
     def insert_at(self, rid: RID, record: bytes) -> RID:
         """Re-insert a record during recovery/undo, preferably at ``rid``.

@@ -142,10 +142,13 @@ class TestShardedDDL:
         {}, {"page_range": (2, 7)}, {"partition": 1}])
     def test_scan_batches_match_scan(self, shard_db, restrict):
         storage = shard_db.engine.storage("orders")
-        expected = list(storage.scan(**restrict))
+        expected = [record for _rid, record in storage.scan(**restrict)]
         batched = []
-        for make_rids, records in storage.scan_batches(64, **restrict):
-            batched.extend(zip(make_rids(), records))
+        for count, spans in storage.scan_batches(64, **restrict):
+            sliced = [image[o:o + n] for image, offsets, lengths in spans
+                      for o, n in zip(offsets, lengths)]
+            assert count == len(sliced)
+            batched.extend(sliced)
         assert batched == expected
         assert expected
 

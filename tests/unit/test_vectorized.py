@@ -15,7 +15,7 @@ import pytest
 from repro import CompileOptions, Database
 from repro.errors import DivisionByZeroError
 from repro.optimizer import plans as pl
-from repro.storage.record import RecordSerializer
+from repro.storage.record import RecordSerializer, record_span
 from repro.datatypes import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 
 
@@ -240,17 +240,24 @@ def test_decode_columns_matches_deserialize():
         (3, None, None, None),
         (-7, -1.25, True, ""),
     ]
+    # Two spans: the records joined end to end, then again behind a
+    # 5-byte pad so no record sits at the image's start.
     records = [serializer.serialize(row) for row in rows]
-    cols = serializer.decode_columns(records, [0, 1, 2, 3])
-    for position in range(4):
-        assert cols[position] == [row[position] for row in rows]
+    image, offsets, lengths = record_span(records)
+    spans = [(image, offsets, lengths),
+             (b"\xff" * 5 + image, [o + 5 for o in offsets], lengths)]
+    # Static-offset stock columns: one struct unpack per record.
+    fixed = serializer.combined_decoder((0, 1, 2))
+    assert fixed(spans) == [row[:3] for row in rows] * 2
+    # A VARCHAR column → whole-record fallback.
+    assert serializer.combined_decoder((1, 3))(spans) == \
+        [(row[1], row[3]) for row in rows] * 2
     # VARCHAR first → no static offsets downstream → whole-row fallback.
     var_first = RecordSerializer([VARCHAR, INTEGER])
     rows2 = [("ab", 1), (None, None), ("", 9)]
-    records2 = [var_first.serialize(row) for row in rows2]
-    cols2 = var_first.decode_columns(records2, [0, 1])
-    assert cols2[0] == ["ab", None, ""]
-    assert cols2[1] == [1, None, 9]
+    span2 = record_span([var_first.serialize(row) for row in rows2])
+    assert var_first.combined_decoder((0, 1))([span2]) == rows2
+    assert var_first.combined_decoder((1,))([span2]) == [(1,), (None,), (9,)]
 
 
 def test_oracle_evaluates_table_functions(batch_db):
