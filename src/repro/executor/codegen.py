@@ -63,8 +63,10 @@ in ``stats.fallbacks``.
 by :class:`~repro.executor.exprgen.ExprGen`, which reproduces the tuple
 interpreter's scalar closures operator for operator, so a fused
 pipeline is row-for-row and error-for-error identical to the tuple
-backend; the driver-level post-operators and the group-by tail are the
-shared ones in :mod:`repro.executor.rowops`.
+backend; the driver-level post-operators are the shared ones in
+:mod:`repro.executor.rowops`.  The group-by sink steps the stock
+aggregates inline and finishes its groups itself; single-column group
+and join keys are bare values.
 
 **EXPLAIN ANALYZE.**  Under ``ctx.profile`` each region runs its
 *analyze variant*: the same pipelines generated with one row counter per
@@ -94,6 +96,7 @@ from repro.executor.run import (
     rows_iter,
     scan_partition,
 )
+from repro.functions.builtins import _Avg, _Count, _Max, _Min, _Sum
 from repro.optimizer import plans as pl
 from repro.qgm import expressions as qe
 
@@ -337,6 +340,13 @@ def _tuple_source(items) -> str:
     return "(%s%s)" % (", ".join(items), "," if items else "")
 
 
+def _key_source(items) -> str:
+    """A hash key: the bare value of a single column, a tuple otherwise
+    (``1 == 1.0 == True`` is one key either way)."""
+    items = list(items)
+    return items[0] if len(items) == 1 else _tuple_source(items)
+
+
 def _arity(quantifier) -> int:
     return len(quantifier.input.head.columns)
 
@@ -387,21 +397,19 @@ class Program:
     they run once per group, not per row)."""
 
     __slots__ = ("root", "pipelines", "final_kind", "core", "postops",
-                 "n_pipelines", "agg_functions", "source",
+                 "n_pipelines", "source",
                  "wrap_quantifier", "wrap_preds", "wrap_exprs", "leaves",
                  "counter_nodes", "stages", "functions", "kinds",
                  "needed", "_analyzed")
 
     def __init__(self, root, emitter, final_kind, core, postops,
-                 agg_functions, wrap_quantifier=None, wrap_preds=(),
-                 wrap_exprs=None):
+                 wrap_quantifier=None, wrap_preds=(), wrap_exprs=None):
         self.root = root
         self.pipelines = emitter.pipelines
         self.final_kind = final_kind
         self.core = core
         self.postops = postops
         self.n_pipelines = len(self.pipelines)
-        self.agg_functions = agg_functions
         self.source = "\n\n".join(p.source for p in self.pipelines)
         self.wrap_quantifier = wrap_quantifier
         self.wrap_preds = wrap_preds
@@ -556,8 +564,8 @@ def _generate(root: pl.PlanOp, functions, kinds, needed,
         wrap_quantifier = access.quantifier
         wrap_preds = closures(access.preds, functions)
         wrap_exprs = closures(project.exprs, functions, True)
-    program = Program(root, emitter, sink, core, postops, agg_functions,
-                      wrap_quantifier, tuple(wrap_preds), wrap_exprs)
+    program = Program(root, emitter, sink, core, postops, wrap_quantifier,
+                      tuple(wrap_preds), wrap_exprs)
     if analyze:
         # Driver-level stages count the rows they pass on, too.
         stages = [(postop, [postop]) for postop in postops]
@@ -792,7 +800,7 @@ class _Emitter:
                 name = "_k%d_%d" % (k, m)
                 body.append((indent, "%s = %s" % (name, gen.value(expr))))
                 comps.append(name)
-            key = _tuple_source(comps)
+            key = _key_source(comps)
             null_key = " or ".join("%s is None" % c for c in comps)
             residual = [gen.cond(expr) for expr in exprs[1]]
             join_kind = self.kinds.get(node.kind, self.functions)
@@ -861,7 +869,7 @@ class _Emitter:
             if comps:
                 body.append((indent, "if %s: continue"
                              % " or ".join("%s is None" % c for c in comps)))
-            body.append((indent, "_kt = %s" % _tuple_source(comps)))
+            body.append((indent, "_kt = %s" % _key_source(comps)))
             body.append((indent, "_lst = _tget(_kt)"))
             body.append((indent, "if _lst is None:"))
             body.append((indent + 1, "_lst = []"))
@@ -870,19 +878,9 @@ class _Emitter:
                 ref_value(ref) for ref in payload)))
             epilogue = ["return _tab"]
         else:  # groupby
-            prologue += ["_groups = {}", "_gget = _groups.get",
-                         "_afs = rt.aggs"]
-            if any(agg.distinct for agg in sink_node.aggregates):
-                prologue.append("_dseen = {}")
-            body.append((indent, "_kt = %s" % gen.tuple_of(sink_exprs)))
-            body.append((indent, "_accs = _gget(_kt)"))
-            body.append((indent, "if _accs is None:"))
-            body.append((indent + 1, "_accs = [_f.factory() for _f in _afs]"))
-            body.append((indent + 1, "_groups[_kt] = _accs"))
-            for i, agg in enumerate(sink_node.aggregates):
-                _emit_agg_step(body, indent, gen, i, agg, agg_args[i],
-                               self.agg_functions[i])
-            epilogue = ["return _groups"]
+            epilogue = _emit_aggregation(
+                prologue, body, indent, gen, sink_exprs,
+                sink_node.aggregates, agg_args, self.agg_functions)
 
         if kind == "scan":
             loop = _scan_loop(source, positions, whole_scan)
@@ -911,32 +909,99 @@ class _Emitter:
         return len(self.pipelines) - 1
 
 
-def _emit_agg_step(body, indent, gen, i, agg, arg, function) -> None:
-    """One aggregate's per-row accumulation, mirroring the tuple
-    group-by: COUNT(*) steps 1, NULL args skip unless the function
-    handles them, DISTINCT dedups per (group, aggregate).  The
-    handles_null shape is baked into the source — a registry whose
-    function differs produces different source, hence a different cache
-    entry, so sharing stays sound."""
-    if arg is None:
-        value = "1"
+#: Source templates ``(init, step, final)`` of the stock accumulators
+#: of :mod:`repro.functions.builtins`, keyed by the exact class (a
+#: subclass may override ``step``): ``{0}``/``{1}`` are the aggregate's
+#: state slots, ``{v}`` the value stepped.  Each mirrors its class —
+#: SUM stays None until its first value, MIN/MAX compare strictly, AVG
+#: totals from ``0.0`` and is None over no rows.
+_INLINE_AGGREGATES = {
+    _Count: (("0",), ("{0} += 1",), "{0}"),
+    _Sum: (("None",), ("{0} = {v} if {0} is None else {0} + {v}",), "{0}"),
+    _Avg: (("0.0", "0"), ("{0} += {v}", "{1} += 1"),
+           "({0} / {1} if {1} else None)"),
+    _Min: (("None",), ("if {0} is None or {v} < {0}: {0} = {v}",), "{0}"),
+    _Max: (("None",), ("if {0} is None or {v} > {0}: {0} = {v}",), "{0}"),
+}
+
+
+def _emit_aggregation(prologue, body, indent, gen, key_exprs, aggregates,
+                      args, functions) -> List[str]:
+    """The group-by sink, mirroring the tuple group-by; returns the
+    epilogue, which hands back the finished rows (one per group in
+    first-seen order, or the single row of an ungrouped aggregation —
+    over no input too).  A grouped sink keeps one flat state list per
+    group, keyed by the bare value of a single group column; an
+    ungrouped one keeps its state in locals.  The stock aggregates step
+    inline (:data:`_INLINE_AGGREGATES`); any other — DBC-registered, or
+    a builtin name re-registered — keeps its accumulator object in its
+    slot and is called through ``step``/``final``.  COUNT(*) steps 1,
+    NULL arguments skip unless the function handles them, and DISTINCT
+    dedups per (group, aggregate).  Which functions are inlined and the
+    handles_null shape are baked into the source, so a registry whose
+    functions differ produces a different cache entry."""
+    grouped = bool(key_exprs)
+    inits: List[str] = []
+    finals: List[str] = []
+    steps: List[Tuple[Tuple[str, ...], List[str]]] = []
+    templates = [_INLINE_AGGREGATES.get(f.factory) for f in functions]
+    if None in templates:
+        prologue.append("_afs = rt.aggs")
+    for i, template in enumerate(templates):
+        init, step, final = template or (
+            ("_afs[%d].factory()" % i,), ("{0}.step({v})",), "{0}.final()")
+        slots = [("_a[%d]" if grouped else "_s%d") % (len(inits) + n)
+                 for n in range(len(init))]
+        inits.extend(init)
+        finals.append(final.format(*slots))
+        steps.append((step, slots))
+    if grouped:
+        prologue += ["_groups = {}", "_gget = _groups.get"]
+        if any(agg.distinct for agg in aggregates):
+            prologue.append("_dseen = {}")
+        key = _key_source(gen.value(expr) for expr in key_exprs)
+        if not key.isidentifier():
+            body.append((indent, "_kt = %s" % key))
+            key = "_kt"
+        body.append((indent, "_a = _gget(%s)" % key))
+        body.append((indent, "if _a is None:"))
+        body.append((indent + 1, "_a = _groups[%s] = [%s]"
+                     % (key, ", ".join(inits))))
     else:
-        value = "_v%d" % i
-        body.append((indent, "%s = %s" % (value, gen.value(arg))))
-        if not function.handles_null:
-            body.append((indent, "if %s is not None:" % value))
-            indent += 1
-    if agg.distinct:
-        seen = "_sd%d" % i
-        body.append((indent, "%s = _dseen.get((_kt, %d))" % (seen, i)))
-        body.append((indent, "if %s is None:" % seen))
-        body.append((indent + 1, "%s = set()" % seen))
-        body.append((indent + 1, "_dseen[(_kt, %d)] = %s" % (i, seen)))
-        body.append((indent, "if %s not in %s:" % (value, seen)))
-        body.append((indent + 1, "%s.add(%s)" % (seen, value)))
-        body.append((indent + 1, "_accs[%d].step(%s)" % (i, value)))
-    else:
-        body.append((indent, "_accs[%d].step(%s)" % (i, value)))
+        prologue += ["_s%d = %s" % (n, init) for n, init in enumerate(inits)]
+    for i, agg in enumerate(aggregates):
+        level = indent
+        if args[i] is None:
+            value = "1"
+        else:
+            value = gen.value(args[i])
+            if not value.isidentifier():
+                body.append((level, "_v%d = %s" % (i, value)))
+                value = "_v%d" % i
+            if not functions[i].handles_null:
+                body.append((level, "if %s is not None:" % value))
+                level += 1
+        if agg.distinct:
+            seen = "_sd%d" % i
+            if grouped:
+                body.append((level, "%s = _dseen.get((%s, %d))"
+                             % (seen, key, i)))
+                body.append((level, "if %s is None:" % seen))
+                body.append((level + 1, "%s = _dseen[(%s, %d)] = set()"
+                             % (seen, key, i)))
+            else:
+                prologue.append("%s = set()" % seen)
+            body.append((level, "if %s not in %s:" % (value, seen)))
+            body.append((level + 1, "%s.add(%s)" % (seen, value)))
+            level += 1
+        step, slots = steps[i]
+        for line in step:
+            body.append((level, line.format(*slots, v=value)))
+    if not grouped:
+        return ["return [%s]" % _tuple_source(finals)]
+    key = "_k" if len(key_exprs) == 1 else "*_k"
+    return ["return [%s for _k, _a in _groups.items()]"
+            % _tuple_source([key] + finals)]
 
 
 def _scan_loop(scan: pl.TableScan, positions, whole_scan: bool) -> List[str]:
@@ -1047,9 +1112,9 @@ def _sink_rows(program: Program, ctx: ExecutionContext, env,
     final = program.pipelines[-1]
     tables = tuple(results[i] for i in final.consumes)
     if program.final_kind == "groupby":
-        rows = rowops.finish_groups(
-            final.fn(ctx, params, final.rt, tables, env, cn),
-            bool(program.core.group_exprs), lambda: program.agg_functions)
+        # The finished rows: the pipeline's epilogue ran the aggregates'
+        # finals.
+        rows = final.fn(ctx, params, final.rt, tables, env, cn)
         if cn is not None:
             rows = _tally(rows, cn, program.stages[program.core])
         if program.wrap_exprs is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from operator import itemgetter
 from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.datatypes.types import (
@@ -23,6 +24,7 @@ from repro.datatypes.types import (
     DataType,
     DoubleType,
     IntegerType,
+    VarcharType,
 )
 from repro.errors import RecordError
 
@@ -132,33 +134,36 @@ class RecordSerializer:
     # A *span* is ``(image, offsets, lengths)``: an immutable byte image
     # (a heap page, or records joined end to end) and the offsets and
     # lengths of the live records in it.  Records of stock fixed-width
-    # columns are decoded where they lie in the image, with no per-record
-    # copy.
+    # columns (and a first VARCHAR) are decoded where they lie in the
+    # image, with no per-record copy.
     # ------------------------------------------------------------------
 
     def _static_offsets(self) -> List[Optional[int]]:
-        """Byte offset of each column, or None once the offset becomes
-        data-dependent (the column follows a variable-width field, or is
-        variable width itself).  NULL fixed-width fields are zero-padded
-        on serialize, so static offsets survive NULLs."""
+        """Byte offset of each column — of the first variable-width one,
+        its length prefix — or None once the offset becomes
+        data-dependent (the column follows a variable-width field).  NULL
+        fixed-width fields are zero-padded on serialize, so static
+        offsets survive NULLs; a NULL variable-width field has no
+        prefix."""
         offsets: List[Optional[int]] = []
         offset: Optional[int] = self._bitmap_bytes
         for dtype in self.dtypes:
-            if offset is None or dtype.fixed_width is None:
-                offsets.append(None)
-                offset = None
-            else:
-                offsets.append(offset)
-                offset += dtype.fixed_width
+            offsets.append(offset)
+            if offset is not None:
+                width = dtype.fixed_width
+                offset = None if width is None else offset + width
         return offsets
 
     def _struct_unpack(self, positions: Tuple[int, ...]):
         """``unpack_from`` of one pre-resolved struct reading the given
-        columns of a record in place, or None unless every one is a stock
-        fixed-width type at a static offset (in ascending order)."""
+        columns of a record in place — of a VARCHAR (only ever the last,
+        as nothing after it has a static offset), its length prefix — or
+        None unless every one is a stock type at a static offset (in
+        ascending order)."""
         parts = ["<"]
         cursor = 0
-        codes = {IntegerType: "q", DoubleType: "d", BooleanType: "?"}
+        codes = {IntegerType: "q", DoubleType: "d", BooleanType: "?",
+                 VarcharType: "I"}
         for pos in positions:
             offset = self._offsets[pos]
             # Exact-class lookup: a DataType subclass may override
@@ -169,7 +174,7 @@ class RecordSerializer:
             if offset > cursor:
                 parts.append("%dx" % (offset - cursor))
             parts.append(code)
-            cursor = offset + self.dtypes[pos].fixed_width
+            cursor = offset + (self.dtypes[pos].fixed_width or _LEN.size)
         return struct.Struct("".join(parts)).unpack_from
 
     def combined_decoder(self, positions: Tuple[int, ...]):
@@ -180,21 +185,50 @@ class RecordSerializer:
         one list comprehension of a single struct unpack per record, and
         NULLs are found by one C-level screen of the records' one-byte
         bitmaps per page before any per-row patching (wider bitmaps are
-        read record by record).  Otherwise the records are sliced out and
-        deserialized whole.
+        read record by record).  A trailing VARCHAR adds one slice and
+        ``decode`` per record after its unpacked length prefix; a page the
+        screen flags (or any page of a table with a wider bitmap) is
+        deserialized instead, since a NULL VARCHAR has no prefix to read.
+        Otherwise the records are sliced out and deserialized whole.
         """
         if positions in self._combined:
             return self._combined[positions]
+        whole = positions == tuple(range(self.arity))
+
+        def sliced(spans, _d=self.deserialize, _p=positions):
+            rows = [_d(image[o:o + n])
+                    for image, offsets, lengths in spans
+                    for o, n in zip(offsets, lengths)]
+            if whole:
+                return rows
+            return [tuple([row[p] for p in _p]) for row in rows]
+
         unpack = self._struct_unpack(positions)
-        if unpack is not None:
-            nb = self._bitmap_bytes
+        nb = self._bitmap_bytes
+        if unpack is None:
+            decoder = sliced
+        elif type(self.dtypes[positions[-1]]) is VarcharType:
+            start = self._offsets[positions[-1]] + _LEN.size
+
+            def decoder(spans, _u=unpack, _s=start, _nb=nb):
+                out: List[tuple] = []
+                for span in spans:
+                    image, offsets, _lengths = span
+                    if _nb > 1 or _null_screen(image, offsets):
+                        out += sliced([span])
+                        continue
+                    heads = [_u(image, o) for o in offsets]
+                    out += [r[:-1] + (image[o + _s:o + _s + r[-1]].decode(),)
+                            for o, r in zip(offsets, heads)]
+                return out
+        else:
             masks = tuple(1 << pos for pos in positions)
 
             def decoder(spans, _u=unpack, _masks=masks, _nb=nb):
                 out: List[tuple] = []
                 for image, offsets, _lengths in spans:
                     rows = [_u(image, o) for o in offsets]
-                    if _nb > 1 or any(map(image.__getitem__, offsets)):
+                    if _nb > 1 or _null_screen(image, offsets):
                         for i, o in enumerate(offsets):
                             bits = int.from_bytes(image[o:o + _nb], "little")
                             if bits:
@@ -203,19 +237,17 @@ class RecordSerializer:
                                     for value, mask in zip(rows[i], _masks))
                     out += rows
                 return out
-        else:
-            whole = positions == tuple(range(self.arity))
-
-            def decoder(spans, _d=self.deserialize, _p=positions):
-                rows = [_d(image[o:o + n])
-                        for image, offsets, lengths in spans
-                        for o, n in zip(offsets, lengths)]
-                if whole:
-                    return rows
-                return [tuple([row[p] for p in _p]) for row in rows]
 
         self._combined[positions] = decoder
         return decoder
+
+
+def _null_screen(image: bytes, offsets: Sequence[int]) -> bool:
+    """Whether any record's first bitmap byte is set: one C call for a
+    page (``itemgetter`` of one offset returns the byte, not a tuple)."""
+    if len(offsets) > 1:
+        return any(itemgetter(*offsets)(image))
+    return bool(offsets) and image[offsets[0]] != 0
 
 
 def record_span(records: Sequence[bytes]) -> Span:

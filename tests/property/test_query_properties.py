@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Database
+from repro import CompileOptions, Database
 
 settings_profile = settings(
     max_examples=25, deadline=None,
@@ -134,3 +134,73 @@ class TestAggregationProperties:
         union_self = sorted(db.execute(
             "SELECT k FROM ta UNION SELECT k FROM ta").rows)
         assert distinct == union_self
+
+
+def _nullable(values):
+    return st.one_of(st.none(), values)
+
+
+fused_rows_strategy = st.lists(
+    st.tuples(_nullable(st.integers(0, 5)), _nullable(st.integers(-4, 4)),
+              _nullable(st.sampled_from([0.5, -1.25, 2.0, 3.0])),
+              _nullable(st.sampled_from(["x", "y", "z"]))),
+    max_size=30)
+fused_build_strategy = st.lists(
+    st.tuples(_nullable(st.integers(0, 5)), _nullable(st.integers(-4, 4))),
+    max_size=12)
+
+FUSED_QUERIES = [
+    "SELECT k, count(*), count(v), sum(v), avg(v), min(x), max(s) "
+    "FROM fa GROUP BY k",
+    "SELECT s, k, sum(x), avg(x), count(DISTINCT v), sum(DISTINCT v), "
+    "min(DISTINCT x), max(v) FROM fa GROUP BY s, k",
+    "SELECT count(*), count(x), sum(v), sum(x), avg(v), min(s), max(x), "
+    "count(DISTINCT s), avg(DISTINCT x) FROM fa",
+    "SELECT count(*), sum(v), avg(x), min(v) FROM fa WHERE k > 99",
+    "SELECT v, count(*) FROM fa WHERE k > 99 GROUP BY v",
+    "SELECT x, count(*), sum(v) FROM fa GROUP BY x",
+    "SELECT s, sum(v) + 1 FROM fa GROUP BY s HAVING count(*) >= 2",
+    "SELECT a.k, a.v, b.w FROM fa a, fb b WHERE a.v = b.w",
+    "SELECT a.k, b.w FROM fa a, fb b WHERE a.k = b.k AND a.v = b.w",
+    "SELECT a.k, b.w FROM fa a LEFT OUTER JOIN fb b ON a.v = b.w",
+    "SELECT a.s, b.w FROM fa a LEFT OUTER JOIN fb b "
+    "ON a.k = b.k AND a.v = b.w",
+    "SELECT b.w, count(*), sum(a.x), max(a.s) FROM fa a, fb b "
+    "WHERE a.k = b.k GROUP BY b.w",
+]
+
+
+class TestFusedAgreement:
+    """Fused group-bys and hash joins — inlined aggregates, bare
+    single-column keys — return the tuple interpreter's rows exactly:
+    same order, same values, same types."""
+
+    @given(a_rows=fused_rows_strategy, b_rows=fused_build_strategy,
+           sql=st.sampled_from(FUSED_QUERIES))
+    @settings_profile
+    def test_fused_matches_tuple(self, a_rows, b_rows, sql):
+        db = Database()
+        db.enable_operation("left_outer_join")
+        db.execute("CREATE TABLE fa (k INTEGER, v INTEGER, x DOUBLE, "
+                   "s VARCHAR(5))")
+        db.execute("CREATE TABLE fb (k INTEGER, w INTEGER)")
+        txn = db.begin()
+        for row in a_rows:
+            db.engine.insert(txn, "fa", row)
+        for row in b_rows:
+            db.engine.insert(txn, "fb", row)
+        db.commit(txn)
+        db.analyze()
+        try:
+            base = CompileOptions.from_settings(db.settings).replace(
+                plan_cache=False, forced_join_method="hash")
+            ref = repr(db.execute(sql, options=base.replace(
+                execution_mode="tuple")).rows)
+            for options in (
+                    base.replace(execution_mode="compiled"),
+                    base.replace(execution_mode="compiled", batch_size=1),
+                    base.replace(execution_mode="compiled",
+                                 parallelism="on", dop=2)):
+                assert repr(db.execute(sql, options=options).rows) == ref
+        finally:
+            db.close()

@@ -12,6 +12,7 @@ import pytest
 
 from repro import CompileOptions, Database
 from repro.errors import SubqueryError
+from repro.functions.registry import AggregateFunction
 from repro.executor.codegen import codegen_cache_stats
 from repro.obs.spans import RequestTrace
 
@@ -285,3 +286,217 @@ class TestBatchScalarSubqueries:
         got = cg_db.execute(sql, options=_options(
             cg_db, execution_mode="compiled"))
         assert got.rows == ref.rows
+
+
+# ---------------------------------------------------------------------------
+# Inlined aggregates and bare hash keys
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def agg_db() -> Database:
+    """NULLs in every column, join keys of both numeric types."""
+    db = Database(pool_capacity=256)
+    db.enable_operation("left_outer_join")
+    db.execute("CREATE TABLE g (k INTEGER, k2 INTEGER, v INTEGER, "
+               "x DOUBLE, s VARCHAR(8))")
+    db.execute("CREATE TABLE h (k INTEGER, k2 INTEGER, w INTEGER)")
+    db.execute("CREATE TABLE d (k DOUBLE, y INTEGER)")
+    txn = db.begin()
+    for i in range(240):
+        db.engine.insert(txn, "g", (
+            i % 9 if i % 7 else None, i % 4 if i % 11 else None,
+            i % 13 if i % 5 else None, (i % 17) * 0.5 if i % 3 else None,
+            "s%d" % (i % 6) if i % 8 else None))
+    for i in range(60):
+        db.engine.insert(txn, "h", (i % 12 if i % 5 else None,
+                                    i % 4 if i % 7 else None, i))
+    for i in range(40):
+        db.engine.insert(txn, "d", (float(i % 10) if i % 6 else None, i))
+    db.commit(txn)
+    db.analyze()
+    return db
+
+
+def _same(db, sql, **overrides):
+    """Compiled rows byte-identical to the tuple interpreter's: equal
+    values of equal types (``1``, ``1.0`` and ``True`` compare equal)."""
+    ref = db.execute(sql, options=_options(db, execution_mode="tuple"))
+    got = db.execute(sql, options=_options(
+        db, execution_mode="compiled", **overrides))
+    assert repr(got.rows) == repr(ref.rows)
+    return got
+
+
+def _sink_source(db, sql, **overrides) -> str:
+    programs = _programs(_compiled(db, sql, **overrides).plan)
+    assert len(programs) == 1
+    return programs[0].pipelines[-1].source
+
+
+_AGGREGATES = ["count(*)", "count(v)", "sum(v)", "sum(x)", "avg(v)",
+               "avg(x)", "min(x)", "max(x)", "min(s)", "max(s)",
+               "count(DISTINCT v)", "sum(DISTINCT x)", "avg(DISTINCT v)",
+               "min(DISTINCT s)", "max(DISTINCT v)"]
+
+
+class TestInlineAggregates:
+    @pytest.mark.parametrize("agg", _AGGREGATES)
+    @pytest.mark.parametrize("where", ["", "WHERE v > 3", "WHERE v > 99"])
+    def test_stock_aggregate_grouped_and_ungrouped(self, agg_db, agg,
+                                                   where):
+        # Grouped on a column with NULL keys, on two columns, and
+        # ungrouped; the last filter leaves no input at all.
+        _same(agg_db, "SELECT k, %s FROM g %s GROUP BY k" % (agg, where))
+        _same(agg_db, "SELECT k, k2, %s FROM g %s GROUP BY k, k2"
+              % (agg, where))
+        _same(agg_db, "SELECT %s FROM g %s" % (agg, where))
+
+    def test_stock_aggregates_step_inline(self, agg_db):
+        sql = "SELECT k, count(*), sum(v), avg(x), min(s), max(v) " \
+              "FROM g GROUP BY k"
+        source = _sink_source(agg_db, sql)
+        assert ".step(" not in source and "factory" not in source
+        _same(agg_db, sql)
+        # Ungrouped: the state lives in locals, no group table at all.
+        source = _sink_source(agg_db, "SELECT count(*), sum(x) FROM g")
+        assert "_groups" not in source and ".step(" not in source
+
+    def test_single_column_keys_are_bare(self, agg_db):
+        grouped = _sink_source(agg_db,
+                               "SELECT k, count(*) FROM g GROUP BY k")
+        assert "_gget(_x0)" in grouped
+        joined = _programs(_compiled(
+            agg_db, "SELECT g.v, h.w FROM g, h WHERE g.k = h.k",
+            forced_join_method="hash").plan)[0]
+        build, probe = joined.pipelines
+        assert "_kt = _bk0\n" in build.source
+        assert "_ht0(_k0_0, ())" in probe.source
+
+    def test_integer_and_double_sums_keep_their_types(self, agg_db):
+        result = _same(agg_db, "SELECT sum(v), sum(x), sum(k + 0.5) FROM g")
+        total_v, total_x, _mixed = result.rows[0]
+        assert type(total_v) is int and type(total_x) is float
+
+    def test_avg_totals_in_floating_point(self):
+        # AVG's total starts at 0.0: past 2**53 the float sum rounds
+        # where an integer sum would not.
+        db = Database()
+        db.execute("CREATE TABLE big (k INTEGER, v INTEGER)")
+        db.execute("INSERT INTO big VALUES (1, %d), (1, 1), (1, 1)"
+                   % 2 ** 53)
+        result = _same(db, "SELECT avg(v) FROM big")
+        assert result.rows == [(2 ** 53 / 3,)]
+        _same(db, "SELECT k, avg(v) FROM big GROUP BY k")
+
+    def test_keys_one_and_one_point_zero_and_true_are_one_group(self,
+                                                                agg_db):
+        for first, second, third in (("1", "1.0", "k = k"),
+                                     ("1.0", "k = k", "1"),
+                                     ("k = k", "1", "1.0")):
+            case = ("CASE WHEN v < 4 THEN %s WHEN v < 8 THEN %s "
+                    "ELSE %s END" % (first, second, third))
+            derived = ("(SELECT %s AS c, v, k2 FROM g WHERE v IS NOT NULL "
+                       "AND k IS NOT NULL) q" % case)
+            result = _same(agg_db, "SELECT c, count(*), sum(v) FROM %s "
+                           "GROUP BY c" % derived)
+            assert len(result.rows) == 1
+            # MIN/MAX compare strictly: the first of equal values stays.
+            _same(agg_db, "SELECT min(c), max(c) FROM %s" % derived)
+            _same(agg_db, "SELECT k2, min(c), max(c) FROM %s GROUP BY k2"
+                  % derived)
+            result = _same(agg_db, "SELECT count(DISTINCT c), "
+                           "max(DISTINCT c) FROM %s" % derived)
+            assert result.rows[0][0] == 1
+
+    def test_having_over_the_grouped_wrap(self, agg_db):
+        _same(agg_db, "SELECT k, sum(v) + 1, count(*) FROM g GROUP BY k "
+                      "HAVING count(*) > 20 AND max(x) >= 7.5")
+        _same(agg_db, "SELECT count(*) FROM g WHERE v > 99 "
+                      "HAVING count(*) = 0")
+
+    def test_group_by_without_aggregates(self, agg_db):
+        _same(agg_db, "SELECT k FROM g GROUP BY k")
+        _same(agg_db, "SELECT k, k2 FROM g GROUP BY k, k2")
+
+    @pytest.mark.parametrize("batch_size", [1024, 1])
+    def test_joins_with_null_keys(self, agg_db, batch_size):
+        for sql in (
+                "SELECT g.v, h.w FROM g, h WHERE g.k = h.k",
+                "SELECT g.v, h.w FROM g, h WHERE g.k = h.k AND g.k2 = h.k2",
+                "SELECT g.v, h.w FROM g LEFT OUTER JOIN h ON g.k = h.k",
+                "SELECT g.v, h.w FROM g LEFT OUTER JOIN h "
+                "ON g.k = h.k AND g.k2 = h.k2",
+                "SELECT h.k, count(*), sum(g.x) FROM g, h "
+                "WHERE g.k = h.k GROUP BY h.k"):
+            _same(agg_db, sql, forced_join_method="hash",
+                  batch_size=batch_size)
+
+    def test_integer_key_joins_double_key(self, agg_db):
+        # 1 == 1.0: the bare keys of both types meet in one hash bucket.
+        result = _same(agg_db, "SELECT g.v, d.y FROM g, d WHERE g.k = d.k",
+                       forced_join_method="hash")
+        assert result.rows
+        _same(agg_db, "SELECT d.y, g.v FROM d, g WHERE d.k = g.k",
+              forced_join_method="hash")
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT k, count(*), sum(v), min(x), max(s) FROM g GROUP BY k",
+        "SELECT k, avg(x), count(DISTINCT v) FROM g GROUP BY k",
+        "SELECT count(*), sum(x), max(v) FROM g WHERE v > 2",
+        "SELECT avg(v), count(DISTINCT k) FROM g"])
+    def test_parallel_mergeable_and_not(self, agg_db, sql):
+        _same(agg_db, sql, parallelism="on", dop=2)
+
+    def test_registered_aggregate_steps_through_its_accumulator(self):
+        from repro.datatypes import INTEGER
+        from repro.functions.builtins import _Sum
+
+        class Product:
+            def __init__(self):
+                self.value = 1
+
+            def step(self, value):
+                self.value *= value
+
+            def final(self):
+                return self.value
+
+        class Doubled(_Sum):
+            def step(self, value):
+                super().step(2 * value)
+
+        db = Database()
+        db.execute("CREATE TABLE p (k INTEGER, v INTEGER)")
+        db.execute("INSERT INTO p VALUES (1, 2), (1, 3), (2, NULL), "
+                   "(2, 5), (NULL, 7)")
+        db.register_aggregate_function("product", Product, INTEGER)
+        sql = "SELECT k, product(v), sum(v), count(*) FROM p GROUP BY k"
+        source = _sink_source(db, sql)
+        assert "_afs[0].factory()" in source and "_afs[1]" not in source
+        assert "_a[0].step(" in source and "_a[0].final()" in source
+        result = _same(db, sql)
+        assert result.rows == [(1, 6, 5, 2), (2, 5, 5, 2), (None, 7, 7, 1)]
+        _same(db, "SELECT product(v), sum(v) FROM p")
+        _same(db, "SELECT product(v) FROM p WHERE v > 99")
+        # A subclass of a stock accumulator re-registered under its name.
+        db.functions.register_aggregate(
+            AggregateFunction("sum", Doubled, INTEGER), replace=True)
+        db.catalog.bump_schema_epoch()
+        assert ".step(" in _sink_source(db, sql)
+        result = _same(db, sql)
+        assert [row[2] for row in result.rows] == [10, 10, 14]
+
+    def test_explain_analyze_counts_of_a_fused_group_by(self, agg_db):
+        for sql in ("SELECT k, count(*) FROM g WHERE v > 3 GROUP BY k",
+                    "SELECT k, sum(x) FROM g GROUP BY k "
+                    "HAVING count(*) > 20",
+                    "SELECT count(*), max(v) FROM g WHERE v > 99"):
+            counts = []
+            for mode in ("tuple", "compiled"):
+                result = agg_db.execute(sql, options=_options(
+                    agg_db, execution_mode=mode, analyze=True))
+                counts.append([
+                    (node.op_name, result.profile.probe_for(node).rows)
+                    for node in result.profile.plan.walk()])
+            assert counts[0] == counts[1], sql

@@ -15,6 +15,7 @@ import pytest
 from repro import CompileOptions, Database
 from repro.errors import DivisionByZeroError
 from repro.optimizer import plans as pl
+from repro.storage.page import Page
 from repro.storage.record import RecordSerializer, record_span
 from repro.datatypes import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 
@@ -249,7 +250,7 @@ def test_decode_columns_matches_deserialize():
     # Static-offset stock columns: one struct unpack per record.
     fixed = serializer.combined_decoder((0, 1, 2))
     assert fixed(spans) == [row[:3] for row in rows] * 2
-    # A VARCHAR column → whole-record fallback.
+    # A trailing VARCHAR; these spans hold NULLs → whole-record fallback.
     assert serializer.combined_decoder((1, 3))(spans) == \
         [(row[1], row[3]) for row in rows] * 2
     # VARCHAR first → no static offsets downstream → whole-row fallback.
@@ -258,6 +259,34 @@ def test_decode_columns_matches_deserialize():
     span2 = record_span([var_first.serialize(row) for row in rows2])
     assert var_first.combined_decoder((0, 1))([span2]) == rows2
     assert var_first.combined_decoder((1,))([span2]) == [(1,), (None,), (9,)]
+
+
+def test_varchar_decoder_reads_a_full_page():
+    """A trailing VARCHAR is read after its struct-unpacked length prefix
+    on a NULL-free page; a NULL one has no prefix, so its page is
+    deserialized.  The first record inserted ends at the page image's
+    end: a blind prefix read of its NULL label would overrun the image."""
+    serializer = RecordSerializer([INTEGER, VARCHAR])
+    decode = serializer.combined_decoder((0, 1))
+    for first_label in (None, "first"):
+        page = Page(0)
+        rows = [(0, first_label)]
+        page.insert(serializer.serialize(rows[0]))
+        k = 1
+        while True:
+            row = (k, "label-%d" % k)
+            record = serializer.serialize(row)
+            if not page.can_insert(len(record)):
+                break
+            page.insert(record)
+            rows.append(row)
+            k += 1
+        _slots, offsets, lengths = page.directory()
+        image = bytes(page.data)
+        assert offsets[0] + lengths[0] == len(image)
+        assert decode([(image, offsets, lengths)]) == rows
+        assert serializer.combined_decoder((1,))(
+            [(image, offsets, lengths)]) == [(row[1],) for row in rows]
 
 
 def test_oracle_evaluates_table_functions(batch_db):
