@@ -1,20 +1,26 @@
-"""Observability overhead — ``analyze`` off must be free, on must be cheap.
+"""Observability overhead — operator spans off must be free, on cheap.
 
-PR 5's instrumentation wraps every LOLEPOP iterator with a timing probe,
-but only when ``CompileOptions.analyze`` is set; with it off the executor
-takes a single ``ctx.profile is not None`` branch per dispatch and
-allocates nothing.  Two checks on the E22 workloads (100k-row scan →
-filter → project, and the hash join), both on fused pipelines:
+EXPLAIN ANALYZE records one ``op`` span per executed LOLEPOP, but only
+under a request trace with operator detail on (``RequestTrace(...,
+operators=True)``); with it off the executor takes a single ``ctx.ops is
+not None`` branch per dispatch and allocates nothing.  Two checks on the
+E22 workloads (100k-row scan → filter → project, and the hash join),
+both on fused pipelines:
 
-- analyze OFF runs within noise of the pre-PR baseline (asserted as a
-  generous <1.25x bound on min-of-N wall time against the same binary
-  with the profile branch exercised zero times — i.e. plain execution),
-- analyze ON stays under 2x the analyze-off time (a fused region is
+- operator spans OFF runs within noise of itself (two off legs per
+  repeat must agree within a generous 1.25x),
+- operator spans ON stays under 2x the off time (a fused region is
   timed once as a whole; its analyze variant adds one counter increment
   per pipeline step, so the relative cost is small).
 
-Tuple-mode analyze overhead is reported for information only (a per-row
+Tuple-mode overhead is reported for information only (a per-row
 ``perf_counter_ns`` pair is inherently heavier than a per-region one).
+
+Every gate compares legs run back to back within one repeat, in
+alternating order (ABC, then CBA), after one dropped warm-up repeat,
+and takes the median of the per-repeat ratios: a fast or slow phase of
+the host then moves both sides of a ratio, and one outlying repeat
+cannot move the median.
 
 Results go to ``benchmarks/latest_results.txt`` (via ``print_table``)
 and ``BENCH_observability.json`` at the repo root; the perf-smoke CI job
@@ -26,16 +32,22 @@ from __future__ import annotations
 import json
 import os
 import time
+from statistics import median
 
 import pytest
 
 from benchmarks.conftest import bulk_insert, cores as affinity_cores, \
     print_table
 from repro import CompileOptions, Database
+from repro.obs import RequestTrace
 
 ROWS = 100_000
 DIM_ROWS = 1_000
-REPEATS = 5
+#: Measured repeats per workload (plus one warm-up); the per-repeat
+#: ratios' median needs enough of them to outvote a phase of the host.
+REPEATS = 9
+#: The informational tuple-mode leg is ten times slower: fewer repeats.
+TUPLE_REPEATS = 3
 
 _JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                           "BENCH_observability.json")
@@ -61,34 +73,59 @@ def obs_bench_db() -> Database:
     return db
 
 
-def _time(db: Database, sql: str, options: CompileOptions):
-    """Min-of-N wall time for execution only (one shared compile)."""
-    compiled = db.compile(sql, options=options)
-    best = None
-    rows = None
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        result = db.run_compiled(compiled, options=options)
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best = elapsed
-        rows = result.rows
-    return best, rows
+def _legs(run_leg, legs, repeats: int):
+    """Per-repeat wall seconds of each leg, ``[[a, b, c], ...]``.  The
+    legs interleave, in order on even repeats and reversed on odd ones,
+    and the first repeat only warms up."""
+    samples = []
+    for repeat in range(repeats + 1):
+        order = list(range(len(legs)))
+        if repeat % 2:
+            order.reverse()
+        times = [0.0] * len(legs)
+        for leg in order:
+            started = time.perf_counter()
+            run_leg(legs[leg])
+            times[leg] = time.perf_counter() - started
+        if repeat:
+            samples.append(times)
+    return samples
 
 
-def _measure(db: Database, sql: str, mode: str, force_join=None):
-    base = CompileOptions.from_settings(db.settings).replace(
+def _ratios(samples):
+    """Median per-repeat ratios of legs ``(off, measured, off)``: the
+    measured leg against the mean of its two off legs, and the second
+    off leg against the first, reported as slower over faster."""
+    off = median(c / a for a, _b, c in samples)
+    return (median(b / ((a + c) / 2) for a, b, c in samples),
+            max(off, 1 / off))
+
+
+def _measure(db: Database, sql: str, mode: str, force_join=None,
+             repeats: int = REPEATS):
+    """Execution only (one shared compile), operator spans off, on, off."""
+    options = CompileOptions.from_settings(db.settings).replace(
         execution_mode=mode)
     if force_join is not None:
-        base = base.replace(forced_join_method=force_join)
-    off_s, off_rows = _time(db, sql, base)
-    on_s, on_rows = _time(db, sql, base.replace(analyze=True))
-    assert sorted(map(repr, off_rows)) == sorted(map(repr, on_rows))
+        options = options.replace(forced_join_method=force_join)
+    compiled = db.compile(sql, options=options)
+    rows = {}
+
+    def run(operators: bool) -> None:
+        tracer = RequestTrace("bench", operators=True) if operators \
+            else None
+        rows[operators] = db.run_compiled(compiled, tracer=tracer).rows
+
+    samples = _legs(run, (False, True, False), repeats)
+    assert sorted(map(repr, rows[False])) == sorted(map(repr, rows[True]))
+    overhead, noise = _ratios(samples)
     return {
-        "analyze_off_s": round(off_s, 6),
-        "analyze_on_s": round(on_s, 6),
-        "overhead": round(on_s / off_s, 3),
-        "rows_out": len(off_rows),
+        "analyze_off_s": round(median(min(a, c) for a, _b, c in samples),
+                               6),
+        "analyze_on_s": round(median(b for _a, b, _c in samples), 6),
+        "overhead": round(overhead, 3),
+        "off_noise_ratio": round(noise, 3),
+        "rows_out": len(rows[False]),
     }
 
 
@@ -96,18 +133,13 @@ def test_observability_overhead(obs_bench_db, benchmark):
     db = obs_bench_db
     scan = _measure(db, SCAN_SQL, "compiled")
     join = _measure(db, JOIN_SQL, "compiled", force_join="hash")
-    # Tuple-mode per-row probes: informational, no assertion.
-    scan_tuple = _measure(db, SCAN_SQL, "tuple")
-    # analyze-off vs baseline: same compiled plan run without the analyze
-    # flag ever having existed is exactly the analyze_off_s leg above (the
-    # off path constructs no profile objects), so we sanity-check that two
-    # independent off runs agree within noise instead of trusting a stale
-    # recorded number.
+    # Tuple-mode per-row spans: informational, no assertion.
+    scan_tuple = _measure(db, SCAN_SQL, "tuple", repeats=TUPLE_REPEATS)
+    # The off path constructs no span objects, so its two legs per
+    # repeat must agree within noise.
+    off_ratio = scan["off_noise_ratio"]
     base = CompileOptions.from_settings(db.settings).replace(
         execution_mode="compiled")
-    recheck_s, _ = _time(db, SCAN_SQL, base)
-    off_ratio = max(recheck_s, scan["analyze_off_s"]) / max(
-        min(recheck_s, scan["analyze_off_s"]), 1e-9)
     benchmark(db.run_compiled, db.compile(SCAN_SQL, options=base))
     report = {
         "rows": ROWS,
@@ -121,7 +153,7 @@ def test_observability_overhead(obs_bench_db, benchmark):
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print_table(
-        "E20: analyze instrumentation overhead (%d rows, fused)" % ROWS,
+        "E20: operator-span overhead (%d rows, fused)" % ROWS,
         ["workload", "off (s)", "on (s)", "overhead", "rows out"],
         [("scan-filter-project", "%.4f" % scan["analyze_off_s"],
           "%.4f" % scan["analyze_on_s"], "%.2fx" % scan["overhead"],
@@ -132,9 +164,9 @@ def test_observability_overhead(obs_bench_db, benchmark):
          ("scan (tuple, info)", "%.4f" % scan_tuple["analyze_off_s"],
           "%.4f" % scan_tuple["analyze_on_s"],
           "%.2fx" % scan_tuple["overhead"], scan_tuple["rows_out"])])
-    # analyze off is the production path: repeated off runs within noise.
+    # Spans off is the production path: repeated off runs within noise.
     assert off_ratio < 1.25, report
-    # analyze on: <2x on the fused workloads (per-step row counters).
+    # Spans on: <2x on the fused workloads (per-step row counters).
     assert scan["overhead"] < 2.0, scan
     assert join["overhead"] < 2.0, join
 
@@ -144,29 +176,27 @@ def test_observability_overhead(obs_bench_db, benchmark):
 # ---------------------------------------------------------------------------
 
 TRACE_ITERS = 200
-TRACE_REPEATS = 5
+#: Measured repeats (plus one warm-up) of the three ~55 ms serve legs:
+#: the median of the per-repeat ratios needs more of them than the
+#: fused-pipeline legs, which run about four times longer.
+TRACE_REPEATS = 15
 TRACE_SQL = "SELECT max(v) FROM obs_t WHERE id = 7"
 
 
 def _serve_legs(server, iters: int):
-    """Min-of-N wall time for ``iters`` statements through one session
-    (admission fast path, routing memo, plan-cache hit, stats record) in
-    each of three legs: tracing off, sampled 1-in-4, off again.  The legs
-    interleave — every repeat runs all three back to back and each leg
-    keeps its own min — so a slow phase of the host falls on every leg
-    alike instead of covering one whole leg."""
-    samples = ("off", 0.25, "off")
-    best = [float("inf")] * len(samples)
+    """Per-repeat wall seconds of ``iters`` statements through one
+    session (admission fast path, routing memo, plan-cache hit, stats
+    record) in each of three legs: tracing off, sampled 1-in-4, off
+    again (see :func:`_legs`)."""
     with server.session() as session:
         session.execute(TRACE_SQL)  # warm the plan cache
-        for _ in range(TRACE_REPEATS):
-            for leg, sample in enumerate(samples):
-                server.tracing.set_sample(sample)
-                started = time.perf_counter()
-                for _ in range(iters):
-                    session.execute(TRACE_SQL)
-                best[leg] = min(best[leg], time.perf_counter() - started)
-    return best
+
+        def run(sample) -> None:
+            server.tracing.set_sample(sample)
+            for _ in range(iters):
+                session.execute(TRACE_SQL)
+
+        return _legs(run, ("off", 0.25, "off"), TRACE_REPEATS)
 
 
 def test_tracing_overhead():
@@ -176,7 +206,7 @@ def test_tracing_overhead():
     tracing off (run twice — the two runs must agree within the suite's
     noise bound, i.e. the ``tracer is None`` guards cost nothing
     measurable), and sampled at 1-in-4, which must stay under 1.2x of
-    the off leg (three of four requests take only the sampling-counter
+    the off legs (three of four requests take only the sampling-counter
     branch).
     """
     from repro.serve import ServeSettings, Server
@@ -189,13 +219,13 @@ def test_tracing_overhead():
     settings.snapshots_enabled = False
     server = Server(db, settings)
     try:
-        off_a, sampled, off_b = _serve_legs(server, TRACE_ITERS)
+        samples = _serve_legs(server, TRACE_ITERS)
     finally:
         server.close()
         db.close()
-    off_s = min(off_a, off_b)
-    noise_ratio = max(off_a, off_b) / max(min(off_a, off_b), 1e-9)
-    sampled_ratio = sampled / max(off_s, 1e-9)
+    off_s = median(min(a, c) for a, _b, c in samples)
+    sampled = median(b for _a, b, _c in samples)
+    sampled_ratio, noise_ratio = _ratios(samples)
     report = {
         "statements": TRACE_ITERS,
         "off_s": round(off_s, 6),
@@ -219,7 +249,8 @@ def test_tracing_overhead():
         % TRACE_ITERS,
         ["leg", "time (s)", "vs off"],
         [("tracing off", "%.4f" % off_s, "1.00x"),
-         ("off (recheck)", "%.4f" % max(off_a, off_b),
+         ("off (recheck)", "%.4f" % median(max(a, c)
+                                            for a, _b, c in samples),
           "%.2fx" % noise_ratio),
          ("sampled 1/4", "%.4f" % sampled, "%.2fx" % sampled_ratio)])
     # Off is the production path: repeated off runs within noise.

@@ -26,7 +26,7 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnDef, IndexDef, TableDef, ViewDef
 from repro.datatypes.registry import TypeRegistry
 from repro.datatypes.types import DataType
-from repro.errors import ExecutionError, SemanticError
+from repro.errors import ExecutionError, ExtensionError, SemanticError
 from repro.executor.context import ExecutionContext
 from repro.executor.kinds import default_join_kinds
 from repro.executor.run import execute_plan
@@ -41,7 +41,7 @@ from repro.functions.registry import (
 from repro.language import ast
 from repro.language.parser import parse_statement
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import RequestTrace
+from repro.obs.spans import OpSpans, RequestTrace
 from repro.optimizer.boxopt import OptimizerSettings
 from repro.optimizer.stars import STAR, Alternative, default_star_array
 from repro.core.options import CompileOptions
@@ -103,15 +103,12 @@ class Result:
     def __init__(self, columns: Sequence[str],
                  rows: List[Tuple[Any, ...]],
                  rowcount: Optional[int] = None,
-                 timings=None, stats=None, profile=None):
+                 timings=None, stats=None):
         self.columns = list(columns)
         self.rows = rows
         self.rowcount = rowcount if rowcount is not None else len(rows)
         self.timings = timings
         self.stats = stats
-        #: Per-operator runtime probes (:class:`repro.obs.PlanProfile`)
-        #: when the statement ran with ``options.analyze``; None otherwise.
-        self.profile = profile
 
     def __iter__(self) -> Iterator[Tuple[Any, ...]]:
         return iter(self.rows)
@@ -267,8 +264,7 @@ class Database:
                     return self._execute_ddl(statement)
             return self._execute_ddl(statement)
         compiled = self._timed_compile(stripped, options, tracer=tracer)
-        return self.run_compiled(compiled, params, txn, options=options,
-                                 tracer=tracer)
+        return self.run_compiled(compiled, params, txn, tracer=tracer)
 
     def _fingerprint(self, sql: str,
                      options: CompileOptions) -> Optional[Fingerprint]:
@@ -286,6 +282,15 @@ class Database:
                txn, tracer=None) -> Result:
         """The compile-once-execute-many path shared by ``execute`` (on a
         cacheable statement) and :class:`Prepared`."""
+        compiled = self._cached_compile(sql, fingerprint, options, tracer)
+        return self.run_compiled(compiled, fingerprint.recipe.bind(params),
+                                 txn, tracer=tracer)
+
+    def _cached_compile(self, sql: str, fingerprint: Fingerprint,
+                        options: CompileOptions,
+                        tracer=None) -> CompiledStatement:
+        """The cached plan for ``sql``, or a fresh compile admitted to
+        the plan cache."""
         key = (fingerprint.key, options.cache_key())
         if tracer is not None:
             with tracer.span("plancache.lookup",
@@ -297,9 +302,7 @@ class Database:
         if entry is not None:
             self._m_cache_hits.inc()
             entry.compiled.timings.pipeline = "cached"
-            return self.run_compiled(entry.compiled,
-                                     fingerprint.recipe.bind(params), txn,
-                                     options=options, tracer=tracer)
+            return entry.compiled
         self._m_cache_misses.inc()
         if fingerprint.rewritten:
             # Validate the original text before compiling the
@@ -318,9 +321,7 @@ class Database:
         compiled.timings.pipeline = "compiled"
         # Cost-aware admission: one-off bulk DML executes uncached.
         self.plan_cache.admit(self.catalog, key, compiled)
-        return self.run_compiled(compiled,
-                                 fingerprint.recipe.bind(params), txn,
-                                 options=options, tracer=tracer)
+        return compiled
 
     def prepare(self, sql: str,
                 options: Optional[CompileOptions] = None) -> Prepared:
@@ -378,30 +379,18 @@ class Database:
 
     def run_compiled(self, compiled: CompiledStatement,
                      params: Sequence[Any] = (), txn=None,
-                     options: Optional[CompileOptions] = None,
                      tracer=None) -> Result:
         """Execute a compiled statement.
 
-        ``options`` carries this *execution's* runtime switches (today:
-        ``analyze``).  A cached plan's ``compiled.options`` reflects the
-        compile that produced it — which may have run with a different
-        analyze flag, since analyze is excluded from the cache key — so
-        callers serving cached plans pass their call-time options here.
-        Plan-shaping settings (batch size, parallelism) always come from
-        ``compiled.options``: they are baked into the plan.
+        ``tracer`` is an optional :class:`repro.obs.spans.RequestTrace`;
+        the run records an ``execute`` span in it, and under a trace with
+        operator detail (``tracer.operators``, as EXPLAIN ANALYZE sets)
+        one ``op`` span per executed plan node below that.
         """
-        run_options = options if options is not None else compiled.options
         started = time.perf_counter()
         ctx = ExecutionContext(self.engine, self.functions, params, txn)
         ctx.join_kinds = self.join_kinds
         ctx.compiled = compiled
-        profile = None
-        if run_options is not None and run_options.analyze \
-                and compiled.plan is not None:
-            from repro.obs.profile import PlanProfile
-
-            profile = PlanProfile(compiled.plan)
-            ctx.profile = profile
         if compiled.options is not None:
             ctx.batch_size = compiled.options.batch_size
             if compiled.options.parallelism != "off":
@@ -425,6 +414,8 @@ class Database:
         if tracer is not None:
             ctx.trace = tracer
             exec_span = tracer.begin("execute")
+            if tracer.operators and compiled.plan is not None:
+                ctx.ops = OpSpans(exec_span, compiled.plan)
         own_txn = None
         if txn is None and not compiled.is_query:
             own_txn = self.engine.begin()
@@ -443,12 +434,6 @@ class Database:
         compiled.timings.execute = time.perf_counter() - started
         if exec_span is not None:
             exec_span.set(rows=len(rows))
-            if profile is not None:
-                # One identifier from wire to operator: the profile (and
-                # its EXPLAIN ANALYZE rendering) carries the trace_id,
-                # and the execute span points back at the profile.
-                profile.trace_id = tracer.trace_id
-                exec_span.set(profiled_ops=len(profile._probes))
             tracer.end(exec_span)
         visible = compiled.qgm.visible_columns if compiled.qgm else None
         if visible is not None:
@@ -460,7 +445,7 @@ class Database:
             self._m_parallel_fallbacks.inc(ctx.stats.parallel_fallbacks)
         return Result(compiled.output_columns(), rows,
                       rowcount=ctx.rowcount, timings=compiled.timings,
-                      stats=ctx.stats, profile=profile)
+                      stats=ctx.stats)
 
     def begin(self):
         """Start an explicit transaction (pass it to execute)."""
@@ -521,31 +506,42 @@ class Database:
         from repro.executor.parallel import available_cores
         from repro.obs.render import render_analyze
 
+        sql = sql.strip()
         if options is None:
             options = self.settings.compile_options()
-        run_options = options if options.analyze \
-            else options.replace(analyze=True)
-
-        tree = None
-        if trace:
-            # One tree: the compile's events and the execute span land in
-            # it, and the profile's trace: line names it.
-            tree = tracer if tracer is not None \
-                else RequestTrace("explain", name="explain")
-            compiled = self.compile(sql, options=run_options, trace=tree)
-            result = self.run_compiled(compiled, options=run_options,
-                                       tracer=tree)
+        # One tree: the caller's request trace when there is one, so the
+        # op spans land in it, else a local one.
+        tree = tracer if tracer is not None \
+            else RequestTrace("explain", name="explain")
+        params: Sequence[Any] = ()
+        fingerprint = (self._fingerprint(sql, options)
+                       if options.plan_cache and not trace else None)
+        if fingerprint is not None and fingerprint.cacheable:
+            # Cache-aware, so EXPLAIN ANALYZE of a cached statement
+            # reports this run's actuals.
+            compiled = self._cached_compile(sql, fingerprint, options,
+                                            tracer)
+            params = fingerprint.recipe.bind(())
         else:
-            # The normal execute path: cache-aware, so EXPLAIN ANALYZE of
-            # a cached statement reports this run's actuals.
-            result = self.execute(sql, options=run_options,
-                                  tracer=tracer)
-        if result.profile is None:
+            # ``trace`` compiles afresh: a cache hit has no compile
+            # phases to trace.
+            compiled = self._timed_compile(
+                sql, options, tracer=tree if trace else tracer)
+        if compiled.plan is None:
             raise SemanticError(
                 "EXPLAIN ANALYZE needs a plan-producing statement")
-        text = render_analyze(result.profile, result.timings, result.stats,
-                              options=run_options, cores=available_cores())
-        if tree is not None:
+        operators, tree.operators = tree.operators, True
+        try:
+            result = self.run_compiled(compiled, params, tracer=tree)
+        finally:
+            tree.operators = operators
+        text = render_analyze(
+            compiled.plan, tree.root.find_all("execute")[-1],
+            result.timings, result.stats, options=options,
+            cores=available_cores(),
+            trace_id=tree.trace_id if trace or tracer is not None
+            else None)
+        if trace:
             text += "\n" + _trace_section(tree)
         return text + "\n"
 
@@ -740,7 +736,10 @@ class Database:
 
     def add_star_alternative(self, star_name: str,
                              alternative: Alternative) -> None:
-        self.stars[star_name].alternatives.append(alternative)
+        star = self.stars.get(star_name)
+        if star is None:
+            raise ExtensionError("no STAR named %s" % star_name)
+        star.alternatives.append(alternative)
         self.catalog.bump_schema_epoch()
 
     def register_join_kind(self, kind, replace: bool = False) -> None:

@@ -49,7 +49,7 @@ class CompileOptions:
                  "allow_bushy", "allow_cartesian", "rank_cutoff",
                  "sort_by_rank", "naive_recursion", "forced_join_method",
                  "join_enumeration", "execution_mode", "batch_size",
-                 "parallelism", "dop", "analyze",
+                 "parallelism", "dop",
                  "plan_cache", "constant_parameterization", "label")
 
     def __init__(self,
@@ -68,7 +68,6 @@ class CompileOptions:
                  batch_size: int = 1024,
                  parallelism: str = "off",
                  dop: int = 4,
-                 analyze: bool = False,
                  plan_cache: bool = True,
                  constant_parameterization: bool = False,
                  label: Optional[str] = None):
@@ -124,11 +123,6 @@ class CompileOptions:
         self.parallelism = parallelism
         #: Target degree of parallelism for spliced Exchanges.
         self.dop = dop
-        #: Collect per-operator runtime probes (EXPLAIN ANALYZE).  A pure
-        #: execution-time switch: the compiled plan is identical, so it is
-        #: excluded from :meth:`cache_key` and analyzed runs share cached
-        #: plans with unanalyzed ones.
-        self.analyze = analyze
         #: Serve repeated statements from the database's plan cache
         #: (compile-once-execute-many); off forces a fresh compile.
         self.plan_cache = plan_cache
@@ -206,8 +200,6 @@ class CompileOptions:
             parts.append("parallel" if self.parallelism == "on"
                          else "parallel-auto")
             parts.append("dop%d" % self.dop)
-        if self.analyze:
-            parts.append("analyze")
         if not self.plan_cache:
             parts.append("no-plancache")
         if self.constant_parameterization:
@@ -220,14 +212,12 @@ class CompileOptions:
         Excludes ``label`` (cosmetic), ``plan_cache`` (whether to consult
         the cache, not what to compile), ``constant_parameterization``
         (already folded into the statement fingerprint, so an explicitly
-        parameterized query and an auto-parameterized one share a plan)
-        and ``analyze`` (a runtime switch — the compiled plan is the same,
-        so analyzed executions reuse plans cached by unanalyzed ones).
+        parameterized query and an auto-parameterized one share a plan).
         """
         return tuple(
             getattr(self, name) for name in self.__slots__
             if name not in ("label", "plan_cache",
-                            "constant_parameterization", "analyze"))
+                            "constant_parameterization"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<CompileOptions %s>" % self.describe()

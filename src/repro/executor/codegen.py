@@ -68,10 +68,11 @@ backend; the driver-level post-operators are the shared ones in
 aggregates inline and finishes its groups itself; single-column group
 and join keys are bare values.
 
-**EXPLAIN ANALYZE.**  Under ``ctx.profile`` each region runs its
-*analyze variant*: the same pipelines generated with one row counter per
-step (source, filter, probe, sink), credited to the plan nodes that step
-stands for.  Time is measured for the region as a whole.
+**EXPLAIN ANALYZE.**  Under ``ctx.ops`` each region runs its *analyze
+variant*: the same pipelines generated with one row counter per step
+(source, filter, probe, sink), credited to the ``op`` spans of the plan
+nodes that step stands for.  Time is measured for the region as a
+whole.
 """
 
 from __future__ import annotations
@@ -1072,8 +1073,8 @@ def stream_compiled(plan: pl.PlanOp, ctx: ExecutionContext, env,
     here."""
     if count_fallback:
         ctx.stats.fallbacks += 1
-    if ctx.profile is not None:
-        return ctx.profile.iter_stream(plan, _run_program, ctx, env)
+    if ctx.ops is not None:
+        return ctx.ops.iter_stream(plan, _run_program, ctx, env)
     return _run_program(plan, ctx, env)
 
 
@@ -1081,7 +1082,7 @@ def _run_program(plan: pl.PlanOp, ctx: ExecutionContext,
                  env) -> Iterator[Any]:
     program = plan.codegen_program
     cn = None
-    if ctx.profile is not None:
+    if ctx.ops is not None:
         program = program.analyzed()
         cn = [0] * len(program.counter_nodes)
     ctx.stats.codegen_pipelines += program.n_pipelines
@@ -1096,7 +1097,7 @@ def _run_program(plan: pl.PlanOp, ctx: ExecutionContext,
         if cn is not None:
             rows = _tally(rows, cn, program.stages[node])
     if cn is not None:
-        rows = _credit(rows, program, ctx.profile, cn)
+        rows = _credit(rows, program, ctx.ops, cn)
     return rows
 
 
@@ -1157,19 +1158,17 @@ def _tally(rows, cn: List[int], index: int) -> Iterator[Any]:
         yield row
 
 
-def _credit(rows, program: Program, profile, cn: List[int]
+def _credit(rows, program: Program, ops, cn: List[int]
             ) -> Iterator[Any]:
-    """Hand the region's row counters to the profile once it is done
-    (the root's own probe counts what the region yields)."""
+    """Hand the region's row counters to the nodes' ``op`` spans once it
+    is done (the root's own span counts what the region yields)."""
     try:
         yield from rows
     finally:
         for credited, count in zip(program.counter_nodes, cn):
             for node in credited:
                 if node is not program.root:
-                    probe = profile.probe(node)
-                    probe.rows += count
-                    probe.loops += 1
+                    ops.credit(node, count)
 
 
 def _topsort_rows(node: pl.TopSort, rows,

@@ -46,6 +46,17 @@ class ExecutionStats:
     def reset(self) -> None:
         self.__init__()
 
+    def export(self) -> Dict[str, int]:
+        """The integer counters, for shipping a worker's activity back
+        to the coordinator."""
+        return {name: value for name, value in vars(self).items()
+                if isinstance(value, int) and not isinstance(value, bool)}
+
+    def merge(self, exported: Dict[str, int]) -> None:
+        """Add a worker's exported counters onto these."""
+        for name, value in exported.items():
+            setattr(self, name, getattr(self, name, 0) + value)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         # Generated from vars() so newly added counters can never go
         # stale in the repr again.
@@ -96,10 +107,11 @@ class ExecutionContext:
         #: The owning Database's parallel runtime (worker-pool manager);
         #: None means Exchange operators execute their child inline.
         self.parallel = None
-        #: Per-operator runtime probes (:class:`repro.obs.PlanProfile`);
-        #: None — the default — means every dispatch site skips the
-        #: instrumentation wrappers entirely.
-        self.profile = None
+        #: The ``op`` spans of this execution
+        #: (:class:`repro.obs.spans.OpSpans`), set when the request trace
+        #: asks for operator detail; None — the default — means every
+        #: dispatch site skips the instrumentation wrappers entirely.
+        self.ops = None
         #: The request-scoped :class:`repro.obs.spans.RequestTrace` this
         #: execution runs under; None — the default — means the parallel
         #: runtime neither requests nor merges worker span fragments.

@@ -47,7 +47,6 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.executor.workerpool import WorkerPool, data_version
-from repro.obs.profile import export_stats, merge_stats
 
 #: Morsels carved per worker: small enough to balance skew, large enough
 #: that per-task pickle overhead stays negligible.
@@ -114,15 +113,21 @@ def pool_size(dop: int) -> int:
 _WORKER_PLANS: dict = {}
 
 
-def _open_task(db, head):
-    """What every task does first: compile the statement in this worker
-    (memoized), locate the coordinator's node by ``plan.walk()`` index —
-    cross-checked against the structural signature, which names the
-    operator — and build the execution context.  ``head`` is ``(text,
-    options, node_index, signature, params)``."""
+def _open_task(db, head, operators: Optional[bool]):
+    """What every task does first: open its span, compile the statement
+    in this worker (memoized), locate the coordinator's node by
+    ``plan.walk()`` index — cross-checked against the structural
+    signature, which names the operator — and build the execution
+    context.  ``head`` is ``(text, options, node_index, signature,
+    params)``.  Returns ``(node, ctx, task)``: ``task`` is the task's
+    ``worker.morsel`` span, or None when the request is untraced
+    (``operators`` None); when ``operators`` is true the task records
+    its ``op`` spans under it."""
     from repro.core.pipeline import compile_statement
     from repro.executor.context import ExecutionContext
+    from repro.obs.spans import OpSpans, Span
 
+    task = Span("worker.morsel") if operators is not None else None
     text, options, node_index, signature, params = head
     key = (text, options.cache_key())
     compiled = _WORKER_PLANS.get(key)
@@ -141,45 +146,43 @@ def _open_task(db, head):
     ctx = ExecutionContext(db.engine, db.functions, list(params), txn=None)
     ctx.join_kinds = db.join_kinds
     ctx.batch_size = options.batch_size
-    return compiled, node, ctx
+    if operators:
+        ctx.ops = OpSpans(task, compiled.plan)
+    return node, ctx, task
+
+
+def _fragment(task, **attrs):
+    """The task's span, closed and exported for the trip back to the
+    coordinator, which grafts it under the exchange's span."""
+    if task is None:
+        return None
+    return task.finish().set(pid=os.getpid(), **attrs).export()
 
 
 def _worker_run(db, payload):
     """Execute one morsel of a Gather/MergeGather and return ``(rows,
-    stats, probes, elapsed, worker_id, fragment)``.
+    stats, fragment)``.
 
-    ``payload`` is ``(head, page_lo, page_hi, trace_on)``: the
+    ``payload`` is ``(head, page_lo, page_hi, operators)``: the
     Exchange's child runs with the scan restricted to the page range.
 
     ``stats`` is the worker's exported ExecutionStats counters, which the
-    coordinator adds to its own on every run.  ``probes`` is None unless
-    ``options.analyze`` is on; then it is the worker's per-operator
-    probes keyed by walk index (EXPLAIN ANALYZE through a Gather).
-    ``elapsed`` is the task's wall seconds and ``worker_id`` the worker
-    process's pid, for the per-task and per-worker skew views.
-
-    ``fragment`` is None unless ``trace_on``: a
-    :meth:`repro.obs.spans.Span.export` tuple covering this task, with
-    monotonic-ns timestamps directly comparable to the parent's
-    (CLOCK_MONOTONIC is system-wide), for the coordinator to graft under
-    the request's execute span.
+    coordinator adds to its own on every run.  ``fragment`` is None when
+    the request is untraced (``operators`` None); otherwise it is this
+    task's ``worker.morsel`` span (:meth:`repro.obs.spans.Span.export`),
+    with monotonic-ns timestamps directly comparable to the parent's
+    (CLOCK_MONOTONIC is system-wide) and, when ``operators`` is true,
+    the task's own ``op`` spans keyed by walk index (EXPLAIN ANALYZE
+    through a Gather).
     """
-    from time import monotonic_ns, perf_counter
-
     from repro.executor.rowops import sort_rows
     from repro.executor.run import rows_iter
     from repro.optimizer import plans as pl
 
-    head, lo, hi, trace_on = payload
-    started = perf_counter()
-    started_ns = monotonic_ns()
-    compiled, node, ctx = _open_task(db, head)
+    head, lo, hi, operators = payload
+    node, ctx, task = _open_task(db, head, operators)
     ctx.morsel_range = (lo, hi)
     ctx.morsel_scan = node.morsel_scan
-    if head[1].analyze:
-        from repro.obs.profile import PlanProfile
-
-        ctx.profile = PlanProfile(compiled.plan)
     rows = list(rows_iter(node.children[0], ctx, {}))
     if isinstance(node, pl.MergeGather):
         # Local sort (stable, so ties stay in scan order) and top-K cut:
@@ -187,33 +190,24 @@ def _worker_run(db, payload):
         sort_rows(rows, node.positions)
         if node.limit_hint is not None:
             del rows[node.limit_hint:]
-    probes = ctx.profile.export() if ctx.profile is not None else None
-    fragment = None
-    if trace_on:
-        from repro.obs.spans import Span
-
-        span = Span("worker.morsel", start_ns=started_ns)
-        span.finish()
-        span.set(pid=os.getpid(), pages=[lo, hi], rows=len(rows))
-        fragment = span.export()
-    return (rows, export_stats(ctx.stats), probes,
-            perf_counter() - started, os.getpid(), fragment)
+    return (rows, ctx.stats.export(),
+            _fragment(task, pages=[lo, hi], rows=len(rows)))
 
 
-def _worker_ship(db, head):
+def _worker_ship(db, payload):
     """Run a SHIP's child in a worker — the stand-in for the remote
-    site — and return the result stream wire-encoded, plus the worker's
-    exported ExecutionStats counters, elapsed seconds and its pid."""
-    from time import perf_counter
-
+    site — and return ``(blob, stats, fragment)``: the result stream
+    wire-encoded, the worker's exported ExecutionStats counters, and its
+    ``worker.morsel`` span as in :func:`_worker_run` (``wire`` = the
+    blob's bytes).  ``payload`` is ``(head, operators)``."""
     from repro.executor.run import rows_iter
     from repro.storage.record import pack_rows
 
-    started = perf_counter()
-    _compiled, node, ctx = _open_task(db, head)
+    node, ctx, task = _open_task(db, *payload)
     rows = list(rows_iter(node.children[0], ctx, {}))
-    return (pack_rows(rows), export_stats(ctx.stats),
-            perf_counter() - started, os.getpid())
+    blob = pack_rows(rows)
+    return (blob, ctx.stats.export(),
+            _fragment(task, rows=len(rows), wire=len(blob)))
 
 
 def _signature(node) -> str:
@@ -354,19 +348,12 @@ class ParallelRuntime:
         compiled = getattr(ctx, "compiled", None)
         if compiled is None or compiled.plan is None:
             return None, "no compiled statement attached to the context"
-        # A cached plan's options may carry a stale analyze flag (analyze
-        # is excluded from the cache key, so both variants share one
-        # compiled plan in the worker memo); workers follow this run's
-        # actual profile state.
-        options = compiled.options
-        if options.analyze != (ctx.profile is not None):
-            options = options.replace(analyze=ctx.profile is not None)
         index = next((index for index, candidate
                       in enumerate(compiled.plan.walk())
                       if candidate is node), None)
         if index is None:
             return None, "exchange not found in the compiled plan"
-        return (compiled.text, options, index, _signature(node),
+        return (compiled.text, compiled.options, index, _signature(node),
                 tuple(ctx.params)), None
 
     def run(self, node, ctx, env) -> Iterator[Tuple[Any, ...]]:
@@ -397,6 +384,21 @@ class ParallelRuntime:
             return self._inline(node, ctx, env)
         return iter(rows)
 
+    @staticmethod
+    def _operators(ctx) -> Optional[bool]:
+        """What a task records: None (no span) when the request is
+        untraced, else whether to record its ``op`` spans too."""
+        return None if ctx.trace is None else ctx.ops is not None
+
+    @staticmethod
+    def _graft(node, ctx, fragments) -> None:
+        """Graft the tasks' spans under the node's ``op`` span, or under
+        the current span when the trace has no operator detail."""
+        if ctx.trace is not None:
+            parent = ctx.ops.span(node) if ctx.ops is not None \
+                else ctx.trace.current()
+            ctx.trace.attach_worker_fragments(parent, fragments)
+
     def _exchange(self, exchange, ctx, head):
         """Gather/MergeGather: fan the child out over morsels, recombine."""
         from repro.optimizer import plans as pl
@@ -406,31 +408,17 @@ class ParallelRuntime:
         morsels = _carve(pages, exchange.dop)
         if len(morsels) <= 1:
             return None
-        trace = ctx.trace
+        operators = self._operators(ctx)
         results = self._ensure_pool(exchange.dop).map(
-            _worker_run,
-            [(head, lo, hi, trace is not None) for lo, hi in morsels])
+            _worker_run, [(head, lo, hi, operators) for lo, hi in morsels])
         ctx.stats.morsels += len(morsels)
         parts = []
-        times = []
-        worker_ids = []
         fragments = []
-        for part_rows, stats, probes, elapsed, worker_id, fragment in results:
+        for part_rows, stats, fragment in results:
             parts.append(part_rows)
-            merge_stats(ctx.stats, stats)
-            times.append(elapsed)
-            worker_ids.append(worker_id)
-            if fragment is not None:
-                fragments.append(fragment)
-            if probes is not None and ctx.profile is not None:
-                ctx.profile.merge_worker(probes)
-        if trace is not None and fragments:
-            trace.attach_worker_fragments(trace.current(), fragments)
-        if ctx.profile is not None:
-            ctx.profile.note_exchange(
-                exchange, morsels=len(morsels),
-                workers=min(exchange.dop, len(morsels)),
-                worker_times=times, worker_ids=worker_ids)
+            ctx.stats.merge(stats)
+            fragments.append(fragment)
+        self._graft(exchange, ctx, fragments)
         if isinstance(exchange, pl.MergeGather):
             from repro.executor.rowops import null_last_key
 
@@ -448,14 +436,10 @@ class ParallelRuntime:
         comes back wire-encoded over the result pipe."""
         from repro.storage.record import unpack_rows
 
-        blob, stats, elapsed, worker_id = self._ensure_pool(1).map(
-            _worker_ship, [head])[0]
-        merge_stats(ctx.stats, stats)
+        blob, stats, fragment = self._ensure_pool(1).map(
+            _worker_ship, [(head, self._operators(ctx))])[0]
+        ctx.stats.merge(stats)
         ctx.stats.parallel_exchanges += 1
         ctx.stats.exchange_bytes += len(blob)
-        if ctx.profile is not None:
-            ctx.profile.note_exchange(ship, morsels=1, workers=1,
-                                      worker_times=[elapsed],
-                                      worker_ids=[worker_id],
-                                      wire_bytes=len(blob))
+        self._graft(ship, ctx, [fragment])
         return unpack_rows(blob)

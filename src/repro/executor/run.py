@@ -63,8 +63,8 @@ def rows_iter(plan: pl.PlanOp, ctx: ExecutionContext,
     handler = _ROW_OPS.get(type(plan))
     if handler is None:
         raise ExecutionError("no interpreter for %s" % plan.op_name)
-    if ctx.profile is not None:
-        return ctx.profile.iter_stream(plan, handler, ctx, env)
+    if ctx.ops is not None:
+        return ctx.ops.iter_stream(plan, handler, ctx, env)
     return handler(plan, ctx, env)
 
 
@@ -301,8 +301,8 @@ def env_iter(plan: pl.PlanOp, ctx: ExecutionContext,
     handler = _ENV_OPS.get(type(plan))
     if handler is None:
         raise ExecutionError("no binding interpreter for %s" % plan.op_name)
-    if ctx.profile is not None:
-        return ctx.profile.iter_stream(plan, handler, ctx, env)
+    if ctx.ops is not None:
+        return ctx.ops.iter_stream(plan, handler, ctx, env)
     return handler(plan, ctx, env)
 
 

@@ -791,23 +791,29 @@ class Translator:
         uq = self.qgm.new_quantifier("F", group_box)
         upper.add_quantifier(uq)
 
-        def rewrite(expr: qe.QExpr) -> qe.QExpr:
-            # aggregates -> group-box output columns
-            def visit(node: qe.QExpr) -> Optional[qe.QExpr]:
-                if isinstance(node, qe.AggCall):
-                    for index, agg in enumerate(aggregates):
-                        if self._same_expr(node, agg):
-                            return qe.ColRef(
-                                uq, "agg%d" % index,
-                                group_box.head.columns[
-                                    len(group_keys) + index].dtype)
-                    raise SemanticError("unmatched aggregate %r" % node)
-                for index, key in enumerate(group_keys):
-                    if self._same_expr(node, key):
-                        return qe.ColRef(uq, "g%d" % index, key.dtype)
-                return None
+        def visit(node: qe.QExpr) -> qe.QExpr:
+            # Top-down, so an aggregate is matched before a group key
+            # inside its argument (min(k) GROUP BY k) is replaced:
+            # aggregates and keys -> group-box output columns.
+            if isinstance(node, qe.AggCall):
+                for index, agg in enumerate(aggregates):
+                    if self._same_expr(node, agg):
+                        return qe.ColRef(
+                            uq, "agg%d" % index,
+                            group_box.head.columns[
+                                len(group_keys) + index].dtype)
+                raise SemanticError("unmatched aggregate %r" % node)
+            for index, key in enumerate(group_keys):
+                if self._same_expr(node, key):
+                    return qe.ColRef(uq, "g%d" % index, key.dtype)
+            children = node.children()
+            rebuilt = [visit(child) for child in children]
+            if any(new is not old for new, old in zip(rebuilt, children)):
+                return node.copy_with(rebuilt)
+            return node
 
-            result = qe.transform(expr, visit)
+        def rewrite(expr: qe.QExpr) -> qe.QExpr:
+            result = visit(expr)
             # Anything still referencing lower quantifiers is illegal.
             lower_quantifiers = set(lower.quantifiers)
             for quantifier in qe.quantifiers_in(result):

@@ -1,16 +1,15 @@
-"""Observability: one trace tree, runtime profiles, process metrics.
+"""Observability: one trace tree, process metrics, statement stats.
 
 Every piece is opt-in and costs nothing when unused:
 
 - :mod:`repro.obs.spans` — the one trace model: a request's span tree,
   from the wire through the compile phases (each carrying its rewrite
   firings, STAR expansions and optimizer decisions as zero-length event
-  spans) to execution and the forked workers' fragments; sampled, and
+  spans) to execution, its per-operator ``op`` spans when the trace asks
+  for operator detail, and the forked workers' fragments; sampled, and
   allocation-free when off,
-- :mod:`repro.obs.profile` — per-operator runtime instrumentation behind
-  ``CompileOptions.analyze`` (rows and wall time per LOLEPOP on the
-  tuple, fused and parallel execution paths), rendered as ``EXPLAIN
-  ANALYZE`` text by :mod:`repro.obs.render`,
+- :mod:`repro.obs.render` — ``EXPLAIN ANALYZE`` text, read off a plan's
+  ``op`` spans,
 - :mod:`repro.obs.metrics` — a process-level metrics registry (counters,
   gauges, latency histograms) with Prometheus-style text exposition,
 - :mod:`repro.obs.statstats` — per-fingerprint statement aggregates
@@ -20,10 +19,9 @@ Every piece is opt-in and costs nothing when unused:
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import OpProbe, PlanProfile
 from repro.obs.render import render_analyze
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.spans import RequestTrace, Span, SpanRecorder
+from repro.obs.spans import OpSpans, RequestTrace, Span, SpanRecorder
 from repro.obs.statstats import StatementStat, StatementStats
 
 __all__ = [
@@ -31,8 +29,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "OpProbe",
-    "PlanProfile",
+    "OpSpans",
     "RequestTrace",
     "SlowQueryLog",
     "Span",

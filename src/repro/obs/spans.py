@@ -9,8 +9,7 @@ parent's and a worker-side span *fragment* can be grafted into the
 parent tree with no clock translation (:meth:`RequestTrace.
 attach_worker_fragments` groups fragments by worker pid).
 
-The discipline matches :class:`repro.obs.profile.PlanProfile`: every
-instrumentation site guards on ``trace is not None``, and the
+Every instrumentation site guards on ``trace is not None``, and the
 :class:`SpanRecorder`'s sampling decision (``maybe_start``) returns
 ``None`` without allocating when tracing is off or this request lost the
 sampling draw — the untraced hot path pays one attribute read and one
@@ -51,6 +50,28 @@ use (extensible — DBC code may emit its own):
 
 Every emit site guards on ``trace is not None``, so an untraced compile
 allocates no span.
+
+The same tree carries what each LOLEPOP did, when the trace asks for
+operator detail (``RequestTrace(..., operators=True)``; EXPLAIN ANALYZE
+sets it).  Every executed plan node then gets one span under
+``execute`` (:class:`OpSpans`):
+
+- ``op``           — ``op`` (operator name), ``node`` (its
+  ``plan.walk()`` index), ``est`` and ``cost`` (the optimizer's
+  estimates), ``rows`` (items yielded), ``loops`` (times opened) and
+  ``time_ns`` (inclusive wall time, measured around each ``next()`` so
+  consumer time between pulls is never billed to the producer).  Inside
+  a fused region only the root is timed; the other nodes get rows from
+  the row counters of the region's analyze variant,
+- ``worker.morsel`` — one forked task of an exchange, grafted under the
+  exchange's ``op`` span inside a per-pid ``worker`` group: ``pid``,
+  ``pages`` (the morsel's page range), ``rows`` (rows it returned),
+  ``wire`` (a SHIP's wire-encoded bytes), and the task's own ``op``
+  spans, keyed by the same walk indices.
+
+``repro.obs.render.render_analyze`` renders EXPLAIN ANALYZE from these
+spans alone.  With operator detail off, each dispatch site pays one
+``ctx.ops is not None`` branch.
 """
 
 from __future__ import annotations
@@ -61,7 +82,7 @@ import os
 import threading
 from collections import deque
 from contextlib import contextmanager
-from time import monotonic_ns
+from time import monotonic_ns, perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -180,11 +201,15 @@ class RequestTrace:
     so exactly one thread drives a trace at a time.
     """
 
-    __slots__ = ("trace_id", "root", "events", "_stack")
+    __slots__ = ("trace_id", "root", "events", "operators", "_stack")
 
-    def __init__(self, trace_id: str, name: str = "request"):
+    def __init__(self, trace_id: str, name: str = "request",
+                 operators: bool = False):
         self.trace_id = trace_id
         self.root = Span(name)
+        #: Record one ``op`` span per executed plan node (EXPLAIN
+        #: ANALYZE); off, execution records only its ``execute`` span.
+        self.operators = operators
         #: Events recorded through :meth:`event`.
         self.events = 0
         self._stack: List[Span] = [self.root]
@@ -288,6 +313,66 @@ class RequestTrace:
 
     def render_text(self) -> str:
         return "trace %s\n%s" % (self.trace_id, self.root.render())
+
+
+class OpSpans:
+    """The ``op`` spans of one plan execution: one child of ``parent``
+    per executed node, created on the node's first open and keyed by its
+    ``plan.walk()`` index, which is the same across the fork boundary."""
+
+    __slots__ = ("parent", "_index", "_spans")
+
+    def __init__(self, parent: Span, plan):
+        self.parent = parent
+        self._index = {id(node): index
+                       for index, node in enumerate(plan.walk())}
+        self._spans: Dict[int, Span] = {}
+
+    def span(self, node) -> Span:
+        span = self._spans.get(id(node))
+        if span is None:
+            span = self.parent.child("op")
+            span.attrs = {"op": node.op_name,
+                          "node": self._index.get(id(node)),
+                          "est": node.props.card, "cost": node.props.cost,
+                          "rows": 0, "loops": 0, "time_ns": 0}
+            self._spans[id(node)] = span
+        return span
+
+    def credit(self, node, rows: int) -> None:
+        """One untimed loop of ``node`` that yielded ``rows`` (a node
+        inside a fused region, counted by the region's analyze
+        variant)."""
+        span = self.span(node)
+        span.attrs["rows"] += rows
+        span.attrs["loops"] += 1
+        span.end_ns = monotonic_ns()
+
+    def iter_stream(self, plan, handler, ctx, env):
+        """Wrap a row/binding stream, timing each pull and counting
+        yields.  ``handler`` is only invoked inside, so eager handlers
+        (e.g. a sort that materializes on open) bill their setup here."""
+        span = self.span(plan)
+        attrs = span.attrs
+        attrs["loops"] += 1
+        rows = spent = 0
+        t0 = perf_counter_ns()
+        try:
+            stream = handler(plan, ctx, env)
+            while True:
+                try:
+                    item = next(stream)
+                except StopIteration:
+                    spent += perf_counter_ns() - t0
+                    break
+                spent += perf_counter_ns() - t0
+                rows += 1
+                yield item
+                t0 = perf_counter_ns()
+        finally:
+            attrs["rows"] += rows
+            attrs["time_ns"] += spent
+            span.end_ns = monotonic_ns()
 
 
 class SpanRecorder:

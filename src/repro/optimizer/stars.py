@@ -391,12 +391,6 @@ def default_star_array() -> Dict[str, STAR]:
         return [HashJoin(gen.cm, outer, inner, kind, outer_keys, inner_keys,
                          key_preds, residual)]
 
-    def same_site(gen: PlanGenerator, args: Args) -> bool:
-        return True  # sites are reconciled by the glue below
-
-    def co_locate(gen: PlanGenerator, args: Args) -> Args:
-        return args
-
     _METHOD_STARS = {
         "nl": ("NLJoinAlt",),
         "merge": ("MergeJoinAlt",),

@@ -112,9 +112,6 @@ class Quantifier:
     def is_setformer(self) -> bool:
         return self.qtype in SETFORMER_TYPES
 
-    def column_type(self, column: str) -> Optional[DataType]:
-        return self.input.head.column(column).dtype
-
     def __repr__(self) -> str:
         return "<%s:%s over %s>" % (self.name, self.qtype, self.input.label())
 
@@ -181,19 +178,10 @@ class Box:
     def subquery_quantifiers(self) -> List[Quantifier]:
         return [q for q in self.quantifiers if not q.is_setformer]
 
-    def quantifier_named(self, name: str) -> Quantifier:
-        for quantifier in self.quantifiers:
-            if quantifier.name == name:
-                return quantifier
-        raise QGMError("no quantifier %s in box %s" % (name, self.label()))
-
     # -- output schema --------------------------------------------------------------
 
     def output_names(self) -> List[str]:
         return self.head.column_names()
-
-    def output_types(self) -> List[Optional[DataType]]:
-        return [c.dtype for c in self.head.columns]
 
     def label(self) -> str:
         base = "%s#%d" % (self.kind, self.uid)

@@ -19,6 +19,15 @@ from repro.serve.admission import AdmissionController
 from repro.serve.snapshot import SnapshotManager
 
 
+#: Write stripes: writers to the same table serialize on one stripe;
+#: writers to different tables (usually) proceed in parallel; DDL and
+#: multi-table writers take every stripe.
+WRITE_STRIPES = 8
+
+#: Distinct statement fingerprints SHOW STATEMENTS keeps (LRU).
+STATEMENT_STATS_CAPACITY = 512
+
+
 class ServeSettings:
     """Serving-layer knobs (engine knobs stay on ``db.settings``)."""
 
@@ -29,10 +38,6 @@ class ServeSettings:
         self.max_queue = 16
         #: How long a queued statement waits before it is shed.
         self.admission_timeout_s = 1.0
-        #: Write stripes: writers to the same table serialize on one
-        #: stripe; writers to different tables (usually) proceed in
-        #: parallel; DDL and multi-table writers take every stripe.
-        self.write_stripes = 8
         #: Workers per snapshot pool (the read fan-out ceiling).
         self.snapshot_workers = 8
         #: Bounded staleness of unpinned snapshot reads: the refresher
@@ -49,8 +54,6 @@ class ServeSettings:
         #: File the slow-query log appends to (None: in-memory ring
         #: only).
         self.slow_query_log_path: Optional[str] = None
-        #: Distinct statement fingerprints SHOW STATEMENTS keeps (LRU).
-        self.statement_stats_capacity = 512
 
 
 class Route:
@@ -203,7 +206,7 @@ class Server:
         self.admission = AdmissionController(
             self.settings.max_inflight, self.settings.max_queue,
             self.settings.admission_timeout_s, metrics=db.metrics)
-        self.write_gate = WriteGate(self.settings.write_stripes)
+        self.write_gate = WriteGate(WRITE_STRIPES)
         self.read_gate = ReadGate()
         self._routes: Dict[str, Route] = {}
         self._routes_lock = threading.Lock()
@@ -228,7 +231,7 @@ class Server:
         #: Per-fingerprint aggregates behind SHOW STATEMENTS and
         #: GET /statements.
         self.statements = StatementStats(
-            self.settings.statement_stats_capacity)
+            STATEMENT_STATS_CAPACITY)
         #: One JSON line per statement over the latency threshold.
         self.slowlog = SlowQueryLog(
             self.settings.slow_query_ms,

@@ -357,18 +357,3 @@ class ShardedHeapStorage(TableStorage):
         self._page_index = {}
         self._row_counts = [0] * self.partitions
         self._registered = [0] * self.partitions
-
-    # -- partition metadata --------------------------------------------------------
-
-    def partition_pages(self, partition: int) -> List[int]:
-        """Global page numbers owned by one partition."""
-        return [page_no for page_no, (owner, _) in enumerate(self._pages)
-                if owner == partition]
-
-    def partition_info(self) -> List[Dict[str, int]]:
-        """Per-partition statistics: page and live-row counts."""
-        return [
-            {"partition": p,
-             "pages": self._segments[p].page_count,
-             "rows": self._row_counts[p]}
-            for p in range(self.partitions)]

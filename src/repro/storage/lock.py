@@ -22,10 +22,6 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "X"
 
 
-def _compatible(held: LockMode, requested: LockMode) -> bool:
-    return held is LockMode.SHARED and requested is LockMode.SHARED
-
-
 class _LockState:
     """Holders and waiters for one resource."""
 

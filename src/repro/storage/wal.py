@@ -126,12 +126,5 @@ class LogManager:
     def last_lsn(self, txn_id: int) -> int:
         return self._last_lsn.get(txn_id, -1)
 
-    def truncate_before(self, lsn: int) -> None:
-        """Discard records below ``lsn`` (after a checkpoint); LSNs are kept
-        stable by replacing old entries with None-slots is avoided — we keep
-        a simple prefix drop with an offset for realism-without-complexity."""
-        # Simplicity: checkpointing in this simulation only records state;
-        # physical truncation is not needed for correctness and is a no-op.
-
     def __len__(self) -> int:
         return len(self._records)

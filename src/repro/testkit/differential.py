@@ -33,6 +33,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.options import CompileOptions
 from repro.errors import DivisionByZeroError, ReproError
+from repro.obs.spans import RequestTrace
 from repro.testkit.datagen import (SchemaSpec, build_database,
                                    generate_schema, sharded_variant)
 from repro.testkit.oracle import OracleError, ReferenceOracle, sort_rows
@@ -50,15 +51,17 @@ class Config:
     of the same options by default, or a run under ``reference`` options
     when given (the parallel configs reference the serial dop=1 plan,
     proving morsel-parallel execution is byte-identical to serial).
+    ``operators`` runs every execution under a request trace with
+    operator detail on (what EXPLAIN ANALYZE records).
     """
 
     __slots__ = ("name", "options", "repeat", "byte_identical",
-                 "reference", "sharded")
+                 "reference", "sharded", "operators")
 
     def __init__(self, name: str, options: CompileOptions,
                  repeat: int = 1, byte_identical: bool = False,
                  reference: Optional[CompileOptions] = None,
-                 sharded: bool = False):
+                 sharded: bool = False, operators: bool = False):
         self.name = name
         self.options = options
         self.repeat = repeat
@@ -68,6 +71,12 @@ class Config:
         #: every eligible table PARTITION BY HASH) instead of the
         #: primary one.
         self.sharded = sharded
+        self.operators = operators
+
+    def tracer(self) -> Optional[RequestTrace]:
+        """A fresh trace for one execution under this config."""
+        return RequestTrace(self.name, operators=True) \
+            if self.operators else None
 
 
 def default_matrix() -> List[Config]:
@@ -106,14 +115,14 @@ def default_matrix() -> List[Config]:
         Config("parallel", tuple_mode.replace(parallelism="on", dop=4),
                byte_identical=True, reference=tuple_mode),
         # Observability must never change answers: run with per-operator
-        # instrumentation on, over the heaviest config (parallel +
-        # compiled, so every wrapper, the fused regions' analyze
-        # variants and the worker-profile merge are live), and require
-        # byte-identical rows vs the uninstrumented run.
+        # spans on, over the heaviest config (parallel + compiled, so
+        # every wrapper, the fused regions' analyze variants and the
+        # worker op-span grafts are live), and require byte-identical
+        # rows vs the uninstrumented run.
         Config("analyze",
-               base.replace(analyze=True, parallelism="on", dop=4,
+               base.replace(parallelism="on", dop=4,
                             execution_mode="compiled"),
-               byte_identical=True,
+               byte_identical=True, operators=True,
                reference=base.replace(parallelism="on", dop=4,
                                       execution_mode="compiled")),
         # Pipeline-fusion codegen backend: fused regions must be
@@ -224,8 +233,12 @@ class Divergence:
             lines.append("    db.execute(%r)" % statement)
         lines.append("    db.analyze()")
         lines.append("    options = CompileOptions(%s)" % option_overrides)
-        lines.append("    result = db.execute(%r, options=options)"
-                     % self.sql)
+        tracer = ""
+        if self.config.operators:
+            lines.append("    from repro.obs import RequestTrace")
+            tracer = ", tracer=RequestTrace('repro', operators=True)"
+        lines.append("    result = db.execute(%r, options=options%s)"
+                     % (self.sql, tracer))
         expected = self.expected if self.expected is not None else []
         lines.append("    expected = %r" % [tuple(r) for r in expected])
         lines.append("    assert sorted(map(repr, result.rows)) == "
@@ -324,7 +337,8 @@ class DifferentialRunner:
                     suffix = (" (on plan-cache re-execution)"
                               if attempt > 0 else "")
                     try:
-                        db.execute(sql, options=config.options)
+                        db.execute(sql, options=config.options,
+                                   tracer=config.tracer())
                     except expected_type:
                         continue
                     except ReproError as exc:
@@ -371,7 +385,8 @@ class DifferentialRunner:
                     if cached_run else ""
                 hits_before = db.plan_cache.hits
                 try:
-                    result = db.execute(sql, options=config.options)
+                    result = db.execute(sql, options=config.options,
+                                        tracer=config.tracer())
                 except ReproError as exc:
                     return Divergence(
                         self.seed, self.schema, spec, config,

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Database
 from repro.datatypes import DOUBLE, INTEGER
+from repro.executor import parallel
 from repro.optimizer.plans import Ship
 
 
@@ -52,6 +53,46 @@ class TestSites:
         compiled = multi_site_db.compile(
             "SELECT v FROM home WHERE k = 3")
         assert not [n for n in compiled.plan.walk() if isinstance(n, Ship)]
+
+    def test_ship_in_a_worker_reports_its_wire_bytes(self, multi_site_db,
+                                                     monkeypatch):
+        """A SHIP pulled as a row stream runs its child in a worker and
+        returns the rows wire-encoded; under operator detail the task's
+        span is grafted under the SHIP's ``op`` span and EXPLAIN ANALYZE
+        shows one task, one worker and the bytes that crossed."""
+        from repro import CompileOptions
+        from repro.obs import RequestTrace
+        from repro.obs.render import render_analyze
+        from repro.optimizer.cost import CostModel
+
+        if not parallel.fork_available():
+            pytest.skip(parallel.disabled_reason())
+        db = multi_site_db
+        # The optimizer only places SHIP on binding-stream inputs (join
+        # sides, derived-table accesses), which pass through inline; a
+        # row-position SHIP is built by hand and handed to the workers
+        # through their plan cache, seeded before the pool forks.
+        sql = "SELECT k, e FROM east_t WHERE k < 5"
+        options = CompileOptions(parallelism="on", execution_mode="tuple")
+        compiled = db.compile(sql, options=options)
+        compiled.plan = Ship(CostModel(db.catalog), compiled.plan, "local")
+        monkeypatch.setitem(parallel._WORKER_PLANS,
+                            (sql, options.cache_key()), compiled)
+        tree = RequestTrace("ship", operators=True)
+        try:
+            result = db.run_compiled(compiled, tracer=tree)
+        finally:
+            db.close()
+        assert sorted(result.rows) == sorted(
+            (i % 20, float(i) * 2) for i in range(60) if i % 20 < 5)
+        assert result.stats.parallel_fallbacks == 0
+        assert result.stats.exchange_bytes > 0
+        text = render_analyze(compiled.plan, tree.root.find_all("execute")[-1],
+                              result.timings, result.stats)
+        ship_line = text.splitlines()[1]
+        assert ship_line.startswith("SHIP(to local)")
+        assert "exchange(morsels=1 workers=1 runs=1 " in ship_line
+        assert " wire=%dB" % result.stats.exchange_bytes in ship_line
 
 
 class TestChoose:

@@ -216,6 +216,13 @@ class TestOptimizerExtensions:
                 a for a in emp_db.stars["AccessRoot"].alternatives
                 if a.name != "CheapScan"]
 
+    def test_unknown_star_alternative_rejected(self, emp_db):
+        from repro.optimizer.stars import Alternative
+
+        with pytest.raises(ExtensionError, match="no STAR named Nope"):
+            emp_db.add_star_alternative(
+                "Nope", Alternative("X", lambda gen, args: [], rank=1.0))
+
     def test_box_planner_registration(self):
         from repro.optimizer.boxopt import (
             _EXTENSION_BOX_PLANNERS,

@@ -177,6 +177,68 @@ class TestTraceLatencyAccounting:
             tcp.server.db.close()
 
 
+class TestOperatorSpansOverWire:
+    def test_explain_analyze_lands_in_the_request_tree(self):
+        """One tree from the socket to the operator: a sampled EXPLAIN
+        ANALYZE records its op spans under the request's execute span,
+        with the worker tasks' fragments under the exchange's op span,
+        and names that tree in its text."""
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+        txn = db.begin()
+        for i in range(4000):
+            db.engine.insert(txn, "t", (i, i % 11))
+        db.commit(txn)
+        db.analyze()
+        db.settings.parallelism = "on"
+        db.settings.dop = 2
+        settings = ServeSettings()
+        settings.snapshots_enabled = False
+        settings.trace_sample = "always"
+        server = Server(db, settings)
+        tcp = TCPServer(server, port=0)
+        tcp.start()
+        try:
+            with WireClient(*tcp.address()) as client:
+                result = client.execute(
+                    "EXPLAIN ANALYZE SELECT id FROM t WHERE v < 3")
+                plain = client.execute("SELECT id FROM t WHERE v < 3")
+            trace = server.tracing.find(result.trace_id)
+            plain_trace = server.tracing.find(plain.trace_id)
+        finally:
+            tcp.stop()
+            server.close()
+            db.close()
+        text = "\n".join(row[0] for row in result.rows)
+        assert "trace: %s" % result.trace_id in text
+        root = trace.root
+        names = [span.name for span in root.children]
+        assert names.index("admission.wait") < names.index("execute") \
+            < names.index("wire.write")
+        execute = root.children[names.index("execute")]
+        ops = [span for span in execute.children if span.name == "op"]
+        assert ops and all(span.attrs["loops"] for span in ops)
+        gather = next(span for span in ops
+                      if span.attrs["op"].startswith("GATHER"))
+        tasks = gather.find_all("worker.morsel")
+        assert len(tasks) >= 2
+        assert all(task.find("op") is not None for task in tasks)
+        assert "exchange(morsels=%d " % len(tasks) in text
+        assert not trace.operators
+        # The same statement, not under EXPLAIN ANALYZE: its sampled
+        # trace has an execute span but no op span.
+        assert plain_trace.root.find("execute") is not None
+        assert plain_trace.root.find("op") is None
+
+    def test_sampled_request_gets_no_op_spans(self, traced):
+        with WireClient(*traced.address()) as client:
+            trace_id = client.execute(
+                "SELECT count(*) FROM t WHERE v > 5").trace_id
+        root = traced.server.tracing.find(trace_id).root
+        assert root.find("admission.wait") is not None
+        assert root.find("op") is None
+
+
 class TestStatementsEndpoints:
     def _column(self, result, name):
         return result.columns.index(name)

@@ -494,9 +494,11 @@ class TestInlineAggregates:
                     "SELECT count(*), max(v) FROM g WHERE v > 99"):
             counts = []
             for mode in ("tuple", "compiled"):
-                result = agg_db.execute(sql, options=_options(
-                    agg_db, execution_mode=mode, analyze=True))
-                counts.append([
-                    (node.op_name, result.profile.probe_for(node).rows)
-                    for node in result.profile.plan.walk()])
+                trace = RequestTrace("t-counts", operators=True)
+                agg_db.execute(sql, options=_options(
+                    agg_db, execution_mode=mode), tracer=trace)
+                counts.append(sorted(
+                    (span.attrs["node"], span.attrs["op"],
+                     span.attrs["rows"])
+                    for span in trace.root.find("execute").children))
             assert counts[0] == counts[1], sql

@@ -1,16 +1,17 @@
-"""The observability subsystem: per-operator profiles (EXPLAIN ANALYZE),
-compile-phase tracing, and the process-level metrics registry.
+"""The observability subsystem: per-operator ``op`` spans (EXPLAIN
+ANALYZE), compile-phase tracing, and the process-level metrics registry.
 
-The load-bearing properties: analyze-off allocates no wrapper objects
-(zero overhead when disabled), analyze-on never changes answers (also
-enforced by the differential ``analyze`` config), parallel worker probes
-merge back through the Gather, and cached executions report *this run's*
-actuals rather than the cold compile's.
+The load-bearing properties: operator detail off allocates no wrapper
+objects (zero overhead when disabled), on never changes answers (also
+enforced by the differential ``analyze`` config), parallel workers' op
+spans graft under the Gather's span, and cached executions report *this
+run's* actuals rather than the cold compile's.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    PlanProfile,
+    OpSpans,
     RequestTrace,
     Span,
 )
@@ -49,32 +50,50 @@ def _options(db, **overrides) -> CompileOptions:
     return CompileOptions.from_settings(db.settings).replace(**overrides)
 
 
+def _analyzed(db, sql, options=None):
+    """Run ``sql`` under a trace with operator detail on; returns the
+    result and the trace."""
+    trace = RequestTrace("t-ops", operators=True)
+    result = db.execute(sql, options=options, tracer=trace)
+    return result, trace
+
+
+def _ops(trace):
+    """The coordinator's ``op`` span attrs, by walk index."""
+    return {span.attrs["node"]: span.attrs
+            for span in trace.root.find("execute").children
+            if span.name == "op"}
+
+
+def _op(trace, name):
+    """The attrs of the first ``op`` span of operator ``name``."""
+    return next(attrs for _index, attrs in sorted(_ops(trace).items())
+                if attrs["op"] == name)
+
+
 # ---------------------------------------------------------------------------
 # Per-operator profiles
 # ---------------------------------------------------------------------------
 
 
 class TestPlanProfile:
+    """A plan's runtime profile, recorded as ``op`` spans."""
+
     def test_tuple_path_counts_rows_and_time(self, obs_db):
-        result = obs_db.execute("SELECT id FROM t WHERE v < 3",
-                                options=_options(obs_db, analyze=True,
-                                                 execution_mode="tuple"))
-        profile = result.profile
-        assert profile is not None
-        scan = next(n for n in profile.plan.walk()
-                    if n.op_name == "SCAN")
-        probe = profile.probe_for(scan)
-        assert probe is not None
-        assert probe.rows == len(result.rows)
-        assert probe.time_ns > 0
-        assert probe.loops == 1
+        result, trace = _analyzed(
+            obs_db, "SELECT id FROM t WHERE v < 3",
+            _options(obs_db, execution_mode="tuple"))
+        scan = _op(trace, "SCAN")
+        assert scan["rows"] == len(result.rows)
+        assert scan["time_ns"] > 0
+        assert scan["loops"] == 1
+        assert scan["est"] > 0 and scan["cost"] > 0
 
     def test_analyze_answers_match_plain(self, obs_db):
         sql = ("SELECT t.g, count(*), sum(t.v) FROM t, names "
                "WHERE t.g = names.g GROUP BY t.g")
         plain = obs_db.execute(sql, options=_options(obs_db))
-        analyzed = obs_db.execute(sql,
-                                  options=_options(obs_db, analyze=True))
+        analyzed, _trace = _analyzed(obs_db, sql, _options(obs_db))
         assert analyzed.rows == plain.rows
         assert analyzed.columns == plain.columns
 
@@ -82,17 +101,18 @@ class TestPlanProfile:
         """The fused path: the SCAN inside the region is counted by the
         analyze variant's row counter — the rows passing its predicates,
         not the rows read."""
-        result = obs_db.execute(
-            "SELECT id, v FROM t WHERE v < 50",
-            options=_options(obs_db, execution_mode="compiled",
-                             analyze=True))
-        scan = next(n for n in result.profile.plan.walk()
-                    if n.op_name == "SCAN")
-        assert scan.exec_backend == "compiled"
-        probe = result.profile.probe_for(scan)
-        assert probe.rows == len(result.rows)
-        assert probe.rows < 20000
-        assert probe.loops == 1
+        sql = "SELECT id, v FROM t WHERE v < 50"
+        options = _options(obs_db, execution_mode="compiled")
+        result, trace = _analyzed(obs_db, sql, options)
+        plan = obs_db.compile(sql, options=options).plan
+        index, node = next((index, node)
+                           for index, node in enumerate(plan.walk())
+                           if node.op_name == "SCAN")
+        assert node.exec_backend == "compiled"
+        scan = _ops(trace)[index]
+        assert scan["rows"] == len(result.rows)
+        assert scan["rows"] < 20000
+        assert scan["loops"] == 1
 
     def test_fused_region_reports_actual_rows_per_node(self, obs_db):
         """Under the shipped auto, a grouped scan over 4 096 rows runs
@@ -105,70 +125,103 @@ class TestPlanProfile:
         assert any("fused=" in line for line in plan_lines)
         assert plan_lines and all("actual rows=" in line
                                   for line in plan_lines), text
-        result = obs_db.execute(sql, options=_options(obs_db, analyze=True))
-        by_op = {node.op_name: result.profile.probe_for(node)
-                 for node in result.profile.plan.walk()}
+        _result, trace = _analyzed(obs_db, sql, _options(obs_db))
         expected = sum(1 for i in range(20000) if i % 97 < 50)
-        assert by_op["SCAN"].rows == expected
-        assert by_op["GROUPBY"].rows == 7
+        assert _op(trace, "SCAN")["rows"] == expected
+        assert _op(trace, "GROUPBY")["rows"] == 7
 
     def test_analyze_off_allocates_no_wrappers(self, obs_db, monkeypatch):
-        """With analyze off, no PlanProfile (and hence no probe or
-        wrapper generator) may ever be constructed."""
+        """With operator detail off — untraced, or traced without it —
+        no OpSpans (and hence no op span or wrapper generator) may ever
+        be constructed."""
         def boom(*_args, **_kwargs):
-            raise AssertionError("PlanProfile constructed with analyze off")
+            raise AssertionError("OpSpans constructed with operators off")
 
-        import repro.obs.profile as profile_module
+        import repro.core.database as database_module
 
-        monkeypatch.setattr(profile_module, "PlanProfile", boom)
-        result = obs_db.execute(
-            "SELECT id FROM t WHERE v < 3",
-            options=_options(obs_db, execution_mode="compiled"))
-        assert result.profile is None
+        monkeypatch.setattr(database_module, "OpSpans", boom)
+        options = _options(obs_db, execution_mode="compiled")
+        result = obs_db.execute("SELECT id FROM t WHERE v < 3",
+                                options=options)
         assert len(result.rows) > 0
+        trace = RequestTrace("t-plain")
+        obs_db.execute("SELECT id FROM t WHERE v < 3", options=options,
+                       tracer=trace)
+        assert trace.root.find("execute") is not None
+        assert trace.root.find("op") is None
 
     def test_loops_count_reevaluated_subplans(self, obs_db):
         # rewrite off keeps the correlated subquery as a subplan that is
         # re-evaluated per outer row (7 distinct correlation values).
-        result = obs_db.execute(
+        _result, trace = _analyzed(
+            obs_db,
             "SELECT g FROM names "
             "WHERE g IN (SELECT g FROM t WHERE t.id = names.g)",
-            options=_options(obs_db, rewrite_enabled=False,
-                             analyze=True))
-        probes = [result.profile.probe_for(node)
-                  for node in result.profile.plan.walk()]
-        assert any(p is not None and p.loops == 7 for p in probes), \
+            _options(obs_db, rewrite_enabled=False))
+        assert any(attrs["loops"] == 7 for attrs in _ops(trace).values()), \
             "a subplan re-opened per correlation value must show loops=7"
 
 
 class TestParallelMerge:
     def test_worker_probes_merge_through_gather(self, obs_db):
-        result = obs_db.execute(
-            "SELECT id, v + g FROM t WHERE v < 30",
-            options=_options(obs_db, parallelism="on", dop=4,
-                             analyze=True, execution_mode="tuple"))
-        profile = result.profile
-        exchange = next(n for n in profile.plan.walk()
-                        if n.op_name.startswith("GATHER"))
-        detail = profile.exchanges[id(exchange)]
-        assert detail["morsels"] >= 2
-        assert detail["workers"] >= 2
-        scan = next(n for n in profile.plan.walk() if n.op_name == "SCAN")
-        probe = profile.probe_for(scan)
-        # The scan ran only inside workers; its rows arrive via merge.
-        assert probe.worker_rows > 0
-        assert probe.worker_time_ns > 0
-        assert probe.worker_tasks == detail["morsels"]
+        sql = "SELECT id, v + g FROM t WHERE v < 30"
+        options = _options(obs_db, parallelism="on", dop=4,
+                           execution_mode="tuple")
+        result, trace = _analyzed(obs_db, sql, options)
+        gather = next(span for span in trace.root.find_all("op")
+                      if span.attrs["op"].startswith("GATHER"))
+        groups = [span for span in gather.children if span.name == "worker"]
+        tasks = [task for group in groups for task in group.children]
+        assert len(tasks) >= 2
+        assert groups and all(group.attrs["pid"] for group in groups)
+        assert all(task.name == "worker.morsel" for task in tasks)
+        # The scan ran only inside workers: one op span per task, keyed
+        # by the coordinator's walk index.
+        scans = [span.attrs for task in tasks for span in task.children
+                 if span.attrs["op"] == "SCAN"]
+        assert len(scans) == len(tasks)
+        assert sum(scan["rows"] for scan in scans) > 0
+        assert sum(scan["time_ns"] for scan in scans) > 0
+        plan = obs_db.compile(sql, options=options).plan
+        assert {scan["node"] for scan in scans} == {
+            index for index, node in enumerate(plan.walk())
+            if node.op_name == "SCAN"}
+        assert all(attrs["op"] != "SCAN" for attrs in _ops(trace).values())
         # Worker-side execution stats merge into the coordinator's.
         assert result.stats.rows_scanned == 20000
 
     def test_parallel_analyze_rows_identical(self, obs_db):
         sql = "SELECT id, v FROM t WHERE v > 90 ORDER BY v, id LIMIT 13"
         serial = obs_db.execute(sql, options=_options(obs_db))
-        par = obs_db.execute(
-            sql, options=_options(obs_db, parallelism="on", dop=4,
-                                  execution_mode="compiled", analyze=True))
+        par, _trace = _analyzed(
+            obs_db, sql, _options(obs_db, parallelism="on", dop=4,
+                                  execution_mode="compiled"))
         assert par.rows == serial.rows
+
+    def test_malformed_worker_fragment_degrades_rendering(
+            self, monkeypatch):
+        """A task whose span cannot be read costs its op detail, not the
+        statement: EXPLAIN ANALYZE renders and counts the loss."""
+        if not parallel.fork_available():
+            pytest.skip(parallel.disabled_reason())
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(parallel, "_fragment",
+                            lambda task, **attrs: ("mangled",))
+        db = Database(pool_capacity=256)
+        try:
+            db.execute("CREATE TABLE m (id INTEGER, v INTEGER)")
+            txn = db.begin()
+            for i in range(4000):
+                db.engine.insert(txn, "m", (i, i % 10))
+            db.commit(txn)
+            db.analyze()
+            text = db.explain("SELECT id FROM m WHERE v < 3",
+                              options=_options(db, parallelism="on", dop=2),
+                              analyze=True)
+        finally:
+            db.close()
+        assert "fragment_errors=" in text
+        assert "GATHER" in text and "actual rows=" in text
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +265,47 @@ class TestExplainAnalyze:
         with pytest.raises(SemanticError):
             obs_db.explain("CREATE TABLE nope (a INTEGER)", analyze=True)
 
+    @staticmethod
+    def _exchange_span(tasks):
+        """An exchange's op span with one task span grafted per
+        ``(pid, milliseconds)``."""
+        span = Span("op").set(rows=0, loops=1, time_ns=0)
+        fragments = []
+        for pid, ms in tasks:
+            task = Span("worker.morsel", start_ns=0)
+            task.end_ns = int(ms * 1e6)
+            if pid is not None:
+                task.set(pid=pid)
+            fragments.append(task.export())
+        RequestTrace("t").attach_worker_fragments(span, fragments)
+        return span
+
     def test_per_worker_wall_view_format(self, obs_db):
-        """Pin the wall(...) view: per-task times grouped by worker id,
+        """Pin the wall(...) view: task spans grouped by worker pid,
         each worker's tasks summed, min/median/max over workers."""
         from repro.obs.render import _node_line
 
-        compiled = obs_db.compile("SELECT id FROM t WHERE v < 3")
-        node = compiled.plan
-        profile = PlanProfile(node)
+        node = obs_db.compile("SELECT id FROM t WHERE v < 3").plan
         # Four tasks over two workers: 101 ran 10ms+30ms, 102 ran
         # 20ms+40ms -> walls [40ms, 60ms].
-        profile.note_exchange(node, morsels=4, workers=2,
-                              worker_times=[0.01, 0.02, 0.03, 0.04],
-                              worker_ids=[101, 102, 101, 102])
-        line = _node_line(node, profile, total_ns=0, depth=0)
+        span = self._exchange_span([(101, 10), (102, 20), (101, 30),
+                                    (102, 40)])
+        line = _node_line(node, span, [], total_ns=0, depth=0)
         assert ("skew(min=10.0ms median=30.0ms max=40.0ms)"
                 in line)
         assert ("wall(workers=2 min=40.0ms median=60.0ms max=60.0ms)"
                 in line)
+        # workers= counts the pids that ran tasks, not the node's dop.
+        assert "exchange(morsels=4 workers=2 runs=1 " in line
 
     def test_wall_view_suppressed_without_worker_ids(self, obs_db):
-        """Old-style exports carry no ids; the wall view stays silent
-        instead of inventing one worker per task."""
+        """Task spans without a pid: the wall view stays silent instead
+        of inventing one worker per task."""
         from repro.obs.render import _node_line
 
-        compiled = obs_db.compile("SELECT id FROM t WHERE v < 3")
-        node = compiled.plan
-        profile = PlanProfile(node)
-        profile.note_exchange(node, morsels=2, workers=2,
-                              worker_times=[0.01, 0.02])
-        line = _node_line(node, profile, total_ns=0, depth=0)
+        node = obs_db.compile("SELECT id FROM t WHERE v < 3").plan
+        span = self._exchange_span([(None, 10), (None, 20)])
+        line = _node_line(node, span, [], total_ns=0, depth=0)
         assert "skew(min=" in line
         assert "wall(" not in line
 
@@ -253,7 +317,12 @@ class TestExplainAnalyze:
             options=_options(obs_db, parallelism="on", dop=4),
             analyze=True)
         assert "skew(min=" in text
-        assert "wall(workers=" in text
+        walls = re.search(r" wall\(workers=(\d+) ", text)
+        assert walls
+        # The exchange reports the workers that ran, however the pool
+        # was clamped below dop=4.
+        assert re.search(r"exchange\(morsels=\d+ workers=%s "
+                         % walls.group(1), text)
 
     def test_dop_exceeding_cores_is_reported(self, obs_db, monkeypatch):
         monkeypatch.setattr(parallel, "available_cores", lambda: 2)
@@ -295,23 +364,21 @@ class TestAnalyzeWithPlanCache:
         for i in range(5):
             db.execute("INSERT INTO c VALUES (%d)" % i)
         sql = "SELECT a FROM c WHERE a >= 0"
-        db.execute(sql)  # compiled analyze-off, now cached
+        db.execute(sql)  # compiled untraced, now cached
         hits_before = db.metrics_snapshot()["plan_cache_hits_total"]
-        analyzed = db.execute(sql, options=CompileOptions(analyze=True))
+        analyzed, trace = _analyzed(db, sql)
         assert analyzed.timings.pipeline == "cached"
-        # analyze is excluded from the cache key: this was a cache HIT
-        # on the plan compiled analyze-off.
+        # Operator detail is a property of the trace, not of the plan:
+        # this was a cache HIT on the plan compiled without it.
         assert db.metrics_snapshot()["plan_cache_hits_total"] \
             > hits_before
-        assert analyzed.profile is not None
-        assert len(analyzed.profile) > 0
+        assert _ops(trace)
         # Grow the table (small DML is not an invalidation event) and
         # re-analyze: actual rows must be this run's, not the first's.
         db.execute("INSERT INTO c VALUES (99)")
-        again = db.execute(sql, options=CompileOptions(analyze=True))
+        again, trace = _analyzed(db, sql)
         assert again.timings.pipeline == "cached"
-        root_probe = again.profile.probe_for(again.profile.plan)
-        assert root_probe.rows == 6
+        assert _ops(trace)[0]["rows"] == 6
         db.close()
 
     def test_explain_analyze_of_cached_statement(self):
@@ -545,15 +612,24 @@ def test_execution_stats_repr_includes_every_counter():
     assert "parallel_exchanges=2" in text
 
 
-def test_plan_profile_export_roundtrip(obs_db):
+def test_worker_op_spans_graft_under_the_exchange(obs_db):
+    """A worker task's op spans cross the fork boundary inside its
+    fragment, keyed by walk index; grafted under the coordinator's
+    span they render as that node's worker detail."""
+    from repro.obs.render import render_analyze
+
     compiled = obs_db.compile("SELECT id FROM t WHERE v < 3")
-    sender = PlanProfile(compiled.plan)
     nodes = list(compiled.plan.walk())
-    probe = sender.probe(nodes[1])
-    probe.rows, probe.loops, probe.time_ns = 42, 1, 1000
-    receiver = PlanProfile(compiled.plan)
-    receiver.merge_worker(sender.export())
-    merged = receiver.probe_for(nodes[1])
-    assert merged.worker_rows == 42
-    assert merged.worker_time_ns == 1000
-    assert merged.worker_tasks == 1
+    task = Span("worker.morsel").set(pid=7)
+    OpSpans(task, compiled.plan).credit(nodes[1], 42)
+    trace = RequestTrace("t-graft", operators=True)
+    execute = trace.begin("execute")
+    ops = OpSpans(execute, compiled.plan)
+    trace.attach_worker_fragments(ops.span(nodes[0]),
+                                  [task.finish().export()])
+    trace.end(execute)
+    grafted = trace.root.find("worker.morsel").find("op")
+    assert grafted.attrs["node"] == 1
+    assert grafted.attrs["rows"] == 42
+    text = render_analyze(compiled.plan, execute)
+    assert "workers(rows=42 time=0.000ms tasks=1)" in text.splitlines()[2]

@@ -314,3 +314,59 @@ class TestExtensionsGating:
         graph = qgm_of(db, "SELECT a FROM t WHERE a > majority "
                            "(SELECT x FROM u)")
         assert graph.root.subquery_quantifiers()[0].qtype == "MAJ"
+
+
+class TestAggregateOverGroupKey:
+    """An aggregate whose argument is a GROUP BY key matches its own
+    slot: the key inside ``min(k)`` is not replaced before the aggregate
+    is looked up."""
+
+    ROWS = [(i % 5 - 1 if i % 97 else None, i) for i in range(3000)]
+
+    @pytest.fixture(scope="class")
+    def gdb(self):
+        database = Database()
+        database.execute("CREATE TABLE g (k INTEGER, v INTEGER)")
+        txn = database.begin()
+        for row in self.ROWS:
+            database.engine.insert(txn, "g", row)
+        database.commit(txn)
+        database.analyze()
+        yield database
+        database.close()
+
+    def _expected(self, key):
+        groups = {}
+        for k, _v in self.ROWS:
+            groups.setdefault(key(k), []).append(key(k))
+        return groups
+
+    @pytest.mark.parametrize("options", [
+        dict(execution_mode="tuple"),
+        dict(execution_mode="compiled"),
+        dict(parallelism="on", dop=2),
+    ], ids=["tuple", "compiled", "parallel"])
+    def test_grouped_having_distinct_and_expression_keys(self, gdb,
+                                                         options):
+        from repro import CompileOptions
+
+        options = CompileOptions(**options)
+        groups = self._expected(lambda k: k)
+        cases = {
+            "SELECT k, min(k) FROM g GROUP BY k":
+                {(k, k) for k in groups},
+            "SELECT k, count(DISTINCT k) FROM g GROUP BY k":
+                {(k, 0 if k is None else 1) for k in groups},
+            "SELECT k FROM g GROUP BY k HAVING max(k) > 0":
+                {(k,) for k in groups if k is not None and k > 0},
+            "SELECT k + 1, sum(k + 1) FROM g GROUP BY k + 1":
+                {(k, None if k is None else sum(values))
+                 for k, values in self._expected(
+                     lambda k: None if k is None else k + 1).items()},
+        }
+        for sql, expected in cases.items():
+            result = gdb.execute(sql, options=options)
+            assert len(result.rows) == len(expected), sql
+            assert set(result.rows) == expected, sql
+            if options.parallelism == "on":
+                assert result.stats.morsels > 0, sql
