@@ -53,7 +53,6 @@ def serving():
     settings = ServeSettings()
     settings.max_inflight = 16
     settings.max_queue = 32
-    settings.snapshot_workers = 8
     settings.snapshot_refresh_s = 0.1
     server = Server(db, settings)
     tcp = TCPServer(server, port=0)

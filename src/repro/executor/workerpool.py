@@ -22,7 +22,9 @@ exactly once:
   value)`` or ``("err", class_name, message)``.  An error reply leaves
   the worker serving.
 - **lease** — a worker belongs to exactly one caller between request
-  and reply, so any number of threads may share a pool.
+  and reply, so any number of threads may share a pool.  Free workers
+  form a stack: a caller gets the most recently released one, so a
+  lone client keeps landing on the worker whose plan cache it warmed.
   :meth:`WorkerPool.terminate` is deferred until the callers inside the
   pool have left: nobody closes a pipe under a blocked reader.
 - **health** — a worker whose pipe broke is killed and never leased
@@ -93,7 +95,7 @@ class WorkerPool:
         self.version = data_version(db)
         self.closed = False
         self._workers: List[_Worker] = []
-        #: Guards the free list, the live count, the callers-inside
+        #: Guards the free stack, the live count, the callers-inside
         #: count and the retirement flag; waited on for a free worker.
         self._cond = threading.Condition()
         self._leases = 0
@@ -217,8 +219,8 @@ class WorkerPool:
             self._leases += 1
             while not self._free and self._alive:
                 self._cond.wait()
-            taken = self._free[:want]
-            del self._free[:want]
+            taken = self._free[-want:]
+            del self._free[-want:]
         if not taken:
             self._release(taken)
             raise WorkerPoolError("worker died: none left in the pool")

@@ -8,7 +8,8 @@ double quotes.  String literals use single quotes with ``''`` escaping.
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple
+from functools import lru_cache
+from typing import List, NamedTuple, Tuple
 
 from repro.errors import LexerError
 
@@ -209,6 +210,11 @@ class Lexer:
         return Token(TokenType.STRING, text, text, line, column)
 
 
-def tokenize(text: str) -> List[Token]:
-    """Tokenize a complete statement, returning an EOF-terminated list."""
-    return Lexer(text).tokens()
+@lru_cache(maxsize=256)
+def tokenize(text: str) -> Tuple[Token, ...]:
+    """Tokenize a complete statement, returning an EOF-terminated tuple.
+
+    Memoized per text: routing, fingerprinting, parsing and statement
+    stats each scan a new statement, and now share one scan.  Tokens
+    are immutable, and a :class:`LexerError` propagates uncached."""
+    return tuple(Lexer(text).tokens())

@@ -8,6 +8,7 @@ over the line protocol (see :mod:`repro.serve.wire`); drive it with
 
 from __future__ import annotations
 
+import re
 import threading
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -29,17 +30,21 @@ STATEMENT_STATS_CAPACITY = 512
 
 
 class ServeSettings:
-    """Serving-layer knobs (engine knobs stay on ``db.settings``)."""
+    """Serving-layer knobs (engine knobs stay on ``db.settings``).
+
+    A snapshot pool has no knob of its own: it is sized like the morsel
+    pool, ``parallel.pool_size(max_inflight)`` — no more workers than
+    statements can be admitted at once, nor than cores can run them.
+    """
 
     def __init__(self):
-        #: Statements executing at once before admission queues.
+        #: Statements executing at once before admission queues (and
+        #: the snapshot pool's size, clamped to the cores).
         self.max_inflight = 8
         #: Statements allowed to wait for a slot before shedding.
         self.max_queue = 16
         #: How long a queued statement waits before it is shed.
         self.admission_timeout_s = 1.0
-        #: Workers per snapshot pool (the read fan-out ceiling).
-        self.snapshot_workers = 8
         #: Bounded staleness of unpinned snapshot reads: the refresher
         #: re-forks the pool at most this often when data changed.
         self.snapshot_refresh_s = 0.25
@@ -65,7 +70,8 @@ class Route:
     #: - "read"  — SELECT: snapshot pool when fresh enough, else live
     #: - "write" — INSERT/UPDATE/DELETE: striped, in-parent, autocommit
     #: - "ddl"   — CREATE/DROP: all stripes, in-parent
-    #: - "meta"  — EXPLAIN and anything unparseable: live in-parent
+    #: - "meta"  — EXPLAIN and unparseable non-SELECT text: live
+    #:   in-parent
     def __init__(self, kind: str, tables: Tuple[str, ...] = (),
                  escalate: bool = False):
         self.kind = kind
@@ -76,9 +82,17 @@ class Route:
         self.escalate = escalate
 
 
+#: A statement whose first token is SELECT: routed without a parse.
+_SELECT_HEAD = re.compile(r"\s*select\b", re.IGNORECASE)
+
+
 def classify(sql: str) -> Route:
-    """One parse decides a statement's route; the server memoizes this
-    per SQL text, so the per-statement cost is one dict hit."""
+    """A leading SELECT is a read; any other text is parsed once to
+    learn its route (writes need their tables).  The server memoizes
+    this per SQL text, so the per-statement cost is one dict hit.  A
+    malformed SELECT still reads: its error is raised where it runs."""
+    if _SELECT_HEAD.match(sql):
+        return Route("read")
     try:
         statement = parse_statement(sql)
     except ReproError:
@@ -198,7 +212,7 @@ class Server:
     """
 
     def __init__(self, db, settings: Optional[ServeSettings] = None):
-        from repro.executor.parallel import fork_available
+        from repro.executor.parallel import fork_available, pool_size
 
         self.db = db
         self.settings = settings if settings is not None \
@@ -240,7 +254,7 @@ class Server:
         self.snapshots: Optional[SnapshotManager] = None
         if self.settings.snapshots_enabled and fork_available():
             self.snapshots = SnapshotManager(
-                db, self.settings.snapshot_workers,
+                db, pool_size(self.settings.max_inflight),
                 self.settings.snapshot_refresh_s,
                 self._fork_quiesce, metrics=db.metrics)
             self.snapshots.start()

@@ -16,6 +16,12 @@ pins so the old image stays alive — and keeps serving the old rows —
 until the session releases it, which is the whole of snapshot isolation
 here.  Retired pools are terminated once the last pin drops.
 
+A refresh forks the new pool *outside* the manager lock and only swaps
+the pointer under it; retired pools are terminated after the lock is
+released.  So a reader picking the current pool never waits on a fork
+or a reap: during a fork it keeps reading the old image.  Forks are
+serialized among themselves by a separate fork lock.
+
 Workers execute whole read statements (:func:`run_statement`) and
 return materialized rows; the parent thread blocks in
 ``Connection.recv`` — which releases the GIL — so N clients reading
@@ -72,7 +78,11 @@ class SnapshotManager:
         self.workers = workers
         self.refresh_s = refresh_s
         self._fork_gate = fork_gate
+        #: Guards _current, _retired and _pins; never held across a
+        #: fork or a terminate.
         self._lock = threading.Lock()
+        #: Serializes forks: refresh and pin never fork two pools at once.
+        self._fork_lock = threading.Lock()
         self._current: Optional[WorkerPool] = None
         self._retired: List[WorkerPool] = []
         #: SNAPSHOT BEGIN refcounts: a pinned pool outlives its retirement.
@@ -101,7 +111,8 @@ class SnapshotManager:
 
     def _fork_pool(self) -> WorkerPool:
         """Fork a pool at the *committed now*: quiesce writers and live
-        readers, stamp the version, fork.  Caller holds self._lock."""
+        readers, stamp the version, fork.  Caller holds self._fork_lock
+        and not self._lock."""
         from time import monotonic
 
         started = monotonic()
@@ -111,7 +122,6 @@ class SnapshotManager:
             self._c_forks.inc()
         if self._h_fork is not None:
             self._h_fork.observe((monotonic() - started) * 1e3)
-        self._publish()
         return pool
 
     def _publish(self) -> None:
@@ -143,36 +153,50 @@ class SnapshotManager:
     def pin(self) -> WorkerPool:
         """Pin a pool at the database's exact current version (forking a
         fresh one if the current pool lags), for ``SNAPSHOT BEGIN``."""
-        with self._lock:
-            if not self._fresh_locked():
-                self._swap_locked(self._fork_pool())
-            pool = self._current
-            self._pins[pool] = self._pins.get(pool, 0) + 1
-            return pool
+        with self._fork_lock:
+            with self._lock:
+                if self._fresh_locked():
+                    return self._pin_locked(self._current)
+            pool = self._fork_pool()
+            with self._lock:
+                doomed = self._swap_locked(pool)
+                self._pin_locked(pool)
+        self._terminate(doomed)
+        return pool
+
+    def _pin_locked(self, pool: WorkerPool) -> WorkerPool:
+        self._pins[pool] = self._pins.get(pool, 0) + 1
+        return pool
 
     def unpin(self, pool: WorkerPool) -> None:
         with self._lock:
             self._pins[pool] -= 1
             if not self._pins[pool]:
                 del self._pins[pool]
-            self._reap_locked()
+            doomed = self._reap_locked()
+        self._terminate(doomed)
 
-    def _swap_locked(self, pool: WorkerPool) -> None:
+    def _swap_locked(self, pool: WorkerPool) -> List[WorkerPool]:
+        """Install ``pool`` as current; returns the retirees to
+        terminate once the lock is released."""
         old = self._current
         self._current = pool
         if old is not None:
             self._retired.append(old)
-        self._reap_locked()
+        return self._reap_locked()
 
-    def _reap_locked(self) -> None:
-        keep = []
-        for pool in self._retired:
-            if pool in self._pins:
-                keep.append(pool)
-            else:
-                pool.terminate()
-        self._retired = keep
+    def _reap_locked(self) -> List[WorkerPool]:
+        """Drop every unpinned retiree from the books and return them."""
+        doomed = [pool for pool in self._retired if pool not in self._pins]
+        self._retired = [pool for pool in self._retired
+                         if pool in self._pins]
         self._publish()
+        return doomed
+
+    @staticmethod
+    def _terminate(pools: List[WorkerPool]) -> None:
+        for pool in pools:
+            pool.terminate()
 
     # -- freshness -----------------------------------------------------------
 
@@ -181,11 +205,15 @@ class SnapshotManager:
         the data version moved or a worker died (or ``force``).  Returns
         True when a new pool was installed.  Tests call this instead of
         waiting out the refresh timer."""
-        with self._lock:
-            if not force and self._fresh_locked():
-                return False
-            self._swap_locked(self._fork_pool())
-            return True
+        with self._fork_lock:
+            with self._lock:
+                if not force and self._fresh_locked():
+                    return False
+            pool = self._fork_pool()
+            with self._lock:
+                doomed = self._swap_locked(pool)
+        self._terminate(doomed)
+        return True
 
     def start(self) -> None:
         """Fork the initial pool and start the background refresher."""
@@ -208,14 +236,13 @@ class SnapshotManager:
         self._stop.set()
         if self._refresher is not None:
             self._refresher.join(timeout=2 * self.refresh_s + 2.0)
-        with self._lock:
+        with self._fork_lock, self._lock:
             if self._current is not None:
                 self._retired.append(self._current)
                 self._current = None
-            for pool in self._retired:
-                pool.terminate()
-            self._retired = []
+            doomed, self._retired = self._retired, []
             self._publish()
+        self._terminate(doomed)
 
     def stats(self) -> dict:
         with self._lock:

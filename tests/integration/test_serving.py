@@ -12,7 +12,8 @@ import threading
 import pytest
 
 from repro.core.database import Database
-from repro.errors import SemanticError, ServerOverloaded
+from repro.errors import ReproError, SemanticError, ServerOverloaded
+from repro.language.parser import parse_statement
 from repro.serve import ServeSettings, Server, TCPServer, WireClient
 from repro.serve.client import fetch_metrics
 
@@ -26,7 +27,6 @@ def serving():
         db.engine.insert(txn, "kv", (i, "v%d" % i))
     db.commit(txn)
     settings = ServeSettings()
-    settings.snapshot_workers = 2
     settings.snapshot_refresh_s = 0.05
     server = Server(db, settings)
     tcp = TCPServer(server, port=0)
@@ -64,6 +64,23 @@ class TestWireLoop:
             with pytest.raises(SemanticError):
                 client.execute("SELECT nope FROM kv")
             # The connection survives the error.
+            assert len(client.execute("SELECT k FROM kv")) == 20
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT k FROM kv WHERE",          # parse error
+        "SELECT k FROM kv WHERE k = @",    # lexer error
+    ])
+    def test_malformed_select_error_is_unchanged(self, serving, sql):
+        """A SELECT routes to a snapshot worker without a parse; its
+        syntax error comes back with the class and message the parser
+        raises in process."""
+        with pytest.raises(ReproError) as in_process:
+            parse_statement(sql)
+        with WireClient(*serving.address()) as client:
+            with pytest.raises(ReproError) as over_wire:
+                client.execute(sql)
+            assert type(over_wire.value) is type(in_process.value)
+            assert str(over_wire.value) == str(in_process.value)
             assert len(client.execute("SELECT k FROM kv")) == 20
 
     def test_null_and_special_characters_roundtrip(self, serving):

@@ -11,11 +11,15 @@ must emit parseable, literal-free JSON lines.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core.database import Database
 from repro.serve import ServeSettings, Server, TCPServer, WireClient
 from repro.serve.client import fetch_metrics, fetch_statements
@@ -29,7 +33,6 @@ def _serving(**overrides):
         db.engine.insert(txn, "t", (i, i % 11))
     db.commit(txn)
     settings = ServeSettings()
-    settings.snapshot_workers = 2
     settings.snapshot_refresh_s = 60.0
     settings.trace_sample = "always"
     for name, value in overrides.items():
@@ -63,39 +66,66 @@ WORKLOAD = [
 ]
 
 
+#: The client half of :func:`_run_workload`, run in a process of its
+#: own.  Client threads that share the server's interpreter wait on its
+#: GIL between the server's reply and the client's clock, which would
+#: charge server-side work to the client's latency.
+_CLIENTS = r"""
+import json, sys, threading, time
+from repro.serve import WireClient
+
+host, port, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+workload = json.loads(sys.stdin.read())
+observed, errors = [], []
+lock = threading.Lock()
+
+def drive(statement):
+    try:
+        with WireClient(host, port) as client:
+            # Warm the connection (session setup, plan compile,
+            # snapshot fork) outside the timed window: the latency
+            # check compares client clock against server spans, and
+            # cold-start scheduling noise would swamp both.
+            client.execute(statement)
+            for _ in range(repeats):
+                started = time.perf_counter()
+                result = client.execute(statement)
+                elapsed_ms = (time.perf_counter() - started) * 1e3
+                with lock:
+                    observed.append(
+                        (result.trace_id, elapsed_ms, statement))
+    except Exception as exc:
+        with lock:
+            errors.append(repr(exc))
+
+threads = [threading.Thread(target=drive, args=(statement,))
+           for statement in workload]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60.0)
+print(json.dumps({"observed": observed, "errors": errors}))
+"""
+
+
 def _run_workload(address, repeats=3):
-    """Eight concurrent connections, one statement text each; returns
-    [(trace_id, client_ms, statement)] and any client-side errors."""
-    observed = []
-    errors = []
-    lock = threading.Lock()
-
-    def drive(statement):
-        try:
-            with WireClient(*address) as client:
-                # Warm the connection (session setup, plan compile,
-                # snapshot fork) outside the timed window: the latency
-                # check compares client clock against server spans, and
-                # cold-start scheduling noise would swamp both.
-                client.execute(statement)
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    result = client.execute(statement)
-                    elapsed_ms = (time.perf_counter() - started) * 1e3
-                    with lock:
-                        observed.append(
-                            (result.trace_id, elapsed_ms, statement))
-        except Exception as exc:  # surfaced by the caller's assert
-            with lock:
-                errors.append(exc)
-
-    threads = [threading.Thread(target=drive, args=(statement,))
-               for statement in WORKLOAD]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60.0)
-    return observed, errors
+    """Eight concurrent connections, one statement text each, driven
+    from a client process; returns [(trace_id, client_ms, statement)]
+    and the client-side errors (as text)."""
+    host, port = address
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLIENTS, host, str(port), str(repeats)],
+        input=json.dumps(WORKLOAD), capture_output=True, text=True,
+        timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    return [tuple(entry) for entry in report["observed"]], \
+        report["errors"]
 
 
 class TestTraceLatencyAccounting:

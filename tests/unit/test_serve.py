@@ -6,6 +6,8 @@ tests); snapshot-pool tests skip where fork() is unavailable.
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 
@@ -34,7 +36,6 @@ def make_server(rows: int = 50, **overrides):
         db.engine.insert(txn, "t", (i, i % 7))
     db.commit(txn)
     settings = ServeSettings()
-    settings.snapshot_workers = 2
     settings.snapshot_refresh_s = 60.0  # tests refresh explicitly
     for name, value in overrides.items():
         setattr(settings, name, value)
@@ -68,6 +69,10 @@ class TestRouting:
         assert classify("DROP TABLE x").kind == "ddl"
         assert classify("EXPLAIN SELECT 1 FROM t").kind == "meta"
         assert classify("this is not sql").kind == "meta"
+        # A leading SELECT routes without a parse, malformed or not.
+        assert classify("  select* from t").kind == "read"
+        assert classify("SELECT FROM WHERE").kind == "read"
+        assert classify("selection").kind == "meta"
 
     def test_write_targets_and_escalation(self):
         plain = classify("INSERT INTO t VALUES (1, 2)")
@@ -284,6 +289,148 @@ class TestSnapshots:
         with server.session() as session:
             assert session.execute(
                 "SELECT count(*) FROM t").scalar() == 50
+
+
+    def test_pool_is_sized_to_admission_and_cores(self, server):
+        pool = server.snapshots.current_pool()
+        assert pool.size == parallel.pool_size(server.settings.max_inflight)
+        assert not hasattr(ServeSettings(), "snapshot_workers")
+
+    def test_readers_keep_the_old_pool_while_a_refresh_forks(
+            self, server, monkeypatch):
+        """The fork runs outside the manager lock: a reader picks the
+        current pool, and reads on it, while a refresh is mid-fork."""
+        from repro.serve import snapshot
+
+        old = server.snapshots.current_pool()
+        forking, release = threading.Event(), threading.Event()
+        real_pool = snapshot.WorkerPool
+
+        def blocked_pool(db, size):
+            forking.set()
+            release.wait(30)
+            return real_pool(db, size)
+
+        monkeypatch.setattr(snapshot, "WorkerPool", blocked_pool)
+        outcome = {}
+        refresher = threading.Thread(target=lambda: outcome.setdefault(
+            "refreshed", server.snapshots.refresh(force=True)))
+        refresher.start()
+        try:
+            assert forking.wait(10)
+            before = server.db.metrics.snapshot()
+
+            def read():
+                outcome["picked"] = server.snapshots.current_pool()
+                with server.session() as session:
+                    outcome["count"] = session.execute(
+                        "SELECT count(*) FROM t").scalar()
+
+            reader = threading.Thread(target=read)
+            reader.start()
+            reader.join(5)
+            assert not reader.is_alive(), "reader waited on the fork"
+            assert outcome["picked"] is old
+            assert outcome["count"] == 50
+            after = server.db.metrics.snapshot()
+            assert after["serve_snapshot_reads_total"] == \
+                before["serve_snapshot_reads_total"] + 1
+        finally:
+            release.set()
+            refresher.join(30)
+        assert outcome["refreshed"] is True
+        assert server.snapshots.current_pool() is not old
+        assert old.closed
+
+    def test_retired_pools_terminate_unless_pinned(self, server):
+        with server.session() as holder:
+            holder.execute("SNAPSHOT BEGIN")
+            pinned = server.snapshots.current_pool()
+            assert server.snapshots.refresh(force=True)
+            unpinned = server.snapshots.current_pool()
+            assert server.snapshots.refresh(force=True)
+            assert unpinned.closed
+            assert not pinned.closed and pinned.healthy
+            assert server.snapshots.stats()["retired"] == 1
+            assert holder.execute("SELECT count(*) FROM t").scalar() == 50
+            holder.execute("SNAPSHOT END")
+            assert pinned.closed
+            assert server.snapshots.stats()["retired"] == 0
+
+
+    def test_concurrent_refresh_pin_and_read_leak_no_pool(
+            self, server, monkeypatch):
+        """Refreshers, pinners, a writer and readers race on the
+        manager with a short switch interval: every pool ever forked is
+        either the current one or terminated, and none is lost."""
+        from repro.serve import snapshot
+
+        created = []
+        real_pool = snapshot.WorkerPool
+
+        def recording_pool(db, size):
+            pool = real_pool(db, size)
+            created.append(pool)
+            return pool
+
+        monkeypatch.setattr(snapshot, "WorkerPool", recording_pool)
+        errors = []
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+            return threading.Thread(target=run)
+
+        def refresher():
+            for _ in range(4):
+                server.snapshots.refresh(force=True)
+
+        def pinner():
+            with server.session() as session:
+                for _ in range(4):
+                    session.execute("SNAPSHOT BEGIN")
+                    assert session.execute(
+                        "SELECT count(*) FROM t WHERE id < 50"
+                    ).scalar() == 50
+                    session.execute("SNAPSHOT END")
+
+        def writer():
+            with server.session() as session:
+                for i in range(4):
+                    session.execute("INSERT INTO t VALUES (%d, 0)"
+                                    % (3000 + i))
+
+        def reader():
+            with server.session() as session:
+                for _ in range(20):
+                    assert session.execute(
+                        "SELECT count(*) FROM t WHERE id < 50"
+                    ).scalar() == 50
+
+        threads = [guarded(body) for body in
+                   (refresher, refresher, pinner, pinner, writer,
+                    reader, reader)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        current = server.snapshots.current_pool()
+        assert current in created
+        assert all(pool.closed for pool in created if pool is not current)
+        assert server.snapshots.stats()["retired"] == 0
+        snap = server.db.metrics.snapshot()
+        assert snap["serve_snapshot_forks_total"] == 1 + len(created)
+        assert snap["serve_snapshot_pools"] == 1
 
 
 class TestSnapshotDegradation:
@@ -765,7 +912,31 @@ class TestTracedSession:
 
     @fork_only
     def test_dead_worker_processes_degrade_not_hang(self):
-        srv = self._server()
+        self._dead_workers_degrade(self._server())
+
+    @fork_only
+    def test_pool_with_a_dead_worker_heals_on_refresh(self):
+        self._dead_worker_heals(self._server())
+
+    @fork_only
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity control")
+    def test_dead_worker_paths_on_a_one_core_mask(self):
+        """A one-core mask sizes the snapshot pool to one worker; losing
+        it degrades and heals exactly like losing one of many."""
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            for check in (self._dead_workers_degrade,
+                          self._dead_worker_heals):
+                srv = self._server()
+                assert srv.snapshots.current_pool().size == 1
+                check(srv)
+        finally:
+            os.sched_setaffinity(0, mask)
+
+    @staticmethod
+    def _dead_workers_degrade(srv):
         try:
             pool = srv.snapshots.current_pool()
             for worker in pool._workers:
@@ -782,11 +953,10 @@ class TestTracedSession:
             srv.close()
             srv.db.close()
 
-    @fork_only
-    def test_pool_with_a_dead_worker_heals_on_refresh(self):
+    @staticmethod
+    def _dead_worker_heals(srv):
         """One rule for every pool user: an unhealthy pool is replaced
         like a stale one.  No write ever moves the version here."""
-        srv = self._server()
         try:
             pool = srv.snapshots.current_pool()
             victim = pool._workers[0].process

@@ -91,6 +91,22 @@ def test_map_returns_payload_order_when_the_first_is_slowest(db):
         pool.terminate()
 
 
+def test_lease_is_lifo_so_a_lone_caller_keeps_its_worker(db):
+    """The most recently released worker is leased next: consecutive
+    calls from one caller reuse the worker whose caches they warmed."""
+    pool = WorkerPool(db, 3)
+    try:
+        pids = [pool.call(_echo_after, (0.0, i))[1][1] for i in range(4)]
+        assert len(set(pids)) == 1
+        # A map spreads over free workers and still answers in order.
+        values = pool.map(_echo_after, [(0.05, i) for i in range(6)])
+        assert [value for value, _pid in values] == list(range(6))
+        assert pool.call(_echo_after, (0.0, None))[1][1] in \
+            {pid for _value, pid in values}
+    finally:
+        pool.terminate()
+
+
 def test_error_reply_does_not_poison_the_worker(db):
     pool = WorkerPool(db, 1)
     try:
