@@ -80,8 +80,6 @@ class Settings:
         #: Serve repeated statements from the plan cache ("the result of
         #: the compilation stage can be stored for future use").
         self.plan_cache_enabled = True
-        #: Maximum number of cached plans (LRU beyond that).
-        self.plan_cache_capacity = 512
         #: Auto-parameterize top-level comparison literals at fingerprint
         #: time (off by default: ad-hoc queries keep literal-aware plans).
         self.constant_parameterization = False
@@ -144,7 +142,7 @@ class Database:
         #: Enabled table operations (DBC extensions, e.g. left_outer_join).
         self.operations: set = set()
         self.settings = Settings()
-        self.plan_cache = PlanCache(self.settings.plan_cache_capacity)
+        self.plan_cache = PlanCache()
         self.stars = default_star_array()
         # The rewrite engine is attached lazily to avoid a hard dependency
         # cycle; repro.rewrite installs the default rule set.

@@ -104,24 +104,21 @@ class CompiledStatement:
         return names
 
 
-def compile_statement(db, text: str, validate: Optional[bool] = None,
+def compile_statement(db, text: str,
                       options: Optional[CompileOptions] = None,
                       trace=None) -> CompiledStatement:
     """Run the compile-time phases against a database's registries.
 
     ``options`` carries the whole pipeline configuration; when omitted it
-    is snapshotted from ``db.settings``.  ``validate`` (kept for backward
-    compatibility) overrides ``options.validate_qgm`` when given.
-    ``trace`` is an optional :class:`repro.obs.RequestTrace`: each phase
-    then records a span under its current span, and the rewrite firings
-    and optimizer decisions the phase makes nest under it as events.
+    is snapshotted from ``db.settings``.  ``trace`` is an optional
+    :class:`repro.obs.RequestTrace`: each phase then records a span under
+    its current span, and the rewrite firings and optimizer decisions
+    the phase makes nest under it as events.
     """
     from repro.qgm.display import render_qgm
 
     if options is None:
         options = CompileOptions.from_settings(db.settings)
-    if validate is not None and validate != options.validate_qgm:
-        options = options.replace(validate_qgm=validate)
 
     timings = PhaseTimings()
 

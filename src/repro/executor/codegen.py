@@ -87,7 +87,6 @@ from repro.executor.context import ExecutionContext
 from repro.executor.exprgen import (
     ExprGen,
     Unsupported,
-    codegen_cache_stats,  # noqa: F401  (re-exported: the cache moved)
     materialize,
     reject_reason,
 )

@@ -36,9 +36,6 @@ class ExecutionStats:
         self.parallel_fallbacks = 0
         #: Human-readable reasons for each parallel fallback.
         self.parallel_reasons: list = []
-        #: Bytes moved between processes by SHIP exchanges
-        #: (measured wire-format bytes, not pickle overhead).
-        self.exchange_bytes = 0
         #: Partitions skipped by equality-predicate partition pruning on
         #: sharded table scans.
         self.partitions_pruned = 0

@@ -25,8 +25,6 @@ module supplies the machinery that runs them:
   probe scan (the one ``ctx.morsel_scan`` points to, by node identity);
   every task builds the inner side in full, so a probe morsel's
   output is exactly its share of the serial stream,
-- **real data movement** — SHIP runs its child in a worker standing in
-  for the remote site, returning the stream wire-encoded,
 - **counters** — every task ships its ExecutionStats counters back, so
   a parallel run reports the rows its workers scanned.
 
@@ -113,20 +111,42 @@ def pool_size(dop: int) -> int:
 _WORKER_PLANS: dict = {}
 
 
-def _open_task(db, head, operators: Optional[bool]):
-    """What every task does first: open its span, compile the statement
-    in this worker (memoized), locate the coordinator's node by
-    ``plan.walk()`` index — cross-checked against the structural
-    signature, which names the operator — and build the execution
-    context.  ``head`` is ``(text, options, node_index, signature,
-    params)``.  Returns ``(node, ctx, task)``: ``task`` is the task's
-    ``worker.morsel`` span, or None when the request is untraced
-    (``operators`` None); when ``operators`` is true the task records
-    its ``op`` spans under it."""
+def _fragment(task, **attrs):
+    """The task's span, closed and exported for the trip back to the
+    coordinator, which grafts it under the exchange's span."""
+    if task is None:
+        return None
+    return task.finish().set(pid=os.getpid(), **attrs).export()
+
+
+def _worker_run(db, payload):
+    """Execute one morsel of a Gather/MergeGather and return ``(rows,
+    stats, fragment)``.
+
+    ``payload`` is ``(head, page_lo, page_hi, operators)`` with ``head``
+    = ``(text, options, node_index, signature, params)``.  The worker
+    compiles the statement itself (memoized), locates the coordinator's
+    Exchange by ``plan.walk()`` index — cross-checked against the
+    structural signature — and runs its child with the scan restricted
+    to the page range.
+
+    ``stats`` is the worker's exported ExecutionStats counters, which the
+    coordinator adds to its own on every run.  ``fragment`` is None when
+    the request is untraced (``operators`` None); otherwise it is this
+    task's ``worker.morsel`` span (:meth:`repro.obs.spans.Span.export`),
+    with monotonic-ns timestamps directly comparable to the parent's
+    (CLOCK_MONOTONIC is system-wide) and, when ``operators`` is true,
+    the task's own ``op`` spans keyed by walk index (EXPLAIN ANALYZE
+    through a Gather).
+    """
     from repro.core.pipeline import compile_statement
     from repro.executor.context import ExecutionContext
+    from repro.executor.rowops import sort_rows
+    from repro.executor.run import rows_iter
     from repro.obs.spans import OpSpans, Span
+    from repro.optimizer import plans as pl
 
+    head, lo, hi, operators = payload
     task = Span("worker.morsel") if operators is not None else None
     text, options, node_index, signature, params = head
     key = (text, options.cache_key())
@@ -148,39 +168,6 @@ def _open_task(db, head, operators: Optional[bool]):
     ctx.batch_size = options.batch_size
     if operators:
         ctx.ops = OpSpans(task, compiled.plan)
-    return node, ctx, task
-
-
-def _fragment(task, **attrs):
-    """The task's span, closed and exported for the trip back to the
-    coordinator, which grafts it under the exchange's span."""
-    if task is None:
-        return None
-    return task.finish().set(pid=os.getpid(), **attrs).export()
-
-
-def _worker_run(db, payload):
-    """Execute one morsel of a Gather/MergeGather and return ``(rows,
-    stats, fragment)``.
-
-    ``payload`` is ``(head, page_lo, page_hi, operators)``: the
-    Exchange's child runs with the scan restricted to the page range.
-
-    ``stats`` is the worker's exported ExecutionStats counters, which the
-    coordinator adds to its own on every run.  ``fragment`` is None when
-    the request is untraced (``operators`` None); otherwise it is this
-    task's ``worker.morsel`` span (:meth:`repro.obs.spans.Span.export`),
-    with monotonic-ns timestamps directly comparable to the parent's
-    (CLOCK_MONOTONIC is system-wide) and, when ``operators`` is true,
-    the task's own ``op`` spans keyed by walk index (EXPLAIN ANALYZE
-    through a Gather).
-    """
-    from repro.executor.rowops import sort_rows
-    from repro.executor.run import rows_iter
-    from repro.optimizer import plans as pl
-
-    head, lo, hi, operators = payload
-    node, ctx, task = _open_task(db, head, operators)
     ctx.morsel_range = (lo, hi)
     ctx.morsel_scan = node.morsel_scan
     rows = list(rows_iter(node.children[0], ctx, {}))
@@ -194,31 +181,12 @@ def _worker_run(db, payload):
             _fragment(task, pages=[lo, hi], rows=len(rows)))
 
 
-def _worker_ship(db, payload):
-    """Run a SHIP's child in a worker — the stand-in for the remote
-    site — and return ``(blob, stats, fragment)``: the result stream
-    wire-encoded, the worker's exported ExecutionStats counters, and its
-    ``worker.morsel`` span as in :func:`_worker_run` (``wire`` = the
-    blob's bytes).  ``payload`` is ``(head, operators)``."""
-    from repro.executor.run import rows_iter
-    from repro.storage.record import pack_rows
-
-    node, ctx, task = _open_task(db, *payload)
-    rows = list(rows_iter(node.children[0], ctx, {}))
-    blob = pack_rows(rows)
-    return (blob, ctx.stats.export(),
-            _fragment(task, rows=len(rows), wire=len(blob)))
-
-
 def _signature(node) -> str:
     """Structural cross-check that coordinator and worker located the
     same node, guarding against nondeterministic plan divergence."""
-    scan = getattr(node, "morsel_scan", None)
-    anchor = (scan.table.name if scan is not None
-              else getattr(node, "to_site", "-"))
     return "%s/%s/%s/%d" % (
-        node.op_name, anchor, node.children[0].op_name,
-        getattr(node, "dop", node.props.dop))
+        node.op_name, node.morsel_scan.table.name,
+        node.children[0].op_name, node.dop)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +297,7 @@ class ParallelRuntime:
                 ctx.trace.current().set(parallel_degraded=reason)
         return rows_iter(node.children[0], ctx, env)
 
-    def _preflight(self, node, ctx, env, ship: bool):
+    def _preflight(self, node, ctx, env):
         """Can ``node`` run in workers?  Returns ``(head, None)`` — the
         task head ``(text, options, walk_index, signature, params)`` —
         or ``(None, reason)``."""
@@ -337,8 +305,7 @@ class ParallelRuntime:
             # Opened with outer bindings (e.g. as a re-opened join
             # inner): workers start from an empty environment.
             return None, "%s opened with outer bindings" % node.op_name
-        if not ship:  # a SHIP counts as an exchange once it has moved rows
-            ctx.stats.parallel_exchanges += 1
+        ctx.stats.parallel_exchanges += 1
         if ctx.txn is not None:
             # Worker scans take no locks and cannot see this
             # transaction's isolation scope.
@@ -357,50 +324,27 @@ class ParallelRuntime:
                 tuple(ctx.params)), None
 
     def run(self, node, ctx, env) -> Iterator[Tuple[Any, ...]]:
-        """Run an Exchange or SHIP through the worker pool, or degrade
+        """Run a Gather/MergeGather through the worker pool, or degrade
         to its child inline at dop=1."""
-        from repro.optimizer import plans as pl
-
-        ship = isinstance(node, pl.Ship)
-        head, reason = self._preflight(node, ctx, env, ship)
+        head, reason = self._preflight(node, ctx, env)
         if head is None:
-            # SHIP is the serial plan's operator too: where it cannot
-            # move to a worker it is a pass-through, not a degradation.
-            return self._inline(node, ctx, env, None if ship else reason)
+            return self._inline(node, ctx, env, reason)
         try:
-            if ship:
-                rows = self._ship(node, ctx, head)
-            else:
-                rows = self._exchange(node, ctx, head)
+            rows = self._exchange(node, ctx, head)
         except Exception as exc:
             # Pool breakage and genuine query errors both land here; the
             # inline rerun either succeeds serially or raises the same
             # deterministic error the serial plan would.
-            return self._inline(node, ctx, env, "%s execution failed: %r"
-                                % ("ship" if ship else "parallel", exc))
+            return self._inline(node, ctx, env,
+                                "parallel execution failed: %r" % (exc,))
         if rows is None:
             # Nothing to fan out: the inline run is the dop=1 plan by
             # construction (no fallback).
             return self._inline(node, ctx, env)
         return iter(rows)
 
-    @staticmethod
-    def _operators(ctx) -> Optional[bool]:
-        """What a task records: None (no span) when the request is
-        untraced, else whether to record its ``op`` spans too."""
-        return None if ctx.trace is None else ctx.ops is not None
-
-    @staticmethod
-    def _graft(node, ctx, fragments) -> None:
-        """Graft the tasks' spans under the node's ``op`` span, or under
-        the current span when the trace has no operator detail."""
-        if ctx.trace is not None:
-            parent = ctx.ops.span(node) if ctx.ops is not None \
-                else ctx.trace.current()
-            ctx.trace.attach_worker_fragments(parent, fragments)
-
     def _exchange(self, exchange, ctx, head):
-        """Gather/MergeGather: fan the child out over morsels, recombine."""
+        """Fan the child out over morsels, recombine."""
         from repro.optimizer import plans as pl
 
         pages = self.db.engine.table_page_count(
@@ -408,7 +352,9 @@ class ParallelRuntime:
         morsels = _carve(pages, exchange.dop)
         if len(morsels) <= 1:
             return None
-        operators = self._operators(ctx)
+        # What a task records: None (no span) when the request is
+        # untraced, else whether to record its ``op`` spans too.
+        operators = None if ctx.trace is None else ctx.ops is not None
         results = self._ensure_pool(exchange.dop).map(
             _worker_run, [(head, lo, hi, operators) for lo, hi in morsels])
         ctx.stats.morsels += len(morsels)
@@ -418,7 +364,12 @@ class ParallelRuntime:
             parts.append(part_rows)
             ctx.stats.merge(stats)
             fragments.append(fragment)
-        self._graft(exchange, ctx, fragments)
+        if ctx.trace is not None:
+            # Graft the tasks' spans under the exchange's ``op`` span,
+            # or under the current span without operator detail.
+            parent = ctx.ops.span(exchange) if ctx.ops is not None \
+                else ctx.trace.current()
+            ctx.trace.attach_worker_fragments(parent, fragments)
         if isinstance(exchange, pl.MergeGather):
             from repro.executor.rowops import null_last_key
 
@@ -429,17 +380,3 @@ class ParallelRuntime:
                 and exchange.merge_groups is not None):
             return _merge_partial_groups(exchange.merge_groups, parts)
         return [row for part in parts for row in part]
-
-    def _ship(self, ship, ctx, head):
-        """SHIP as real inter-process movement: the child runs in a
-        worker standing in for the remote site, and the result stream
-        comes back wire-encoded over the result pipe."""
-        from repro.storage.record import unpack_rows
-
-        blob, stats, fragment = self._ensure_pool(1).map(
-            _worker_ship, [(head, self._operators(ctx))])[0]
-        ctx.stats.merge(stats)
-        ctx.stats.parallel_exchanges += 1
-        ctx.stats.exchange_bytes += len(blob)
-        self._graft(ship, ctx, [fragment])
-        return unpack_rows(blob)

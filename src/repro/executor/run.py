@@ -616,17 +616,16 @@ def _run_temp_env(plan: pl.Temp, ctx: ExecutionContext,
 
 
 # ---------------------------------------------------------------------------
-# Exchange operators (intra-query parallelism)
+# Glue operators: SHIP and the Exchange family
 # ---------------------------------------------------------------------------
 
 
 def _run_exchange_rows(plan, ctx: ExecutionContext,
                        env: Env) -> Iterator[Tuple[Any, ...]]:
-    """Run an Exchange or row-position SHIP through the database's
-    parallel runtime: morsels fanned out, or the child run at the remote
-    "site" with its rows travelling back wire-encoded.  The runtime
-    degrades to the child inline at dop=1 — always byte-identical to the
-    parallel path — and records why in ``stats.parallel_reasons``.
+    """Run a Gather/MergeGather through the database's parallel runtime:
+    morsels fanned out to forked workers.  The runtime degrades to the
+    child inline at dop=1 — always byte-identical to the parallel path —
+    and records why in ``stats.parallel_reasons``.
     """
     runtime = ctx.parallel
     if runtime is None:
@@ -636,8 +635,16 @@ def _run_exchange_rows(plan, ctx: ExecutionContext,
     return runtime.run(plan, ctx, env)
 
 
-def _run_exchange_env(plan: pl.Exchange, ctx: ExecutionContext,
-                      env: Env) -> Iterator[Env]:
+def _run_ship_rows(plan: pl.Ship, ctx: ExecutionContext,
+                   env: Env) -> Iterator[Tuple[Any, ...]]:
+    """Row-position SHIP: the simulated sites share this process, so
+    SHIP (which only reconciles the ``site`` property) runs its child
+    in place."""
+    return rows_iter(plan.children[0], ctx, env)
+
+
+def _run_passthrough_env(plan, ctx: ExecutionContext,
+                         env: Env) -> Iterator[Env]:
     """Binding-stream SHIP (or a DBC-built binding Exchange): a
     transparent pass-through of its child."""
     return env_iter(plan.children[0], ctx, env)
@@ -659,7 +666,7 @@ _ROW_OPS = {
     pl.TableFunctionPlan: _run_table_function,
     pl.Recurse: _run_recurse,
     pl.Temp: _run_temp_rows,
-    pl.Ship: _run_exchange_rows,
+    pl.Ship: _run_ship_rows,
     pl.InsertPlan: _run_insert,
     pl.UpdatePlan: _run_update,
     pl.DeletePlan: _run_delete,
@@ -681,10 +688,10 @@ _ENV_OPS = {
     pl.MergeJoin: _run_merge_join,
     pl.SubqueryJoin: _run_subquery_join,
     pl.Temp: _run_temp_env,
-    pl.Ship: _run_exchange_env,
-    pl.Exchange: _run_exchange_env,
-    pl.Gather: _run_exchange_env,
-    pl.MergeGather: _run_exchange_env,
+    pl.Ship: _run_passthrough_env,
+    pl.Exchange: _run_passthrough_env,
+    pl.Gather: _run_passthrough_env,
+    pl.MergeGather: _run_passthrough_env,
     _SingletonPlan: _run_singleton,
 }
 

@@ -1,5 +1,5 @@
-"""One forked worker pool: the substrate under morsels, SHIP and
-snapshot reads.
+"""One forked worker pool: the substrate under morsels and snapshot
+reads.
 
 ``fork()`` is how this engine gets a consistent read image without
 storage-level MVCC: a child inherits the open in-memory database

@@ -36,7 +36,7 @@ def _worker_walls(tasks) -> List[int]:
 
 def _exchange_detail(span) -> str:
     """The ``exchange(...)`` view of a node whose span has worker task
-    spans grafted under it (an Exchange or a SHIP that ran in workers)."""
+    spans grafted under it (an Exchange that ran in workers)."""
     tasks = [task for group in span.children if group.name == "worker"
              for task in group.children if task.name == "worker.morsel"]
     errors = span.attrs.get("fragment_errors", 0)
@@ -58,9 +58,6 @@ def _exchange_detail(span) -> str:
         extra += (" wall(workers=%d min=%.1fms median=%.1fms max=%.1fms)"
                   % (len(walls), walls[0] / 1e6,
                      walls[len(walls) // 2] / 1e6, walls[-1] / 1e6))
-    wire = sum(task.attrs.get("wire", 0) for task in tasks)
-    if wire:
-        extra += " wire=%dB" % wire
     if errors:
         extra += " fragment_errors=%d" % errors
     # Workers that actually ran tasks (the pool may be clamped below
@@ -186,17 +183,15 @@ def render_analyze(plan, execute, timings=None, stats=None, options=None,
         pipelines = ""
         if getattr(stats, "codegen_pipelines", 0):
             pipelines = " pipelines=%d" % stats.codegen_pipelines
-        movement = ""
-        if getattr(stats, "exchange_bytes", 0):
-            movement += " exchange_bytes=%d" % stats.exchange_bytes
+        pruned = ""
         if getattr(stats, "partitions_pruned", 0):
-            movement += " partitions_pruned=%d" % stats.partitions_pruned
+            pruned = " partitions_pruned=%d" % stats.partitions_pruned
         lines.append(
             "execution: scanned=%d emitted=%d fallbacks=%d%s "
             "exchanges=%d morsels=%d parallel_fallbacks=%d%s"
             % (stats.rows_scanned, stats.rows_emitted, stats.fallbacks,
                pipelines, stats.parallel_exchanges, stats.morsels,
-               stats.parallel_fallbacks, movement))
+               stats.parallel_fallbacks, pruned))
         for reason in stats.parallel_reasons:
             lines.append("parallel note: %s" % reason)
 

@@ -66,8 +66,7 @@ sets it).  Every executed plan node then gets one span under
 - ``worker.morsel`` — one forked task of an exchange, grafted under the
   exchange's ``op`` span inside a per-pid ``worker`` group: ``pid``,
   ``pages`` (the morsel's page range), ``rows`` (rows it returned),
-  ``wire`` (a SHIP's wire-encoded bytes), and the task's own ``op``
-  spans, keyed by the same walk indices.
+  and the task's own ``op`` spans, keyed by the same walk indices.
 
 ``repro.obs.render.render_analyze`` renders EXPLAIN ANALYZE from these
 spans alone.  With operator detail off, each dispatch site pays one

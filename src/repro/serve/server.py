@@ -8,14 +8,13 @@ over the line protocol (see :mod:`repro.serve.wire`); drive it with
 
 from __future__ import annotations
 
-import re
 import threading
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
-from repro.errors import ReproError
-from repro.language import ast
-from repro.language.parser import parse_statement
+from repro.errors import LexerError
+from repro.language.lexer import Lexer, TokenType, tokenize
 from repro.serve.admission import AdmissionController
 from repro.serve.snapshot import SnapshotManager
 
@@ -70,7 +69,7 @@ class Route:
     #: - "read"  — SELECT: snapshot pool when fresh enough, else live
     #: - "write" — INSERT/UPDATE/DELETE: striped, in-parent, autocommit
     #: - "ddl"   — CREATE/DROP: all stripes, in-parent
-    #: - "meta"  — EXPLAIN and unparseable non-SELECT text: live
+    #: - "meta"  — EXPLAIN, any other head, untokenizable text: live
     #:   in-parent
     def __init__(self, kind: str, tables: Tuple[str, ...] = (),
                  escalate: bool = False):
@@ -82,35 +81,41 @@ class Route:
         self.escalate = escalate
 
 
-#: A statement whose first token is SELECT: routed without a parse.
-_SELECT_HEAD = re.compile(r"\s*select\b", re.IGNORECASE)
+#: Where a write names its table: the token after INTO/UPDATE/FROM,
+#: given as (that keyword's position, the keyword).
+_TABLE_AFTER = {"insert": (1, "into"), "update": (0, "update"),
+                "delete": (1, "from")}
 
 
+@lru_cache(maxsize=4096)
 def classify(sql: str) -> Route:
-    """A leading SELECT is a read; any other text is parsed once to
-    learn its route (writes need their tables).  The server memoizes
-    this per SQL text, so the per-statement cost is one dict hit.  A
-    malformed SELECT still reads: its error is raised where it runs."""
-    if _SELECT_HEAD.match(sql):
-        return Route("read")
+    """Route a statement from its tokens, mirroring ``Parser._statement``'s
+    dispatch on the first token, so no text is parsed to learn its
+    route.  A write names its table right after INTO/UPDATE/FROM and
+    escalates when a SELECT keyword follows (INSERT ... SELECT, a
+    subquery).  Malformed text still routes: its error is raised by the
+    ordinary compile where it runs."""
     try:
-        statement = parse_statement(sql)
-    except ReproError:
-        # Unparseable text routes live so the ordinary compile path
-        # raises its error through the usual channel.
+        head = Lexer(sql).next_token()
+        # Only a write, compiled in this process, lexes the whole text:
+        # into the tokenize memo its compile reads.  A read runs in a
+        # snapshot worker, which lexes it there.
+        tokens = tokenize(sql) if head.is_keyword(*_TABLE_AFTER) else None
+    except LexerError:
         return Route("meta")
-    if isinstance(statement, ast.InsertStmt):
-        return Route("write", (statement.table_name,),
-                     escalate=statement.query is not None)
-    if isinstance(statement, (ast.UpdateStmt, ast.DeleteStmt)):
-        return Route("write", (statement.table_name,),
-                     escalate="select" in sql.lower())
-    if isinstance(statement, (ast.CreateTableStmt, ast.CreateIndexStmt,
-                              ast.CreateViewStmt, ast.DropStmt)):
+    if head.is_keyword("select", "with") or head.is_punct("("):
+        return Route("read")
+    if tokens is not None:
+        at, keyword = _TABLE_AFTER[head.text]
+        if (tokens[at].is_keyword(keyword)
+                and tokens[at + 1].type is TokenType.IDENT):
+            return Route("write", (str(tokens[at + 1].value),),
+                         escalate=any(token.is_keyword("select")
+                                      for token in tokens[at + 2:]))
+        return Route("meta")
+    if head.is_keyword("create", "drop"):
         return Route("ddl")
-    if isinstance(statement, ast.ExplainStmt):
-        return Route("meta")
-    return Route("read")
+    return Route("meta")
 
 
 class WriteGate:
@@ -222,8 +227,6 @@ class Server:
             self.settings.admission_timeout_s, metrics=db.metrics)
         self.write_gate = WriteGate(WRITE_STRIPES)
         self.read_gate = ReadGate()
-        self._routes: Dict[str, Route] = {}
-        self._routes_lock = threading.Lock()
         self._sessions_alive = 0
         self._sessions_lock = threading.Lock()
         self._g_sessions = db.metrics.gauge(
@@ -298,19 +301,6 @@ class Server:
         with self.write_gate.quiesced():
             with self.read_gate.exclusive():
                 yield
-
-    # -- routing -------------------------------------------------------------
-
-    def route_for(self, sql: str) -> Route:
-        route = self._routes.get(sql)
-        if route is not None:
-            return route
-        route = classify(sql)
-        with self._routes_lock:
-            if len(self._routes) > 4096:  # ad-hoc texts must not leak
-                self._routes.clear()
-            self._routes[sql] = route
-        return route
 
     # -- observability -------------------------------------------------------
 

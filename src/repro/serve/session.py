@@ -37,6 +37,7 @@ from typing import Any, Optional, Sequence
 from repro.core.database import Result
 from repro.errors import ServeError, SessionClosed, rebuild_error
 from repro.executor.workerpool import WorkerPoolError
+from repro.serve.server import classify
 from repro.serve.snapshot import run_statement
 
 
@@ -292,7 +293,7 @@ class Session:
                   note=None) -> Result:
         if note is None:
             note = _RequestNote()
-        route = self.server.route_for(sql)
+        route = classify(sql)
         note.route = route.kind
         if trace is not None:
             trace.current().set(route=route.kind)
@@ -309,6 +310,7 @@ class Session:
             self.server._c_live_reads.inc()
             with self.server.read_gate.shared():
                 return self.db.execute(sql, params, txn=self._txn,
+                                       options=self._serial_options(),
                                        tracer=trace)
         if route.kind == "write":
             note.source = "write"
@@ -393,13 +395,20 @@ class Session:
             note.source = "live"
         return self._live_read(sql, params, trace)
 
-    def _pool_read(self, pool, sql, params, trace=None,
-                   note=None) -> Optional[Result]:
+    def _serial_options(self):
+        """The database's compile options at ``parallelism="off"``, for
+        every read a session runs.  Snapshot workers are processes
+        already (a morsel pool per worker would stack process trees),
+        and a read inside a transaction (a live read opens one) would
+        degrade every exchange it planned."""
         options = self.db.settings.compile_options()
         if options.parallelism != "off":
-            # Snapshot workers are processes already; forking a morsel
-            # pool per worker would stack process trees.
             options = options.replace(parallelism="off")
+        return options
+
+    def _pool_read(self, pool, sql, params, trace=None,
+                   note=None) -> Optional[Result]:
+        options = self._serial_options()
         span = None
         if trace is not None:
             span = trace.begin("snapshot.execute", workers=pool.size)
@@ -446,6 +455,7 @@ class Session:
             txn = self.db.begin()
             try:
                 result = self.db.execute(sql, params, txn=txn,
+                                         options=self._serial_options(),
                                          tracer=trace)
             except BaseException:
                 self.db.rollback(txn)

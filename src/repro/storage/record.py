@@ -29,8 +29,6 @@ from repro.datatypes.types import (
 from repro.errors import RecordError
 
 _LEN = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 
 
 #: ``(image, offsets, lengths)`` — see "Span decoding" below.
@@ -256,107 +254,3 @@ def record_span(records: Sequence[bytes]) -> Span:
     offsets = list(itertools.accumulate(lengths, initial=0))
     offsets.pop()
     return b"".join(records), offsets, lengths
-
-
-# ---------------------------------------------------------------------------
-# Exchange wire format — self-describing tagged rows.
-#
-# Rows crossing a SHIP exchange are not table records: they are computed
-# tuples whose shape depends on the plan (projected, joined or aggregated
-# columns), so they carry their own type tags instead of a per-table
-# RecordSerializer layout.  A message is
-#
-#     [4-byte LE row count] then per row:
-#         [4-byte LE value count][tagged value]...
-#
-# with each value a 1-byte tag followed by its payload: NULL and the two
-# boolean tags are payload-free, INT64/DOUBLE reuse the record structs,
-# BIGINT (outside int64 range) and STR are 4-byte-length-prefixed UTF-8.
-# Only the SQL scalar domain (None/bool/int/float/str) is encodable; the
-# glue layer must not route any other value type through an exchange.
-# ---------------------------------------------------------------------------
-
-_TAG_NULL = 0
-_TAG_INT = 1
-_TAG_BIGINT = 2
-_TAG_DOUBLE = 3
-_TAG_TRUE = 4
-_TAG_FALSE = 5
-_TAG_STR = 6
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
-
-def pack_rows(rows: Sequence[Sequence[Any]]) -> bytes:
-    """Encode a batch of scalar tuples for inter-process transfer."""
-    parts: List[bytes] = [_LEN.pack(len(rows))]
-    append = parts.append
-    for row in rows:
-        append(_LEN.pack(len(row)))
-        for value in row:
-            if value is None:
-                append(b"\x00")
-            elif value is True:
-                append(b"\x04")
-            elif value is False:
-                append(b"\x05")
-            elif type(value) is int:
-                if _INT64_MIN <= value <= _INT64_MAX:
-                    append(b"\x01")
-                    append(_I64.pack(value))
-                else:
-                    data = str(value).encode("ascii")
-                    append(b"\x02")
-                    append(_LEN.pack(len(data)))
-                    append(data)
-            elif type(value) is float:
-                append(b"\x03")
-                append(_F64.pack(value))
-            elif type(value) is str:
-                data = value.encode("utf-8")
-                append(b"\x06")
-                append(_LEN.pack(len(data)))
-                append(data)
-            else:
-                raise RecordError(
-                    "cannot encode %r (%s) for exchange transfer"
-                    % (value, type(value).__name__))
-    return b"".join(parts)
-
-
-def unpack_rows(data: bytes) -> List[Tuple[Any, ...]]:
-    """Decode a message produced by :func:`pack_rows`."""
-    (count,) = _LEN.unpack_from(data, 0)
-    offset = _LEN.size
-    rows: List[Tuple[Any, ...]] = []
-    for _ in range(count):
-        (arity,) = _LEN.unpack_from(data, offset)
-        offset += _LEN.size
-        values: List[Any] = []
-        for _ in range(arity):
-            tag = data[offset]
-            offset += 1
-            if tag == _TAG_NULL:
-                values.append(None)
-            elif tag == _TAG_INT:
-                values.append(_I64.unpack_from(data, offset)[0])
-                offset += _I64.size
-            elif tag == _TAG_DOUBLE:
-                values.append(_F64.unpack_from(data, offset)[0])
-                offset += _F64.size
-            elif tag == _TAG_TRUE:
-                values.append(True)
-            elif tag == _TAG_FALSE:
-                values.append(False)
-            elif tag in (_TAG_BIGINT, _TAG_STR):
-                (length,) = _LEN.unpack_from(data, offset)
-                offset += _LEN.size
-                field = data[offset: offset + length]
-                offset += length
-                values.append(int(field) if tag == _TAG_BIGINT
-                              else field.decode("utf-8"))
-            else:
-                raise RecordError("bad exchange value tag %d" % tag)
-        rows.append(tuple(values))
-    return rows

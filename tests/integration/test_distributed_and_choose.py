@@ -4,7 +4,6 @@ import pytest
 
 from repro import Database
 from repro.datatypes import DOUBLE, INTEGER
-from repro.executor import parallel
 from repro.optimizer.plans import Ship
 
 
@@ -54,45 +53,100 @@ class TestSites:
             "SELECT v FROM home WHERE k = 3")
         assert not [n for n in compiled.plan.walk() if isinstance(n, Ship)]
 
-    def test_ship_in_a_worker_reports_its_wire_bytes(self, multi_site_db,
-                                                     monkeypatch):
-        """A SHIP pulled as a row stream runs its child in a worker and
-        returns the rows wire-encoded; under operator detail the task's
-        span is grafted under the SHIP's ``op`` span and EXPLAIN ANALYZE
-        shows one task, one worker and the bytes that crossed."""
+    def test_row_position_ship_runs_in_place(self, multi_site_db):
+        """The optimizer only places SHIP on binding-stream inputs, so a
+        SHIP pulled as a row stream is built by hand.  Under
+        parallelism="on" it runs its child in place exactly as under
+        "off": same rows, no exchange, no fallback, no worker task, and
+        no ``exchange(`` detail on its EXPLAIN ANALYZE line."""
         from repro import CompileOptions
         from repro.obs import RequestTrace
         from repro.obs.render import render_analyze
         from repro.optimizer.cost import CostModel
 
-        if not parallel.fork_available():
-            pytest.skip(parallel.disabled_reason())
         db = multi_site_db
-        # The optimizer only places SHIP on binding-stream inputs (join
-        # sides, derived-table accesses), which pass through inline; a
-        # row-position SHIP is built by hand and handed to the workers
-        # through their plan cache, seeded before the pool forks.
         sql = "SELECT k, e FROM east_t WHERE k < 5"
-        options = CompileOptions(parallelism="on", execution_mode="tuple")
-        compiled = db.compile(sql, options=options)
-        compiled.plan = Ship(CostModel(db.catalog), compiled.plan, "local")
-        monkeypatch.setitem(parallel._WORKER_PLANS,
-                            (sql, options.cache_key()), compiled)
-        tree = RequestTrace("ship", operators=True)
-        try:
+        rows = {}
+        for parallelism in ("off", "on"):
+            compiled = db.compile(sql, options=CompileOptions(
+                parallelism=parallelism, execution_mode="tuple"))
+            compiled.plan = Ship(CostModel(db.catalog), compiled.plan,
+                                 "local")
+            tree = RequestTrace("ship", operators=True)
             result = db.run_compiled(compiled, tracer=tree)
-        finally:
-            db.close()
-        assert sorted(result.rows) == sorted(
-            (i % 20, float(i) * 2) for i in range(60) if i % 20 < 5)
-        assert result.stats.parallel_fallbacks == 0
-        assert result.stats.exchange_bytes > 0
-        text = render_analyze(compiled.plan, tree.root.find_all("execute")[-1],
-                              result.timings, result.stats)
-        ship_line = text.splitlines()[1]
-        assert ship_line.startswith("SHIP(to local)")
-        assert "exchange(morsels=1 workers=1 runs=1 " in ship_line
-        assert " wire=%dB" % result.stats.exchange_bytes in ship_line
+            rows[parallelism] = result.rows
+            assert result.stats.parallel_exchanges == 0
+            assert result.stats.parallel_fallbacks == 0
+            assert not tree.root.find_all("worker.morsel")
+            text = render_analyze(compiled.plan,
+                                  tree.root.find_all("execute")[-1],
+                                  result.timings, result.stats)
+            ship_line = text.splitlines()[1]
+            assert ship_line.startswith("SHIP(to local)")
+            assert "actual rows=15" in ship_line
+            assert "exchange(" not in ship_line
+        assert rows["on"] == rows["off"] == [
+            (i % 20, float(i) * 2) for i in range(60) if i % 20 < 5]
+
+
+#: Cross-site query shapes, each planned with SHIPs wherever the
+#: optimizer reconciles the ``site`` property.
+CROSS_SITE_SHAPES = {
+    "join": "SELECT e.k, e.e, w.w FROM east_t e, west_t w WHERE e.k = w.k",
+    "three_site_join":
+        "SELECT count(*), sum(h.v + e.e + w.w) FROM home h, east_t e, "
+        "west_t w WHERE h.k = e.k AND e.k = w.k",
+    "local_remote": "SELECT h.v, e.e FROM home h, east_t e WHERE h.k = e.k",
+    "group_by": "SELECT h.k, count(*), min(e.e) FROM home h, east_t e "
+                "WHERE h.k = e.k GROUP BY h.k",
+    "order_by": "SELECT h.v, e.e FROM home h, east_t e WHERE h.k = e.k "
+                "ORDER BY e.e DESC, h.v LIMIT 40",
+    "union": "SELECT k FROM home WHERE v < 300 "
+             "UNION SELECT k FROM west_t WHERE w < 600",
+    "in_subquery": "SELECT v FROM home "
+                   "WHERE k IN (SELECT k FROM east_t WHERE e < 500)",
+    "scalar_subquery": "SELECT k, v FROM home "
+                       "WHERE v * 3 > (SELECT avg(w) FROM west_t)",
+}
+
+
+@pytest.fixture(scope="module")
+def wide_sites_db():
+    """Three sites, 1 200 rows each: enough pages for a GATHER to fan
+    out under parallelism="on"."""
+    db = Database()
+    db.catalog.add_site("east", ship_cost_per_row=0.02)
+    db.catalog.add_site("west", ship_cost_per_row=0.10)
+    db.execute("CREATE TABLE home (k INTEGER, v DOUBLE)")
+    db.execute("CREATE TABLE east_t (k INTEGER, e DOUBLE) AT SITE east")
+    db.execute("CREATE TABLE west_t (k INTEGER, w DOUBLE) AT SITE west")
+    txn = db.begin()
+    for i in range(1200):
+        db.engine.insert(txn, "home", (i % 400, float(i)))
+        db.engine.insert(txn, "east_t", (i % 400, float(i) * 2))
+        db.engine.insert(txn, "west_t", (i % 400, float(i) * 3))
+    db.commit(txn)
+    db.analyze()
+    yield db
+    db.close()
+
+
+@pytest.mark.parametrize("mode", ["tuple", "auto"])
+@pytest.mark.parametrize("shape", sorted(CROSS_SITE_SHAPES))
+def test_cross_site_shapes_identical_under_parallelism(wide_sites_db,
+                                                       shape, mode):
+    """Every cross-site shape returns the same rows, in the same order,
+    with parallelism on as off, and nothing degrades."""
+    from repro import CompileOptions
+
+    sql = CROSS_SITE_SHAPES[shape]
+    serial = wide_sites_db.execute(sql, options=CompileOptions(
+        parallelism="off", execution_mode=mode))
+    parallel_run = wide_sites_db.execute(sql, options=CompileOptions(
+        parallelism="on", execution_mode=mode))
+    assert serial.rows
+    assert parallel_run.rows == serial.rows
+    assert parallel_run.stats.parallel_fallbacks == 0
 
 
 class TestChoose:

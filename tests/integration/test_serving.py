@@ -83,6 +83,24 @@ class TestWireLoop:
             assert str(over_wire.value) == str(in_process.value)
             assert len(client.execute("SELECT k FROM kv")) == 20
 
+    @pytest.mark.parametrize("sql", [
+        "INSERT INTO kv VALUES (1,",        # routes as a write to kv
+        "INSERT INTO kv VALUES (1, @)",     # lexer error: routes meta
+        "INSERT kv VALUES (1, 'x')",        # no INTO: routes meta
+    ])
+    def test_malformed_insert_error_is_unchanged(self, serving, sql):
+        """An INSERT routes from its tokens, not a parse; a malformed one
+        still fails with the class and message the parser raises in
+        process, and the table is untouched."""
+        with pytest.raises(ReproError) as in_process:
+            parse_statement(sql)
+        with WireClient(*serving.address()) as client:
+            with pytest.raises(ReproError) as over_wire:
+                client.execute(sql)
+            assert type(over_wire.value) is type(in_process.value)
+            assert str(over_wire.value) == str(in_process.value)
+            assert len(client.execute("SELECT k FROM kv")) == 20
+
     def test_null_and_special_characters_roundtrip(self, serving):
         with WireClient(*serving.address()) as client:
             client.execute(

@@ -13,7 +13,7 @@ import pytest
 from repro import CompileOptions, Database
 from repro.errors import SubqueryError
 from repro.functions.registry import AggregateFunction
-from repro.executor.codegen import codegen_cache_stats
+from repro.executor.exprgen import codegen_cache_stats
 from repro.obs.spans import RequestTrace
 
 

@@ -1,14 +1,12 @@
-"""Hash-sharded tables, partition pruning, the SHIP wire codec, and
-parallel joins as a GATHER over a broadcast hash join.
+"""Hash-sharded tables, partition pruning, and parallel joins as a
+GATHER over a broadcast hash join.
 
-Three layers under test:
+Two layers under test:
 
 - storage: ``ShardedHeapStorage`` routes rows to heap segments by a
   stable hash of the partitioning column, DML (including cross-partition
   UPDATE moves and rollback) stays correct, and equality predicates on
   the partition column prune the other shards,
-- wire: ``pack_rows``/``unpack_rows`` round-trip every supported value
-  shape (the codec SHIP moves bytes with),
 - runtime: a hash join over sharded or plain tables gathers by
   morselling its probe scan while every worker builds the inner side in
   full, byte-identical to serial execution on every backend; the
@@ -23,7 +21,6 @@ import pytest
 from repro import CompileOptions, Database
 from repro.errors import ReproError
 from repro.storage.heap import partition_of, stable_partition_hash
-from repro.storage.record import pack_rows, unpack_rows
 
 
 @pytest.fixture(scope="module")
@@ -58,29 +55,6 @@ def _serial_vs_partitioned(db, sql, **overrides):
     par = db.execute(sql, options=_options(db, parallelism="on", dop=3,
                                            **overrides))
     return serial, par
-
-
-# ---------------------------------------------------------------------------
-# Wire codec
-# ---------------------------------------------------------------------------
-
-
-class TestWireCodec:
-    def test_roundtrip_all_value_shapes(self):
-        rows = [
-            (1, -1, 0, 2**40, -(2**40), 2**80, -(2**80)),
-            (None, True, False, 0.5, -2.25, "", "héllo"),
-            ("quote'", "a" * 500, 1.0, float(2**70), None, None, None),
-        ]
-        assert unpack_rows(pack_rows(rows)) == rows
-
-    def test_roundtrip_preserves_types(self):
-        (row,) = unpack_rows(pack_rows([(1, 1.0, True)]))
-        assert [type(v) for v in row] == [int, float, bool]
-
-    def test_empty_batches(self):
-        assert unpack_rows(pack_rows([])) == []
-        assert unpack_rows(pack_rows([()])) == [()]
 
 
 # ---------------------------------------------------------------------------

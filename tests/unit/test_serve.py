@@ -72,6 +72,7 @@ class TestRouting:
         # A leading SELECT routes without a parse, malformed or not.
         assert classify("  select* from t").kind == "read"
         assert classify("SELECT FROM WHERE").kind == "read"
+        assert classify("SELECT 'unterminated").kind == "read"
         assert classify("selection").kind == "meta"
 
     def test_write_targets_and_escalation(self):
@@ -81,9 +82,47 @@ class TestRouting:
         multi = classify("INSERT INTO t SELECT id, w FROM u")
         assert multi.escalate
 
-    def test_route_memo_is_stable(self, server):
-        first = server.route_for("SELECT id FROM t")
-        assert server.route_for("SELECT id FROM t") is first
+    def test_update_escalates_on_a_select_token_not_a_substring(
+            self, server):
+        """A string literal that spells SELECT is no subquery: the
+        UPDATE takes its one table's stripe."""
+        literal = classify("UPDATE t SET note = 'select' WHERE id = 1")
+        assert literal.tables == ("t",)
+        assert not literal.escalate
+        assert len(server.write_gate.stripe_indexes(literal)) == 1
+        subquery = classify(
+            "DELETE FROM t WHERE id IN (SELECT id FROM u)")
+        assert subquery.escalate
+        assert len(server.write_gate.stripe_indexes(subquery)) > 1
+
+    def test_malformed_writes_route_without_raising(self):
+        assert classify("INSERT INTO t VALUES (1,").kind == "write"
+        assert classify("INSERT t VALUES (1)").kind == "meta"
+        assert classify("INSERT INTO").kind == "meta"
+        assert classify("DELETE").kind == "meta"
+        assert classify("UPDATE t SET v = '").kind == "meta"  # lexer
+
+    def test_route_memo_is_stable(self):
+        first = classify("SELECT id FROM t")
+        assert classify("SELECT id FROM t") is first
+
+    def test_classify_parses_nothing_so_an_insert_parses_once(
+            self, server, monkeypatch):
+        from repro.language.parser import Parser
+
+        parsed = []
+        parse = Parser.parse
+
+        def counting(parser):
+            parsed.append(parser)
+            return parse(parser)
+
+        monkeypatch.setattr(Parser, "parse", counting)
+        assert classify("INSERT INTO t VALUES (4242, 1)").kind == "write"
+        assert parsed == []
+        with server.session() as session:
+            session.execute("INSERT INTO t VALUES (4243, 1)")
+        assert len(parsed) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +844,32 @@ class TestTracedSession:
             for span in root.children:
                 assert span.start_ns >= root.start_ns
                 assert span.end_ns <= root.end_ns
+        finally:
+            srv.close()
+            srv.db.close()
+
+    def test_live_and_transaction_reads_compile_serial(self):
+        """A live read runs inside a short engine transaction, and an
+        in-transaction read inside the session's explicit one, where
+        every exchange would degrade; so session reads compile at
+        parallelism="off" and plan none."""
+        srv = self._server(rows=4000, snapshots_enabled=False)
+        try:
+            db = srv.db
+            db.analyze()
+            sql = "SELECT id FROM t WHERE v < 3"
+            expected = db.execute(sql).rows
+            db.settings.parallelism = "on"
+            with srv.session() as session:
+                live = session.execute(sql)
+                session.begin()
+                in_txn = session.execute(sql)
+                session.rollback()
+            assert live.rows == in_txn.rows == expected
+            assert db.metrics.snapshot()["parallel_fallbacks_total"] == 0
+            for result in (live, in_txn):
+                trace = srv.tracing.find(result.trace_id)
+                assert "parallel_degraded" not in trace.to_json()
         finally:
             srv.close()
             srv.db.close()
