@@ -86,7 +86,7 @@ def _measure(db: Database, sql: str, force_join=None):
         base = base.replace(forced_join_method=force_join)
     tuple_s, tuple_rows, _ = _time(db, sql, base)
     fused_s, fused_rows, stats = _time(
-        db, sql, base.replace(execution_mode="compiled"))
+        db, sql, base.replace(execution_mode="auto"))
     # Fused pipelines must be byte-identical to the tuple interpreter.
     assert repr(fused_rows) == repr(tuple_rows)
     assert stats.codegen_pipelines > 0
@@ -106,8 +106,7 @@ def test_e22_codegen(cg_db, benchmark):
     # Record the headline (fused scan-filter-project) with the benchmark
     # fixture too, so --benchmark-only runs keep this module selected and
     # latest_results.txt always includes the E22 table.
-    fused_options = CompileOptions.from_settings(cg_db.settings).replace(
-        execution_mode="compiled")
+    fused_options = CompileOptions.from_settings(cg_db.settings)
     benchmark(cg_db.run_compiled,
               cg_db.compile(SCAN_SQL, options=fused_options))
     report = {

@@ -131,15 +131,14 @@ def _measure(db: Database, sql: str, mode: str, force_join=None,
 
 def test_observability_overhead(obs_bench_db, benchmark):
     db = obs_bench_db
-    scan = _measure(db, SCAN_SQL, "compiled")
-    join = _measure(db, JOIN_SQL, "compiled", force_join="hash")
+    scan = _measure(db, SCAN_SQL, "auto")
+    join = _measure(db, JOIN_SQL, "auto", force_join="hash")
     # Tuple-mode per-row spans: informational, no assertion.
     scan_tuple = _measure(db, SCAN_SQL, "tuple", repeats=TUPLE_REPEATS)
     # The off path constructs no span objects, so its two legs per
     # repeat must agree within noise.
     off_ratio = scan["off_noise_ratio"]
-    base = CompileOptions.from_settings(db.settings).replace(
-        execution_mode="compiled")
+    base = CompileOptions.from_settings(db.settings)
     benchmark(db.run_compiled, db.compile(SCAN_SQL, options=base))
     report = {
         "rows": ROWS,

@@ -70,9 +70,9 @@ class Settings:
         self.optimizer = OptimizerSettings()
         #: Validate QGM after parse and rewrite (debug aid; cheap).
         self.validate_qgm = True
-        #: Execution backend: "tuple" (stream interpreter), "compiled"
-        #: (pipeline-fusion codegen wherever fusable), or "auto" (fused
-        #: where a subtree processes enough rows, tuple elsewhere).
+        #: Execution backend: "auto" (pipeline-fusion codegen wherever
+        #: fusable, the stream interpreter elsewhere) or "tuple" (the
+        #: stream interpreter alone).
         self.execution_mode = "auto"
         #: Rows per fused-pipeline morsel (scan record batches, and the
         #: chunks a pipeline pulls from a tuple leaf).

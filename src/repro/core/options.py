@@ -22,11 +22,11 @@ JOIN_METHODS = ("nl", "merge", "hash")
 #: Legal values for :attr:`CompileOptions.join_enumeration`.
 ENUMERATION_STRATEGIES = ("dp", "greedy")
 
-#: Legal values for :attr:`CompileOptions.execution_mode`.  ``compiled``
-#: runs every fusable subtree on the pipeline-fusion codegen backend
-#: (the rest on the tuple interpreter); ``auto`` does the same for
-#: subtrees over enough rows.
-EXECUTION_MODES = ("tuple", "compiled", "auto")
+#: Legal values for :attr:`CompileOptions.execution_mode`.  ``auto``
+#: runs every fusable subtree on the pipeline-fusion codegen backend and
+#: the rest on the tuple interpreter; ``tuple`` runs the interpreter
+#: alone.
+EXECUTION_MODES = ("tuple", "auto")
 
 #: Legal values for :attr:`CompileOptions.parallelism`.  ``off`` never
 #: splices Exchanges; ``auto`` parallelizes only when the cost model says

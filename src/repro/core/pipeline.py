@@ -176,7 +176,7 @@ def compile_statement(db, text: str,
         from repro.executor.selection import select_backends
 
         select_backends(plan, optimizer.generator, db.functions,
-                        db.join_kinds, options)
+                        db.join_kinds)
     if options.parallelism != "off":
         # Parallel glue: the Parallelism STAR splices Exchange LOLEPOPs
         # over eligible subtrees (morsel-parallel scan pyramids).
@@ -194,8 +194,8 @@ def compile_statement(db, text: str,
         from repro.executor.codegen import generate_programs
 
         started = _begin(trace, "codegen")
-        pipelines = generate_programs(plan, db.functions, options,
-                                      db.join_kinds, trace=trace)
+        pipelines = generate_programs(plan, db.functions, db.join_kinds,
+                                      trace=trace)
         timings.codegen = _end(trace, started, pipelines=pipelines)
 
     compiled = CompiledStatement(text, statement, qgm, plan, timings,

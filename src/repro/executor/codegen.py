@@ -435,12 +435,12 @@ class Program:
         return self._analyzed
 
 
-def generate_programs(plan: pl.PlanOp, functions, options, kinds,
+def generate_programs(plan: pl.PlanOp, functions, kinds,
                       trace=None) -> int:
     """Generate a :class:`Program` on every compiled region root, top
     down; a root whose region does not parse goes to ``tuple`` and its
-    children become region roots.  Under ``auto`` a region that is a
-    lone predicate-free source under a tuple operator also goes to
+    children become region roots.  A region that is a lone
+    predicate-free source under a tuple operator also goes to
     ``tuple``: with nothing to evaluate the adapter is pure overhead,
     paid again on every re-open when it is a join inner.  Tuple nodes a
     region pulls from are marked ``fallback=tuple`` for EXPLAIN.
@@ -452,14 +452,13 @@ def generate_programs(plan: pl.PlanOp, functions, options, kinds,
     fallbacks = getattr(plan, "codegen_fallbacks", None)
     if fallbacks is None:
         fallbacks = plan.codegen_fallbacks = []
-    auto = options.execution_mode == "auto"
     needed = _NeededColumns(plan)
     total = 0
 
     def visit(node: pl.PlanOp, parent: str) -> None:
         nonlocal total
         if _compiled(node):
-            if auto and parent == "tuple" and _idle(node):
+            if parent == "tuple" and _idle(node):
                 node.exec_backend = "tuple"
             else:
                 try:

@@ -25,7 +25,7 @@ class ExecutionStats:
         #: tuple leaf.
         self.fallbacks = 0
         #: Number of fused pipeline functions the codegen backend ran
-        #: (0 unless execution_mode is "compiled"/"auto").
+        #: (0 under execution_mode "tuple").
         self.codegen_pipelines = 0
         #: Number of Exchange operators executed by the parallel runtime.
         self.parallel_exchanges = 0

@@ -25,8 +25,13 @@ exactly once:
   and reply, so any number of threads may share a pool.  Free workers
   form a stack: a caller gets the most recently released one, so a
   lone client keeps landing on the worker whose plan cache it warmed.
-  :meth:`WorkerPool.terminate` is deferred until the callers inside the
-  pool have left: nobody closes a pipe under a blocked reader.
+- **retirement** — a retired pool refuses new callers at once but
+  stops its workers only after the callers inside have left: nobody
+  closes a pipe under a blocked reader.  The stop (kill + join of every
+  worker) never runs on a caller's thread: :meth:`WorkerPool.retire`
+  leaves it to a reaper thread that waits for the last lease, and
+  :meth:`WorkerPool.terminate` runs it on its own thread when the pool
+  is idle.
 - **health** — a worker whose pipe broke is killed and never leased
   again; nothing is respawned.  The pool keeps serving on the workers
   it has left and reports itself unhealthy; its owner replaces it the
@@ -41,7 +46,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from multiprocessing.connection import wait
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, rebuild_error
 
@@ -100,6 +105,9 @@ class WorkerPool:
         self._cond = threading.Condition()
         self._leases = 0
         self._terminating = False
+        #: The thread stopping the workers of a retired pool that was
+        #: not idle (None until then).
+        self.reaper: Optional[threading.Thread] = None
         context = multiprocessing.get_context("fork")
         try:
             for _ in range(self.size):
@@ -144,15 +152,26 @@ class WorkerPool:
         return values
 
     def terminate(self) -> None:
-        """Retire the pool: refuse new callers now, stop the workers as
-        soon as the callers already inside have their replies."""
+        """Retire the pool and stop the workers on this thread if no
+        caller is inside; otherwise as :meth:`retire`."""
+        with self._cond:
+            idle = not self._terminating and not self._leases
+            self._terminating = self._terminating or idle
+        if idle:
+            self._shutdown()
+        else:
+            self.retire()
+
+    def retire(self) -> None:
+        """Refuse new callers now; a reaper thread stops the workers
+        once the callers already inside have their replies."""
         with self._cond:
             if self._terminating:
                 return
             self._terminating = True
-            drain = not self._leases
-        if drain:
-            self._shutdown()
+        self.reaper = threading.Thread(
+            target=self._reap, name="pool-reaper", daemon=True)
+        self.reaper.start()
 
     # -- internals -----------------------------------------------------------
 
@@ -230,10 +249,13 @@ class WorkerPool:
         with self._cond:
             self._free.extend(w for w in workers if w.alive)
             self._leases -= 1
-            drain = self._terminating and not self._leases
             self._cond.notify_all()
-        if drain:
-            self._shutdown()
+
+    def _reap(self) -> None:
+        with self._cond:
+            while self._leases:
+                self._cond.wait()
+        self._shutdown()
 
     def _bury(self, worker: _Worker) -> None:
         with self._cond:

@@ -132,9 +132,9 @@ class TableScan(PlanOp):
         self.preds = list(preds)
         rows = cm.table_cardinality(table.name)
         #: Stored-table cardinality from TableStatistics: the rows this
-        #: scan *reads* (before predicates), which is what backend
-        #: selection in "auto" mode must size against — a selective
-        #: filter doesn't make a big scan cheap to read.
+        #: scan *reads* (before predicates), which is what the parallel
+        #: glue sizes worker startup against — a selective filter
+        #: doesn't make a big scan cheap to read.
         self.input_rows = rows
         #: On a sharded table, the ``e`` of every pushed ``q.part_col = e``
         #: (``e`` not over ``q``): a value of one routes the whole scan to
@@ -207,9 +207,6 @@ class IndexScan(PlanOp):
         for predicate in self.matched_preds:
             match_sel *= cm.selectivity(predicate)
         matching = max(0.1, rows * match_sel)
-        #: Rows the index access actually fetches (the matched range),
-        #: before residual predicates — the "auto" backend decision input.
-        self.input_rows = matching
         residual_sel = 1.0
         for predicate in self.residual_preds:
             residual_sel *= cm.selectivity(predicate)

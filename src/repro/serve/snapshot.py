@@ -20,7 +20,9 @@ A refresh forks the new pool *outside* the manager lock and only swaps
 the pointer under it; retired pools are terminated after the lock is
 released.  So a reader picking the current pool never waits on a fork
 or a reap: during a fork it keeps reading the old image.  Forks are
-serialized among themselves by a separate fork lock.
+serialized among themselves by a separate fork lock.  Nor does a
+session pay for a reap: the pools ``SNAPSHOT BEGIN``/``END`` retire are
+stopped by their reaper threads.
 
 Workers execute whole read statements (:func:`run_statement`) and
 return materialized rows; the parent thread blocks in
@@ -161,7 +163,7 @@ class SnapshotManager:
             with self._lock:
                 doomed = self._swap_locked(pool)
                 self._pin_locked(pool)
-        self._terminate(doomed)
+        self._retire(doomed)
         return pool
 
     def _pin_locked(self, pool: WorkerPool) -> WorkerPool:
@@ -174,7 +176,7 @@ class SnapshotManager:
             if not self._pins[pool]:
                 del self._pins[pool]
             doomed = self._reap_locked()
-        self._terminate(doomed)
+        self._retire(doomed)
 
     def _swap_locked(self, pool: WorkerPool) -> List[WorkerPool]:
         """Install ``pool`` as current; returns the retirees to
@@ -197,6 +199,11 @@ class SnapshotManager:
     def _terminate(pools: List[WorkerPool]) -> None:
         for pool in pools:
             pool.terminate()
+
+    @staticmethod
+    def _retire(pools: List[WorkerPool]) -> None:
+        for pool in pools:
+            pool.retire()
 
     # -- freshness -----------------------------------------------------------
 

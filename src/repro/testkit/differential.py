@@ -83,10 +83,12 @@ def default_matrix() -> List[Config]:
     """Every engine configuration a query must agree with the oracle on."""
     base = CompileOptions()
     tuple_mode = base.replace(execution_mode="tuple")
+    parallel_fused = base.replace(parallelism="on", dop=4)
     return [
-        # The shipped default runs ``auto``; the tuple interpreter, the
-        # reference of the byte-identical backend configs, is its own.
-        Config("default", base),
+        # The shipped default fuses every fusable region: it must be
+        # byte-identical — in row order — to the tuple interpreter, the
+        # reference of every byte-identical backend config.
+        Config("default", base, byte_identical=True, reference=tuple_mode),
         Config("tuple", tuple_mode),
         Config("no-rewrite", base.replace(rewrite_enabled=False)),
         # Cost-driven rewrite search must compute the same bag of rows
@@ -115,31 +117,20 @@ def default_matrix() -> List[Config]:
         Config("parallel", tuple_mode.replace(parallelism="on", dop=4),
                byte_identical=True, reference=tuple_mode),
         # Observability must never change answers: run with per-operator
-        # spans on, over the heaviest config (parallel + compiled, so
-        # every wrapper, the fused regions' analyze variants and the
-        # worker op-span grafts are live), and require byte-identical
-        # rows vs the uninstrumented run.
-        Config("analyze",
-               base.replace(parallelism="on", dop=4,
-                            execution_mode="compiled"),
-               byte_identical=True, operators=True,
-               reference=base.replace(parallelism="on", dop=4,
-                                      execution_mode="compiled")),
-        # Pipeline-fusion codegen backend: fused regions must be
-        # byte-identical — in row order — to the tuple interpreter, at
-        # the default morsel size and at batch_size=1 (one-row morsels:
-        # every per-morsel edge and tuple<->fused adapter, per row), and
-        # under the parallel glue to the serial compiled run.
-        Config("compiled", base.replace(execution_mode="compiled"),
+        # spans on, over the heaviest config (parallel + fused, so every
+        # wrapper, the fused regions' analyze variants and the worker
+        # op-span grafts are live), and require byte-identical rows vs
+        # the uninstrumented run.
+        Config("analyze", parallel_fused, byte_identical=True,
+               operators=True),
+        # Fused regions at batch_size=1 (one-row morsels: every
+        # per-morsel edge and tuple<->fused adapter, per row) must be
+        # byte-identical to the tuple interpreter, and under the
+        # parallel glue to the serial default run.
+        Config("compiled-1", base.replace(batch_size=1),
                byte_identical=True, reference=tuple_mode),
-        Config("compiled-1", base.replace(execution_mode="compiled",
-                                          batch_size=1),
-               byte_identical=True, reference=tuple_mode),
-        Config("compiled-parallel",
-               base.replace(execution_mode="compiled",
-                            parallelism="on", dop=4),
-               byte_identical=True,
-               reference=base.replace(execution_mode="compiled")),
+        Config("compiled-parallel", parallel_fused, byte_identical=True,
+               reference=base),
         # Hash-sharded storage: same rows in partitioned heap segments.
         # Scan order is partition-grouped, so only the oracle bag (and
         # ORDER BY sequences) must match.  The parallel run gathers

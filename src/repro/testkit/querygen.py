@@ -530,8 +530,7 @@ class QueryGenerator:
         if rng.random() < 0.35:
             agg = self._aggregate_item(sources)
             op = rng.choice((">", ">=", "<", "<=", "=", "<>"))
-            const = rng.choice(_CONST_BY_KIND["float" if agg.kind == "float"
-                                              else "int"])
+            const = rng.choice(_CONST_BY_KIND[agg.kind])
             having.append(Pred("%s %s %s" % (agg.sql, op, const),
                                agg.aliases))
         return items, keys, having

@@ -4,6 +4,7 @@ import pytest
 
 from repro import CompileOptions
 from repro.errors import ConstraintError, DataTypeError
+from tests.stacks import MODES
 
 
 def q(db, sql, params=()):
@@ -113,7 +114,7 @@ class TestUpdateDelete:
         assert q(emp_db, "SELECT salary FROM emp WHERE name = 'frank'") == [
             (120.0,)]
 
-    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
+    @pytest.mark.parametrize("mode", list(MODES))
     def test_update_assigns_a_case_over_an_in_subquery(self, db, mode):
         # An assignment is a value: the IN folds at the CASE condition
         # and the CASE's 10/20 are never combined as truth values.
@@ -124,7 +125,7 @@ class TestUpdateDelete:
         db.execute(
             "UPDATE t SET a = CASE WHEN b IN (SELECT c FROM u) "
             "THEN 10 ELSE 20 END",
-            options=CompileOptions(execution_mode=mode))
+            options=CompileOptions(**MODES[mode]))
         assert sorted(q(db, "SELECT a, b FROM t")) == [
             (10, 1), (20, 2), (20, 3)]
 

@@ -196,11 +196,8 @@ class TestFusedAgreement:
                 plan_cache=False, forced_join_method="hash")
             ref = repr(db.execute(sql, options=base.replace(
                 execution_mode="tuple")).rows)
-            for options in (
-                    base.replace(execution_mode="compiled"),
-                    base.replace(execution_mode="compiled", batch_size=1),
-                    base.replace(execution_mode="compiled",
-                                 parallelism="on", dop=2)):
+            for options in (base, base.replace(batch_size=1),
+                            base.replace(parallelism="on", dop=2)):
                 assert repr(db.execute(sql, options=options).rows) == ref
         finally:
             db.close()

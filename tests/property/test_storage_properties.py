@@ -235,8 +235,6 @@ class TestBigTableScans:
             plan_cache=False)
         ref = big_db.execute(sql, options=base.replace(
             execution_mode="tuple")).rows
-        for options in (base.replace(execution_mode="compiled"),
-                        base.replace(execution_mode="compiled",
-                                     batch_size=1),
+        for options in (base, base.replace(batch_size=1),
                         base.replace(parallelism="on", dop=2)):
             assert big_db.execute(sql, options=options).rows == ref

@@ -3,7 +3,7 @@
 Everything is driven through SQL: the ExecBackend STAR, region
 validation, pipeline splitting at breakers, source generation, the
 cross-statement code-object cache, and the runtime drivers are exercised
-exactly as a user would hit them with ``execution_mode="compiled"``.
+exactly as a user would hit them with ``execution_mode="auto"``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _options(db, **overrides) -> CompileOptions:
 
 def _compiled(db, sql, **overrides):
     return db.compile(sql, options=_options(
-        db, execution_mode="compiled", **overrides))
+        db, execution_mode="auto", **overrides))
 
 
 def _programs(plan):
@@ -62,7 +62,7 @@ def _check_rows(db, sql, **overrides):
     """Compiled rows must be byte-identical to the tuple interpreter."""
     ref = db.execute(sql, options=_options(db, execution_mode="tuple"))
     got = db.execute(sql, options=_options(
-        db, execution_mode="compiled", **overrides))
+        db, execution_mode="auto", **overrides))
     assert got.rows == ref.rows
     return got
 
@@ -210,7 +210,7 @@ class TestCodeObjectCache:
         _check_rows(cg_db, sql)
         before = codegen_cache_stats()
         got = other.execute(sql, options=_options(
-            other, execution_mode="compiled"))
+            other, execution_mode="auto"))
         after = codegen_cache_stats()
         assert got.rows == [(1, 9)]
         assert after["hits"] > before["hits"]
@@ -221,14 +221,14 @@ class TestExplainAndTrace:
     def test_explain_marks_fused_regions(self, cg_db):
         text = cg_db.explain(
             "SELECT t.a, s.v FROM t, s WHERE t.b = s.k",
-            options=_options(cg_db, execution_mode="compiled"))
+            options=_options(cg_db, execution_mode="auto"))
         assert "backend=compiled" in text
         assert "fused=2" in text
 
     def test_trace_emits_one_event_per_pipeline(self, cg_db):
         trace = RequestTrace("t-codegen")
         cg_db.compile("SELECT t.a, s.v FROM t, s WHERE t.b = s.k",
-                      options=_options(cg_db, execution_mode="compiled"),
+                      options=_options(cg_db, execution_mode="auto"),
                       trace=trace)
         events = trace.root.find("codegen").find_all("codegen.pipeline")
         assert len(events) == 2
@@ -242,7 +242,7 @@ class TestExplainAndTrace:
 
 
 class TestBatchScalarSubqueries:
-    """Uncorrelated scalar subqueries under the compiled mode: the
+    """Uncorrelated scalar subqueries under the fused default: the
     PROJECT stays on the interpreter (evaluate-on-demand), over a fused
     scan."""
 
@@ -252,7 +252,7 @@ class TestBatchScalarSubqueries:
         ref = cg_db.execute(self.SQL, options=_options(
             cg_db, execution_mode="tuple"))
         got = cg_db.execute(self.SQL, options=_options(
-            cg_db, execution_mode="compiled"))
+            cg_db, execution_mode="auto"))
         assert got.rows == ref.rows
         assert got.stats.subquery_evaluations >= 1
 
@@ -260,19 +260,19 @@ class TestBatchScalarSubqueries:
         sql = "SELECT a, (SELECT MAX(v) FROM s WHERE v > 999) FROM t " \
               "WHERE a < 3"
         got = cg_db.execute(sql, options=_options(
-            cg_db, execution_mode="compiled"))
+            cg_db, execution_mode="auto"))
         assert got.rows == [(0, None), (1, None), (2, None)]
 
     def test_multi_row_subquery_raises_in_both_backends(self, cg_db):
         sql = "SELECT a, (SELECT v FROM s) FROM t"
-        for mode in ("tuple", "compiled"):
+        for mode in ("tuple", "auto"):
             with pytest.raises(SubqueryError):
                 cg_db.execute(sql, options=_options(
                     cg_db, execution_mode=mode))
 
     def test_subquery_not_run_when_outer_is_empty(self, cg_db):
         sql = "SELECT a, (SELECT v FROM s) FROM t WHERE a < -1"
-        for mode in ("tuple", "compiled"):
+        for mode in ("tuple", "auto"):
             got = cg_db.execute(sql, options=_options(
                 cg_db, execution_mode=mode))
             assert got.rows == []
@@ -284,7 +284,7 @@ class TestBatchScalarSubqueries:
         ref = cg_db.execute(sql, options=_options(
             cg_db, execution_mode="tuple"))
         got = cg_db.execute(sql, options=_options(
-            cg_db, execution_mode="compiled"))
+            cg_db, execution_mode="auto"))
         assert got.rows == ref.rows
 
 
@@ -323,7 +323,7 @@ def _same(db, sql, **overrides):
     values of equal types (``1``, ``1.0`` and ``True`` compare equal)."""
     ref = db.execute(sql, options=_options(db, execution_mode="tuple"))
     got = db.execute(sql, options=_options(
-        db, execution_mode="compiled", **overrides))
+        db, execution_mode="auto", **overrides))
     assert repr(got.rows) == repr(ref.rows)
     return got
 
@@ -493,7 +493,7 @@ class TestInlineAggregates:
                     "HAVING count(*) > 20",
                     "SELECT count(*), max(v) FROM g WHERE v > 99"):
             counts = []
-            for mode in ("tuple", "compiled"):
+            for mode in ("tuple", "auto"):
                 trace = RequestTrace("t-counts", operators=True)
                 agg_db.execute(sql, options=_options(
                     agg_db, execution_mode=mode), tracer=trace)

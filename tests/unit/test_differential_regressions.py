@@ -161,7 +161,7 @@ def test_differential_seed_228_batch_outer_join_empty_inner():
     expected = [(None,), (None,)]
     # Every forced join method must NULL-pad identically when fused.
     for forced in (None, 'nl', 'hash', 'merge'):
-        options = CompileOptions(execution_mode='compiled',
+        options = CompileOptions(execution_mode='auto',
                                  forced_join_method=forced)
         result = db.execute(sql, options=options)
         assert sorted(map(repr, result.rows)) == \
@@ -209,7 +209,7 @@ def test_differential_seed_33_compiled_agg_temp_collision():
     result = db.execute(
         'SELECT MAX(a9.c3) AS c0, AVG(DISTINCT a9.c0) AS c1 '
         'FROM t1 a9 GROUP BY a9.c1',
-        options=CompileOptions(execution_mode='compiled'))
+        options=CompileOptions(execution_mode='auto'))
     assert result.rows == [('b', 1.0)]
 
 
@@ -239,7 +239,7 @@ def test_null_left_operand_skips_the_right_one_everywhere(sql):
     db.execute('INSERT INTO u VALUES (7)')
     db.analyze()
     assert ReferenceOracle(db).execute(sql).rows == []
-    for mode in ('tuple', 'compiled'):
+    for mode in ('tuple', 'auto'):
         options = CompileOptions(execution_mode=mode)
         assert db.execute(sql, options=options).rows == [], mode
 
@@ -270,6 +270,6 @@ def test_quantified_case_folds_at_its_condition(sql, rows):
     db.execute('INSERT INTO u VALUES (2), (3)')
     db.analyze()
     assert sorted(ReferenceOracle(db).execute(sql).rows) == rows
-    for mode in ('tuple', 'compiled'):
+    for mode in ('tuple', 'auto'):
         options = CompileOptions(execution_mode=mode)
         assert sorted(db.execute(sql, options=options).rows) == rows, mode

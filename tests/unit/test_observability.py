@@ -102,7 +102,7 @@ class TestPlanProfile:
         analyze variant's row counter — the rows passing its predicates,
         not the rows read."""
         sql = "SELECT id, v FROM t WHERE v < 50"
-        options = _options(obs_db, execution_mode="compiled")
+        options = _options(obs_db, execution_mode="auto")
         result, trace = _analyzed(obs_db, sql, options)
         plan = obs_db.compile(sql, options=options).plan
         index, node = next((index, node)
@@ -140,7 +140,7 @@ class TestPlanProfile:
         import repro.core.database as database_module
 
         monkeypatch.setattr(database_module, "OpSpans", boom)
-        options = _options(obs_db, execution_mode="compiled")
+        options = _options(obs_db, execution_mode="auto")
         result = obs_db.execute("SELECT id FROM t WHERE v < 3",
                                 options=options)
         assert len(result.rows) > 0
@@ -195,7 +195,7 @@ class TestParallelMerge:
         serial = obs_db.execute(sql, options=_options(obs_db))
         par, _trace = _analyzed(
             obs_db, sql, _options(obs_db, parallelism="on", dop=4,
-                                  execution_mode="compiled"))
+                                  execution_mode="auto"))
         assert par.rows == serial.rows
 
     def test_malformed_worker_fragment_degrades_rendering(
@@ -237,7 +237,7 @@ class TestExplainAnalyze:
         text = obs_db.explain(
             "SELECT id, v + g FROM t WHERE v < 30",
             options=_options(obs_db, parallelism="on", dop=4,
-                             execution_mode="compiled"),
+                             execution_mode="auto"),
             analyze=True)
         assert "EXPLAIN ANALYZE" in text
         assert "est=" in text and "actual rows=" in text

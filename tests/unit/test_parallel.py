@@ -74,7 +74,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_dop4_batch_equals_serial(self, par_db, sql):
         serial, par = _serial_vs_parallel(par_db, sql,
-                                          execution_mode="compiled")
+                                          execution_mode="auto")
         assert par.rows == serial.rows
         assert par.stats.parallel_exchanges >= 1
 
@@ -124,7 +124,7 @@ class TestPlanShape:
         text = par_db.explain(
             "SELECT id FROM t WHERE v < 5",
             options=_options(par_db, parallelism="on", dop=4,
-                             execution_mode="compiled"))
+                             execution_mode="auto"))
         assert "fallback=compiled-below" in text
 
     def test_auto_mode_skips_tiny_tables(self, par_db):

@@ -21,6 +21,7 @@ import pytest
 from repro import CompileOptions, Database
 from repro.errors import ReproError
 from repro.storage.heap import partition_of, stable_partition_hash
+from tests.stacks import MODES
 
 
 @pytest.fixture(scope="module")
@@ -201,21 +202,21 @@ class TestShardedDML:
 
 
 class TestPartitionPruning:
-    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
+    @pytest.mark.parametrize("mode", list(MODES))
     def test_equality_predicate_prunes(self, shard_db, mode):
         result = shard_db.execute(
             "SELECT id FROM orders WHERE cust = 17",
-            options=_options(shard_db, execution_mode=mode))
+            options=_options(shard_db, **MODES[mode]))
         # 2 of 3 partitions skipped, and the answer is still right.
         assert result.stats.partitions_pruned == 2
         reference = [(i,) for i in range(3000) if (i * 7) % 200 == 17]
         assert result.rows == reference
 
-    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
+    @pytest.mark.parametrize("mode", list(MODES))
     def test_pruned_scan_preserves_serial_order(self, shard_db, mode):
         pruned = shard_db.execute(
             "SELECT id, amt FROM orders WHERE cust = 42",
-            options=_options(shard_db, execution_mode=mode)).rows
+            options=_options(shard_db, **MODES[mode])).rows
         serial = _options(shard_db, execution_mode="tuple")
         full = [row for row in
                 shard_db.execute("SELECT id, amt, cust FROM orders",
@@ -447,25 +448,25 @@ class TestBroadcastJoin:
             assert _chain_scan(join.children[1]).table.name == "groups"
         assert plans[0].explain() == plans[1].explain()
 
-    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
+    @pytest.mark.parametrize("mode", list(MODES))
     @pytest.mark.parametrize("order", [0, 1])
     def test_equals_serial(self, events_db, mode, order):
         sql = EVENTS_JOIN_SQL[order]
         serial = events_db.execute(
-            sql, options=_options(events_db, execution_mode=mode))
+            sql, options=_options(events_db, **MODES[mode]))
         par = events_db.execute(
-            sql, options=_options(events_db, execution_mode=mode,
+            sql, options=_options(events_db, **MODES[mode],
                                   parallelism="on", dop=2))
         assert repr(par.rows) == repr(serial.rows)
         assert par.stats.parallel_exchanges == 1
         assert par.stats.morsels > 1
         assert par.stats.parallel_fallbacks == 0, par.stats.parallel_reasons
 
-    @pytest.mark.parametrize("mode", ["tuple", "auto", "compiled"])
+    @pytest.mark.parametrize("mode", list(MODES))
     def test_self_join_morsels_only_the_probe_scan(self, shard_db, mode):
         """Both sides scan ``plain``; the runtime restricts the scan the
         GATHER names by node identity, so the build side stays whole."""
-        options = _options(shard_db, execution_mode=mode)
+        options = _options(shard_db, **MODES[mode])
         plan = shard_db.compile(
             SELF_JOIN_SQL,
             options=options.replace(parallelism="on", dop=3)).plan

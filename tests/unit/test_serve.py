@@ -42,6 +42,16 @@ def make_server(rows: int = 50, **overrides):
     return Server(db, settings)
 
 
+def _eventually(predicate, timeout: float = 10.0) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` runs out."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 @pytest.fixture
 def server():
     srv = make_server()
@@ -393,8 +403,36 @@ class TestSnapshots:
             assert server.snapshots.stats()["retired"] == 1
             assert holder.execute("SELECT count(*) FROM t").scalar() == 50
             holder.execute("SNAPSHOT END")
-            assert pinned.closed
             assert server.snapshots.stats()["retired"] == 0
+            # The pool's reaper thread, not the session, stops it.
+            assert _eventually(lambda: pinned.closed)
+
+    def test_sessions_never_stop_the_pools_they_retire(
+            self, server, monkeypatch):
+        """SNAPSHOT BEGIN on a stale pool and SNAPSHOT END on a retired
+        pin both retire a pool; a reaper thread stops it, not the
+        session's thread."""
+        from repro.executor.workerpool import WorkerPool
+
+        stoppers = []
+        real_shutdown = WorkerPool._shutdown
+
+        def recording_shutdown(pool):
+            stoppers.append((pool, threading.current_thread().name))
+            real_shutdown(pool)
+
+        monkeypatch.setattr(WorkerPool, "_shutdown", recording_shutdown)
+        stale = server.snapshots.current_pool()
+        with server.session() as holder:
+            holder.execute("INSERT INTO t VALUES (900, 0)")
+            holder.execute("SNAPSHOT BEGIN")  # forks: `stale` retires
+            pinned = server.snapshots.current_pool()
+            assert pinned is not stale
+            assert server.snapshots.refresh(force=True)
+            holder.execute("SNAPSHOT END")  # `pinned` retires
+        assert _eventually(lambda: stale.closed and pinned.closed)
+        names = {pool: name for pool, name in stoppers}
+        assert names[stale] == names[pinned] == "pool-reaper"
 
 
     def test_concurrent_refresh_pin_and_read_leak_no_pool(
@@ -465,7 +503,9 @@ class TestSnapshots:
         assert errors == []
         current = server.snapshots.current_pool()
         assert current in created
-        assert all(pool.closed for pool in created if pool is not current)
+        # Pools the sessions retired are stopped by their reapers.
+        assert _eventually(lambda: all(
+            pool.closed for pool in created if pool is not current))
         assert server.snapshots.stats()["retired"] == 0
         snap = server.db.metrics.snapshot()
         assert snap["serve_snapshot_forks_total"] == 1 + len(created)

@@ -258,7 +258,7 @@ class TestFusedScanOverStorageManagers:
         base = CompileOptions.from_settings(db.settings).replace(
             plan_cache=False)
         ref = db.execute(sql, options=base.replace(execution_mode="tuple"))
-        compiled = base.replace(execution_mode="compiled", batch_size=16)
+        compiled = base.replace(batch_size=16)
         plan = db.compile(sql, options=compiled).plan
         assert any(getattr(node, "codegen_program", None) is not None
                    for node in plan.walk())

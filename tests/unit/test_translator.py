@@ -343,7 +343,7 @@ class TestAggregateOverGroupKey:
 
     @pytest.mark.parametrize("options", [
         dict(execution_mode="tuple"),
-        dict(execution_mode="compiled"),
+        dict(batch_size=1),
         dict(parallelism="on", dop=2),
     ], ids=["tuple", "compiled", "parallel"])
     def test_grouped_having_distinct_and_expression_keys(self, gdb,

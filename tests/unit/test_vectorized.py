@@ -1,8 +1,8 @@
 """Unit tests for backend selection and the fused backend's reach.
 
 The batch engine these tests were written against is gone: every id
-that named it now holds the fused-pipeline backend (``compiled``) or the
-shipped ``auto`` selection to the same answers.  Everything is driven
+that named it now holds the fused-pipeline backend, selected by the
+shipped ``auto`` wherever fusable, to the same answers.  Everything is driven
 through SQL so the whole pipeline — ExecBackend STAR marking in the
 refinement phase, region parsing, pipeline generation, and the
 tuple↔fused adapters — is exercised exactly as a user would hit it.
@@ -47,7 +47,7 @@ def _both(db, sql, **overrides):
     tuple_result = db.execute(
         sql, options=_options(db, execution_mode="tuple"))
     fused_result = db.execute(
-        sql, options=_options(db, execution_mode="compiled", **overrides))
+        sql, options=_options(db, execution_mode="auto", **overrides))
     return tuple_result, fused_result
 
 
@@ -118,10 +118,8 @@ def test_auto_mode_subquery_falls_back_per_subtree(batch_db):
 
 
 def test_auto_mode_batches_big_scan_behind_selective_filter(batch_db):
-    """The auto decision sizes against the rows a leaf *reads* (from
-    TableStatistics), not the post-predicate output estimate: a point
-    predicate on a 300-row table still pays a 300-row scan, so it must
-    fuse even though only one row survives."""
+    """A point predicate on a 300-row table still pays a 300-row scan:
+    it fuses even though only one row survives."""
     sql = "SELECT a, tag FROM t WHERE a = 123"
     tuple_result = batch_db.execute(
         sql, options=_options(batch_db, execution_mode="tuple"))
@@ -131,25 +129,23 @@ def test_auto_mode_batches_big_scan_behind_selective_filter(batch_db):
     assert auto_result.stats.codegen_pipelines > 0
 
 
-def test_auto_mode_small_table_stays_tuple(batch_db):
+def test_auto_mode_small_table_fuses(batch_db):
+    """Auto fuses by shape alone: a 5-row table runs fused, sort and
+    all, with no adapter to the interpreter."""
     batch_db.execute("CREATE TABLE tiny (n INTEGER)")
     txn = batch_db.begin()
     for i in range(5):
         batch_db.engine.insert(txn, "tiny", (i,))
     batch_db.commit(txn)
     batch_db.analyze()
+    sql = "SELECT n FROM tiny ORDER BY n DESC"
     result = batch_db.execute(
-        "SELECT n FROM tiny ORDER BY n",
-        options=_options(batch_db, execution_mode="auto"))
-    # 5 rows is below the auto threshold: the whole plan stays tuple.
-    assert result.rows == [(i,) for i in range(5)]
-    assert result.stats.codegen_pipelines == 0
-    # forcing compiled mode overrides the heuristic
-    forced = batch_db.execute(
-        "SELECT n FROM tiny ORDER BY n",
-        options=_options(batch_db, execution_mode="compiled"))
-    assert forced.rows == result.rows
-    assert forced.stats.codegen_pipelines > 0
+        sql, options=_options(batch_db, execution_mode="auto"))
+    assert result.rows == [(i,) for i in reversed(range(5))]
+    assert result.stats.codegen_pipelines == 1
+    assert result.stats.fallbacks == 0
+    plan = batch_db.compile(sql).plan
+    assert all(node.exec_backend == "compiled" for node in plan.walk())
 
 
 def test_explain_shows_backend_marks(batch_db):
@@ -157,7 +153,7 @@ def test_explain_shows_backend_marks(batch_db):
     plain = batch_db.explain(
         sql, options=_options(batch_db, execution_mode="tuple"))
     marked = batch_db.explain(
-        sql, options=_options(batch_db, execution_mode="compiled"))
+        sql, options=_options(batch_db, execution_mode="auto"))
     assert "backend=" not in plain
     assert "backend=compiled" in marked
     assert "backend=batch" not in marked
@@ -166,13 +162,13 @@ def test_explain_shows_backend_marks(batch_db):
 def test_explain_statement_threads_options(batch_db):
     result = batch_db.execute(
         "EXPLAIN SELECT a FROM t WHERE b = 1",
-        options=_options(batch_db, execution_mode="compiled"))
+        options=_options(batch_db, execution_mode="auto"))
     text = "\n".join(row[0] for row in result.rows)
     assert "backend=compiled" in text
 
 
 def test_division_by_zero_is_typed_in_both_backends(batch_db):
-    for mode in ("tuple", "compiled"):
+    for mode in ("tuple", "auto"):
         with pytest.raises(DivisionByZeroError):
             batch_db.execute("SELECT a / (b - b) FROM t",
                              options=_options(batch_db,
@@ -214,12 +210,12 @@ def test_stats_count_batches_and_fallbacks(batch_db):
     # fallback); a fused PROJECT over a tuple NLJOIN crosses once.
     result = batch_db.execute(
         "SELECT a FROM t ORDER BY a",
-        options=_options(batch_db, execution_mode="compiled", batch_size=50))
+        options=_options(batch_db, execution_mode="auto", batch_size=50))
     assert result.stats.codegen_pipelines == 1
     assert result.stats.fallbacks == 0
     crossed = batch_db.execute(
         "SELECT t.a, s.k FROM t, s WHERE t.a < 3 AND s.k < 3",
-        options=_options(batch_db, execution_mode="compiled", batch_size=50))
+        options=_options(batch_db, execution_mode="auto", batch_size=50))
     assert crossed.stats.fallbacks > 0
     assert "fallbacks=" in repr(result.stats)
     assert "codegen_pipelines=" in repr(result.stats)
@@ -332,12 +328,12 @@ def test_forced_join_methods_match_tuple(batch_db, method):
                               execution_mode="tuple"))
     fused_result = batch_db.execute(
         sql, options=_options(batch_db, forced_join_method=method,
-                              execution_mode="compiled"))
+                              execution_mode="auto"))
     assert _same(fused_result, tuple_result)
     assert fused_result.stats.codegen_pipelines > 0
     text = batch_db.explain(
         sql, options=_options(batch_db, forced_join_method=method,
-                              execution_mode="compiled"))
+                              execution_mode="auto"))
     op = "MERGEJOIN" if method == "merge" else "NLJOIN"
     assert op in text
     # The join runs on the interpreter, pulled by the fused head.
@@ -352,7 +348,7 @@ def test_batch_merge_join_left_outer(batch_db):
                               execution_mode="tuple"))
     fused_result = batch_db.execute(
         sql, options=_options(batch_db, forced_join_method="merge",
-                              execution_mode="compiled"))
+                              execution_mode="auto"))
     assert _same(fused_result, tuple_result)
     assert fused_result.stats.codegen_pipelines > 0
 
@@ -399,16 +395,16 @@ def test_auto_leaves_bare_join_inner_on_tuple(oltp_db):
            "WHERE a.id = ? AND a.branch = b.bid")
     auto = _options(oltp_db, execution_mode="auto")
     text = oltp_db.explain(sql, options=auto)
-    assert "NLJOIN" in text and "SCAN(branches" in text
-    assert "backend=" not in text
+    lines = {line.split("(")[0].strip(): line
+             for line in text.splitlines() if "cost=" in line}
+    assert "backend=compiled" in lines["PROJECT"]
+    assert "fallback=tuple" in lines["NLJOIN[regular]"]
+    assert "backend=" not in lines["SCAN"]
     result = oltp_db.execute(sql, (7,), options=auto)
     assert result.rows == [(7.0, "c7")]
-    assert result.stats.codegen_pipelines == 0
-    assert result.stats.fallbacks == 0
-    # Forcing compiled mode still fuses every capable node.
-    forced = oltp_db.explain(
-        sql, options=_options(oltp_db, execution_mode="compiled"))
-    assert "backend=compiled" in forced
+    tuple_result = oltp_db.execute(
+        sql, (7,), options=_options(oltp_db, execution_mode="tuple"))
+    assert _same(result, tuple_result)
 
 
 def test_auto_still_accelerates_big_scan_filter_project(oltp_db):
@@ -425,26 +421,26 @@ def test_batch_mode_is_rejected():
         CompileOptions(execution_mode="batch")
 
 
-def test_31_row_scan_stays_tuple_32_fuses():
-    """AUTO_MIN_ROWS is 32: a 31-row scan stays on the interpreter, a
-    32-row one fuses."""
+def test_1_and_31_row_scans_fuse_under_the_default():
+    """No row count keeps a fusable scan on the interpreter: a 1-row
+    and a 31-row scan both run as one fused pipeline by default."""
     db = Database()
+    db.execute("CREATE TABLE one (n INTEGER, m INTEGER)")
     db.execute("CREATE TABLE small (n INTEGER, m INTEGER)")
-    db.execute("CREATE TABLE exact (n INTEGER, m INTEGER)")
     txn = db.begin()
+    db.engine.insert(txn, "one", (0, 1))
     for i in range(31):
         db.engine.insert(txn, "small", (i, i % 4))
-    for i in range(32):
-        db.engine.insert(txn, "exact", (i, i % 4))
     db.commit(txn)
     db.analyze()
-    auto = CompileOptions(execution_mode="auto")
-    small = db.execute("SELECT n FROM small WHERE m = 1", options=auto)
-    assert small.stats.codegen_pipelines == 0
-    assert len(small.rows) == 8
-    exact = db.execute("SELECT n FROM exact WHERE m = 1", options=auto)
-    assert exact.stats.codegen_pipelines == 1
-    assert len(exact.rows) == 8
+    for table, count in (("one", 1), ("small", 8)):
+        sql = "SELECT n FROM %s WHERE m = 1" % table
+        result = db.execute(sql)
+        assert result.stats.codegen_pipelines == 1
+        assert len(result.rows) == count
+        tuple_result = db.execute(
+            sql, options=CompileOptions(execution_mode="tuple"))
+        assert _same(result, tuple_result)
 
 
 def _regions(plan):
@@ -545,8 +541,8 @@ def test_iscan_aggregate_is_byte_identical_to_tuple():
 def test_left_outer_hash_join_fuses_and_pads_like_tuple(batch_db):
     sql = ("SELECT t.a, s.v, s.k FROM t LEFT OUTER JOIN s "
            "ON t.b = s.k AND s.k > 4 WHERE t.a < 120")
-    for mode in ("auto", "compiled"):
-        options = _options(batch_db, execution_mode=mode,
+    for batch_size in (1024, 1):
+        options = _options(batch_db, batch_size=batch_size,
                            forced_join_method="hash")
         plan = batch_db.compile(sql, options=options).plan
         join = next(node for node in plan.walk()

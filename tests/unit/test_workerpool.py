@@ -172,8 +172,41 @@ def test_terminate_under_a_blocked_reader_is_deferred(db):
     reader.join(10)
     assert not reader.is_alive()
     assert outcome["value"][1][0] == "late"
-    assert pool.closed  # the last caller out stopped the workers
+    pool.reaper.join(10)  # the reaper stops the workers once it left
+    assert pool.closed
     assert not any(w.process.is_alive() for w in pool._workers)
+
+
+def test_reader_inside_a_terminated_pool_never_runs_the_reap(
+        db, monkeypatch):
+    """The kill + join of a retired pool's workers is not the last
+    reader's to pay: with a reader leased across ``terminate()``, the
+    reap runs on the pool's reaper thread, after the reader left."""
+    stoppers = []
+    real_shutdown = WorkerPool._shutdown
+
+    def recording_shutdown(pool):
+        stoppers.append(threading.current_thread())
+        real_shutdown(pool)
+
+    monkeypatch.setattr(WorkerPool, "_shutdown", recording_shutdown)
+    pool = WorkerPool(db, 2)
+    reader, outcome = _in_thread(
+        lambda: pool.call(_echo_after, (0.3, "late")))
+    time.sleep(0.1)
+    pool.terminate()
+    assert stoppers == []  # the caller of terminate() did not wait
+    reader.join(10)
+    assert outcome["value"][1][0] == "late"
+    pool.reaper.join(10)
+    assert stoppers == [pool.reaper]
+    assert reader not in stoppers
+    assert pool.closed
+    # An idle pool is stopped by whoever terminates it.
+    idle = WorkerPool(db, 1)
+    idle.terminate()
+    assert stoppers[-1] is threading.current_thread()
+    assert idle.closed and idle.reaper is None
 
 
 def test_fork_while_a_thread_holds_the_buffer_pool_lock(db):
