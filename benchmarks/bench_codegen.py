@@ -80,7 +80,7 @@ def _time(db: Database, sql: str, options: CompileOptions):
 
 
 def _measure(db: Database, sql: str, force_join=None):
-    base = CompileOptions.from_settings(db.settings).replace(
+    base = db.settings.compile_options().replace(
         execution_mode="tuple")
     if force_join is not None:
         base = base.replace(forced_join_method=force_join)
@@ -106,7 +106,7 @@ def test_e22_codegen(cg_db, benchmark):
     # Record the headline (fused scan-filter-project) with the benchmark
     # fixture too, so --benchmark-only runs keep this module selected and
     # latest_results.txt always includes the E22 table.
-    fused_options = CompileOptions.from_settings(cg_db.settings)
+    fused_options = cg_db.settings.compile_options()
     benchmark(cg_db.run_compiled,
               cg_db.compile(SCAN_SQL, options=fused_options))
     report = {

@@ -13,10 +13,10 @@ with/without Cartesian products.
 import pytest
 
 from benchmarks.conftest import bulk_insert, print_table
-from repro import Database
+from repro import CompileOptions, Database
 from repro.language.parser import parse_statement
 from repro.language.translator import translate
-from repro.optimizer.boxopt import Optimizer, OptimizerSettings
+from repro.optimizer.boxopt import Optimizer
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +44,8 @@ def enumerate_stats(db, tables, allow_bushy, allow_cartesian):
     db.rewrite_engine.run(graph)
     optimizer = Optimizer(
         db.catalog, engine=db.engine, functions=db.functions,
-        settings=OptimizerSettings(allow_bushy=allow_bushy,
-                                   allow_cartesian=allow_cartesian))
+        settings=CompileOptions(allow_bushy=allow_bushy,
+                                allow_cartesian=allow_cartesian))
     plan = optimizer.optimize(graph)
     return optimizer.enumerator_stats[-1], plan
 

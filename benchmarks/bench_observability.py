@@ -38,7 +38,7 @@ import pytest
 
 from benchmarks.conftest import bulk_insert, cores as affinity_cores, \
     print_table
-from repro import CompileOptions, Database
+from repro import Database
 from repro.obs import RequestTrace
 
 ROWS = 100_000
@@ -104,7 +104,7 @@ def _ratios(samples):
 def _measure(db: Database, sql: str, mode: str, force_join=None,
              repeats: int = REPEATS):
     """Execution only (one shared compile), operator spans off, on, off."""
-    options = CompileOptions.from_settings(db.settings).replace(
+    options = db.settings.compile_options().replace(
         execution_mode=mode)
     if force_join is not None:
         options = options.replace(forced_join_method=force_join)
@@ -138,7 +138,7 @@ def test_observability_overhead(obs_bench_db, benchmark):
     # The off path constructs no span objects, so its two legs per
     # repeat must agree within noise.
     off_ratio = scan["off_noise_ratio"]
-    base = CompileOptions.from_settings(db.settings)
+    base = db.settings.compile_options()
     benchmark(db.run_compiled, db.compile(SCAN_SQL, options=base))
     report = {
         "rows": ROWS,

@@ -115,7 +115,7 @@ def _update_report(**sections) -> None:
 def _tuple_options(db: Database) -> CompileOptions:
     # The 0.7 x dop gate was set on the tuple interpreter, whose
     # per-row work is what the morsels divide.
-    return CompileOptions.from_settings(db.settings).replace(
+    return db.settings.compile_options().replace(
         execution_mode="tuple")
 
 
@@ -178,7 +178,7 @@ def _median_time(db: Database, sql: str, options: CompileOptions):
 
 
 def _measure_join(db: Database, mode: str):
-    serial_options = CompileOptions.from_settings(db.settings).replace(
+    serial_options = db.settings.compile_options().replace(
         execution_mode=mode)
     serial_s, serial, _c = _median_time(db, JOIN_SQL, serial_options)
     gather_s, gathered, compiled = _median_time(

@@ -82,7 +82,7 @@ def _run(db: Database, executions: int, options: CompileOptions) -> float:
 
 def test_e18_plan_cache(serving_db, benchmark):
     db = serving_db
-    cached_opts = CompileOptions.from_settings(db.settings)
+    cached_opts = db.settings.compile_options()
     compile_opts = cached_opts.replace(plan_cache=False)
 
     # correctness guard: both paths answer identically over the pool

@@ -45,19 +45,19 @@ def test_e12_semi_naive(dag_db, benchmark):
 
 
 def test_e12_naive(dag_db, benchmark):
-    dag_db.settings.optimizer.naive_recursion = True
+    dag_db.settings.naive_recursion = True
     try:
         result = benchmark(dag_db.execute, TC_SQL)
         assert result.scalar() > 100
     finally:
-        dag_db.settings.optimizer.naive_recursion = False
+        dag_db.settings.naive_recursion = False
 
 
 def test_e12_work_table(dag_db, benchmark):
     semi = benchmark(dag_db.execute, TC_SQL)
-    dag_db.settings.optimizer.naive_recursion = True
+    dag_db.settings.naive_recursion = True
     naive = dag_db.execute(TC_SQL)
-    dag_db.settings.optimizer.naive_recursion = False
+    dag_db.settings.naive_recursion = False
     assert semi.scalar() == naive.scalar()
     print_table(
         "E12: transitive closure on a layered DAG (%d tuples)"

@@ -10,9 +10,10 @@ rank-cutoff sweep, and rank-ordered vs sequential alternative evaluation.
 """
 
 from benchmarks.conftest import print_table
+from repro import CompileOptions
 from repro.language.parser import parse_statement
 from repro.language.translator import translate
-from repro.optimizer.boxopt import Optimizer, OptimizerSettings
+from repro.optimizer.boxopt import Optimizer
 
 SQL = ("SELECT f.measure FROM fact f, dim1 a, dim2 b, dim3 c "
        "WHERE f.d1 = a.k AND f.d2 = b.k AND f.d3 = c.k "
@@ -22,8 +23,8 @@ SQL = ("SELECT f.measure FROM fact f, dim1 a, dim2 b, dim3 c "
 def optimize_with(db, rank_cutoff, sort_by_rank=True):
     graph = translate(parse_statement(SQL), db)
     db.rewrite_engine.run(graph)
-    settings = OptimizerSettings(rank_cutoff=rank_cutoff,
-                                 sort_by_rank=sort_by_rank)
+    settings = CompileOptions(rank_cutoff=rank_cutoff,
+                              sort_by_rank=sort_by_rank)
     optimizer = Optimizer(db.catalog, engine=db.engine,
                           functions=db.functions, settings=settings)
     plan = optimizer.optimize(graph)

@@ -131,9 +131,9 @@ def main():
         ) SELECT count(*) FROM n
     """
     semi = db.execute(chain_sql)
-    db.settings.optimizer.naive_recursion = True
+    db.settings.naive_recursion = True
     naive = db.execute(chain_sql)
-    db.settings.optimizer.naive_recursion = False
+    db.settings.naive_recursion = False
     print("\nfixpoint on a 60-step chain (same %d rows): semi-naive "
           "scanned %d delta tuples over %d rounds; naive re-scanned %d"
           % (semi.rows[0][0], semi.stats.rows_scanned,

@@ -42,9 +42,8 @@ from repro.language import ast
 from repro.language.parser import parse_statement
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import OpSpans, RequestTrace
-from repro.optimizer.boxopt import OptimizerSettings
 from repro.optimizer.stars import STAR, Alternative, default_star_array
-from repro.core.options import CompileOptions
+from repro.core.options import FIELDS, CompileOptions
 from repro.core.pipeline import CompiledStatement, compile_statement
 from repro.core.plancache import (
     Fingerprint,
@@ -58,41 +57,37 @@ from repro.storage.engine import StorageEngine
 
 
 class Settings:
-    """Per-database behaviour switches."""
+    """Per-database compile switches: a mutable handle on one held
+    :class:`CompileOptions` value.
+
+    Every field of :class:`CompileOptions` reads through
+    (``db.settings.dop``).  Assigning one (``db.settings.dop = 8``)
+    validates the change through :meth:`CompileOptions.replace` and swaps
+    in the new value, so an illegal value raises at the assignment and
+    leaves the held value as it was.  :meth:`compile_options` returns the
+    held value itself: a statement that omits ``options`` compiles under
+    it without building a new one.
+    """
+
+    __slots__ = ("_options",)
 
     def __init__(self):
-        #: Query rewrite can be "bypassed for faster query compilation at
-        #: the expense of potentially lower runtime performance" (Fig. 1).
-        self.rewrite_enabled = True
-        #: "default" (one forward-chaining pass) or "search" (budgeted
-        #: cost-driven exploration of alternative firing sequences).
-        self.rewrite_strategy = "default"
-        self.optimizer = OptimizerSettings()
-        #: Validate QGM after parse and rewrite (debug aid; cheap).
-        self.validate_qgm = True
-        #: Execution backend: "auto" (pipeline-fusion codegen wherever
-        #: fusable, the stream interpreter elsewhere) or "tuple" (the
-        #: stream interpreter alone).
-        self.execution_mode = "auto"
-        #: Rows per fused-pipeline morsel (scan record batches, and the
-        #: chunks a pipeline pulls from a tuple leaf).
-        self.batch_size = 1024
-        #: Serve repeated statements from the plan cache ("the result of
-        #: the compilation stage can be stored for future use").
-        self.plan_cache_enabled = True
-        #: Auto-parameterize top-level comparison literals at fingerprint
-        #: time (off by default: ad-hoc queries keep literal-aware plans).
-        self.constant_parameterization = False
-        #: Intra-query parallelism: "off", "auto" (cost-gated) or "on"
-        #: (parallelize every eligible subtree).  Requires the fork start
-        #: method; degrades to serial execution elsewhere.
-        self.parallelism = "off"
-        #: Degree of parallelism for Exchange operators.
-        self.dop = 4
+        object.__setattr__(self, "_options", CompileOptions())
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in FIELDS:
+            raise AttributeError("no setting named %r" % name)
+        return getattr(self._options, name)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name not in FIELDS:
+            raise AttributeError("no setting named %r" % name)
+        object.__setattr__(self, "_options",
+                           self._options.replace(**{name: value}))
 
     def compile_options(self) -> CompileOptions:
-        """Snapshot these settings as a :class:`CompileOptions` value."""
-        return CompileOptions.from_settings(self)
+        """The held options value (immutable, so safe to share)."""
+        return self._options
 
 
 class Result:
@@ -289,7 +284,7 @@ class Database:
                         tracer=None) -> CompiledStatement:
         """The cached plan for ``sql``, or a fresh compile admitted to
         the plan cache."""
-        key = (fingerprint.key, options.cache_key())
+        key = (fingerprint.key, options.key)
         if tracer is not None:
             with tracer.span("plancache.lookup",
                              fingerprint=fingerprint.key[:12]) as span:
@@ -555,7 +550,7 @@ class Database:
         if fingerprint is None or not fingerprint.cacheable:
             return "plan: not cacheable, %s" % epochs
         entry = self.plan_cache.peek(
-            self.catalog, (fingerprint.key, options.cache_key()))
+            self.catalog, (fingerprint.key, options.key))
         if entry is None:
             return "plan: not cached, %s" % epochs
         return "plan: cached, epoch=%d, hits=%d, %s" % (

@@ -1,20 +1,24 @@
-"""Compile-time configuration as one first-class object.
+"""Compile-time configuration: the one declaration of every compile knob.
 
-Every knob the pipeline used to read ad-hoc from ``db.settings`` —
-rewrite on/off, QGM validation, and the optimizer search-strategy
-switches — lives here as a single immutable-by-convention
-value that can be passed to :func:`repro.core.pipeline.compile_statement`
-(and through ``Database.execute`` / ``Database.compile``) without mutating
-the database.  The differential test harness compiles the same statement
-under many ``CompileOptions`` and checks that every configuration computes
-the same answer.
+Rewrite on/off and strategy, the optimizer's search-strategy switches
+(the paper's section 6 knobs), the execution backend, parallelism and
+plan-cache use are all fields of :class:`CompileOptions`, and nowhere
+else.  A value is immutable: assigning a field raises, and
+:meth:`CompileOptions.replace` makes a changed copy.  Its plan-cache key
+is computed once, at construction, as :attr:`CompileOptions.key`.
+
+One value is passed to :func:`repro.core.pipeline.compile_statement`
+(and through ``Database.execute`` / ``Database.compile``) without
+mutating the database; ``db.settings`` is a mutable handle on the
+database's default value.  The optimizer, its STARs and the rewrite
+search's cost estimator read their fields from the same value.  The
+differential test harness compiles the same statement under many values
+and checks that every configuration computes the same answer.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
-
-from repro.optimizer.boxopt import OptimizerSettings
+from typing import Optional, Sequence
 
 #: Legal values for :attr:`CompileOptions.forced_join_method`.
 JOIN_METHODS = ("nl", "merge", "hash")
@@ -40,23 +44,53 @@ PARALLELISM_MODES = ("off", "auto", "on")
 #: with the lowest optimizer-estimated cost.
 REWRITE_STRATEGIES = ("default", "search")
 
+#: Every field of :class:`CompileOptions`, in constructor order.
+FIELDS = ("rewrite_enabled", "rewrite_strategy", "rewrite_only_rules",
+          "allow_bushy", "allow_cartesian", "rank_cutoff", "sort_by_rank",
+          "naive_recursion", "forced_join_method", "join_enumeration",
+          "execution_mode", "batch_size", "parallelism", "dop",
+          "plan_cache", "constant_parameterization", "label")
+
+#: Fields left out of :attr:`CompileOptions.key`: ``label`` (cosmetic),
+#: ``plan_cache`` (whether to consult the cache, not what to compile)
+#: and ``constant_parameterization`` (already folded into the statement
+#: fingerprint, so an explicitly parameterized query and an
+#: auto-parameterized one share a plan).
+UNKEYED_FIELDS = frozenset(("label", "plan_cache",
+                            "constant_parameterization"))
+
 
 class CompileOptions:
-    """One compilation's worth of pipeline configuration."""
+    """One compilation's worth of pipeline configuration (immutable).
 
-    __slots__ = ("rewrite_enabled", "rewrite_strategy", "rewrite_only_rules",
-                 "validate_qgm",
-                 "allow_bushy", "allow_cartesian", "rank_cutoff",
-                 "sort_by_rank", "naive_recursion", "forced_join_method",
-                 "join_enumeration", "execution_mode", "batch_size",
-                 "parallelism", "dop",
-                 "plan_cache", "constant_parameterization", "label")
+    - ``rewrite_enabled`` — rewrite "may be bypassed for faster query
+      compilation" (Fig. 1); ``rewrite_strategy`` — see
+      :data:`REWRITE_STRATEGIES`; ``rewrite_only_rules`` — fire only the
+      named rules (the rulecheck harness's forced-fire switch).
+    - The optimizer's search strategy (section 6): ``allow_bushy``,
+      ``allow_cartesian``, ``join_enumeration`` (``dp`` or ``greedy``),
+      ``rank_cutoff`` / ``sort_by_rank`` (STAR alternatives), and
+      ``forced_join_method`` (nested loops stays the fallback where the
+      forced method is inapplicable); ``naive_recursion`` evaluates
+      recursive views naively instead of semi-naively.
+    - ``execution_mode`` — see :data:`EXECUTION_MODES`; ``batch_size`` —
+      rows per fused-pipeline morsel; ``parallelism`` / ``dop`` — see
+      :data:`PARALLELISM_MODES` (needs the fork start method).
+    - ``plan_cache`` — serve repeated statements from the plan cache;
+      ``constant_parameterization`` — lift top-level comparison literals
+      to parameters, so ``id = 7`` and ``id = 9`` share one plan.
+    - ``label`` names the value in :meth:`describe`.
+
+    ``key``, computed here once, is the plan-cache key contribution:
+    every field but :data:`UNKEYED_FIELDS`.
+    """
+
+    __slots__ = FIELDS + ("key",)
 
     def __init__(self,
                  rewrite_enabled: bool = True,
                  rewrite_strategy: str = "default",
                  rewrite_only_rules: Optional[Sequence[str]] = None,
-                 validate_qgm: bool = True,
                  allow_bushy: bool = False,
                  allow_cartesian: bool = False,
                  rank_cutoff: float = 100.0,
@@ -96,82 +130,45 @@ class CompileOptions:
                 % (PARALLELISM_MODES, parallelism))
         if dop < 1:
             raise ValueError("dop must be >= 1, got %r" % (dop,))
-        self.rewrite_enabled = rewrite_enabled
-        #: "default" (one forward-chaining pass) or "search" (budgeted
-        #: cost-driven exploration of alternative firing sequences).
-        self.rewrite_strategy = rewrite_strategy
-        #: Restrict rewrite to the named rules regardless of class
-        #: enabling — the rulecheck harness's forced-fire switch.
-        self.rewrite_only_rules = (tuple(rewrite_only_rules)
-                                   if rewrite_only_rules is not None
-                                   else None)
-        self.validate_qgm = validate_qgm
-        self.allow_bushy = allow_bushy
-        self.allow_cartesian = allow_cartesian
-        self.rank_cutoff = rank_cutoff
-        self.sort_by_rank = sort_by_rank
-        self.naive_recursion = naive_recursion
-        self.forced_join_method = forced_join_method
-        self.join_enumeration = join_enumeration
-        self.execution_mode = execution_mode
-        #: Rows per fused-pipeline morsel: the record batches a fused
-        #: scan decodes at a time, and the chunks a pipeline pulls from
-        #: a tuple leaf.
-        self.batch_size = batch_size
-        #: Intra-query parallelism mode ("off" / "auto" / "on"); the glue
-        #: phase splices Exchange LOLEPOPs when not "off".
-        self.parallelism = parallelism
-        #: Target degree of parallelism for spliced Exchanges.
-        self.dop = dop
-        #: Serve repeated statements from the database's plan cache
-        #: (compile-once-execute-many); off forces a fresh compile.
-        self.plan_cache = plan_cache
-        #: Replace top-level comparison literals with synthetic parameters
-        #: at fingerprint time, so ``WHERE id = 7`` and ``WHERE id = 9``
-        #: share one cached plan.  Only meaningful with ``plan_cache``.
-        self.constant_parameterization = constant_parameterization
-        self.label = label
+        if rewrite_only_rules is not None:
+            rewrite_only_rules = tuple(rewrite_only_rules)
+        values = (rewrite_enabled, rewrite_strategy, rewrite_only_rules,
+                  allow_bushy, allow_cartesian, rank_cutoff, sort_by_rank,
+                  naive_recursion, forced_join_method, join_enumeration,
+                  execution_mode, batch_size, parallelism, dop,
+                  plan_cache, constant_parameterization, label)
+        for name, value in zip(FIELDS, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "key", tuple(
+            value for name, value in zip(FIELDS, values)
+            if name not in UNKEYED_FIELDS))
 
-    @classmethod
-    def from_settings(cls, settings) -> "CompileOptions":
-        """Snapshot a database's ``Settings`` into one options value."""
-        optimizer = settings.optimizer
-        return cls(
-            rewrite_enabled=settings.rewrite_enabled,
-            rewrite_strategy=settings.rewrite_strategy,
-            validate_qgm=settings.validate_qgm,
-            allow_bushy=optimizer.allow_bushy,
-            allow_cartesian=optimizer.allow_cartesian,
-            rank_cutoff=optimizer.rank_cutoff,
-            sort_by_rank=optimizer.sort_by_rank,
-            naive_recursion=optimizer.naive_recursion,
-            forced_join_method=optimizer.forced_join_method,
-            join_enumeration=optimizer.join_enumeration,
-            execution_mode=settings.execution_mode,
-            batch_size=settings.batch_size,
-            parallelism=settings.parallelism,
-            dop=settings.dop,
-            plan_cache=settings.plan_cache_enabled,
-            constant_parameterization=settings.constant_parameterization,
-        )
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            "CompileOptions is immutable: use replace(%s=...)" % name)
 
-    def optimizer_settings(self) -> OptimizerSettings:
-        """The optimizer's view of these options."""
-        return OptimizerSettings(
-            allow_bushy=self.allow_bushy,
-            allow_cartesian=self.allow_cartesian,
-            rank_cutoff=self.rank_cutoff,
-            sort_by_rank=self.sort_by_rank,
-            naive_recursion=self.naive_recursion,
-            forced_join_method=self.forced_join_method,
-            join_enumeration=self.join_enumeration,
-        )
+    def __delattr__(self, name):
+        raise AttributeError("CompileOptions is immutable")
+
+    def __reduce__(self):
+        # Snapshot reads and morsel tasks ship options to worker
+        # processes; rebuilding through __init__ recomputes ``key``.
+        return CompileOptions, tuple(getattr(self, name) for name in FIELDS)
 
     def replace(self, **overrides) -> "CompileOptions":
-        """A copy with some fields replaced."""
-        values = {name: getattr(self, name) for name in self.__slots__}
+        """A validated copy with some fields replaced."""
+        values = {name: getattr(self, name) for name in FIELDS}
         values.update(overrides)
         return CompileOptions(**values)
+
+    def optimizer_settings(self) -> "CompileOptions":
+        """These options themselves: the optimizer reads its fields here.
+
+        Kept only for the benchmark suite's compile-phase probes
+        (``benchmarks/suite/layers.py``), which still call it; delete it
+        once they pass the options value itself.
+        """
+        return self
 
     def describe(self) -> str:
         """A short human-readable tag (used by the differential harness)."""
@@ -205,19 +202,6 @@ class CompileOptions:
         if self.constant_parameterization:
             parts.append("constparam")
         return "+".join(parts) if parts else "default"
-
-    def cache_key(self) -> tuple:
-        """The canonical plan-cache key contribution of these options.
-
-        Excludes ``label`` (cosmetic), ``plan_cache`` (whether to consult
-        the cache, not what to compile), ``constant_parameterization``
-        (already folded into the statement fingerprint, so an explicitly
-        parameterized query and an auto-parameterized one share a plan).
-        """
-        return tuple(
-            getattr(self, name) for name in self.__slots__
-            if name not in ("label", "plan_cache",
-                            "constant_parameterization"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<CompileOptions %s>" % self.describe()

@@ -110,15 +110,15 @@ def compile_statement(db, text: str,
     """Run the compile-time phases against a database's registries.
 
     ``options`` carries the whole pipeline configuration; when omitted it
-    is snapshotted from ``db.settings``.  ``trace`` is an optional
-    :class:`repro.obs.RequestTrace`: each phase then records a span under
-    its current span, and the rewrite firings and optimizer decisions
-    the phase makes nest under it as events.
+    is the database's current value, ``db.settings.compile_options()``.
+    ``trace`` is an optional :class:`repro.obs.RequestTrace`: each phase
+    then records a span under its current span, and the rewrite firings
+    and optimizer decisions the phase makes nest under it as events.
     """
     from repro.qgm.display import render_qgm
 
     if options is None:
-        options = CompileOptions.from_settings(db.settings)
+        options = db.settings.compile_options()
 
     timings = PhaseTimings()
 
@@ -130,8 +130,7 @@ def compile_statement(db, text: str,
         timings.parse = _end(trace, started)
         return CompiledStatement(text, statement, None, None, timings)
     qgm = translate(statement, db)
-    if options.validate_qgm:
-        validate_qgm(qgm)
+    validate_qgm(qgm)
     # Dependency extraction happens before rewrite: view merging may erase
     # range edges, and a superset of the post-rewrite dependencies is the
     # conservative (correct) invalidation set.
@@ -147,15 +146,14 @@ def compile_statement(db, text: str,
             qgm, trace=trace,
             only_rules=options.rewrite_only_rules,
             strategy=options.rewrite_strategy,
-            optimizer_settings=options.optimizer_settings())
-        if options.validate_qgm:
-            validate_qgm(qgm)
+            optimizer_settings=options)
+        validate_qgm(qgm)
     timings.rewrite = _end(trace, started, fired=(
         rewrite_report.fired if rewrite_report is not None else 0))
 
     started = _begin(trace, "optimize")
     optimizer = Optimizer(db.catalog, engine=db.engine,
-                          settings=options.optimizer_settings(),
+                          settings=options,
                           functions=db.functions,
                           stars=db.stars,
                           trace=trace)

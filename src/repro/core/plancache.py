@@ -457,7 +457,7 @@ class Prepared:
         self.sql = sql
         self.options = options
         self._fingerprint = fingerprint
-        self._key = (fingerprint.key, options.cache_key())
+        self._key = (fingerprint.key, options.key)
 
     @property
     def parameter_count(self) -> int:
@@ -489,7 +489,7 @@ def prepare_statement(db, sql: str, options) -> Prepared:
     if not fingerprint.cacheable:
         raise SemanticError(
             "cannot prepare DDL or EXPLAIN statements: %r" % sql)
-    key = (fingerprint.key, options.cache_key())
+    key = (fingerprint.key, options.key)
     if db.plan_cache.peek(db.catalog, key) is None:
         if fingerprint.rewritten:
             db.compile(sql, options=options)  # type-validate the original

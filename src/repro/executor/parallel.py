@@ -149,7 +149,7 @@ def _worker_run(db, payload):
     head, lo, hi, operators = payload
     task = Span("worker.morsel") if operators is not None else None
     text, options, node_index, signature, params = head
-    key = (text, options.cache_key())
+    key = (text, options.key)
     compiled = _WORKER_PLANS.get(key)
     if compiled is None:
         compiled = compile_statement(db, text, options=options)

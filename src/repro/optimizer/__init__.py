@@ -24,7 +24,7 @@ from repro.optimizer.plans import PlanOp
 from repro.optimizer.cost import CostModel
 from repro.optimizer.stars import STAR, Alternative, PlanGenerator, default_star_array
 from repro.optimizer.enumerator import JoinEnumerator
-from repro.optimizer.boxopt import Optimizer, OptimizerSettings
+from repro.optimizer.boxopt import Optimizer
 
 __all__ = [
     "PlanProperties",
@@ -37,5 +37,4 @@ __all__ = [
     "default_star_array",
     "JoinEnumerator",
     "Optimizer",
-    "OptimizerSettings",
 ]

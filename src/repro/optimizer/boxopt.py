@@ -17,7 +17,7 @@ root, producing one (best) row-stream plan per box, with:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.errors import OptimizerError
 from repro.optimizer.cost import CostModel
@@ -62,6 +62,9 @@ from repro.qgm.model import (
     UpdateBox,
 )
 
+if TYPE_CHECKING:
+    from repro.core.options import CompileOptions
+
 #: Mapping from built-in QGM iterator types to executor join kinds.
 QTYPE_TO_KIND = {
     "E": "exists",
@@ -71,36 +74,12 @@ QTYPE_TO_KIND = {
 }
 
 
-class OptimizerSettings:
-    """Knobs exposed by the paper's search-strategy discussion.
-
-    ``forced_join_method`` restricts JoinRoot to one join method
-    ('nl', 'merge' or 'hash'; nested loops stays as fallback when the
-    forced method is inapplicable, e.g. merge/hash without equi-join
-    keys).  ``join_enumeration`` selects System-R dynamic programming
-    ('dp') or a cheapest-next greedy heuristic ('greedy').
-    """
-
-    def __init__(self, allow_bushy: bool = False,
-                 allow_cartesian: bool = False,
-                 rank_cutoff: float = 100.0,
-                 sort_by_rank: bool = True,
-                 naive_recursion: bool = False,
-                 forced_join_method: Optional[str] = None,
-                 join_enumeration: str = "dp"):
-        self.allow_bushy = allow_bushy
-        self.allow_cartesian = allow_cartesian
-        self.rank_cutoff = rank_cutoff
-        self.sort_by_rank = sort_by_rank
-        self.naive_recursion = naive_recursion
-        self.forced_join_method = forced_join_method
-        self.join_enumeration = join_enumeration
-
-
 class _PlannerContext:
-    """What the STAR rules see: cost model, access methods, settings."""
+    """What the STAR rules see: cost model, access methods, and the
+    :class:`~repro.core.options.CompileOptions` being compiled under
+    (``settings``)."""
 
-    def __init__(self, cm: CostModel, engine, settings: OptimizerSettings):
+    def __init__(self, cm: CostModel, engine, settings: CompileOptions):
         self.cm = cm
         self._engine = engine
         self.settings = settings
@@ -112,17 +91,30 @@ class _PlannerContext:
 
 
 class Optimizer:
-    """Plans one QGM graph."""
+    """Plans one QGM graph.
+
+    ``settings`` is the :class:`~repro.core.options.CompileOptions` the
+    statement compiles under (the default value when omitted); the
+    search-strategy fields — ``allow_bushy``, ``allow_cartesian``,
+    ``join_enumeration``, ``naive_recursion``, and through the STARs
+    ``rank_cutoff``, ``sort_by_rank`` and ``forced_join_method`` — are
+    read from it.
+    """
 
     def __init__(self, catalog, engine=None,
-                 settings: Optional[OptimizerSettings] = None,
+                 settings: Optional[CompileOptions] = None,
                  functions=None,
                  stars: Optional[dict] = None,
                  trace=None):
         self.catalog = catalog
         self.engine = engine
         self.functions = functions
-        self.settings = settings or OptimizerSettings()
+        if settings is None:
+            # Imported here: repro.core imports this module.
+            from repro.core.options import CompileOptions
+
+            settings = CompileOptions()
+        self.settings = settings
         self.cm = CostModel(catalog)
         context = _PlannerContext(self.cm, engine, self.settings)
         self.generator = PlanGenerator(stars or default_star_array(), context)

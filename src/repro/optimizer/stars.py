@@ -100,9 +100,10 @@ class PlanGenerator:
 
     ``context`` supplies the environment rules need:
     ``cm`` (CostModel), ``access_methods(table_name)``, and ``settings``
-    (rank_cutoff, sort_by_rank).  The STAR array can be modified (add /
-    replace / remove rules) without touching the evaluator — the paper's
-    orthogonality requirement.
+    (the :class:`~repro.core.options.CompileOptions`: rank_cutoff,
+    sort_by_rank, forced_join_method).  The STAR array can be modified
+    (add / replace / remove rules) without touching the evaluator — the
+    paper's orthogonality requirement.
     """
 
     def __init__(self, stars: Dict[str, STAR], context):
@@ -408,7 +409,7 @@ def default_star_array() -> Dict[str, STAR]:
                                    site=outer.props.site)
             if shipped is not None:
                 inner = shipped
-        forced = getattr(gen.context.settings, "forced_join_method", None)
+        forced = gen.context.settings.forced_join_method
         if args.get("lateral"):
             # The inner side references iterators bound by the outer side
             # (a correlated setformer, e.g. after subquery-to-join): it

@@ -251,8 +251,9 @@ class RewriteEngine:
         budget spent so far).  ``only_rules`` restricts the run to the
         named rules (forced-fire mode).  ``strategy="search"`` dispatches
         to the budgeted cost-driven sequence search instead of the single
-        forward-chaining pass; ``optimizer_settings`` is only consulted by
-        the search-mode cost estimator.
+        forward-chaining pass; ``optimizer_settings`` is the
+        :class:`~repro.core.options.CompileOptions` the search-mode cost
+        estimator plans under (the defaults when omitted).
         """
         if strategy == "search":
             return self.run_search(qgm, trace=trace, only_rules=only_rules,

@@ -31,7 +31,7 @@ import random
 from collections import Counter
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.core.options import CompileOptions
+from repro.core.options import FIELDS, CompileOptions
 from repro.errors import DivisionByZeroError, ReproError
 from repro.obs.spans import RequestTrace
 from repro.testkit.datagen import (SchemaSpec, build_database,
@@ -120,9 +120,10 @@ def default_matrix() -> List[Config]:
         # spans on, over the heaviest config (parallel + fused, so every
         # wrapper, the fused regions' analyze variants and the worker
         # op-span grafts are live), and require byte-identical rows vs
-        # the uninstrumented run.
+        # the serial default (already cached by the `default` config).
+        # `compiled-parallel` below is the same options untraced.
         Config("analyze", parallel_fused, byte_identical=True,
-               operators=True),
+               reference=base, operators=True),
         # Fused regions at batch_size=1 (one-row morsels: every
         # per-morsel edge and tuple<->fused adapter, per row) must be
         # byte-identical to the tuple interpreter, and under the
@@ -252,7 +253,7 @@ class Divergence:
     def _option_overrides(self) -> str:
         defaults = CompileOptions()
         parts = []
-        for slot in CompileOptions.__slots__:
+        for slot in FIELDS:
             if slot == "label":
                 continue
             value = getattr(self.config.options, slot)

@@ -103,12 +103,12 @@ class TestJoins:
         sql = ("SELECT e.name, d.budget FROM emp e, dept d, emp m "
                "WHERE e.dept = d.dname AND e.mgr = m.id")
         baseline = q(emp_db, sql)
-        emp_db.settings.optimizer.allow_bushy = True
+        emp_db.settings.allow_bushy = True
         assert q(emp_db, sql) == baseline
-        emp_db.settings.optimizer.allow_cartesian = True
+        emp_db.settings.allow_cartesian = True
         assert q(emp_db, sql) == baseline
-        emp_db.settings.optimizer.allow_bushy = False
-        emp_db.settings.optimizer.allow_cartesian = False
+        emp_db.settings.allow_bushy = False
+        emp_db.settings.allow_cartesian = False
 
 
 class TestAggregation:

@@ -73,9 +73,9 @@ class TestRecursion:
                "SELECT t.s, e.dst FROM tc t, edges e WHERE e.src = t.d) "
                "SELECT count(*) FROM tc")
         semi = q(graph_db, sql)
-        graph_db.settings.optimizer.naive_recursion = True
+        graph_db.settings.naive_recursion = True
         naive = q(graph_db, sql)
-        graph_db.settings.optimizer.naive_recursion = False
+        graph_db.settings.naive_recursion = False
         assert semi == naive
 
     def test_naive_runs_more_iterations(self, graph_db):
@@ -84,9 +84,9 @@ class TestRecursion:
                "SELECT e.dst FROM reach r, edges e WHERE e.src = r.n) "
                "SELECT n FROM reach")
         semi_stats = graph_db.execute(sql).stats
-        graph_db.settings.optimizer.naive_recursion = True
+        graph_db.settings.naive_recursion = True
         naive_stats = graph_db.execute(sql).stats
-        graph_db.settings.optimizer.naive_recursion = False
+        graph_db.settings.naive_recursion = False
         assert naive_stats.recursion_iterations >= \
             semi_stats.recursion_iterations
 

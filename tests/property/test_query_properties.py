@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CompileOptions, Database
+from repro import Database
 
 settings_profile = settings(
     max_examples=25, deadline=None,
@@ -88,10 +88,10 @@ class TestRewriteEquivalence:
         a_rows, b_rows, sql = case
         db = build_db(a_rows, b_rows)
         baseline = sorted(db.execute(sql).rows)
-        db.settings.optimizer.allow_bushy = True
-        db.settings.optimizer.allow_cartesian = True
+        db.settings.allow_bushy = True
+        db.settings.allow_cartesian = True
         assert sorted(db.execute(sql).rows) == baseline
-        db.settings.optimizer.rank_cutoff = 1.0
+        db.settings.rank_cutoff = 1.0
         assert sorted(db.execute(sql).rows) == baseline
 
 
@@ -192,7 +192,7 @@ class TestFusedAgreement:
         db.commit(txn)
         db.analyze()
         try:
-            base = CompileOptions.from_settings(db.settings).replace(
+            base = db.settings.compile_options().replace(
                 plan_cache=False, forced_join_method="hash")
             ref = repr(db.execute(sql, options=base.replace(
                 execution_mode="tuple")).rows)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import CompileOptions, Database
+from repro import Database
 
 from repro.catalog import ColumnDef, TableDef
 from repro.datatypes import BOOLEAN, DOUBLE, INTEGER, VARCHAR
@@ -231,7 +231,7 @@ class TestBigTableScans:
         else:
             sql = "SELECT %s FROM big WHERE a < %d" % (", ".join(columns),
                                                        bound)
-        base = CompileOptions.from_settings(big_db.settings).replace(
+        base = big_db.settings.compile_options().replace(
             plan_cache=False)
         ref = big_db.execute(sql, options=base.replace(
             execution_mode="tuple")).rows

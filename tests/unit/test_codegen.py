@@ -40,7 +40,7 @@ def cg_db() -> Database:
 
 
 def _options(db, **overrides) -> CompileOptions:
-    base = CompileOptions.from_settings(db.settings)
+    base = db.settings.compile_options()
     return base.replace(plan_cache=False, **overrides)
 
 

@@ -47,7 +47,7 @@ def obs_db() -> Database:
 
 
 def _options(db, **overrides) -> CompileOptions:
-    return CompileOptions.from_settings(db.settings).replace(**overrides)
+    return db.settings.compile_options().replace(**overrides)
 
 
 def _analyzed(db, sql, options=None):

@@ -3,11 +3,11 @@ join enumeration, and plan shapes."""
 
 import pytest
 
-from repro import Database
+from repro import CompileOptions, Database
 from repro.datatypes import BOOLEAN, INTEGER
 from repro.language.parser import parse_statement
 from repro.language.translator import translate
-from repro.optimizer.boxopt import Optimizer, OptimizerSettings
+from repro.optimizer.boxopt import Optimizer
 from repro.optimizer.cost import CPU_WEIGHT, CostModel
 from repro.optimizer.enumerator import JoinEnumerator, prune_plans
 from repro.optimizer.plans import (
@@ -44,7 +44,7 @@ def db():
 def plan_for(db, sql, **settings_kwargs):
     graph = translate(parse_statement(sql), db)
     db.rewrite_engine.run(graph)
-    settings = OptimizerSettings(**settings_kwargs)
+    settings = CompileOptions(**settings_kwargs)
     optimizer = Optimizer(db.catalog, engine=db.engine, settings=settings,
                           functions=db.functions)
     return optimizer.optimize(graph), optimizer
@@ -235,8 +235,8 @@ class TestEnumerator:
         if joins:
             sql += " WHERE " + joins
         graph = translate(parse_statement(sql), db)
-        settings = OptimizerSettings(allow_bushy=allow_bushy,
-                                     allow_cartesian=allow_cartesian)
+        settings = CompileOptions(allow_bushy=allow_bushy,
+                                  allow_cartesian=allow_cartesian)
         optimizer = Optimizer(db.catalog, engine=db.engine,
                               settings=settings, functions=db.functions)
         optimizer.optimize(graph)

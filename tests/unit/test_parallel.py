@@ -38,7 +38,7 @@ def par_db() -> Database:
 
 
 def _options(db, **overrides) -> CompileOptions:
-    return CompileOptions.from_settings(db.settings).replace(**overrides)
+    return db.settings.compile_options().replace(**overrides)
 
 
 def _serial_vs_parallel(db, sql, **overrides):
@@ -147,7 +147,7 @@ class TestPlanShape:
     def test_parallel_options_get_their_own_cache_key(self, par_db):
         serial = _options(par_db)
         par = _options(par_db, parallelism="on", dop=4)
-        assert serial.cache_key() != par.cache_key()
+        assert serial.key != par.key
         assert "parallel" in par.describe()
 
 

@@ -48,7 +48,7 @@ def shard_db() -> Database:
 
 
 def _options(db, **overrides) -> CompileOptions:
-    return CompileOptions.from_settings(db.settings).replace(**overrides)
+    return db.settings.compile_options().replace(**overrides)
 
 
 def _serial_vs_partitioned(db, sql, **overrides):

@@ -1116,12 +1116,11 @@ class TestParallelWorkerFragments:
         return db
 
     def _traced_run(self, db):
-        from repro.core.database import CompileOptions
         from repro.obs.spans import SpanRecorder
 
         recorder = SpanRecorder("always")
         trace = recorder.maybe_start()
-        options = CompileOptions.from_settings(db.settings).replace(
+        options = db.settings.compile_options().replace(
             parallelism="on", dop=4)
         result = db.execute("SELECT count(*) FROM big WHERE v > 2",
                             options=options, tracer=trace)

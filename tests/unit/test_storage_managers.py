@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CompileOptions, Database
+from repro import Database
 from repro.catalog import Catalog, ColumnDef, TableDef
 from repro.datatypes import BOOLEAN, DOUBLE, INTEGER, VARCHAR
 from repro.errors import ExtensionError, StorageError
@@ -255,7 +255,7 @@ class TestFusedScanOverStorageManagers:
 
     @staticmethod
     def _check(db, sql):
-        base = CompileOptions.from_settings(db.settings).replace(
+        base = db.settings.compile_options().replace(
             plan_cache=False)
         ref = db.execute(sql, options=base.replace(execution_mode="tuple"))
         compiled = base.replace(batch_size=16)

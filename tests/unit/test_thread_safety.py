@@ -265,7 +265,6 @@ class TestParallelRuntimeUnderThreads:
         The swap is locked and the old pool's terminate() waits for the
         statements still inside it; before that, a reader could block
         forever in a pool another thread had just torn down."""
-        from repro import CompileOptions
         from repro.executor import parallel
 
         if not parallel.fork_available():
@@ -279,7 +278,7 @@ class TestParallelRuntimeUnderThreads:
         db.commit(txn)
         db.analyze()
         assert db.engine.table_page_count("t") >= 2
-        options = CompileOptions.from_settings(db.settings).replace(
+        options = db.settings.compile_options().replace(
             parallelism="on", dop=2)
         results = [[] for _ in range(4)]
         stop = threading.Event()

@@ -40,7 +40,7 @@ def batch_db() -> Database:
 
 
 def _options(db, **overrides) -> CompileOptions:
-    return CompileOptions.from_settings(db.settings).replace(**overrides)
+    return db.settings.compile_options().replace(**overrides)
 
 
 def _both(db, sql, **overrides):
