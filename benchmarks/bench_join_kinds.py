@@ -55,7 +55,7 @@ def test_e10_kind_summary(parts_db, benchmark):
         compiled = plan_without_rewrite(parts_db, sql)
         result = parts_db.run_compiled(compiled)
         rows.append((kind, len(result.rows),
-                     "%.6f" % compiled.timings.execute))
+                     "%.6f" % result.timings.execute))
     benchmark(parts_db.execute, KIND_QUERIES["exists"])
     print_table("E10: one subquery-join operator, four kinds",
                 ["kind", "rows", "exec (s)"], rows)

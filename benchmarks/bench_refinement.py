@@ -30,4 +30,4 @@ def test_e15_compiled(parts_db, benchmark):
         "E15: plan refinement (expression compilation)",
         ["variant", "exprs compiled", "exec (s)"],
         [("compiled", compiled.refiner.compiled_count,
-          "%.6f" % compiled.timings.execute)])
+          "%.6f" % result.timings.execute)])

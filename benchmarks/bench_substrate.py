@@ -73,7 +73,7 @@ def test_e14_index_scan_crossover(density_db, benchmark):
                       if n.op_name in ("SCAN", "ISCAN"))
         result = density_db.run_compiled(compiled)
         rows.append((label, access, "%.1f" % compiled.plan.props.cost,
-                     "%.6f" % compiled.timings.execute))
+                     "%.6f" % result.timings.execute))
     benchmark(density_db.execute,
               "SELECT sum(v) FROM on_heap WHERE k < 40")
     print_table(

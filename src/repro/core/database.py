@@ -275,15 +275,16 @@ class Database:
                txn, tracer=None) -> Result:
         """The compile-once-execute-many path shared by ``execute`` (on a
         cacheable statement) and :class:`Prepared`."""
-        compiled = self._cached_compile(sql, fingerprint, options, tracer)
+        compiled, cached = self._cached_compile(sql, fingerprint, options,
+                                                tracer)
         return self.run_compiled(compiled, fingerprint.recipe.bind(params),
-                                 txn, tracer=tracer)
+                                 txn, tracer=tracer, cached=cached)
 
     def _cached_compile(self, sql: str, fingerprint: Fingerprint,
-                        options: CompileOptions,
-                        tracer=None) -> CompiledStatement:
-        """The cached plan for ``sql``, or a fresh compile admitted to
-        the plan cache."""
+                        options: CompileOptions, tracer=None
+                        ) -> Tuple[CompiledStatement, bool]:
+        """``(compiled, cached)``: the cached plan for ``sql`` and True,
+        or a fresh compile admitted to the plan cache and False."""
         key = (fingerprint.key, options.key)
         if tracer is not None:
             with tracer.span("plancache.lookup",
@@ -294,8 +295,7 @@ class Database:
             entry = self.plan_cache.lookup(self.catalog, key)
         if entry is not None:
             self._m_cache_hits.inc()
-            entry.compiled.timings.pipeline = "cached"
-            return entry.compiled
+            return entry.compiled, True
         self._m_cache_misses.inc()
         if fingerprint.rewritten:
             # Validate the original text before compiling the
@@ -311,10 +311,9 @@ class Database:
                 compile_statement(self, sql, options=options)
         compiled = self._timed_compile(fingerprint.compile_text(sql),
                                        options, tracer=tracer)
-        compiled.timings.pipeline = "compiled"
         # Cost-aware admission: one-off bulk DML executes uncached.
         self.plan_cache.admit(self.catalog, key, compiled)
-        return compiled
+        return compiled, False
 
     def prepare(self, sql: str,
                 options: Optional[CompileOptions] = None) -> Prepared:
@@ -372,8 +371,12 @@ class Database:
 
     def run_compiled(self, compiled: CompiledStatement,
                      params: Sequence[Any] = (), txn=None,
-                     tracer=None) -> Result:
+                     tracer=None, cached: bool = False) -> Result:
         """Execute a compiled statement.
+
+        The result's ``timings`` are this execution's own
+        (:meth:`PhaseTimings.ran`): ``cached`` says the plan cache
+        served ``compiled``, and ``execute`` is this run's time.
 
         ``tracer`` is an optional :class:`repro.obs.spans.RequestTrace`;
         the run records an ``execute`` span in it, and under a trace with
@@ -424,7 +427,8 @@ class Database:
             raise
         if own_txn is not None:
             self.engine.commit(own_txn)
-        compiled.timings.execute = time.perf_counter() - started
+        timings = compiled.timings.ran(time.perf_counter() - started,
+                                       cached)
         if exec_span is not None:
             exec_span.set(rows=len(rows))
             tracer.end(exec_span)
@@ -433,11 +437,11 @@ class Database:
             rows = [row[:visible] for row in rows]
         self._m_statements.inc()
         self._m_rows.inc(len(rows))
-        self._m_execute_ms.observe(compiled.timings.execute * 1e3)
+        self._m_execute_ms.observe(timings.execute * 1e3)
         if ctx.stats.parallel_fallbacks:
             self._m_parallel_fallbacks.inc(ctx.stats.parallel_fallbacks)
         return Result(compiled.output_columns(), rows,
-                      rowcount=ctx.rowcount, timings=compiled.timings,
+                      rowcount=ctx.rowcount, timings=timings,
                       stats=ctx.stats)
 
     def begin(self):
@@ -507,13 +511,14 @@ class Database:
         tree = tracer if tracer is not None \
             else RequestTrace("explain", name="explain")
         params: Sequence[Any] = ()
+        cached = False
         fingerprint = (self._fingerprint(sql, options)
                        if options.plan_cache and not trace else None)
         if fingerprint is not None and fingerprint.cacheable:
             # Cache-aware, so EXPLAIN ANALYZE of a cached statement
             # reports this run's actuals.
-            compiled = self._cached_compile(sql, fingerprint, options,
-                                            tracer)
+            compiled, cached = self._cached_compile(sql, fingerprint,
+                                                    options, tracer)
             params = fingerprint.recipe.bind(())
         else:
             # ``trace`` compiles afresh: a cache hit has no compile
@@ -525,7 +530,8 @@ class Database:
                 "EXPLAIN ANALYZE needs a plan-producing statement")
         operators, tree.operators = tree.operators, True
         try:
-            result = self.run_compiled(compiled, params, tracer=tree)
+            result = self.run_compiled(compiled, params, tracer=tree,
+                                       cached=cached)
         finally:
             tree.operators = operators
         text = render_analyze(

@@ -14,7 +14,7 @@ benchmark F1 can regenerate the figure as a measured table.
 from __future__ import annotations
 
 from time import monotonic_ns
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.options import CompileOptions
 from repro.errors import SemanticError
@@ -27,9 +27,18 @@ from repro.optimizer.plans import PlanOp
 from repro.qgm.model import QGM
 from repro.qgm.validate import validate_qgm
 
+_new = object.__new__
+
 
 class PhaseTimings:
-    """Seconds spent in each compile phase (Figure 1 reproduction)."""
+    """Seconds spent in each compile phase (Figure 1 reproduction).
+
+    A :class:`CompiledStatement` holds the compile's own instance (its
+    ``execute`` stays 0.0); every execution gets a copy from
+    :meth:`ran` with that run's ``execute`` and ``pipeline`` filled in,
+    so one cached plan run many times, or by many threads at once, never
+    rewrites a result already returned.
+    """
 
     __slots__ = ("parse", "rewrite", "optimize", "refine", "codegen",
                  "execute", "pipeline")
@@ -49,6 +58,18 @@ class PhaseTimings:
         #: (EXPLAIN and benchmarks render the latter as ``(cached)``).
         self.pipeline = "compiled"
 
+    def ran(self, execute: float, cached: bool) -> "PhaseTimings":
+        """This compile's phase times plus one execution's own values."""
+        run = _new(PhaseTimings)
+        run.parse = self.parse
+        run.rewrite = self.rewrite
+        run.optimize = self.optimize
+        run.refine = self.refine
+        run.codegen = self.codegen
+        run.execute = execute
+        run.pipeline = "cached" if cached else "compiled"
+        return run
+
     def compile_total(self) -> float:
         return (self.parse + self.rewrite + self.optimize + self.refine
                 + self.codegen)
@@ -66,15 +87,18 @@ class PhaseTimings:
 
 
 class CompiledStatement:
-    """A compiled query: QGM snapshots, the plan, and phase timings."""
+    """A compiled query: QGM snapshots, the plan, and phase timings.
 
-    def __init__(self, text: str, statement: ast.Statement,
-                 qgm: Optional[QGM], plan: Optional[PlanOp],
-                 timings: PhaseTimings,
+    It is what the plan cache keeps, so it holds only what running and
+    explaining the plan read: not the parsed AST, nor the optimizer
+    that planned it (each was a few KB per cached plan).
+    """
+
+    def __init__(self, text: str, qgm: Optional[QGM],
+                 plan: Optional[PlanOp], timings: PhaseTimings,
                  qgm_before_rewrite: Optional[str] = None,
                  rewrite_report=None):
         self.text = text
-        self.statement = statement
         self.qgm = qgm
         self.plan = plan
         self.timings = timings
@@ -85,6 +109,10 @@ class CompiledStatement:
         #: Relation names (base tables and expanded views) this statement
         #: ranges over — the plan cache's invalidation dependency set.
         self.dependencies: frozenset = frozenset()
+        #: ``(schema_epoch, stats_epoch)`` read as the compile began: the
+        #: world the plan may assume.  A DDL that lands mid-compile moves
+        #: the epochs past these, so the cached plan is already stale.
+        self.epochs: Tuple[int, int] = (0, 0)
 
     @property
     def is_query(self) -> bool:
@@ -119,6 +147,7 @@ def compile_statement(db, text: str,
 
     if options is None:
         options = db.settings.compile_options()
+    epochs = (db.catalog.schema_epoch, db.catalog.stats_epoch)
 
     timings = PhaseTimings()
 
@@ -128,7 +157,7 @@ def compile_statement(db, text: str,
         raise SemanticError("EXPLAIN must be handled by Database.execute")
     if _is_ddl(statement):
         timings.parse = _end(trace, started)
-        return CompiledStatement(text, statement, None, None, timings)
+        return CompiledStatement(text, None, None, timings)
     qgm = translate(statement, db)
     validate_qgm(qgm)
     # Dependency extraction happens before rewrite: view merging may erase
@@ -196,12 +225,12 @@ def compile_statement(db, text: str,
                                       trace=trace)
         timings.codegen = _end(trace, started, pipelines=pipelines)
 
-    compiled = CompiledStatement(text, statement, qgm, plan, timings,
-                                 qgm_before, rewrite_report)
-    compiled._optimizer = optimizer  # for EXPLAIN / benchmarks
+    compiled = CompiledStatement(text, qgm, plan, timings, qgm_before,
+                                 rewrite_report)
     compiled.options = options
     compiled.refiner = refiner
     compiled.dependencies = dependencies
+    compiled.epochs = epochs
     return compiled
 
 

@@ -14,10 +14,11 @@ is that store.  Three pieces:
 
 - :class:`PlanCache` — an LRU of :class:`CacheEntry` objects keyed on
   (statement fingerprint, canonical ``CompileOptions`` hash).  Entries
-  record the catalog epochs and per-relation dependency set they were
-  compiled under; a schema-epoch change drops dependent entries, a
-  statistics-epoch change forces a recompile of exactly the plans whose
-  dependency set intersects the changed tables.
+  record the catalog epochs (read as the compile began) and the
+  per-relation dependency set they were compiled under; a schema-epoch
+  change drops dependent entries, a statistics-epoch change forces a
+  recompile of exactly the plans whose dependency set intersects the
+  changed tables.
 
 - :class:`Prepared` — the serving path: ``Database.prepare(sql)``
   fingerprints and compiles once, ``Prepared.execute(params)`` skips even
@@ -267,17 +268,23 @@ def normalized_text(sql: str) -> str:
 
 
 class CacheEntry:
-    """One cached plan plus the world it was compiled against."""
+    """One cached plan plus the world it was compiled against.
+
+    The entry is stamped with the epochs the compile *began* under
+    (``compiled.epochs``), not those current at insert: a DDL or ANALYZE
+    that lands between the compile's catalog reads and the insert has
+    already moved its epochs past the stamp, so the next lookup drops
+    the plan instead of serving it for good.
+    """
 
     __slots__ = ("key", "compiled", "dependencies", "schema_epoch",
                  "stats_epoch", "hits", "recompiles")
 
-    def __init__(self, key, compiled, catalog):
+    def __init__(self, key, compiled):
         self.key = key
         self.compiled = compiled
         self.dependencies = compiled.dependencies
-        self.schema_epoch = catalog.schema_epoch
-        self.stats_epoch = catalog.stats_epoch
+        self.schema_epoch, self.stats_epoch = compiled.epochs
         self.hits = 0
         self.recompiles = 0
 
@@ -411,7 +418,7 @@ class PlanCache:
 
     def insert(self, catalog, key, compiled) -> CacheEntry:
         with self._lock:
-            entry = CacheEntry(key, compiled, catalog)
+            entry = CacheEntry(key, compiled)
             entry.recompiles = self._recompiled_keys.pop(key, 0)
             self._entries[key] = entry
             self._entries.move_to_end(key)

@@ -11,11 +11,13 @@ module supplies the machinery that runs them:
   WorkerPool` (DESIGN.md "Worker pool"): forked children that inherit
   the open in-memory database copy-on-write; no state is shipped besides
   the statement text,
-- **self-compiling workers** — plans hold compiled expression closures
-  that cannot cross a pipe, so each worker compiles the statement itself
-  (memoized, deterministic under fork) and locates the Exchange by its
-  position in ``plan.walk()`` order, cross-checked with a structural
-  signature,
+- **workers that inherit the plan** — plans hold compiled expression
+  closures that cannot cross a pipe, so each worker looks the statement
+  text up in the database's plan cache, which it inherited at fork
+  after the coordinator admitted the plan there (a miss, e.g. under
+  ``plan_cache=False``, compiles deterministically and caches in the
+  worker), and locates the Exchange by its position in ``plan.walk()``
+  order, cross-checked with a structural signature,
 - **small results** — partial aggregation (GATHER merge-partial-aggs)
   and local top-K (MERGEGATHER) run inside the workers, so only merged
   group rows or dop·K sorted rows cross the exchange; a GROUP BY with
@@ -106,11 +108,6 @@ def pool_size(dop: int) -> int:
 # Worker side (runs in forked children, as ``task(db, payload)``)
 # ---------------------------------------------------------------------------
 
-#: Per-worker memo of compiled statements, keyed on (text, options key).
-#: Lives only in the children; dies with the pool on data-version change.
-_WORKER_PLANS: dict = {}
-
-
 def _fragment(task, **attrs):
     """The task's span, closed and exported for the trip back to the
     coordinator, which grafts it under the exchange's span."""
@@ -125,7 +122,8 @@ def _worker_run(db, payload):
 
     ``payload`` is ``(head, page_lo, page_hi, operators)`` with ``head``
     = ``(text, options, node_index, signature, params)``.  The worker
-    compiles the statement itself (memoized), locates the coordinator's
+    takes the plan from its inherited plan cache (compiling on a miss,
+    see :func:`_worker_plan`), locates the coordinator's
     Exchange by ``plan.walk()`` index — cross-checked against the
     structural signature — and runs its child with the scan restricted
     to the page range.
@@ -139,7 +137,6 @@ def _worker_run(db, payload):
     the task's own ``op`` spans keyed by walk index (EXPLAIN ANALYZE
     through a Gather).
     """
-    from repro.core.pipeline import compile_statement
     from repro.executor.context import ExecutionContext
     from repro.executor.rowops import sort_rows
     from repro.executor.run import rows_iter
@@ -149,11 +146,7 @@ def _worker_run(db, payload):
     head, lo, hi, operators = payload
     task = Span("worker.morsel") if operators is not None else None
     text, options, node_index, signature, params = head
-    key = (text, options.key)
-    compiled = _WORKER_PLANS.get(key)
-    if compiled is None:
-        compiled = compile_statement(db, text, options=options)
-        _WORKER_PLANS[key] = compiled
+    compiled = _worker_plan(db, text, options)
     node = None
     for index, candidate in enumerate(compiled.plan.walk()):
         if index == node_index:
@@ -179,6 +172,17 @@ def _worker_run(db, payload):
             del rows[node.limit_hint:]
     return (rows, ctx.stats.export(),
             _fragment(task, pages=[lo, hi], rows=len(rows)))
+
+
+def _worker_plan(db, text: str, options):
+    """The compiled plan for a task's statement text.  The coordinator
+    admitted it to ``db.plan_cache`` before the pool forked, so a
+    worker forked since finds it there; otherwise (the plan cache off,
+    or a pool forked before the plan was admitted) the worker compiles
+    it once and caches it in its own copy.  (The text compiled in the
+    coordinator, so it lexes and is a cacheable query.)"""
+    fingerprint = db._fingerprint(text, options)
+    return db._cached_compile(text, fingerprint, options)[0]
 
 
 def _signature(node) -> str:

@@ -259,7 +259,8 @@ class Server:
             self.snapshots = SnapshotManager(
                 db, pool_size(self.settings.max_inflight),
                 self.settings.snapshot_refresh_s,
-                self._fork_quiesce, metrics=db.metrics)
+                self._fork_quiesce, self.read_gate.shared,
+                metrics=db.metrics)
             self.snapshots.start()
         else:
             from repro.executor.parallel import disabled_reason

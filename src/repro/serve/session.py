@@ -429,6 +429,8 @@ class Session:
             return None
         if reply[0] == "ok":
             columns, rows, rowcount, cached, fragment = reply[1]
+            if cached is False:
+                self.server.snapshots.note_miss(sql, options)
             if note is not None:
                 note.cache_hit = cached
             if span is not None:

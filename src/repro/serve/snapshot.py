@@ -29,12 +29,30 @@ return materialized rows; the parent thread blocks in
 ``Connection.recv`` — which releases the GIL — so N clients reading
 through N workers scale across cores, which is what the serving
 benchmark's throughput gate measures.
+
+Workers inherit warmed plans.  A worker's plan cache is the server's,
+copied at fork, and the server never runs a snapshot read itself; so
+without help every pool generation would recompile the hot reads from
+scratch.  Sessions report each worker plan-cache miss
+(:meth:`SnapshotManager.note_miss`); a text missed a second time is
+compiled into the server's plan cache by the refresher between ticks
+(:meth:`SnapshotManager.warm`), after the tick's re-fork and no later
+than the next tick is due, so the cadence and the staleness bound stay
+``refresh_s``.  Each warm compile holds the read gate shared, as a live
+read does, so a fork never captures one half done; it runs under no
+manager lock and never inside the fork gate.  The next fork and every
+later one inherit the plan copy-on-write.  A text seen once (an ad-hoc
+read, a cold key) is never compiled in the server.  The warmed plan is
+an ordinary cache entry: DDL and ANALYZE invalidate it under the usual
+epoch rules.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.executor.workerpool import WorkerPool, data_version
@@ -44,8 +62,9 @@ def run_statement(db, payload) -> Tuple:
     """Worker-pool handler: run one read against the worker's frozen
     image.  ``payload`` is ``(sql, params, options, trace_on)``; returns
     ``(columns, rows, rowcount, cached, fragment)`` — ``cached`` flags a
-    worker plan-cache hit, ``fragment`` is the worker's span export when
-    ``trace_on`` (None otherwise)."""
+    worker plan-cache hit (None when the cache cannot serve the text),
+    ``fragment`` is the worker's span export when ``trace_on`` (None
+    otherwise)."""
     sql, params, options, trace_on = payload
     wtrace = None
     if trace_on:
@@ -62,7 +81,17 @@ def run_statement(db, payload) -> Tuple:
         fragment = wtrace.root.export()
     cached = (result.timings is not None
               and result.timings.pipeline == "cached")
+    if not cached and not _cache_serves(db, sql, options):
+        cached = None  # EXPLAIN, or the plan cache off: never a hit
     return result.columns, result.rows, result.rowcount, cached, fragment
+
+
+def _cache_serves(db, sql: str, options) -> bool:
+    """Whether ``db.execute`` would look ``sql`` up in the plan cache."""
+    if not options.plan_cache:
+        return False
+    fingerprint = db._fingerprint(sql.strip(), options)
+    return fingerprint is not None and fingerprint.cacheable
 
 
 class SnapshotManager:
@@ -71,15 +100,18 @@ class SnapshotManager:
     ``fork_gate`` is the server's quiesce context manager: it holds all
     write stripes *and* the read gate exclusively for the duration of a
     fork, so neither a writer transaction nor a live reader is
-    mid-flight inside the copy-on-write image.
+    mid-flight inside the copy-on-write image.  ``warm_gate`` is the
+    read gate's shared side, held around each warm compile so a fork
+    drains it like a live read.
     """
 
     def __init__(self, db, workers: int, refresh_s: float, fork_gate,
-                 metrics=None):
+                 warm_gate, metrics=None):
         self.db = db
         self.workers = workers
         self.refresh_s = refresh_s
         self._fork_gate = fork_gate
+        self._warm_gate = warm_gate
         #: Guards _current, _retired and _pins; never held across a
         #: fork or a terminate.
         self._lock = threading.Lock()
@@ -91,6 +123,14 @@ class SnapshotManager:
         self._pins: Dict[WorkerPool, int] = {}
         self._stop = threading.Event()
         self._refresher: Optional[threading.Thread] = None
+        #: Guards _misses and _to_warm only; never held across a compile.
+        self._warm_lock = threading.Lock()
+        #: Worker plan-cache misses per (text, options.key), an LRU no
+        #: larger than the plan cache it feeds.
+        self._misses: "OrderedDict[Tuple, int]" = OrderedDict()
+        #: Texts missed twice, awaiting a warm compile: key ->
+        #: (text, options).  Always a subset of _misses.
+        self._to_warm: Dict[Tuple, Tuple] = {}
         self._c_forks = (metrics.counter(
             "serve_snapshot_forks_total", "Snapshot pools forked")
             if metrics is not None else None)
@@ -100,6 +140,14 @@ class SnapshotManager:
         self._h_fork = (metrics.histogram(
             "serve_snapshot_fork_ms",
             "Milliseconds spent quiesced while forking a snapshot pool")
+            if metrics is not None else None)
+        self._c_warmed = (metrics.counter(
+            "serve_snapshot_warmed_total", "Snapshot reads prepared in "
+            "the server's plan cache for later forks to inherit")
+            if metrics is not None else None)
+        self._c_warm_failed = (metrics.counter(
+            "serve_snapshot_warm_failures_total",
+            "Warm compiles skipped because they raised")
             if metrics is not None else None)
 
     # -- version bookkeeping -------------------------------------------------
@@ -205,13 +253,60 @@ class SnapshotManager:
         for pool in pools:
             pool.retire()
 
+    # -- warm plans ----------------------------------------------------------
+
+    def note_miss(self, sql: str, options) -> None:
+        """A snapshot worker compiled ``sql`` under ``options`` afresh.
+        The second miss of one key queues it for :meth:`warm`."""
+        key = (sql, options.key)
+        with self._warm_lock:
+            misses = self._misses.pop(key, 0) + 1
+            self._misses[key] = misses
+            if misses >= 2:
+                self._to_warm[key] = (sql, options)
+            while len(self._misses) > self.db.plan_cache.capacity:
+                stale, _ = self._misses.popitem(last=False)
+                self._to_warm.pop(stale, None)
+
+    def warm(self, until: Optional[float] = None) -> None:
+        """Prepare the queued texts in the server's plan cache, so the
+        next fork inherits them.  The refresher calls this between
+        ticks, with ``until`` the ``time.monotonic()`` the next tick is
+        due: texts it does not reach by then stay queued.  A compile
+        that raises (say, DDL dropped the table) is skipped and
+        counted."""
+        with self._warm_lock:
+            queued, self._to_warm = self._to_warm, {}
+        pending = iter(queued.items())
+        for key, (sql, options) in pending:
+            if self._stop.is_set() or (until is not None
+                                       and time.monotonic() >= until):
+                self._requeue([(key, (sql, options))] + list(pending))
+                return
+            try:
+                with self._warm_gate():
+                    self.db.prepare(sql, options)
+            except Exception:
+                if self._c_warm_failed is not None:
+                    self._c_warm_failed.inc()
+                continue
+            if self._c_warmed is not None:
+                self._c_warmed.inc()
+
+    def _requeue(self, items) -> None:
+        with self._warm_lock:
+            for key, item in items:
+                if key in self._misses:
+                    self._to_warm.setdefault(key, item)
+
     # -- freshness -----------------------------------------------------------
 
     def refresh(self, force: bool = False) -> bool:
         """One synchronous freshness check: re-fork the current pool if
         the data version moved or a worker died (or ``force``).  Returns
         True when a new pool was installed.  Tests call this instead of
-        waiting out the refresh timer."""
+        waiting out the refresh timer (and :meth:`warm` instead of the
+        refresher's warm step)."""
         with self._fork_lock:
             with self._lock:
                 if not force and self._fresh_locked():
@@ -231,13 +326,18 @@ class SnapshotManager:
         self._refresher.start()
 
     def _refresh_loop(self) -> None:
-        while not self._stop.wait(self.refresh_s):
+        wait = self.refresh_s
+        while not self._stop.wait(wait):
             try:
                 self.refresh()
             except Exception:  # pragma: no cover - refresh is best-effort
                 # A failed re-fork (e.g. resource exhaustion) keeps the
                 # old pool serving; the next tick tries again.
                 pass
+            # Warm in the wait before the next tick, never past it.
+            due = time.monotonic() + self.refresh_s
+            self.warm(until=due)
+            wait = max(0.0, due - time.monotonic())
 
     def close(self) -> None:
         self._stop.set()

@@ -439,9 +439,19 @@ class TestTrace:
                   for event in phase.get("children", ())]
         assert events and all(event["ms"] == 0 for event in events)
 
-    def test_untraced_compile_emits_nothing(self, obs_db):
-        compiled = obs_db.compile("SELECT id FROM t WHERE v < 3")
-        assert compiled._optimizer.trace is None
+    def test_untraced_compile_emits_nothing(self, obs_db, monkeypatch):
+        from repro.core import pipeline
+
+        optimizers = []
+
+        class Recording(pipeline.Optimizer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(pipeline, "Optimizer", Recording)
+        obs_db.compile("SELECT id FROM t WHERE v < 3")
+        assert [optimizer.trace for optimizer in optimizers] == [None]
 
     def test_explain_trace_section(self, obs_db):
         text = obs_db.explain("SELECT id FROM t WHERE v < 3", trace=True)

@@ -214,6 +214,39 @@ class TestPoolLifecycle:
         finally:
             db.close()
 
+    def test_reforked_workers_run_the_inherited_plan(self, monkeypatch):
+        """The coordinator admits its plan to the plan cache before an
+        exchange forks the pool, so a re-forked worker finds the plan
+        there: no worker compiles."""
+        from repro.core import database, pipeline
+
+        db = Database(pool_capacity=128)
+        db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
+        txn = db.begin()
+        for i in range(4000):
+            db.engine.insert(txn, "t", (i, i % 10))
+        db.commit(txn)
+        db.analyze()
+        options = _options(db, parallelism="on", dop=2)
+        sql = "SELECT sum(v) FROM t WHERE v > 2"
+        try:
+            before = db.execute(sql, options=options)
+            db.execute("INSERT INTO t VALUES (4000, 9)")
+            pool = db.parallel_runtime()._pool
+
+            def no_compile(*args, **kwargs):
+                raise AssertionError("compiled a cached statement")
+
+            monkeypatch.setattr(pipeline, "compile_statement", no_compile)
+            monkeypatch.setattr(database, "compile_statement", no_compile)
+            after = db.execute(sql, options=options)
+            assert db.parallel_runtime()._pool is not pool  # re-forked
+            assert after.stats.parallel_fallbacks == 0
+            assert after.stats.morsels > 1
+            assert after.scalar() == before.scalar() + 9
+        finally:
+            db.close()
+
     def test_pool_with_a_dead_worker_is_replaced(self, par_db):
         """The snapshot manager's rule, applied by the other pool owner:
         an unhealthy pool is re-forked like a stale one."""

@@ -15,7 +15,7 @@ from repro import CompileOptions, Database
 from repro.catalog.catalog import STATS_DML_FLOOR
 from repro.core.plancache import PlanCache, fingerprint_statement
 from repro.datatypes import INTEGER
-from repro.errors import ExecutionError, SemanticError
+from repro.errors import CatalogError, ExecutionError, SemanticError
 from repro.executor.context import ExecutionContext
 from repro.executor.run import execute_plan
 
@@ -131,10 +131,8 @@ class TestServingPath:
     def test_second_execution_is_a_cache_hit(self):
         db = make_db()
         first = db.execute(POINT, [3])
-        # check the marker before the next run: the Result shares the
-        # CompiledStatement's timings object, which later runs update
-        assert first.timings.pipeline == "compiled"
         again = db.execute("select v\nfrom t  where id = :pk", [3])
+        assert first.timings.pipeline == "compiled"
         assert again.timings.pipeline == "cached"
         assert first.rows == again.rows == [("t3",)]
         stats = db.cache_stats()
@@ -308,7 +306,76 @@ class TestPrepared:
         assert ready.execute([]).scalar() == "t5"
 
 
+class TestCompileRacesDDL:
+    """A DDL that lands while a statement compiles: the plan was built
+    against the catalog before it, so it must not be served after it.
+    Entries carry the epochs read as the compile began."""
+
+    SQL = "SELECT b FROM r WHERE a = 7"
+
+    @staticmethod
+    def _racing_db(monkeypatch):
+        from repro.core import pipeline
+
+        db = Database()
+        db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+        txn = db.begin()
+        for i in range(500):
+            db.engine.insert(txn, "r", (i, i * 10))
+        db.commit(txn)
+        db.execute("CREATE INDEX ia ON r (a)")
+        db.analyze()
+        real_refine = pipeline.refine_plan
+        dropped = []
+
+        def refine_then_drop(plan, functions):
+            # The plan probes ia; the index goes before the compile ends.
+            if not dropped:
+                dropped.append(True)
+                db.execute("DROP INDEX ia")
+            return real_refine(plan, functions)
+
+        monkeypatch.setattr(pipeline, "refine_plan", refine_then_drop)
+        return db
+
+    def test_a_plan_compiled_across_ddl_is_not_served(self, monkeypatch):
+        db = self._racing_db(monkeypatch)
+        with pytest.raises(CatalogError, match="no index ia"):
+            db.execute(self.SQL)  # that one run had the old plan
+        assert db.execute(self.SQL).rows == [(70,)]
+        assert db.execute(self.SQL).rows == [(70,)]
+        assert db.execute(self.SQL).timings.pipeline == "cached"
+
+    def test_a_prepare_across_ddl_recompiles_on_execute(self, monkeypatch):
+        db = self._racing_db(monkeypatch)
+        ready = db.prepare(self.SQL)
+        assert ready.execute().rows == [(70,)]
+        assert ready.execute().rows == [(70,)]
+
+
 class TestReExecutionSafety:
+    def test_each_execution_owns_its_timings(self):
+        """A cached plan run again must not rewrite the timings of a
+        result already returned (nor share them with a concurrent
+        run)."""
+        db = make_db()
+        first = db.execute(POINT, [3])
+        first_execute = first.timings.execute
+        second = db.execute(POINT, [4])
+        third = db.execute(POINT, [5])
+        assert first.timings.pipeline == "compiled"
+        assert first.timings.execute == first_execute
+        assert second.timings.pipeline == third.timings.pipeline == \
+            "cached"
+        assert len({id(first.timings), id(second.timings),
+                    id(third.timings)}) == 3
+        # Compile phases are the plan's, shared by every run of it.
+        assert second.timings.parse == first.timings.parse > 0
+        entry = db.plan_cache.peek(
+            db.catalog, (fingerprint_statement(POINT).key,
+                         db.settings.compile_options().key))
+        assert entry.compiled.timings.execute == 0.0
+
     def test_compiled_statement_is_reusable(self):
         db = make_db()
         compiled = db.compile("SELECT v FROM t WHERE id < 4 ORDER BY id")

@@ -512,6 +512,201 @@ class TestSnapshots:
         assert snap["serve_snapshot_pools"] == 1
 
 
+@fork_only
+class TestWarmPlans:
+    """The server learns the reads its snapshot workers keep compiling:
+    a text a worker missed twice is prepared in the server's plan cache
+    by the refresher's warm step, so the next pool and every later one
+    inherit it.  Each ``refresh(force=True)`` is one pool generation and
+    each ``warm()`` one warm step between ticks."""
+
+    SQL = "SELECT v FROM t WHERE id = ?"
+
+    @staticmethod
+    def _hits(server, sql):
+        stat = server.statements.get(sql)
+        return (stat.cache_hits, stat.cache_misses)
+
+    @staticmethod
+    def _counter(server, name="serve_snapshot_warmed_total"):
+        return server.db.metrics.snapshot()[name]
+
+    def _learn(self, server, session, sql=SQL):
+        """Read ``sql`` in two pool generations, warm, fork a third."""
+        assert session.execute(sql, [3]).scalar() == 3
+        assert server.snapshots.refresh(force=True)
+        assert session.execute(sql, [3]).scalar() == 3
+        server.snapshots.warm()
+        assert server.snapshots.refresh(force=True)
+
+    def _entry(self, server, sql=SQL):
+        db = server.db
+        options = db.settings.compile_options().replace(parallelism="off")
+        fingerprint = db._fingerprint(sql, options)
+        return db.plan_cache.peek(db.catalog,
+                                  (fingerprint.key, options.key))
+
+    def test_a_text_read_in_two_generations_hits_in_the_third(
+            self, server):
+        with server.session() as session:
+            self._learn(server, session)
+            assert self._hits(server, self.SQL) == (0, 2)
+            assert session.execute(self.SQL, [3]).scalar() == 3
+        assert self._hits(server, self.SQL) == (1, 2)
+        assert self._counter(server) == 1
+        assert self._entry(server) is not None
+        # Warm plans are inherited by every later fork, not just one.
+        assert server.snapshots.refresh(force=True)
+        with server.session() as session:
+            assert session.execute(self.SQL, [4]).scalar() == 4
+        assert self._hits(server, self.SQL) == (2, 2)
+
+    def test_a_text_seen_once_is_never_compiled_in_the_server(
+            self, server, monkeypatch):
+        compiled = []
+        real_prepare = server.db.prepare
+        monkeypatch.setattr(server.db, "prepare", lambda *args: (
+            compiled.append(args), real_prepare(*args))[1])
+        with server.session() as session:
+            assert session.execute(self.SQL, [3]).scalar() == 3
+            for _ in range(3):
+                server.snapshots.warm()
+                assert server.snapshots.refresh(force=True)
+        assert compiled == []
+        assert self._counter(server) == 0
+        assert self._entry(server) is None
+
+    def test_texts_the_cache_cannot_serve_are_not_noted(self, server):
+        server.db.settings.plan_cache = False
+        with server.session() as session:
+            for _ in range(2):
+                assert session.execute(self.SQL, [3]).scalar() == 3
+                assert server.snapshots.refresh(force=True)
+        # Neither a hit nor a miss: the workers bypass the cache.
+        assert self._hits(server, self.SQL) == (0, 0)
+        assert not server.snapshots._misses
+
+    def test_the_miss_memo_is_bounded_by_the_plan_cache(self, server):
+        capacity = server.db.plan_cache.capacity
+        server.db.plan_cache.capacity = 4
+        manager = server.snapshots
+        options = server.db.settings.compile_options()
+        def miss(i):
+            manager.note_miss("SELECT v FROM t WHERE id = %d" % i, options)
+            assert len(manager._misses) <= 4
+            assert set(manager._to_warm) <= set(manager._misses)
+
+        def texts(keys):
+            return sorted(int(sql.rsplit(" ", 1)[1]) for sql, _ in keys)
+
+        try:
+            for i in range(10):
+                miss(i)
+            assert texts(manager._misses) == [6, 7, 8, 9]
+            # 9 is remembered, so it queues; 0 was forgotten, so it is
+            # a first miss again, and pushes out the oldest key (6).
+            miss(9)
+            miss(0)
+            assert texts(manager._to_warm) == [9]
+            assert texts(manager._misses) == [0, 7, 8, 9]
+            # A queued key that falls out of the memo leaves the queue.
+            for i in range(10, 14):
+                miss(i)
+            assert texts(manager._to_warm) == []
+        finally:
+            server.db.plan_cache.capacity = capacity
+
+    def test_warm_stops_when_the_next_tick_is_due(self, server):
+        manager = server.snapshots
+        options = server.db.settings.compile_options()
+        for _ in range(2):
+            manager.note_miss(self.SQL, options)
+        manager.warm(until=time.monotonic())  # the tick is due already
+        assert self._counter(server) == 0
+        assert len(manager._to_warm) == 1
+        manager.warm()
+        assert self._counter(server) == 1
+        assert not manager._to_warm
+
+    def test_pin_does_not_warm(self, server):
+        with server.session() as reader, server.session() as writer:
+            reader.execute(self.SQL, [3])
+            assert server.snapshots.refresh(force=True)
+            reader.execute(self.SQL, [3])
+            writer.execute("INSERT INTO t VALUES (900, 0)")
+            writer.execute("SNAPSHOT BEGIN")  # forks: the pool lagged
+            writer.execute("SNAPSHOT END")
+        assert self._counter(server) == 0
+        assert len(server.snapshots._to_warm) == 1
+
+    def test_a_warmed_plan_follows_index_ddl(self):
+        server = make_server(rows=2000)  # big enough for an ISCAN
+        try:
+            server.db.analyze()
+            self._follow_index_ddl(server)
+        finally:
+            server.close()
+            server.db.close()
+
+    def _follow_index_ddl(self, server):
+        manager = server.snapshots
+        with server.session() as session:
+            self._learn(server, session)
+            session.execute("CREATE INDEX tid ON t (id)")
+            # The pool's schema is stale now; the re-fork inherits a
+            # plan the DDL invalidated, so its worker recompiles.
+            assert manager.refresh()
+            assert session.execute(self.SQL, [5]).scalar() == 5
+            manager.warm()
+            assert manager.refresh(force=True)
+            assert self._counter(server) == 2
+            assert "ISCAN" in self._entry(server).compiled.plan.explain()
+            assert session.execute(self.SQL, [5]).scalar() == 5
+            session.execute("DROP INDEX tid")
+            # A stale ISCAN plan would raise now ("no index tid").
+            assert manager.refresh()
+            assert session.execute(self.SQL, [6]).scalar() == 6
+            assert self._entry(server) is None
+            manager.warm()
+            assert manager.refresh(force=True)
+            assert "ISCAN" not in \
+                self._entry(server).compiled.plan.explain()
+            assert session.execute(self.SQL, [6]).scalar() == 6
+
+    def test_a_failing_warm_compile_leaves_the_refresher_alive(
+            self, monkeypatch):
+        srv = make_server(snapshot_refresh_s=0.02)
+        manager = srv.snapshots
+        try:
+            def broken(sql, options=None):
+                raise RuntimeError("warm compile failed")
+
+            monkeypatch.setattr(srv.db, "prepare", broken)
+            with srv.session() as reader, srv.session() as writer:
+                for i in range(2):
+                    reader.execute(self.SQL, [3])
+                    version = manager.current_pool().version
+                    writer.execute("INSERT INTO t VALUES (%d, 0)"
+                                   % (900 + i))
+                    assert _eventually(lambda: (
+                        manager.current_pool() is not None
+                        and manager.current_pool().version != version))
+                assert _eventually(lambda: self._counter(
+                    srv, "serve_snapshot_warm_failures_total") == 1)
+                assert self._counter(srv) == 0
+                version = manager.current_pool().version
+                writer.execute("INSERT INTO t VALUES (999, 0)")
+                assert _eventually(lambda: (
+                    manager.current_pool() is not None
+                    and manager.current_pool().version != version))
+                assert manager._refresher.is_alive()
+                assert reader.execute(
+                    "SELECT count(*) FROM t").scalar() == 53
+        finally:
+            srv.close()
+            srv.db.close()
+
+
 class TestSnapshotDegradation:
     def test_disabled_snapshots_serve_live(self):
         srv = make_server(snapshots_enabled=False)

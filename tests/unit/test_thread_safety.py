@@ -108,6 +108,7 @@ class _FakeCompiled:
     def __init__(self, text):
         self.text = text
         self.dependencies = frozenset()
+        self.epochs = (0, 0)
         self.is_query = True
         self.plan = None
         self.options = None
