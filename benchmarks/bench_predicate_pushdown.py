@@ -9,7 +9,7 @@ rows-touched reduction.
 
 import pytest
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, project_rows
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +54,17 @@ def test_e1_rows_reaching_upper_operator(view_db, benchmark):
     """Count rows crossing the view boundary with and without migration."""
     SQL2 = "SELECT price FROM named WHERE partno = 123"
     on_stats = benchmark(view_db.execute, SQL2).stats
+    on_emitted = project_rows(view_db, SQL2)
     view_db.settings.rewrite_enabled = False
-    off_stats = view_db.execute(SQL2).stats
-    view_db.settings.rewrite_enabled = True
+    try:
+        off_stats = view_db.execute(SQL2).stats
+        off_emitted = project_rows(view_db, SQL2)
+    finally:
+        view_db.settings.rewrite_enabled = True
     print_table(
-        "E1: intermediate rows emitted (rows_emitted counts PROJECT "
-        "outputs)",
+        "E1: intermediate rows emitted (rows out of every PROJECT, from "
+        "the EXPLAIN ANALYZE op spans)",
         ["variant", "rows emitted", "rows scanned"],
-        [("rewrite on", on_stats.rows_emitted, on_stats.rows_scanned),
-         ("rewrite off", off_stats.rows_emitted, off_stats.rows_scanned)])
-    assert on_stats.rows_emitted < off_stats.rows_emitted
+        [("rewrite on", on_emitted, on_stats.rows_scanned),
+         ("rewrite off", off_emitted, off_stats.rows_scanned)])
+    assert on_emitted < off_emitted

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro import Database
+from repro.obs.spans import RequestTrace
 
 
 def cores() -> int:
@@ -28,6 +29,18 @@ def cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux fallback
         return os.cpu_count() or 1
+
+
+def project_rows(db: Database, sql: str) -> int:
+    """Rows the statement's PROJECT operators emitted, read from the
+    ``op`` spans EXPLAIN ANALYZE fills.  (``stats.rows_emitted`` counts
+    only what a fused region's root emits, so it cannot see rows that
+    cross a view boundary inside one region.)"""
+    trace = RequestTrace("bench-ops", operators=True)
+    db.execute(sql, tracer=trace)
+    return sum(span.attrs["rows"]
+               for span in trace.root.find("execute").children
+               if span.name == "op" and span.attrs["op"] == "PROJECT")
 
 
 def bulk_insert(db: Database, table: str, rows) -> None:

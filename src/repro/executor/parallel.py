@@ -4,8 +4,10 @@ The optimizer's parallel glue (``repro.optimizer.stars.parallelize_plan``)
 splices Gather/MergeGather operators over eligible scan pyramids; this
 module supplies the machinery that runs them:
 
-- **morsels** — contiguous heap page ranges carved from the scanned
-  table; morsel order equals serial scan order, so concatenating worker
+- **morsels** — the scanned table's heap pages cut into ``dop``
+  contiguous ranges, one task each, so a pool of ``dop`` workers (the
+  usual ``dop`` = cores) gives every worker one task holding its whole
+  share; morsel order equals serial scan order, so concatenating task
   results reproduces serial output byte-for-byte,
 - **workers** — the database's :class:`~repro.executor.workerpool.
   WorkerPool` (DESIGN.md "Worker pool"): forked children that inherit
@@ -25,7 +27,8 @@ module supplies the machinery that runs them:
   over a plain GATHER,
 - **broadcast joins** — a GATHER over a hash join morsels only the
   probe scan (the one ``ctx.morsel_scan`` points to, by node identity);
-  every task builds the inner side in full, so a probe morsel's
+  every task builds the inner side in full — once per task, which is
+  what ``parallelism="auto"``'s gate charges — so a probe morsel's
   output is exactly its share of the serial stream,
 - **counters** — every task ships its ExecutionStats counters back, so
   a parallel run reports the rows its workers scanned.
@@ -47,10 +50,6 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.executor.workerpool import WorkerPool, data_version
-
-#: Morsels carved per worker: small enough to balance skew, large enough
-#: that per-task pickle overhead stays negligible.
-MORSELS_PER_WORKER = 4
 
 #: Test hook: when not None, overrides the detected multiprocessing start
 #: methods.  Forcing e.g. ``["spawn"]`` exercises the serial degradation
@@ -100,7 +99,8 @@ def pool_size(dop: int) -> int:
     """Worker-pool size for a requested ``dop``: clamped to the process's
     CPU affinity mask (never below one).  Forking more workers than
     runnable cores only adds scheduler churn — the requested ``dop``
-    still carves morsels, but the pool is sized to real capacity."""
+    still carves ``dop`` morsels, but the pool is sized to real
+    capacity, and its workers take the extra tasks in turn."""
     return max(1, min(dop, available_cores()))
 
 
@@ -117,7 +117,8 @@ def _fragment(task, **attrs):
 
 
 def _worker_run(db, payload):
-    """Execute one morsel of a Gather/MergeGather and return ``(rows,
+    """Execute one task — one morsel — of a Gather/MergeGather and
+    return ``(rows,
     stats, fragment)``.
 
     ``payload`` is ``(head, page_lo, page_hi, operators)`` with ``head``
@@ -199,12 +200,11 @@ def _signature(node) -> str:
 
 
 def _carve(pages: int, dop: int) -> List[Tuple[int, int]]:
-    """Split a heap file's pages into contiguous morsel ranges."""
-    if pages <= 0:
-        return []
-    target = max(1, dop * MORSELS_PER_WORKER)
-    size = max(1, -(-pages // target))
-    return [(lo, min(lo + size, pages)) for lo in range(0, pages, size)]
+    """Split a heap file's pages into ``min(dop, pages)`` contiguous
+    morsel ranges of near-equal size, one per task."""
+    tasks = min(dop, pages)
+    return [(pages * i // tasks, pages * (i + 1) // tasks)
+            for i in range(tasks)]
 
 
 def _merge_agg(agg, left, right):
@@ -348,7 +348,7 @@ class ParallelRuntime:
         return iter(rows)
 
     def _exchange(self, exchange, ctx, head):
-        """Fan the child out over morsels, recombine."""
+        """Fan the child out over ``dop`` morsels, recombine."""
         from repro.optimizer import plans as pl
 
         pages = self.db.engine.table_page_count(

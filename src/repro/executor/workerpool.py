@@ -20,7 +20,7 @@ exactly once:
 - **framing** — a request is ``(function, payload)`` over the worker's
   own pipe, run as ``function(db, payload)``; the reply is ``("ok",
   value)`` or ``("err", class_name, message)``.  An error reply leaves
-  the worker serving.
+  the worker serving — also for a request the worker cannot unpickle.
 - **lease** — a worker belongs to exactly one caller between request
   and reply, so any number of threads may share a pool.  Free workers
   form a stack: a caller gets the most recently released one, so a
@@ -69,7 +69,15 @@ def _serve(db, conn) -> None:
     db._parallel_runtime = None
     try:
         while True:
-            request = conn.recv()
+            try:
+                request = conn.recv()
+            except (EOFError, OSError):
+                break  # the parent is gone
+            except Exception as exc:
+                # Read in full but not unpickled — say, a function this
+                # fork never inherited: answer it, keep serving.
+                conn.send(("err", type(exc).__name__, str(exc)))
+                continue
             if request is None:
                 break
             function, payload = request

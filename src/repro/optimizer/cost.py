@@ -28,12 +28,23 @@ DEFAULT_SELECTIVITY = 1.0 / 3.0
 LIKE_SELECTIVITY = 0.1
 EQUALITY_FALLBACK = 0.1
 
-#: Fixed cost of starting one parallel worker (fork + per-worker compile),
-#: in the same abstract units as IO/CPU.  Forking is cheap on Linux but not
-#: free; a dop=4 plan must save at least ~4 * this to win.
-PARALLEL_STARTUP_COST = 50.0
-#: Per-row cost of moving a row through an Exchange (pickle + pipe).
-EXCHANGE_ROW_COST = CPU_WEIGHT * 0.5
+#: The Parallelism gate's host constants, in the units above
+#: (``CPU_WEIGHT`` is one row read by the tuple interpreter), fitted by
+#: ``benchmarks/fit_parallel_costs.py`` on a 2-core host; DESIGN.md
+#: "Intra-query parallel execution" records the measurements.
+#:
+#: One row read by fused code (~100 ns against the tuple row's ~4 µs).
+FUSED_ROW_COST = 0.00023
+#: One worker task: dispatch, the worker's plan lookup and context, the
+#: reply (~160-280 µs).
+TASK_COST = 0.4
+#: One row crossing an Exchange: pickled in the worker, piped, unpickled
+#: and concatenated in the coordinator (~250 ns).
+EXCHANGE_ROW_COST = 0.00055
+#: What two busy workers give over one process (2.0 would be linear):
+#: the harmonic mean of 150 probes, which swung from 0.77x to 2.28x with
+#: the host's other tenants.
+SPEEDUP_2 = 1.18
 #: A hash-table build row relative to a probe row (one CPU_WEIGHT).
 HASH_BUILD_WEIGHT = 1.2
 
@@ -173,31 +184,47 @@ class CostModel:
 
     # -- parallelism ----------------------------------------------------------
 
-    def parallel_startup(self, dop: int) -> float:
-        """Fixed price of spinning up ``dop`` workers."""
-        return PARALLEL_STARTUP_COST * max(0, dop)
+    def row_cost(self, fused: bool) -> float:
+        """One row read by the backend that runs it."""
+        return FUSED_ROW_COST if fused else CPU_WEIGHT
+
+    def parallel_speedup(self, workers: int) -> float:
+        """What ``workers`` concurrent workers give over one process:
+        each worker past the first adds what the second did on the
+        fitting host."""
+        return 1.0 + max(0, workers - 1) * (SPEEDUP_2 - 1.0)
+
+    def task_cost(self, tasks: int) -> float:
+        """Fixed price of ``tasks`` worker round trips."""
+        return TASK_COST * max(0, tasks)
 
     def exchange_cost(self, rows: float) -> float:
         """Cost of gathering ``rows`` rows through an Exchange."""
         return max(rows, 0.0) * EXCHANGE_ROW_COST
 
-    def should_parallelize(self, input_rows: float, dop: int,
+    def should_parallelize(self, input_rows: float, dop: int, workers: int,
+                           fused: bool, gathered_rows: float,
                            replicated_rows: float = 0.0) -> bool:
-        """Do ``input_rows`` rows of scan work amortize ``dop`` workers?
+        """Does gathering ``input_rows`` rows of scan work over ``dop``
+        tasks on ``workers`` workers beat running it serially?
 
-        The subtree's serial work is roughly ``input_rows * CPU_WEIGHT``
-        (plus I/O, but forked workers share the page cache); parallel
-        execution saves the (dop-1)/dop share of it and pays startup plus
-        the exchange.  ``replicated_rows`` is work the workers repeat in
-        full — a broadcast hash join's build side — charged once per
-        worker, so a join whose build side is about the size of its
-        probe stays serial.  Used by ``parallelism="auto"``; ``"on"``
-        bypasses this gate so tests can force small-table parallelism.
+        Both sides are priced at the per-row cost of the backend that
+        runs the subtree (``fused`` or the tuple interpreter).  The
+        gathered side divides the work by the host's parallel speedup,
+        not by ``dop``, and pays one round trip per task plus the
+        ``gathered_rows`` that cross the exchange (the estimated rows
+        of the gathered stream, not the rows read).  ``replicated_rows``
+        is work every task repeats in full — a broadcast hash join's
+        build side — so the gathered side builds it once per task.
+        Used by ``parallelism="auto"``; ``"on"`` bypasses this gate so
+        tests can force small-table parallelism.
         """
         if dop <= 1:
             return False
-        per_row = CPU_WEIGHT + IO_WEIGHT * 0.02
-        saved = max(input_rows, 0.0) * per_row * (dop - 1) / float(dop)
-        return saved > (self.parallel_startup(dop)
-                        + self.exchange_cost(input_rows / float(dop))
-                        + max(replicated_rows, 0.0) * per_row * dop)
+        row = self.row_cost(fused)
+        build = max(replicated_rows, 0.0) * row * HASH_BUILD_WEIGHT
+        serial = max(input_rows, 0.0) * row + build
+        gathered = ((serial + (dop - 1) * build)
+                    / self.parallel_speedup(workers)
+                    + self.task_cost(dop) + self.exchange_cost(gathered_rows))
+        return gathered < serial

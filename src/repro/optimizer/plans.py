@@ -634,8 +634,8 @@ class Exchange(PlanOp):
         self.morsel_scan = morsel_scan
         props = child.props.evolve(
             dop=1,
-            cost=(child.props.cost / float(max(1, dop))
-                  + cm.parallel_startup(dop)
+            cost=(child.props.cost / cm.parallel_speedup(dop)
+                  + cm.task_cost(dop)
                   + cm.exchange_cost(child.props.card)),
         )
         super().__init__((child,), props)

@@ -522,7 +522,8 @@ def default_star_array() -> Dict[str, STAR]:
     # ``capable`` means the subtree is structurally parallelizable (a
     # row-producing pyramid over a Filter*/SCAN chain on a local heap
     # table, self-contained expressions); ``eligible`` carries the
-    # cost-model gate (enough rows read to amortize worker startup).
+    # cost-model gate (the gathered plan, priced at the backend that runs
+    # it, beats the serial one).
     # ``build`` constructs the Exchange when the alternative fires, so a
     # DBC can replace the glue without knowing how to build the operator.
 
@@ -720,8 +721,10 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
 
     Walks the refined plan top-down; for each candidate subtree it asks
     the ``Parallelism`` STAR whether to splice (``on`` always does,
-    ``auto`` only when the cost model says the rows read amortize worker
-    startup).  Candidates:
+    ``auto`` only when :meth:`CostModel.should_parallelize` prices the
+    gathered plan below the serial one: work at the per-row cost of the
+    node's ``exec_backend``, the rows that cross the exchange, one round
+    trip and one build per task).  Candidates:
 
     - ``PROJECT`` over Filter*/SCAN        → GATHER above the PROJECT,
     - ``GROUPBY`` (mergeable aggregates)   → GATHER merging partial
@@ -741,7 +744,7 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
     """
     if plan is None or options.parallelism == "off" or options.dop <= 1:
         return plan
-    from repro.executor.parallel import fork_available
+    from repro.executor.parallel import fork_available, pool_size
 
     if not fork_available():
         # Recorded by executor.parallel; the whole feature degrades to
@@ -755,14 +758,17 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
         for node in subtree.walk():
             node.props = node.props.evolve(dop=dop)
 
-    def eligible(scan: TableScan, replicated: float) -> bool:
+    def eligible(node: PlanOp, scan: TableScan, gathered: float,
+                 replicated: float) -> bool:
         pages = cm.catalog.statistics(scan.table.name).page_count
         return pages >= 2 and cm.should_parallelize(
-            scan.input_rows, dop, replicated)
+            scan.input_rows, dop, pool_size(dop),
+            fused=node.exec_backend == "compiled", gathered_rows=gathered,
+            replicated_rows=replicated)
 
-    def ask(node: PlanOp, scan: TableScan, build,
+    def ask(node: PlanOp, scan: TableScan, build, gathered: float,
             replicated: float = 0.0) -> PlanOp:
-        worth = eligible(scan, replicated)
+        worth = eligible(node, scan, gathered, replicated)
         plans = generator.evaluate(
             "Parallelism", plan=node, capable=True,
             mode=options.parallelism, eligible=worth, build=build)
@@ -796,9 +802,13 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
             child = node.children[0]
             scan = _project_candidate(child)
             if scan is not None:
+                # Each task sends its sorted rows, or only its top K.
+                card = child.props.card
                 built = ask(child, scan, lambda gen: MergeGather(
                     gen.cm, child, dop, scan, node.positions,
-                    limit_hint=limit_above))
+                    limit_hint=limit_above),
+                    card if limit_above is None
+                    else min(card, limit_above) * dop)
                 if built is not child:
                     node.children = (built,)
                 return node
@@ -808,17 +818,20 @@ def parallelize_plan(plan: PlanOp, generator: PlanGenerator,
             probe_scan, build_scan = join_hit
             return ask(node, probe_scan,
                        lambda gen: Gather(gen.cm, node, dop, probe_scan),
-                       replicated=build_scan.input_rows)
+                       node.props.card, replicated=build_scan.input_rows)
 
         scan = _project_candidate(node)
         if scan is not None:
             return ask(node, scan,
-                       lambda gen: Gather(gen.cm, node, dop, scan))
+                       lambda gen: Gather(gen.cm, node, dop, scan),
+                       node.props.card)
         scan = _groupby_candidate(node, cm.catalog)
         if scan is not None:
+            # Each task sends its partial groups.
             return ask(node, scan,
                        lambda gen: Gather(gen.cm, node, dop, scan,
-                                          merge_groups=node))
+                                          merge_groups=node),
+                       node.props.card * dop)
 
         new_children = []
         changed = False

@@ -175,12 +175,20 @@ class RewriteEngine:
             for rule in list(rules):
                 if rule.name == name:
                     rules.remove(rule)
+        self._rules_changed()
 
     def disable_rule(self, name: str) -> None:
         self.disabled_rules.add(name)
+        self._rules_changed()
 
     def enable_rule(self, name: str) -> None:
         self.disabled_rules.discard(name)
+        self._rules_changed()
+
+    def _rules_changed(self) -> None:
+        # Cached plans were rewritten by the old rule set: retire them,
+        # as Database.register_rewrite_rule does for an added rule.
+        self.db.catalog.bump_schema_epoch()
 
     def rules(self, only: Optional[Tuple[str, ...]] = None) -> List[Rule]:
         """Active rules honouring class enabling and per-rule switches.

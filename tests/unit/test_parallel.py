@@ -127,13 +127,23 @@ class TestPlanShape:
                              execution_mode="auto"))
         assert "fallback=compiled-below" in text
 
-    def test_auto_mode_skips_tiny_tables(self, par_db):
-        options = _options(par_db, parallelism="auto", dop=4)
+    def test_auto_mode_skips_tiny_tables(self, par_db, monkeypatch):
+        """``auto`` prices the rows read at the backend that reads them.
+        20k rows on the tuple interpreter pay for two workers; 10 rows
+        never do; fused, the 20k rows are read faster than two tasks
+        can be dispatched and collected (see :class:`TestAutoGate`)."""
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+        options = _options(par_db, parallelism="auto", dop=2,
+                           execution_mode="tuple")
         tiny = par_db.explain("SELECT count(*) FROM tiny",
                               options=options)
         big = par_db.explain("SELECT count(*) FROM t", options=options)
         assert "GATHER" not in tiny
         assert "GATHER" in big
+        fused = par_db.explain(
+            "SELECT count(*) FROM t",
+            options=_options(par_db, parallelism="auto", dop=2))
+        assert "GATHER" not in fused
 
     def test_avg_and_distinct_aggregates_stay_serial(self, par_db):
         # AVG partials don't merge order-safely; DISTINCT needs global
@@ -149,6 +159,114 @@ class TestPlanShape:
         par = _options(par_db, parallelism="on", dop=4)
         assert serial.key != par.key
         assert "parallel" in par.describe()
+
+
+class TestAutoGate:
+    """What ``parallelism="auto"`` gathers at dop 2 on two cores, with
+    the committed cost constants.  Every decision is backed by serial
+    against gathered timings on the 2-core fitting host (medians of
+    alternating pairs; DESIGN.md "Intra-query parallel execution")."""
+
+    SCAN_AGG = ("SELECT count(*), sum(x), max(b) FROM events "
+                "WHERE b < 70 AND a % 3 <> 0")
+    JOIN = ("SELECT e.a, e.x, g.label FROM events e, groups g "
+            "WHERE e.g = g.k AND g.k < 900")
+    GROUP = ("SELECT g, COUNT(*), SUM(x) FROM events "
+             "WHERE a % 3 <> 0 GROUP BY g")
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+
+    @pytest.fixture(scope="class")
+    def sharded_db(self) -> Database:
+        """The benchmark suite's ``analytic_parallel`` tables: 30k
+        ``events`` rows hash-sharded 4 ways and 1k ``groups``."""
+        db = Database()
+        db.execute("CREATE TABLE events (a INTEGER, b INTEGER, g INTEGER,"
+                   " x DOUBLE, tag VARCHAR(24))"
+                   " PARTITION BY HASH(g) PARTITIONS 4")
+        db.execute("CREATE TABLE groups (k INTEGER PRIMARY KEY,"
+                   " label VARCHAR(12))")
+        txn = db.begin()
+        for j in range(30000):
+            db.engine.insert(txn, "events", (
+                j, j % 100, j % 1000, (j % 997) * 0.5,
+                "tag-%019d" % (j % 50)))
+        for k in range(1000):
+            db.engine.insert(txn, "groups", (k, "grp_%d" % k))
+        db.commit(txn)
+        db.analyze()
+        yield db
+        db.close()
+
+    def _gathers(self, db, sql, **overrides) -> bool:
+        return "GATHER" in db.explain(sql, options=_options(
+            db, parallelism="auto", dop=2, **overrides))
+
+    def test_fused_analytic_statements_stay_serial(self, sharded_db):
+        # Serial against gathered (fused, dop 2): the scan aggregate
+        # 9.8 against 16.9 ms, the join 18.9 against 27.2 ms, the
+        # float-SUM group-by 13.0 against 17.7 ms.  The aggregates' float
+        # SUM cannot merge, so ~14-20k rows cross the exchange; the
+        # join ships its 27k result rows.
+        for sql in (self.SCAN_AGG, self.JOIN, self.GROUP):
+            assert not self._gathers(sharded_db, sql), sql
+
+    def test_the_same_statements_gather_on_the_tuple_interpreter(
+            self, sharded_db):
+        # 17x the per-row work: serial 166 / 187 / 178 ms against
+        # gathered 119 / 134 / 129 ms.
+        for sql in (self.SCAN_AGG, self.JOIN, self.GROUP):
+            assert self._gathers(sharded_db, sql, execution_mode="tuple"), \
+                sql
+
+    def test_tuple_scan_of_200k_rows_gathers(self):
+        # bench_parallel's E18 shape: a mergeable scan aggregate sends
+        # one row per task; on the tuple interpreter (~4 us a row read)
+        # two workers save far more than two round trips cost.
+        db = Database(pool_capacity=4096)
+        try:
+            db.execute("CREATE TABLE wide (a INTEGER)")
+            txn = db.begin()
+            for i in range(200000):
+                db.engine.insert(txn, "wide", (i,))
+            db.commit(txn)
+            db.analyze()
+            sql = "SELECT count(*), min(a), max(a) FROM wide WHERE a % 3 <> 0"
+            assert self._gathers(db, sql, execution_mode="tuple")
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("probe_rows", [2000, 9000])
+    def test_broadcast_join_builds_once_per_task(self, probe_rows):
+        """One task per worker: a broadcast join reads its probe table
+        once and its build table once per task, whatever the probe
+        table's page count."""
+        db = Database()
+        try:
+            db.execute("CREATE TABLE probe (id INTEGER, k INTEGER)")
+            db.execute("CREATE TABLE build (k INTEGER, name VARCHAR(8))")
+            txn = db.begin()
+            for i in range(probe_rows):
+                db.engine.insert(txn, "probe", (i, i % 50))
+            for k in range(50):
+                db.engine.insert(txn, "build", (k, "b%d" % k))
+            db.commit(txn)
+            db.analyze()
+            sql = ("SELECT p.id, b.name FROM probe p, build b "
+                   "WHERE p.k = b.k")
+            serial = db.execute(sql, options=_options(db))
+            par = db.execute(sql, options=_options(
+                db, parallelism="on", dop=2))
+            assert par.rows == serial.rows
+            assert par.stats.parallel_fallbacks == 0, \
+                par.stats.parallel_reasons
+            assert par.stats.morsels == 2
+            assert par.stats.rows_scanned == probe_rows + 50 * 2
+            assert db.catalog.statistics("probe").page_count > 2
+        finally:
+            db.close()
 
 
 class TestDegradation:

@@ -20,6 +20,7 @@ import pytest
 
 from repro import CompileOptions, Database
 from repro.errors import ReproError
+from repro.executor import parallel
 from repro.storage.heap import partition_of, stable_partition_hash
 from tests.stacks import MODES
 
@@ -342,8 +343,10 @@ class TestByteIdentity:
 
 class TestAutoGroupBy:
     """The ``analytic_parallel`` shape: a float SUM grouped on the shard
-    key under ``parallelism="auto"``, large enough for the cost model to
-    splice a GATHER under the coordinator's GROUPBY."""
+    key under ``parallelism="auto"``.  The SUM cannot merge, so the rows
+    themselves cross the exchange to the coordinator's GROUPBY: on the
+    tuple interpreter the 12k rows read still pay for that, fused they
+    do not."""
 
     SQL = ("SELECT g, COUNT(*), SUM(x) FROM events WHERE a % 3 <> 0"
            " GROUP BY g")
@@ -364,15 +367,22 @@ class TestAutoGroupBy:
         yield db
         db.close()
 
-    def test_auto_equals_serial(self, events_db):
-        serial = events_db.execute(self.SQL, options=_options(events_db))
+    def test_auto_equals_serial(self, events_db, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+        options = _options(events_db, execution_mode="tuple")
+        serial = events_db.execute(self.SQL, options=options)
         par = events_db.execute(
-            self.SQL, options=_options(events_db, parallelism="auto",
-                                       dop=2))
+            self.SQL, options=options.replace(parallelism="auto", dop=2))
         assert par.stats.parallel_exchanges >= 1
         assert par.stats.parallel_fallbacks == 0, par.stats.parallel_reasons
         assert repr(par.rows) == repr(serial.rows)
         assert par.stats.rows_scanned == serial.stats.rows_scanned
+        # Fused, the same statement runs serially (no exchange at all).
+        fused = events_db.execute(
+            self.SQL, options=_options(events_db, parallelism="auto",
+                                       dop=2))
+        assert fused.stats.parallel_exchanges == 0
+        assert repr(fused.rows) == repr(serial.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +549,12 @@ class TestBroadcastJoin:
             par = shard_db.execute(sql % outer_ref, options=options)
             assert par.rows == serial.rows
 
-    def test_auto_keeps_a_join_of_equal_sides_serial(self):
-        """``auto`` charges the build once per worker: probing a table
+    def test_auto_keeps_a_join_of_equal_sides_serial(self, monkeypatch):
+        """``auto`` charges the build once per task: probing a table
         with one of its own size saves nothing, so it stays serial,
-        while the same probe against a small table gathers."""
+        while the same probe against a small table gathers on the tuple
+        interpreter.  Fused, even the small-table join stays serial."""
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
         db = Database()
         for name, rows in (("big", 12000), ("twin", 12000),
                            ("small", 100)):
@@ -553,15 +565,21 @@ class TestBroadcastJoin:
             db.commit(txn)
         db.analyze()
         try:
-            options = _options(db, parallelism="auto", dop=2)
+            options = _options(db, parallelism="auto", dop=2,
+                               execution_mode="tuple")
             equal = db.compile("SELECT b.id, t.id FROM big b, twin t"
                                " WHERE b.id = t.id", options=options)
-            small = db.compile("SELECT b.id, s.id FROM big b, small s"
-                               " WHERE b.id = s.id", options=options)
+            small_sql = ("SELECT b.id, s.id FROM big b, small s"
+                         " WHERE b.id = s.id")
+            small = db.compile(small_sql, options=options)
             assert _gathered_join(equal.plan) == (None, None), \
                 equal.plan.explain()
             assert _gathered_join(small.plan)[1] is not None, \
                 small.plan.explain()
+            fused = db.compile(small_sql, options=options.replace(
+                execution_mode="auto"))
+            assert _gathered_join(fused.plan) == (None, None), \
+                fused.plan.explain()
         finally:
             db.close()
 

@@ -83,6 +83,26 @@ class TestEngine:
         _graph, report = rewritten(db, "SELECT a FROM vt")
         assert report.count("merge_select") == 1
 
+    def test_rule_switches_retire_cached_plans(self, db):
+        # A plan cached while a rule was on must not be served once it
+        # is off, nor the other way round.
+        sql = "SELECT a FROM vt WHERE a > 0"
+        db.execute(sql)
+        db.rewrite_engine.disable_rule("merge_select")
+        try:
+            compiled, cached = db._cached_compile(
+                sql, db._fingerprint(sql, db.settings.compile_options()),
+                db.settings.compile_options())
+            assert not cached
+            assert compiled.rewrite_report.count("merge_select") == 0
+        finally:
+            db.rewrite_engine.enable_rule("merge_select")
+        compiled, cached = db._cached_compile(
+            sql, db._fingerprint(sql, db.settings.compile_options()),
+            db.settings.compile_options())
+        assert not cached
+        assert compiled.rewrite_report.count("merge_select") == 1
+
     def test_custom_rule_and_class(self, db):
         seen = []
 

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro import Database
-from repro.errors import DivisionByZeroError
+from repro.errors import DivisionByZeroError, ExecutionError
 from repro.executor import parallel
 from repro.executor.workerpool import (
     WorkerPool,
@@ -119,6 +119,32 @@ def test_error_reply_does_not_poison_the_worker(db):
         assert pool.map(_count, ["t", "t"]) == [30, 30]
         assert pool.healthy
     finally:
+        pool.terminate()
+
+
+def test_request_the_worker_cannot_unpickle_gets_an_error_reply(db):
+    """A function that exists only in the parent — bound after the
+    fork — pickles by reference there and fails to unpickle in the
+    worker: the worker answers with an error reply and keeps serving."""
+    import sys
+
+    pool = WorkerPool(db, 1)
+    module = sys.modules[__name__]
+
+    def late(db, payload):
+        return payload
+
+    late.__qualname__ = late.__name__ = "_bound_after_fork"
+    module._bound_after_fork = late
+    try:
+        status, class_name, _message = pool.call(late, "x")
+        assert (status, class_name) == ("err", "AttributeError")
+        with pytest.raises(ExecutionError, match="AttributeError"):
+            pool.map(late, ["x"])
+        assert pool.call(_count, "t") == ("ok", 30)
+        assert pool.healthy
+    finally:
+        del module._bound_after_fork
         pool.terminate()
 
 
